@@ -25,10 +25,10 @@ from . import market_sim
 from .analytics_bsm import ContractSpec
 from .errors import (ConfigurationError, DomainError, IntegrityError,
                      NumericError, ResolutionError, ShapeError, StateError)
-from .frontier import (SweepConfig, compare_configs, format_comparison_table,
-                       pareto_filter, prepare_signal, read_frontier_csv,
-                       sweep_alpha, sweep_baseline, write_comparison_csv,
-                       write_frontier_csv)
+from .frontier import (GATE_SOURCES, SWEEP_MODES, SweepConfig, compare_configs,
+                       format_comparison_table, pareto_filter, prepare_signal,
+                       read_frontier_csv, sweep_alpha, sweep_baseline,
+                       write_comparison_csv, write_frontier_csv)
 from .hedging_engine import (CostModel, PolicyConfig, RiskConfig, TrainConfig,
                              combine_mask, compute_trade_mask, load_policy,
                              save_policy, train_policy)
@@ -87,6 +87,10 @@ class RunConfig:
                 f"simulated paths ({self.n_paths})")
         if not (0 < self.n_train and 0 < self.n_test):
             raise ConfigurationError("n_train and n_test must be positive")
+        if self.gate not in GATE_SOURCES:
+            raise ConfigurationError(f"unknown gate source {self.gate!r}")
+        if self.mode not in SWEEP_MODES:
+            raise ConfigurationError(f"unknown sweep mode {self.mode!r}")
 
 
 def _parse_number(text: str) -> float:
@@ -279,7 +283,12 @@ def _load_paths(cfg: RunConfig) -> PathSet:
     manifest_file = os.path.join(cfg.out_dir, MANIFEST_FILE)
     if os.path.exists(manifest_file):
         with open(manifest_file) as fh:
-            manifest = json.load(fh)
+            try:
+                manifest = json.load(fh)
+            except ValueError as exc:
+                raise IntegrityError(f"{manifest_file}: malformed JSON ({exc})") from exc
+        if not isinstance(manifest, dict):
+            raise IntegrityError(f"{manifest_file}: expected a JSON object")
         actual = _sha256(filename)
         if manifest.get("sha256") != actual:
             raise IntegrityError(

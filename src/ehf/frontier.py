@@ -30,7 +30,7 @@ FRONTIER_COLUMNS = ("scenario", "policy", "rf", "cost_rate", "lambda", "alpha",
                     "mean_loss", "std_loss", "avg_trades", "n_test_paths",
                     "mode", "seed")
 
-_MODES = ("fast", "retrain")
+SWEEP_MODES = ("fast", "retrain")
 
 
 def default_alpha_grid(n_points: int = 100, high: float = 0.2) -> tuple[float, ...]:
@@ -80,9 +80,9 @@ class SweepConfig:
         if np.any(np.diff(arr) < 0) or arr[0] < 0 or arr[-1] > 1:
             raise ConfigurationError(
                 "alpha grid must be ascending and within [0, 1]")
-        if self.mode not in _MODES:
+        if self.mode not in SWEEP_MODES:
             raise ConfigurationError(f"unknown sweep mode {self.mode!r}")
-        if self.gate not in _GATE_SOURCES:
+        if self.gate not in GATE_SOURCES:
             raise ConfigurationError(f"unknown gate source {self.gate!r}")
 
 
@@ -90,7 +90,7 @@ class SweepConfig:
 # forest preparation
 # ---------------------------------------------------------------------------
 
-_GATE_SOURCES = ("oracle", "forecast")
+GATE_SOURCES = ("oracle", "forecast")
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def prepare_signal(train_paths: PathSet, test_paths: PathSet, beta: float,
     returns, so the forecast gate barely changes the frontier; the oracle
     gate shows what the strategy delivers when the signal is right.
     """
-    if gate not in _GATE_SOURCES:
+    if gate not in GATE_SOURCES:
         raise ConfigurationError(f"unknown gate source {gate!r}")
     X, path_row, day = feature_table(train_paths)
     truth = label_matrix(train_paths, beta)
@@ -385,20 +385,25 @@ def write_frontier_csv(filename, points: list[FrontierPoint]) -> None:
 
 
 def read_frontier_csv(filename) -> list[FrontierPoint]:
-    with open(filename, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(FRONTIER_COLUMNS):
-            raise IntegrityError(
-                f"{filename}: unexpected frontier header {header}")
-        points = []
-        for row in reader:
-            if len(row) != len(FRONTIER_COLUMNS):
-                raise IntegrityError(f"{filename}: malformed row {row}")
+    try:
+        with open(filename, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise IntegrityError(f"{filename}: unreadable frontier CSV ({exc})") from exc
+    header = rows[0] if rows else None
+    if header != list(FRONTIER_COLUMNS):
+        raise IntegrityError(f"{filename}: unexpected frontier header {header}")
+    points = []
+    for row in rows[1:]:
+        if len(row) != len(FRONTIER_COLUMNS):
+            raise IntegrityError(f"{filename}: malformed row {row}")
+        try:
             points.append(FrontierPoint(
                 scenario=row[0], policy=row[1], rf=bool(int(row[2])),
                 cost_rate=float(row[3]), risk_aversion=float(row[4]),
                 alpha=float(row[5]), mean_loss=float(row[6]),
                 std_loss=float(row[7]), avg_trades=float(row[8]),
                 n_test_paths=int(row[9]), mode=row[10], seed=int(row[11])))
+        except ValueError as exc:
+            raise IntegrityError(f"{filename}: bad value in row {row} ({exc})") from exc
     return points

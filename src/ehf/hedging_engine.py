@@ -316,48 +316,76 @@ class DensePolicy:
         lab = _require_labels(self.config, labels, n, width - 1)
         return logp, change, lab
 
-    def deltas(self, prices: np.ndarray, mask: np.ndarray, labels=None) -> np.ndarray:
+    def _rollout(self, prices: np.ndarray, mask: np.ndarray, labels,
+                 cache: list | None = None) -> np.ndarray:
+        """The dense forward pass; appends (x, h1, h2, sigmoid) per day to cache."""
         n, n_steps = check_mask(mask, prices.shape[0], prices.shape[1] - 1).shape
         logp, change, lab = self._feature_arrays(prices, labels)
+        # xs[t] is day t's feature matrix; its column 2, the previous delta,
+        # is filled in when the rollout reaches day t
+        xs = np.empty((n_steps, n, self.config.n_features))
+        xs[:, :, 0] = logp[:, :n_steps].T
+        xs[:, :, 1] = (np.arange(n_steps) / n_steps)[:, None]
+        extras = [change] * self.config.use_change + [lab] * self.config.use_label
+        for j, col in enumerate(extras, start=3):
+            xs[:, :, j] = col[:, :n_steps].T
         p = self.params
         prev = np.zeros(n)
         out = np.empty((n, n_steps))
         for t in range(n_steps):
-            cols = [logp[:, t], np.full(n, t / n_steps), prev]
-            if self.config.use_change:
-                cols.append(change[:, t])
-            if self.config.use_label:
-                cols.append(lab[:, t])
-            x = np.stack(cols, axis=1)
+            x = xs[t]
+            x[:, 2] = prev
             h1 = np.maximum(x @ p["w1"].T + p["b1"], 0.0)
             h2 = np.maximum(h1 @ p["w2"].T + p["b2"], 0.0)
             raw = nc.sigmoid(h2 @ p["w3"].T + p["b3"])[:, 0]
             prev = np.where(mask[:, t], raw, prev)
             out[:, t] = prev
+            if cache is not None:
+                cache.append((x, h1, h2, raw))
         return out
 
+    def deltas(self, prices: np.ndarray, mask: np.ndarray, labels=None) -> np.ndarray:
+        return self._rollout(prices, mask, labels)
+
     def tape_deltas(self, tape: Tape, prices: np.ndarray, mask: np.ndarray,
-                    labels=None) -> list:
-        n, n_steps = check_mask(mask, prices.shape[0], prices.shape[1] - 1).shape
-        logp, change, lab = self._feature_arrays(prices, labels)
-        w1 = tape.param("w1", self.params["w1"]); b1 = tape.param("b1", self.params["b1"])
-        w2 = tape.param("w2", self.params["w2"]); b2 = tape.param("b2", self.params["b2"])
-        w3 = tape.param("w3", self.params["w3"]); b3 = tape.param("b3", self.params["b3"])
-        prev = tape.const(np.zeros(n))
-        nodes = []
-        for t in range(n_steps):
-            cols = [tape.const(logp[:, t]), tape.const(np.full(n, t / n_steps)), prev]
-            if self.config.use_change:
-                cols.append(tape.const(change[:, t]))
-            if self.config.use_label:
-                cols.append(tape.const(lab[:, t]))
-            x = tape.hstack(cols)
-            h1 = tape.relu(tape.add_row(tape.matmul(x, w1), b1))
-            h2 = tape.relu(tape.add_row(tape.matmul(h1, w2), b2))
-            raw = tape.squeeze_col(tape.sigmoid(tape.add_row(tape.matmul(h2, w3), b3)))
-            prev = tape.where(mask[:, t], raw, prev)
-            nodes.append(prev)
-        return nodes
+                    labels=None) -> nc.Node:
+        """Record the whole rollout as one [n, n_steps] node.
+
+        Its vjp backpropagates through time by hand, walking the days in
+        reverse. The masked where splits each day's gradient: trade days send
+        it into the sigmoid, frozen days on to the carried previous delta. The
+        network's gradient at its prev-delta input (column 2 of w1) joins the
+        carry.
+        """
+        cache = []
+        value = self._rollout(prices, mask, labels, cache)
+        names = ("w1", "b1", "w2", "b2", "w3", "b3")
+        p = {k: self.params[k] for k in names}
+
+        def vjp(g):
+            w1_prev, w2, w3 = p["w1"][:, 2], p["w2"], p["w3"][0]
+            sig = np.array([step[3] for step in cache])
+            ga3 = sig * (1.0 - sig) * mask.T  # sigmoid slope, zero on frozen days
+            frozen = ~mask
+            gw1, gw2, gw3 = (np.zeros_like(p[k]) for k in ("w1", "w2", "w3"))
+            gpre1, gpre2 = np.zeros((2, len(value), len(p["b1"])))
+            carry = np.zeros(len(value))
+            for t in reversed(range(len(cache))):
+                x, h1, h2, _ = cache[t]
+                day = g[:, t] + carry
+                ga3[t] *= day
+                ga2 = np.multiply.outer(ga3[t], w3) * (h2 > 0)
+                ga1 = (ga2 @ w2) * (h1 > 0)
+                carry = day * frozen[:, t] + ga1 @ w1_prev
+                gw1 += ga1.T @ x
+                gw2 += ga2.T @ h1
+                gw3 += ga3[t] @ h2
+                gpre1 += ga1
+                gpre2 += ga2
+            return (gw1, gpre1.sum(axis=0), gw2, gpre2.sum(axis=0),
+                    gw3, ga3.sum().reshape(1))
+
+        return tape.record(value, [tape.param(k, p[k]) for k in names], vjp)
 
 
 class GRUPolicy:
@@ -439,7 +467,8 @@ class GRUPolicy:
         return out
 
     def tape_deltas(self, tape: Tape, prices: np.ndarray, mask: np.ndarray,
-                    labels=None) -> list:
+                    labels=None) -> nc.Node:
+        """Per-op recording of the GRU rollout, joined into one [n, n_steps] node."""
         cfg = self.config
         n, n_steps = check_mask(mask, prices.shape[0], prices.shape[1] - 1).shape
         logp = np.log(prices / self.s0)
@@ -477,7 +506,7 @@ class GRUPolicy:
                     tape.sigmoid(tape.add_row(tape.matmul(x, prm["head_w"]), prm["head_b"])))
             prev = tape.where(mask[:, t], raw, prev)
             nodes.append(prev)
-        return nodes
+        return tape.hstack(nodes)
 
 
 def make_policy(config: PolicyConfig, seed: int, s0: float = 100.0,
@@ -505,24 +534,18 @@ def policy_forward(policy, prices: np.ndarray, mask: np.ndarray,
 def episode_loss_node(tape: Tape, policy, prices: np.ndarray, mask: np.ndarray,
                       contract: ContractSpec, cost: CostModel,
                       labels=None) -> nc.Node:
-    """Record the per-path termination loss of a batch as a [n]-shaped node."""
-    delta_nodes = policy.tape_deltas(tape, prices, mask, labels=labels)
-    if contract.maturity_steps != len(delta_nodes):
-        raise ShapeError(
-            f"contract maturity {contract.maturity_steps} != {len(delta_nodes)} hedge days")
-    price_diffs = np.diff(prices, axis=1)
-    prev = tape.const(np.zeros(len(prices)))
-    pnl = None
-    cost_sum = None
-    for t, delta in enumerate(delta_nodes):
-        gain = tape.mul_const(delta, price_diffs[:, t])
-        pnl = gain if pnl is None else tape.add(pnl, gain)
-        cash = tape.mul_const(tape.sub(delta, prev), prices[:, t])
-        day_cost = tape.mul_const(tape.abs(cash), cost.rate)
-        cost_sum = day_cost if cost_sum is None else tape.add(cost_sum, day_cost)
-        prev = delta
-    payoff = np.maximum(prices[:, -1] - contract.strike, 0.0)
-    return tape.add_const(tape.sub(pnl, cost_sum), -payoff)
+    """Record the per-path termination loss of a batch as one [n]-shaped node.
+
+    The value is episode_results(...).loss. With cash_t = (D_t - D_{t-1}) S_t,
+    dL/dD_t = (S_{t+1} - S_t) - c sign(cash_t) S_t + c sign(cash_{t+1}) S_{t+1},
+    the last term absent on the final day; sign(0) = 0 as in Tape.abs.
+    """
+    delta_node = policy.tape_deltas(tape, prices, mask, labels=labels)
+    res = episode_results(prices, delta_node.value, contract, cost)
+    sgn = np.sign(res.buy_sell)
+    dloss = np.diff(prices, axis=1) - cost.rate * sgn * prices[:, :-1]
+    dloss[:, :-1] += cost.rate * sgn[:, 1:] * prices[:, 1:-1]
+    return tape.record(res.loss, (delta_node,), lambda g: (g[:, None] * dloss,))
 
 
 @dataclass

@@ -237,8 +237,11 @@ def load_pathset(filename) -> PathSet:
         if len(raw) < offset + 8 * n_vals:
             raise IntegrityError(f"{filename}: truncated variance block")
         variances = np.frombuffer(raw, dtype="<f8", count=n_vals, offset=offset).reshape(n_paths, n_steps + 1)
+        offset += 8 * n_vals
     elif flag != 0.0:
         raise IntegrityError(f"{filename}: invalid variance flag {flag}")
+    if len(raw) != offset:
+        raise IntegrityError(f"{filename}: {len(raw) - offset} trailing bytes")
     return PathSet(prices.copy(), None if variances is None else variances.copy(),
                    s0, seed, np.arange(n_paths, dtype=np.int64))
 

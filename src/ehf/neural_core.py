@@ -5,7 +5,8 @@ evaluations feeding a scalar risk objective) and replays it backwards for
 exact parameter gradients, including backpropagation through time via the
 carried delta and recurrent states. It is deliberately not a general autodiff
 framework: only the primitives the shipped policies need are implemented,
-all in float64.
+all in float64. A larger computation with a hand-derived vector-Jacobian
+product can be recorded as a single node through ``Tape.record``.
 
 Also here: plain (non-recording) dense and GRU forward passes, fan-based
 initialization, Adam, finite-difference gradient checking, and the versioned
@@ -152,7 +153,8 @@ class Tape:
     def const(self, value) -> Node:
         return Node(np.asarray(value, dtype=np.float64))
 
-    def _record(self, value, parents, vjp) -> Node:
+    def record(self, value, parents, vjp) -> Node:
+        """Append a node; vjp(g) returns one gradient per parent, in order."""
         requires = any(p.requires for p in parents)
         node = Node(value, tuple(parents), vjp if requires else None, requires)
         if requires:
@@ -169,7 +171,7 @@ class Tape:
         def vjp(g):
             return g @ wv, g.T @ xv
 
-        return self._record(value, (x, w), vjp)
+        return self.record(value, (x, w), vjp)
 
     def add_row(self, x: Node, b: Node) -> Node:
         value = x.value + b.value
@@ -177,53 +179,53 @@ class Tape:
         def vjp(g):
             return g, g.sum(axis=0) if g.ndim > b.value.ndim else g
 
-        return self._record(value, (x, b), vjp)
+        return self.record(value, (x, b), vjp)
 
     def add(self, a: Node, b: Node) -> Node:
-        return self._record(a.value + b.value, (a, b), lambda g: (g, g))
+        return self.record(a.value + b.value, (a, b), lambda g: (g, g))
 
     def sub(self, a: Node, b: Node) -> Node:
-        return self._record(a.value - b.value, (a, b), lambda g: (g, -g))
+        return self.record(a.value - b.value, (a, b), lambda g: (g, -g))
 
     def mul(self, a: Node, b: Node) -> Node:
         av, bv = a.value, b.value
-        return self._record(av * bv, (a, b), lambda g: (g * bv, g * av))
+        return self.record(av * bv, (a, b), lambda g: (g * bv, g * av))
 
     def mul_const(self, a: Node, c) -> Node:
-        return self._record(a.value * c, (a,), lambda g: (g * c,))
+        return self.record(a.value * c, (a,), lambda g: (g * c,))
 
     def add_const(self, a: Node, c) -> Node:
-        return self._record(a.value + c, (a,), lambda g: (g,))
+        return self.record(a.value + c, (a,), lambda g: (g,))
 
     def rsub_const(self, c, a: Node) -> Node:
         """c - a for constant c."""
-        return self._record(c - a.value, (a,), lambda g: (-g,))
+        return self.record(c - a.value, (a,), lambda g: (-g,))
 
     def abs(self, a: Node) -> Node:
         # subgradient convention sign(0) = 0
         sgn = np.sign(a.value)
-        return self._record(np.abs(a.value), (a,), lambda g: (g * sgn,))
+        return self.record(np.abs(a.value), (a,), lambda g: (g * sgn,))
 
     def relu(self, a: Node) -> Node:
         value = np.maximum(a.value, 0.0)
         mask = a.value > 0
-        return self._record(value, (a,), lambda g: (g * mask,))
+        return self.record(value, (a,), lambda g: (g * mask,))
 
     def sigmoid(self, a: Node) -> Node:
         value = _sigmoid(np.asarray(a.value, dtype=np.float64))
-        return self._record(value, (a,), lambda g: (g * value * (1.0 - value),))
+        return self.record(value, (a,), lambda g: (g * value * (1.0 - value),))
 
     def tanh(self, a: Node) -> Node:
         value = np.tanh(a.value)
-        return self._record(value, (a,), lambda g: (g * (1.0 - value * value),))
+        return self.record(value, (a,), lambda g: (g * (1.0 - value * value),))
 
     def exp(self, a: Node) -> Node:
         value = np.exp(a.value)
-        return self._record(value, (a,), lambda g: (g * value,))
+        return self.record(value, (a,), lambda g: (g * value,))
 
     def log(self, a: Node) -> Node:
         av = a.value
-        return self._record(np.log(av), (a,), lambda g: (g / av,))
+        return self.record(np.log(av), (a,), lambda g: (g / av,))
 
     def hstack(self, parts: list[Node]) -> Node:
         """Column-concatenate [batch]- or [batch, k]-shaped nodes into [batch, sum k]."""
@@ -239,25 +241,25 @@ class Tape:
                 grads.append(piece if p.value.ndim == 2 else piece[:, 0])
             return tuple(grads)
 
-        return self._record(value, tuple(parts), vjp)
+        return self.record(value, tuple(parts), vjp)
 
     def squeeze_col(self, a: Node) -> Node:
         if a.value.ndim != 2 or a.value.shape[1] != 1:
             raise ShapeError(f"expected [batch, 1], got {a.value.shape}")
-        return self._record(a.value[:, 0], (a,), lambda g: (g[:, None],))
+        return self.record(a.value[:, 0], (a,), lambda g: (g[:, None],))
 
     def where(self, mask: np.ndarray, a: Node, b: Node) -> Node:
         value = np.where(mask, a.value, b.value)
-        return self._record(value, (a, b), lambda g: (g * mask, g * ~mask))
+        return self.record(value, (a, b), lambda g: (g * mask, g * ~mask))
 
     def mean(self, a: Node) -> Node:
         n = a.value.size
         value = float(np.mean(a.value))
-        return self._record(value, (a,), lambda g: (np.full_like(a.value, g / n),))
+        return self.record(value, (a,), lambda g: (np.full_like(a.value, g / n),))
 
     def sum(self, a: Node) -> Node:
         value = float(np.sum(a.value))
-        return self._record(value, (a,), lambda g: (np.full_like(a.value, g),))
+        return self.record(value, (a,), lambda g: (np.full_like(a.value, g),))
 
     # -- reverse pass ------------------------------------------------------
     def backward(self, root: Node) -> dict[str, np.ndarray]:
@@ -286,13 +288,6 @@ class Tape:
             g = grads.get(id(node))
             out[name] = np.zeros_like(node.value) if g is None else np.asarray(g)
         return out
-
-
-def tape_dense(tape: Tape, x: Node, w: Node, b: Node, activation: str) -> Node:
-    pre = tape.add_row(tape.matmul(x, w), b)
-    if activation == "identity":
-        return pre
-    return getattr(tape, activation)(pre)
 
 
 def tape_gru(tape: Tape, x: Node, h: Node, w_z: Node, b_z: Node,

@@ -223,6 +223,60 @@ def test_corrupted_manifest_exits_3(workdir, tmp_path, capsys):
     assert "checksum" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("body,message", [('{"sha256": ', "malformed JSON"),
+                                          ("[]", "expected a JSON object")],
+                         ids=["truncated", "not-an-object"])
+def test_malformed_manifest_json_exits_3(workdir, tmp_path, capsys, body, message):
+    ini, _ = workdir
+    clone = tmp_path / "manifest"
+    assert main(["simulate", "--config", str(ini), "--out", str(clone)]) == 0
+    (clone / "paths.manifest.json").write_text(body)
+    assert main(["label", "--config", str(ini), "--out", str(clone)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_trailing_bytes_in_pathset_exits_3(workdir, tmp_path, capsys):
+    """Without a manifest to checksum against, the loader itself must notice."""
+    ini, _ = workdir
+    clone = tmp_path / "trailing"
+    assert main(["simulate", "--config", str(ini), "--out", str(clone)]) == 0
+    (clone / "paths.manifest.json").unlink()
+    with open(clone / "paths.ehfp", "ab") as fh:
+        fh.write(b"\0" * 8)
+    assert main(["label", "--config", str(ini), "--out", str(clone)]) == 3
+    assert "trailing bytes" in capsys.readouterr().err
+
+
+_GOOD_ROW = ["high_vol", "dense", "0", "0.02", "0.5", "0.0", "-12.5", "1.0",
+             "30.0", "60", "fast", "3"]
+
+
+@pytest.mark.parametrize("row,message", [
+    (",".join(_GOOD_ROW).replace("-12.5", "oops").encode(), "bad value"),
+    (b"\xff\xfe" + ",".join(_GOOD_ROW).encode(), "unreadable")],
+    ids=["non-numeric", "undecodable"])
+def test_non_numeric_frontier_cell_exits_3(workdir, tmp_path, capsys, row, message):
+    ini, _ = workdir
+    out = tmp_path / "frontier"
+    out.mkdir()
+    header = ",".join(ehf.frontier.FRONTIER_COLUMNS).encode()
+    (out / "frontier_dense_c0.02_l0.5.csv").write_bytes(header + b"\n" + row + b"\n")
+    assert main(["report", "--config", str(ini), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new,key", [
+    ("fit_rows = 1200", "fit_rows = 1200\ngate = foo", "gate source"),
+    ("mode = fast", "mode = slow", "sweep mode")], ids=["gate", "mode"])
+def test_train_checks_gate_and_mode_up_front(tmp_path, capsys, old, new, key):
+    """gate and mode are validated at config load, even when rf = false
+    means train would never consult them."""
+    ini = tmp_path / "bad.ini"
+    ini.write_text(TINY_INI.replace(old, new))
+    assert main(["train", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown {key}" in capsys.readouterr().err
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out

@@ -270,22 +270,125 @@ def test_policy_freezes_on_masked_days(gbm_small):
 
 
 def test_plain_and_tape_forwards_agree(gbm_small, contract):
-    """The recorded forward must produce the same deltas bit for bit; the
-    scalar losses may differ by summation order only."""
+    """The recorded rollout is one [n, n_steps] node holding the plain deltas
+    bit for bit, and the recorded loss is episode_results' loss."""
     cost = ehf.CostModel(0.02)
     mask = ehf.compute_trade_mask(gbm_small, 0.01)
     for arch, cls in (("dense", DensePolicy), ("gru", GRUPolicy)):
         policy = cls.init(ehf.PolicyConfig(arch=arch), seed=5)
         plain = policy.deltas(gbm_small.prices, mask)
-        tape = Tape()
-        taped = policy.tape_deltas(tape, gbm_small.prices, mask)
-        taped_mat = np.column_stack([d.value for d in taped])
-        assert np.array_equal(plain, taped_mat), arch
-        tape = Tape()
-        node = episode_loss_node(tape, policy, gbm_small.prices, mask,
+        taped = policy.tape_deltas(Tape(), gbm_small.prices, mask)
+        assert np.array_equal(plain, taped.value), arch
+        node = episode_loss_node(Tape(), policy, gbm_small.prices, mask,
                                  contract, cost)
         res = ehf.episode_results(gbm_small.prices, plain, contract, cost)
-        assert np.allclose(node.value, res.loss, rtol=0, atol=1e-10), arch
+        assert np.array_equal(node.value, res.loss), arch
+
+
+def _per_op_dense_deltas(tape, policy, prices, mask, labels):
+    """Reference: the dense rollout recorded op by op, one node per day."""
+    n, n_steps = mask.shape
+    logp, change, lab = policy._feature_arrays(prices, labels)
+    w1, b1, w2, b2, w3, b3 = (tape.param(k, policy.params[k])
+                              for k in ("w1", "b1", "w2", "b2", "w3", "b3"))
+    prev = tape.const(np.zeros(n))
+    nodes = []
+    for t in range(n_steps):
+        cols = [tape.const(logp[:, t]), tape.const(np.full(n, t / n_steps)), prev]
+        if policy.config.use_change:
+            cols.append(tape.const(change[:, t]))
+        if policy.config.use_label:
+            cols.append(tape.const(lab[:, t]))
+        x = tape.hstack(cols)
+        h1 = tape.relu(tape.add_row(tape.matmul(x, w1), b1))
+        h2 = tape.relu(tape.add_row(tape.matmul(h1, w2), b2))
+        raw = tape.squeeze_col(tape.sigmoid(tape.add_row(tape.matmul(h2, w3), b3)))
+        prev = tape.where(mask[:, t], raw, prev)
+        nodes.append(prev)
+    return nodes
+
+
+def _per_op_loss(tape, delta_nodes, prices, contract, cost):
+    """Reference: the termination loss recorded op by op, day by day."""
+    price_diffs = np.diff(prices, axis=1)
+    prev = tape.const(np.zeros(len(prices)))
+    pnl = cost_sum = None
+    for t, delta in enumerate(delta_nodes):
+        gain = tape.mul_const(delta, price_diffs[:, t])
+        pnl = gain if pnl is None else tape.add(pnl, gain)
+        cash = tape.mul_const(tape.sub(delta, prev), prices[:, t])
+        day_cost = tape.mul_const(tape.abs(cash), cost.rate)
+        cost_sum = day_cost if cost_sum is None else tape.add(cost_sum, day_cost)
+        prev = delta
+    payoff = np.maximum(prices[:, -1] - contract.strike, 0.0)
+    return tape.add_const(tape.sub(pnl, cost_sum), -payoff)
+
+
+_FUSED_CASES = [(alpha, flags) for alpha in (0.0, 0.02)
+                for flags in ({}, {"use_change": False}, {"use_label": True})]
+
+
+def _fused_vs_per_op(policy, prices, mask, labels, contract, cost, per_op_days):
+    """Gradients of the entropic objective through the fused nodes and
+    through the per-op reference; returns the worst relative error per block."""
+    tape = Tape()
+    loss = episode_loss_node(tape, policy, prices, mask, contract, cost,
+                             labels=labels)
+    fused = tape.backward(tape_entropy_risk(tape, loss, 0.5))
+    tape = Tape()
+    loss = _per_op_loss(tape, per_op_days(tape), prices, contract, cost)
+    ref = tape.backward(tape_entropy_risk(tape, loss, 0.5))
+    assert fused.keys() == ref.keys()
+    errors = {}
+    for name, g in ref.items():
+        assert fused[name].shape == g.shape, name
+        assert np.max(np.abs(g)) > 0, name
+        errors[name] = np.max(np.abs(fused[name] - g)) / np.max(np.abs(g))
+    return errors
+
+
+def _jittered(cls, cfg, seed):
+    # nonzero biases keep relu pre-activations off their kinks
+    policy = cls.init(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    policy.params = {k: v + 0.05 * rng.standard_normal(v.shape)
+                     for k, v in policy.params.items()}
+    return policy
+
+
+@pytest.mark.parametrize("alpha,flags", _FUSED_CASES)
+def test_fused_dense_adjoint_matches_per_op_tape(gbm_small, contract, alpha, flags):
+    cfg = ehf.PolicyConfig(arch="dense", hidden=12, **flags)
+    policy = _jittered(DensePolicy, cfg, seed=21)
+    prices = gbm_small.prices
+    mask = ehf.compute_trade_mask(gbm_small, alpha)
+    labels = np.random.default_rng(5).integers(0, 2, mask.shape).astype(float) \
+        if cfg.use_label else None
+    errors = _fused_vs_per_op(
+        policy, prices, mask, labels, contract, ehf.CostModel(0.02),
+        lambda tape: _per_op_dense_deltas(tape, policy, prices, mask, labels))
+    assert set(errors) == {"w1", "b1", "w2", "b2", "w3", "b3"}
+    assert max(errors.values()) <= 1e-12, errors
+
+
+@pytest.mark.parametrize("alpha,flags", _FUSED_CASES)
+def test_gru_hstack_and_fused_loss_match_per_op_tape(gbm_small, contract, alpha,
+                                                     flags):
+    cfg = ehf.PolicyConfig(arch="gru", hidden=8, gru_hidden=6, **flags)
+    policy = _jittered(GRUPolicy, cfg, seed=22)
+    prices = gbm_small.prices
+    mask = ehf.compute_trade_mask(gbm_small, alpha)
+    labels = np.random.default_rng(6).integers(0, 2, mask.shape).astype(float) \
+        if cfg.use_label else None
+
+    def per_op_days(tape):
+        # the hstack node's parents are the per-day delta nodes
+        return policy.tape_deltas(tape, prices, mask, labels=labels).parents
+
+    errors = _fused_vs_per_op(policy, prices, mask, labels, contract,
+                              ehf.CostModel(0.02), per_op_days)
+    assert set(errors) == set(policy.params)
+    assert max(errors.values()) <= 1e-12, errors
 
 
 def test_policy_label_feature_changes_output(gbm_small):
