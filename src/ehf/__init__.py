@@ -7,9 +7,8 @@ forecast, and sweep the threshold to trace cost-risk frontiers against a
 closed-form Black-Scholes-Merton baseline.
 """
 
-from .analytics_bsm import (BSQuote, ContractSpec, bs_call_price, bs_delta,
-                            bs_quote, bsm_delta_matrix, bsm_hedge_baseline,
-                            norm_cdf)
+from .analytics_bsm import (ContractSpec, bs_call_price, bs_delta,
+                            bsm_delta_matrix, norm_cdf)
 from .errors import (ConfigurationError, DomainError, EHFError, IntegrityError,
                      NumericError, ResolutionError, ShapeError, StateError)
 from .frontier import (Comparison, FrontierPoint, SignalArtifacts, SweepConfig,
@@ -24,15 +23,13 @@ from .hedging_engine import (BSMPolicy, CostModel, DensePolicy, EvalSummary,
                              check_mask, combine_mask, compute_trade_mask,
                              entropy_risk, episode_loss_node, episode_results,
                              evaluate_policy, load_policy, make_policy,
-                             mask_frequency, policy_forward, save_policy,
-                             tape_entropy_risk, termination_loss,
-                             trade_frequency, train_policy, write_episode_csv)
+                             save_policy, tape_entropy_risk, termination_loss,
+                             trade_frequency, train_policy)
 from .market_sim import (GBMParams, HestonParams, HIGH_VOL, LOW_VOL, PathSet,
-                         SimConfig, load_pathset, pathset_to_csv, save_pathset,
-                         simulate_gbm, simulate_heston, split_pathset)
-from .neural_core import (AdamState, DenseLayer, GRUCell, GradCheckReport,
-                          Node, Tape, adam_step, dense_forward, fan_uniform,
-                          grad_check, gru_forward, load_params, save_params)
+                         SimConfig, load_pathset, save_pathset, simulate_gbm,
+                         simulate_heston, split_pathset)
+from .neural_core import (AdamState, GradCheckReport, Node, Tape, adam_step,
+                          fan_uniform, grad_check, load_params, save_params)
 from .signal_forest import (ClassificationReport, DecisionTree, Forest,
                             ForestConfig, classification_report, feature_table,
                             fit_forest, label_extrema, label_matrix,

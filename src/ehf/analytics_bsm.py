@@ -1,4 +1,4 @@
-"""Closed-form European call pricing and delta, plus the delta-hedging baseline.
+"""Closed-form European call pricing and delta, and per-day BSM delta matrices.
 
 All hedging accounting in this package runs at zero financing rate, so the
 cash-account leg of a replicating portfolio drops out; the functions still
@@ -28,12 +28,6 @@ class ContractSpec:
             raise DomainError(f"strike must be > 0, got {self.strike}")
         if self.maturity_steps < 1:
             raise DomainError(f"maturity_steps must be >= 1, got {self.maturity_steps}")
-
-
-@dataclass(frozen=True)
-class BSQuote:
-    price: float
-    delta: float
 
 
 def norm_cdf(x):
@@ -83,11 +77,6 @@ def bs_delta(spot, strike: float, rate: float, vol: float, tau: float):
     return value if value.ndim else float(value)
 
 
-def bs_quote(spot: float, strike: float, rate: float, vol: float, tau: float) -> BSQuote:
-    return BSQuote(price=bs_call_price(spot, strike, rate, vol, tau),
-                   delta=bs_delta(spot, strike, rate, vol, tau))
-
-
 def bsm_delta_matrix(paths: PathSet, contract: ContractSpec, vol: float,
                      dt: float = 1.0 / 365.0, rate: float = 0.0,
                      mask: np.ndarray | None = None) -> np.ndarray:
@@ -118,16 +107,3 @@ def bsm_delta_matrix(paths: PathSet, contract: ContractSpec, vol: float,
         deltas[:, t] = prev
     return deltas
 
-
-def bsm_hedge_baseline(paths: PathSet, contract: ContractSpec, cost,
-                       vol: float, dt: float = 1.0 / 365.0, rate: float = 0.0,
-                       mask: np.ndarray | None = None):
-    """Termination losses of the closed-form delta hedge on the given paths.
-
-    Returns the same episode result structure as evaluate_policy so baseline
-    and learned policies are directly comparable.
-    """
-    from .hedging_engine import episode_results
-
-    deltas = bsm_delta_matrix(paths, contract, vol, dt=dt, rate=rate, mask=mask)
-    return episode_results(paths.prices, deltas, contract, cost)

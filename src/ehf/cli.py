@@ -25,10 +25,10 @@ from . import market_sim
 from .analytics_bsm import ContractSpec
 from .errors import (ConfigurationError, DomainError, IntegrityError,
                      NumericError, ResolutionError, ShapeError, StateError)
-from .frontier import (GATE_SOURCES, SWEEP_MODES, SweepConfig, compare_configs,
-                       format_comparison_table, pareto_filter, prepare_signal,
-                       read_frontier_csv, sweep_alpha, sweep_baseline,
-                       write_comparison_csv, write_frontier_csv)
+from .frontier import (GATE_SOURCES, SWEEP_MODES, SweepConfig, check_alpha_grid,
+                       compare_configs, format_comparison_table, pareto_filter,
+                       prepare_signal, read_frontier_csv, sweep_alpha,
+                       sweep_baseline, write_comparison_csv, write_frontier_csv)
 from .hedging_engine import (CostModel, PolicyConfig, RiskConfig, TrainConfig,
                              combine_mask, compute_trade_mask, load_policy,
                              save_policy, train_policy)
@@ -91,6 +91,7 @@ class RunConfig:
             raise ConfigurationError(f"unknown gate source {self.gate!r}")
         if self.mode not in SWEEP_MODES:
             raise ConfigurationError(f"unknown sweep mode {self.mode!r}")
+        check_alpha_grid(self.alphas)
 
 
 def _parse_number(text: str) -> float:
@@ -301,11 +302,11 @@ def _contract(cfg: RunConfig) -> ContractSpec:
     return ContractSpec(strike=cfg.strike, maturity_steps=cfg.maturity_steps)
 
 
-def _signal_if_needed(cfg: RunConfig, train_paths, test_paths, jobs: int = 1):
+def _signal_if_needed(cfg: RunConfig, train_paths, test_paths):
     if not cfg.rf:
         return None
     return prepare_signal(train_paths, test_paths, cfg.beta, cfg.forest,
-                          fit_rows=cfg.forest_fit_rows, jobs=jobs, gate=cfg.gate)
+                          fit_rows=cfg.forest_fit_rows, gate=cfg.gate)
 
 
 def _checkpoint_name(cfg: RunConfig, cost_rate: float, lam: float) -> str:
@@ -360,8 +361,7 @@ def cmd_label(args) -> int:
     paths = _load_paths(cfg)
     train_paths, test_paths = split_pathset(paths, cfg.n_train, cfg.n_test)
     signal = prepare_signal(train_paths, test_paths, cfg.beta, cfg.forest,
-                            fit_rows=cfg.forest_fit_rows, jobs=args.jobs,
-                            gate=cfg.gate)
+                            fit_rows=cfg.forest_fit_rows, gate=cfg.gate)
     save_forest(os.path.join(cfg.out_dir, FOREST_FILE), signal.forest)
     write_label_csv(os.path.join(cfg.out_dir, "labels.csv"), test_paths,
                     cfg.beta, predicted=signal.forecast_test)
@@ -378,7 +378,7 @@ def cmd_train(args) -> int:
     paths = _load_paths(cfg)
     train_paths, test_paths = split_pathset(paths, cfg.n_train, cfg.n_test)
     contract = _contract(cfg)
-    signal = _signal_if_needed(cfg, train_paths, test_paths, jobs=args.jobs)
+    signal = _signal_if_needed(cfg, train_paths, test_paths)
     base_alpha = cfg.alphas[0]
     mask = compute_trade_mask(train_paths, base_alpha)
     labels = signal.train_labels if signal is not None else None
@@ -410,7 +410,7 @@ def cmd_sweep(args) -> int:
     train_paths, test_paths = split_pathset(paths, cfg.n_train, cfg.n_test)
     contract = _contract(cfg)
     _, baseline_vol = _scenario_assets(cfg)
-    signal = _signal_if_needed(cfg, train_paths, test_paths, jobs=args.jobs)
+    signal = _signal_if_needed(cfg, train_paths, test_paths)
     for cost_rate in cfg.cost_rates:
         for lam in cfg.risk_aversions:
             sweep = SweepConfig(
@@ -433,8 +433,7 @@ def cmd_sweep(args) -> int:
                 policy = load_policy(checkpoint)
             points = sweep_alpha(sweep, train_paths, test_paths, contract,
                                  cfg.policy, cfg.train, signal=signal,
-                                 forest_cfg=cfg.forest, policy=policy,
-                                 jobs=args.jobs)
+                                 forest_cfg=cfg.forest, policy=policy)
             out = _frontier_name(cfg.out_dir, cfg.policy.arch, cfg.rf,
                                  cost_rate, lam)
             write_frontier_csv(out, points)
@@ -562,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--jobs", type=int, default=1,
-                       help="concurrent jobs for sweeps (default 1)")
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seeds")
         p.add_argument("--out", default=None, help="override the output directory")

@@ -11,7 +11,6 @@ desk would read them: higher mean (smaller loss) and lower std are better.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,16 @@ FRONTIER_COLUMNS = ("scenario", "policy", "rf", "cost_rate", "lambda", "alpha",
                     "mode", "seed")
 
 SWEEP_MODES = ("fast", "retrain")
+
+
+def check_alpha_grid(alphas) -> None:
+    """A sweep grid is non-empty, ascending and within [0, 1]."""
+    if len(alphas) == 0:
+        raise ConfigurationError("alpha grid is empty")
+    arr = np.asarray(alphas, dtype=np.float64)
+    if np.any(np.diff(arr) < 0) or arr[0] < 0 or arr[-1] > 1:
+        raise ConfigurationError(
+            "alpha grid must be ascending and within [0, 1]")
 
 
 def default_alpha_grid(n_points: int = 100, high: float = 0.2) -> tuple[float, ...]:
@@ -74,12 +83,7 @@ class SweepConfig:
     gate: str = "oracle"           # rf gate labels: oracle | forecast
 
     def __post_init__(self):
-        if len(self.alphas) == 0:
-            raise ConfigurationError("alpha grid is empty")
-        arr = np.asarray(self.alphas, dtype=np.float64)
-        if np.any(np.diff(arr) < 0) or arr[0] < 0 or arr[-1] > 1:
-            raise ConfigurationError(
-                "alpha grid must be ascending and within [0, 1]")
+        check_alpha_grid(self.alphas)
         if self.mode not in SWEEP_MODES:
             raise ConfigurationError(f"unknown sweep mode {self.mode!r}")
         if self.gate not in GATE_SOURCES:
@@ -116,7 +120,7 @@ class SignalArtifacts:
 
 def prepare_signal(train_paths: PathSet, test_paths: PathSet, beta: float,
                    forest_cfg: ForestConfig, fit_rows: int = 0,
-                   jobs: int = 1, gate: str = "oracle") -> SignalArtifacts:
+                   gate: str = "oracle") -> SignalArtifacts:
     """Fit the extrema forecaster on training paths and label both splits.
 
     fit_rows > 0 caps the classifier's training set with a seed-determined
@@ -140,7 +144,7 @@ def prepare_signal(train_paths: PathSet, test_paths: PathSet, beta: float,
         X_fit, y_fit = X[sel], y[sel]
     else:
         X_fit, y_fit = X, y
-    forest = fit_forest(X_fit, y_fit, forest_cfg, jobs=jobs)
+    forest = fit_forest(X_fit, y_fit, forest_cfg)
     train_pred = predict_label_matrix(forest, train_paths)
     test_pred = predict_label_matrix(forest, test_paths)
     test_truth = label_matrix(test_paths, beta)
@@ -184,7 +188,7 @@ def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: Pat
                 contract: ContractSpec, policy_cfg: PolicyConfig,
                 train_cfg: TrainConfig, signal: SignalArtifacts | None = None,
                 forest_cfg: ForestConfig | None = None,
-                policy=None, jobs: int = 1) -> list[FrontierPoint]:
+                policy=None) -> list[FrontierPoint]:
     """One FrontierPoint per alpha, evaluated on the held-out test paths.
 
     mode="retrain" trains a fresh policy per alpha; mode="fast" re-masks a
@@ -229,11 +233,7 @@ def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: Pat
         return point_from(summary, alpha)
 
     if sweep.mode == "retrain":
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                points = list(pool.map(run_one, sweep.alphas))
-        else:
-            points = [run_one(alpha) for alpha in sweep.alphas]
+        points = [run_one(alpha) for alpha in sweep.alphas]
     else:
         if policy is None:
             policy, _ = train_policy(

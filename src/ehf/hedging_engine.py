@@ -15,7 +15,6 @@ classifier's skip labels; on gated-off days delta is frozen.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -151,11 +150,6 @@ def trade_frequency(paths: PathSet, alpha: float) -> float:
     return float(np.mean(np.sum(rel > alpha, axis=1)))
 
 
-def mask_frequency(mask: np.ndarray) -> float:
-    """Average number of enabled rebalance days per path."""
-    return float(np.mean(np.sum(mask, axis=1)))
-
-
 # ---------------------------------------------------------------------------
 # episode accounting
 # ---------------------------------------------------------------------------
@@ -208,22 +202,6 @@ def termination_loss(path: np.ndarray, deltas: np.ndarray,
     return float(res.loss[0])
 
 
-def write_episode_csv(filename, path: np.ndarray, deltas: np.ndarray,
-                      cost: CostModel) -> None:
-    """Per-day debug dump: day, price, delta, buy_sell, trading_cost."""
-    path = np.asarray(path, dtype=np.float64)
-    deltas = np.asarray(deltas, dtype=np.float64)
-    changes = np.diff(deltas, prepend=0.0)
-    buy_sell = changes * path[: len(deltas)]
-    costs = cost.rate * np.abs(buy_sell)
-    with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["day", "price", "delta", "buy_sell", "trading_cost"])
-        for t in range(len(deltas)):
-            writer.writerow([t, repr(float(path[t])), repr(float(deltas[t])),
-                             repr(float(buy_sell[t])), repr(float(costs[t]))])
-
-
 # ---------------------------------------------------------------------------
 # entropic risk
 # ---------------------------------------------------------------------------
@@ -261,6 +239,16 @@ def _require_labels(cfg: PolicyConfig, labels, n: int, n_steps: int) -> np.ndarr
     if labels.shape != (n, n_steps):
         raise ShapeError(f"labels shape {labels.shape} != {(n, n_steps)}")
     return labels
+
+
+def _feature_arrays(cfg: PolicyConfig, s0: float, prices: np.ndarray, labels) -> tuple:
+    """(log(S_t/S0), one-day relative change, labels) for every price column."""
+    n, width = prices.shape
+    logp = np.log(prices / s0)
+    change = np.zeros_like(prices)
+    change[:, 1:] = prices[:, 1:] / prices[:, :-1] - 1.0
+    lab = _require_labels(cfg, labels, n, width - 1)
+    return logp, change, lab
 
 
 class BSMPolicy:
@@ -308,19 +296,11 @@ class DensePolicy:
         }
         return cls(config, params, s0)
 
-    def _feature_arrays(self, prices: np.ndarray, labels) -> tuple:
-        n, width = prices.shape
-        logp = np.log(prices / self.s0)
-        change = np.zeros_like(prices)
-        change[:, 1:] = prices[:, 1:] / prices[:, :-1] - 1.0
-        lab = _require_labels(self.config, labels, n, width - 1)
-        return logp, change, lab
-
     def _rollout(self, prices: np.ndarray, mask: np.ndarray, labels,
                  cache: list | None = None) -> np.ndarray:
         """The dense forward pass; appends (x, h1, h2, sigmoid) per day to cache."""
         n, n_steps = check_mask(mask, prices.shape[0], prices.shape[1] - 1).shape
-        logp, change, lab = self._feature_arrays(prices, labels)
+        logp, change, lab = _feature_arrays(self.config, self.s0, prices, labels)
         # xs[t] is day t's feature matrix; its column 2, the previous delta,
         # is filled in when the rollout reaches day t
         xs = np.empty((n_steps, n, self.config.n_features))
@@ -426,56 +406,17 @@ class GRUPolicy:
         })
         return cls(config, params, s0)
 
-    def _cell(self, layer: int) -> nc.GRUCell:
-        p = self.params
-        return nc.GRUCell(
-            w_update=p[f"l{layer}_wz"], w_reset=p[f"l{layer}_wr"],
-            w_cand=p[f"l{layer}_wh"], b_update=p[f"l{layer}_bz"],
-            b_reset=p[f"l{layer}_br"], b_cand=p[f"l{layer}_bh"])
+    def _rollout(self, tape: Tape, prices: np.ndarray, mask: np.ndarray, labels,
+                 leaf) -> nc.Node:
+        """The GRU forward pass on tape ops, joined into one [n, n_steps] node.
 
-    def deltas(self, prices: np.ndarray, mask: np.ndarray, labels=None) -> np.ndarray:
+        leaf(name, value) supplies each parameter's node: tape.param to record
+        for training, a constant for plain evaluation (nothing is recorded).
+        """
         cfg = self.config
         n, n_steps = check_mask(mask, prices.shape[0], prices.shape[1] - 1).shape
-        logp = np.log(prices / self.s0)
-        change = np.zeros_like(prices)
-        change[:, 1:] = prices[:, 1:] / prices[:, :-1] - 1.0
-        lab = _require_labels(cfg, labels, n, n_steps)
-        p = self.params
-        cells = [self._cell(layer) for layer in range(1, cfg.gru_layers + 1)]
-        states = [np.zeros((n, cfg.gru_hidden)) for _ in cells]
-        prev = np.zeros(n)
-        out = np.empty((n, n_steps))
-        for t in range(n_steps):
-            if t < cfg.window - 1:
-                cols = [logp[:, t], np.full(n, t / n_steps), prev]
-                if cfg.use_change:
-                    cols.append(change[:, t])
-                if cfg.use_label:
-                    cols.append(lab[:, t])
-                x = np.stack(cols, axis=1)
-                h1 = np.maximum(x @ p["fb_w1"].T + p["fb_b1"], 0.0)
-                h2 = np.maximum(h1 @ p["fb_w2"].T + p["fb_b2"], 0.0)
-                raw = nc.sigmoid(h2 @ p["fb_w3"].T + p["fb_b3"])[:, 0]
-            else:
-                x = logp[:, t - cfg.window + 1: t + 1]
-                for i, cell in enumerate(cells):
-                    states[i] = nc.gru_forward(cell, x, states[i])
-                    x = states[i]
-                raw = nc.sigmoid(x @ p["head_w"].T + p["head_b"])[:, 0]
-            prev = np.where(mask[:, t], raw, prev)
-            out[:, t] = prev
-        return out
-
-    def tape_deltas(self, tape: Tape, prices: np.ndarray, mask: np.ndarray,
-                    labels=None) -> nc.Node:
-        """Per-op recording of the GRU rollout, joined into one [n, n_steps] node."""
-        cfg = self.config
-        n, n_steps = check_mask(mask, prices.shape[0], prices.shape[1] - 1).shape
-        logp = np.log(prices / self.s0)
-        change = np.zeros_like(prices)
-        change[:, 1:] = prices[:, 1:] / prices[:, :-1] - 1.0
-        lab = _require_labels(cfg, labels, n, n_steps)
-        prm = {name: tape.param(name, value) for name, value in self.params.items()}
+        logp, change, lab = _feature_arrays(cfg, self.s0, prices, labels)
+        prm = {name: leaf(name, value) for name, value in self.params.items()}
         states = [tape.const(np.zeros((n, cfg.gru_hidden)))
                   for _ in range(cfg.gru_layers)]
         prev = tape.const(np.zeros(n))
@@ -508,6 +449,16 @@ class GRUPolicy:
             nodes.append(prev)
         return tape.hstack(nodes)
 
+    def deltas(self, prices: np.ndarray, mask: np.ndarray, labels=None) -> np.ndarray:
+        tape = Tape()
+        return self._rollout(tape, prices, mask, labels,
+                             lambda name, value: tape.const(value)).value
+
+    def tape_deltas(self, tape: Tape, prices: np.ndarray, mask: np.ndarray,
+                    labels=None) -> nc.Node:
+        """Per-op recording of the GRU rollout, joined into one [n, n_steps] node."""
+        return self._rollout(tape, prices, mask, labels, tape.param)
+
 
 def make_policy(config: PolicyConfig, seed: int, s0: float = 100.0,
                 contract: ContractSpec | None = None, vol: float | None = None,
@@ -519,12 +470,6 @@ def make_policy(config: PolicyConfig, seed: int, s0: float = 100.0,
     if contract is None or vol is None:
         raise ConfigurationError("bsm policy needs a contract and a volatility")
     return BSMPolicy(contract, vol, dt)
-
-
-def policy_forward(policy, prices: np.ndarray, mask: np.ndarray,
-                   labels=None) -> np.ndarray:
-    """Delta matrix [n, n_steps] for any policy; frozen on masked-out days."""
-    return policy.deltas(prices, mask, labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ batch is laid out or split across workers.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 
@@ -245,11 +244,3 @@ def load_pathset(filename) -> PathSet:
     return PathSet(prices.copy(), None if variances is None else variances.copy(),
                    s0, seed, np.arange(n_paths, dtype=np.int64))
 
-
-def pathset_to_csv(paths: PathSet, filename) -> None:
-    """Debug export: one row per path, columns path_id, s_0..s_N."""
-    with open(filename, "w", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id"] + [f"s_{t}" for t in range(paths.n_steps + 1)])
-        for pid, row in zip(paths.path_ids, paths.prices):
-            writer.writerow([int(pid)] + [repr(float(x)) for x in row])

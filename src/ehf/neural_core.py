@@ -8,9 +8,9 @@ framework: only the primitives the shipped policies need are implemented,
 all in float64. A larger computation with a hand-derived vector-Jacobian
 product can be recorded as a single node through ``Tape.record``.
 
-Also here: plain (non-recording) dense and GRU forward passes, fan-based
-initialization, Adam, finite-difference gradient checking, and the versioned
-model checkpoint format.
+Also here: the logistic function, fan-based initialization, Adam,
+finite-difference gradient checking, and the versioned model checkpoint
+format.
 """
 
 from __future__ import annotations
@@ -21,102 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, IntegrityError, NumericError, ShapeError, StateError
+from .errors import IntegrityError, NumericError, ShapeError, StateError
 
 MODEL_MAGIC = b"EHFM"
 MODEL_VERSION = 1
 
 
-# ---------------------------------------------------------------------------
-# plain forward passes
-# ---------------------------------------------------------------------------
-
-def _relu(x):
-    return np.maximum(x, 0.0)
-
-
-def _sigmoid(x):
-    # branch on sign for overflow safety at large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid(x):
+    """Logistic function; exp(-|x|) keeps it overflow-free at large |x|."""
     x = np.asarray(x, dtype=np.float64)
-    return _sigmoid(x)
-
-
-_ACTIVATIONS = {
-    "relu": _relu,
-    "tanh": np.tanh,
-    "sigmoid": sigmoid,
-    "identity": lambda x: x,
-}
-
-
-@dataclass
-class DenseLayer:
-    """Affine map plus pointwise activation; weights [out, in], bias [out]."""
-
-    weights: np.ndarray
-    bias: np.ndarray
-    activation: str = "identity"
-
-    def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigurationError(f"unknown activation {self.activation!r}")
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise ShapeError(
-                f"inconsistent layer shapes {self.weights.shape} / {self.bias.shape}")
-
-
-def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    """activation(W x + b); accepts a single vector or a [batch, in] matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != layer.weights.shape[1]:
-        raise ShapeError(
-            f"input width {x.shape[-1]} != layer fan-in {layer.weights.shape[1]}")
-    return _ACTIVATIONS[layer.activation](x @ layer.weights.T + layer.bias)
-
-
-@dataclass
-class GRUCell:
-    """Standard GRU gates; each weight matrix is [hidden, input + hidden]."""
-
-    w_update: np.ndarray
-    w_reset: np.ndarray
-    w_cand: np.ndarray
-    b_update: np.ndarray
-    b_reset: np.ndarray
-    b_cand: np.ndarray
-
-    @property
-    def hidden_size(self) -> int:
-        return self.w_update.shape[0]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_update.shape[1] - self.w_update.shape[0]
-
-
-def gru_forward(cell: GRUCell, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One GRU step: h' = (1 - z) * h + z * tanh(W_h [x; r * h] + b_h)."""
-    x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if x.shape[-1] != cell.input_size or h.shape[-1] != cell.hidden_size:
-        raise ShapeError(
-            f"gru input {x.shape[-1]}/state {h.shape[-1]} do not match "
-            f"cell {cell.input_size}/{cell.hidden_size}")
-    xh = np.concatenate([x, h], axis=-1)
-    z = sigmoid(xh @ cell.w_update.T + cell.b_update)
-    r = sigmoid(xh @ cell.w_reset.T + cell.b_reset)
-    xrh = np.concatenate([x, r * h], axis=-1)
-    h_cand = np.tanh(xrh @ cell.w_cand.T + cell.b_cand)
-    return (1.0 - z) * h + z * h_cand
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +69,16 @@ class Tape:
         return Node(np.asarray(value, dtype=np.float64))
 
     def record(self, value, parents, vjp) -> Node:
-        """Append a node; vjp(g) returns one gradient per parent, in order."""
-        requires = any(p.requires for p in parents)
-        node = Node(value, tuple(parents), vjp if requires else None, requires)
-        if requires:
-            self._nodes.append(node)
+        """Append a node; vjp(g) returns one gradient per parent, in order.
+
+        When no parent needs a gradient the result is a bare constant node
+        that holds neither its parents nor its vjp, so a pass recorded on
+        constants keeps no intermediates alive.
+        """
+        if not any(p.requires for p in parents):
+            return Node(value)
+        node = Node(value, tuple(parents), vjp, True)
+        self._nodes.append(node)
         return node
 
     # -- primitives ------------------------------------------------------
@@ -212,7 +132,7 @@ class Tape:
         return self.record(value, (a,), lambda g: (g * mask,))
 
     def sigmoid(self, a: Node) -> Node:
-        value = _sigmoid(np.asarray(a.value, dtype=np.float64))
+        value = sigmoid(a.value)
         return self.record(value, (a,), lambda g: (g * value * (1.0 - value),))
 
     def tanh(self, a: Node) -> Node:

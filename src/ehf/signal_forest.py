@@ -19,48 +19,34 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, IntegrityError, ShapeError
 from .market_sim import PathSet
 
-_LABEL_RULES = ("extremum", "prose")
-
-
 # ---------------------------------------------------------------------------
 # labeling
 # ---------------------------------------------------------------------------
 
-def label_extrema(path: np.ndarray, beta: float, rule: str = "extremum") -> np.ndarray:
+def label_extrema(path: np.ndarray, beta: float) -> np.ndarray:
     """Per-day {0,1} labels for one price path; ends default to 1.
 
-    Day t is labeled 0 under the default rule iff it beats both neighbors by
-    more than beta in relative terms:
+    Day t is labeled 0 iff it beats both neighbors by more than beta in
+    relative terms:
 
         up-spike:   (S_t - S_{t-1})/S_{t-1} > beta  and  (S_t - S_{t+1})/S_{t+1} > beta
         down-spike: (S_{t-1} - S_t)/S_{t-1} > beta  and  (S_{t+1} - S_t)/S_t > beta
-
-    rule="prose" keeps the alternative monotone-middle reading (higher than
-    yesterday and lower than tomorrow, or vice versa) for comparison; it marks
-    trend days rather than turning points and is not used by the pipeline.
     """
     s = np.asarray(path, dtype=np.float64)
     if s.ndim != 1 or len(s) < 3:
         raise DomainError(f"need at least 3 prices to label, got shape {s.shape}")
     if beta < 0:
         raise DomainError(f"beta must be >= 0, got {beta}")
-    if rule not in _LABEL_RULES:
-        raise ConfigurationError(f"unknown labeling rule {rule!r}")
     prev, cur, nxt = s[:-2], s[1:-1], s[2:]
-    if rule == "extremum":
-        up_spike = ((cur - prev) / prev > beta) & ((cur - nxt) / nxt > beta)
-        down_spike = ((prev - cur) / prev > beta) & ((nxt - cur) / cur > beta)
-        is_zero = up_spike | down_spike
-    else:
-        rising = ((cur - prev) / prev > beta) & ((nxt - cur) / cur > beta)
-        falling = ((prev - cur) / prev > beta) & ((cur - nxt) / nxt > beta)
-        is_zero = rising | falling
+    up_spike = ((cur - prev) / prev > beta) & ((cur - nxt) / nxt > beta)
+    down_spike = ((prev - cur) / prev > beta) & ((nxt - cur) / cur > beta)
+    is_zero = up_spike | down_spike
     labels = np.ones(len(s), dtype=np.int8)
     labels[1:-1][is_zero] = 0
     return labels
 
 
-def label_matrix(paths: PathSet, beta: float, rule: str = "extremum") -> np.ndarray:
+def label_matrix(paths: PathSet, beta: float) -> np.ndarray:
     """Ground-truth labels for every hedge day: [n_paths, n_steps] in {0,1}.
 
     Vectorized equivalent of label_extrema over rows, truncated to the
@@ -70,15 +56,9 @@ def label_matrix(paths: PathSet, beta: float, rule: str = "extremum") -> np.ndar
     s = paths.prices
     if beta < 0:
         raise DomainError(f"beta must be >= 0, got {beta}")
-    if rule not in _LABEL_RULES:
-        raise ConfigurationError(f"unknown labeling rule {rule!r}")
     prev, cur, nxt = s[:, :-2], s[:, 1:-1], s[:, 2:]
-    if rule == "extremum":
-        is_zero = (((cur - prev) / prev > beta) & ((cur - nxt) / nxt > beta)) | \
-                  (((prev - cur) / prev > beta) & ((nxt - cur) / cur > beta))
-    else:
-        is_zero = (((cur - prev) / prev > beta) & ((nxt - cur) / cur > beta)) | \
-                  (((prev - cur) / prev > beta) & ((cur - nxt) / nxt > beta))
+    is_zero = (((cur - prev) / prev > beta) & ((cur - nxt) / nxt > beta)) | \
+              (((prev - cur) / prev > beta) & ((nxt - cur) / cur > beta))
     labels = np.ones_like(s, dtype=np.int8)
     labels[:, 1:-1][is_zero] = 0
     return labels[:, : paths.n_steps]
@@ -233,13 +213,8 @@ def _tree_predict(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
     return tree.leaf_class[idx]
 
 
-def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
-               jobs: int = 1) -> Forest:
-    """Bootstrap-aggregated Gini trees; deterministic given cfg.seed.
-
-    Trees are independent given their per-tree seed streams, so jobs > 1 fits
-    them on a thread pool without changing the result.
-    """
+def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
+    """Bootstrap-aggregated Gini trees; deterministic given cfg.seed."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
@@ -250,13 +225,7 @@ def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
         raise DomainError("labels must be binary in {0, 1}")
     y = y.astype(np.int8)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trees = tuple(pool.map(
-                lambda s: _fit_tree(X, y, cfg, np.random.default_rng(s)), seeds))
-    else:
-        trees = tuple(_fit_tree(X, y, cfg, np.random.default_rng(s)) for s in seeds)
+    trees = tuple(_fit_tree(X, y, cfg, np.random.default_rng(s)) for s in seeds)
     return Forest(trees=trees, config=cfg, n_features=X.shape[1])
 
 

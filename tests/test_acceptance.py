@@ -451,8 +451,7 @@ def test_c8_closed_form_recovery(record, signal):
                                  ehf.RiskConfig(0.5),
                                  ehf.PolicyConfig(arch="dense"), mask_tr,
                                  TRAIN_CFG)
-    learned = ehf.policy_forward(policy, test.prices,
-                                 ehf.compute_trade_mask(test, 0.0))
+    learned = policy.deltas(test.prices, ehf.compute_trade_mask(test, 0.0))
     closed = ehf.bsm_delta_matrix(test, CONTRACT, 0.2)
     corr = float(np.corrcoef(learned.ravel(), closed.ravel())[0, 1])
     # the forecaster's raw accuracy is reported, not asserted: it tracks the

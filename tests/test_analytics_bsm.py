@@ -63,12 +63,6 @@ def test_delta_bounds_and_atm_level():
     assert 0.5 < d < 0.52
 
 
-def test_quote_consistency():
-    q = ehf.bs_quote(100.0, 100.0, 0.0, np.sqrt(0.8), 30 / 365)
-    assert q.price == pytest.approx(bs_call_price(100.0, 100.0, 0.0, np.sqrt(0.8), 30 / 365))
-    assert q.delta == pytest.approx(bs_delta(100.0, 100.0, 0.0, np.sqrt(0.8), 30 / 365))
-
-
 def test_delta_matrix_matches_scalar_calls(gbm_small, contract):
     vol = 0.2
     deltas = ehf.bsm_delta_matrix(gbm_small, contract, vol)
@@ -91,7 +85,9 @@ def test_delta_matrix_mask_freezes_position(gbm_small, contract):
 
 
 def test_baseline_episode_fields(gbm_small, contract):
-    result = ehf.bsm_hedge_baseline(gbm_small, contract, ehf.CostModel(0.02), vol=0.2)
+    result = ehf.episode_results(gbm_small.prices,
+                                 ehf.bsm_delta_matrix(gbm_small, contract, 0.2),
+                                 contract, ehf.CostModel(0.02))
     assert result.loss.shape == (64,)
     assert np.all(np.isfinite(result.loss))
     assert result.loss.std() > 0

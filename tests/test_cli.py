@@ -277,6 +277,42 @@ def test_train_checks_gate_and_mode_up_front(tmp_path, capsys, old, new, key):
     assert f"unknown {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid,message", [
+    ("0:0.2:0", "alpha grid is empty"),
+    ("0.08, 0.04, 0", "alpha grid must be ascending")], ids=["empty", "descending"])
+def test_train_checks_alpha_grid_up_front(tmp_path, capsys, grid, message):
+    """train rejects a grid the sweep would reject, before it needs any path
+    (an empty grid used to end train in an IndexError traceback)."""
+    ini = tmp_path / "bad.ini"
+    ini.write_text(TINY_INI.replace("alphas = 0:0.08:3", f"alphas = {grid}"))
+    assert main(["train", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_jobs_flag_is_accepted_and_changes_no_artifact(tmp_path, capsys):
+    """Every command takes --jobs (benchmark scripts pass it) and writes the
+    same bytes for any value; a retrain sweep with and without the forest
+    gate gives report a base frontier to compare against."""
+    gated = TINY_INI.replace("rf = false", "rf = true").replace(
+        "mode = fast", "mode = retrain")
+    inis = {"gated": tmp_path / "gated.ini", "plain": tmp_path / "plain.ini"}
+    inis["gated"].write_text(gated)
+    inis["plain"].write_text(gated.replace("rf = true", "rf = false"))
+    steps = (("simulate", "gated"), ("label", "gated"), ("train", "gated"),
+             ("sweep", "plain"), ("sweep", "gated"), ("report", "gated"))
+    artifacts = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        for cmd, name in steps:
+            assert main([cmd, "--config", str(inis[name]), "--out", str(out),
+                         "--jobs", jobs]) == 0, (cmd, name, jobs)
+        artifacts[jobs] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert "frontier_dense_rf_c0.02_l0.5.csv" in artifacts["1"]
+    assert "report.csv" in artifacts["1"]
+    assert artifacts["1"] == artifacts["2"]
+    capsys.readouterr()
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import ehf
 from ehf.errors import DomainError, ShapeError
-from ehf.hedging_engine import (DensePolicy, GRUPolicy, episode_loss_node,
-                                tape_entropy_risk)
+from ehf.hedging_engine import (DensePolicy, GRUPolicy, _feature_arrays,
+                                episode_loss_node, tape_entropy_risk)
 from ehf.neural_core import Tape
 
 
@@ -87,20 +87,6 @@ def test_final_day_carries_no_liquidation_cost():
     # one trade on day 0 (buy 1 @ 100): cost 5; pnl 100; payoff 100
     assert res.trade_counts[0] == 1
     assert res.loss[0] == pytest.approx(100.0 - 5.0 - 100.0)
-
-
-def test_episode_csv(tmp_path):
-    prices = np.array([100.0, 110.0, 105.0])
-    deltas = np.array([0.5, 0.7])
-    fn = tmp_path / "episode.csv"
-    ehf.write_episode_csv(fn, prices, deltas, ehf.CostModel(0.05))
-    lines = fn.read_text().strip().splitlines()
-    assert lines[0] == "day,price,delta,buy_sell,trading_cost"
-    assert len(lines) == 3
-    day0 = lines[1].split(",")
-    assert float(day0[3]) == pytest.approx(50.0)
-    assert float(day0[4]) == pytest.approx(2.5)
-    assert "np.float64" not in lines[1]
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +229,8 @@ def test_trade_frequency_counts_all_days_not_mask(heston_small):
     """The frequency statistic covers every daily return; the mask also
     forces day 0, so at large alpha they must diverge."""
     freq = ehf.trade_frequency(heston_small, 0.5)
-    per_path = ehf.mask_frequency(ehf.compute_trade_mask(heston_small, 0.5))
+    mask = ehf.compute_trade_mask(heston_small, 0.5)
+    per_path = float(np.mean(np.sum(mask, axis=1)))
     assert freq < 0.05
     assert per_path >= 1.0
 
@@ -288,7 +275,7 @@ def test_plain_and_tape_forwards_agree(gbm_small, contract):
 def _per_op_dense_deltas(tape, policy, prices, mask, labels):
     """Reference: the dense rollout recorded op by op, one node per day."""
     n, n_steps = mask.shape
-    logp, change, lab = policy._feature_arrays(prices, labels)
+    logp, change, lab = _feature_arrays(policy.config, policy.s0, prices, labels)
     w1, b1, w2, b2, w3, b3 = (tape.param(k, policy.params[k])
                               for k in ("w1", "b1", "w2", "b2", "w3", "b3"))
     prev = tape.const(np.zeros(n))

@@ -136,16 +136,6 @@ def test_loaded_arrays_are_readonly(tmp_path, gbm_small):
         loaded.prices[0, 0] = -1.0
 
 
-def test_pathset_csv(tmp_path, gbm_small):
-    fn = tmp_path / "paths.csv"
-    ehf.pathset_to_csv(gbm_small, fn)
-    lines = fn.read_text().strip().splitlines()
-    assert len(lines) == 65  # header + one row per path
-    header = lines[0].split(",")
-    assert header[0] == "path_id"
-    assert len(header) == 32
-
-
 def test_sim_config_validation():
     with pytest.raises(ehf.ConfigurationError):
         ehf.SimConfig(n_paths=0, seed=1)

@@ -1,44 +1,18 @@
-"""Forward passes, the reverse-mode tape, Adam, and checkpoint I/O."""
+"""The logistic function, the reverse-mode tape, Adam, and checkpoint I/O."""
 
 import numpy as np
 import pytest
 
 import ehf
 from ehf.errors import IntegrityError, NumericError, ShapeError, StateError
-from ehf.neural_core import (AdamState, DenseLayer, GRUCell, Tape, adam_step,
-                             dense_forward, fan_uniform, grad_check, gru_forward,
-                             load_params, require_finite, save_params, sigmoid)
+from ehf.neural_core import (AdamState, Tape, adam_step, fan_uniform, grad_check,
+                             load_params, require_finite, save_params, sigmoid,
+                             tape_gru)
 
 
 # ---------------------------------------------------------------------------
-# plain forward passes
+# logistic function and one GRU step
 # ---------------------------------------------------------------------------
-
-def test_dense_forward_hand_example():
-    # 2 inputs -> 3 relu units, worked by hand
-    w = np.array([[1.0, -1.0], [0.5, 0.5], [-2.0, 0.0]])
-    b = np.array([0.0, -1.0, 1.0])
-    layer = DenseLayer(w, b, "relu")
-    out = dense_forward(layer, np.array([2.0, 1.0]))
-    # pre-activations: 2-1=1, 1+0.5-1=0.5, -4+1=-3
-    assert np.allclose(out, [1.0, 0.5, 0.0])
-
-
-def test_dense_forward_batches_rows():
-    rng = np.random.default_rng(0)
-    layer = DenseLayer(rng.normal(size=(4, 3)), rng.normal(size=4), "tanh")
-    x = rng.normal(size=(5, 3))
-    batched = dense_forward(layer, x)
-    rows = np.stack([dense_forward(layer, x[i]) for i in range(5)])
-    # matrix and vector products take different BLAS paths; agree to the ulp
-    assert np.allclose(batched, rows, rtol=0, atol=1e-15)
-
-
-def test_dense_forward_shape_guard():
-    layer = DenseLayer(np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(ShapeError):
-        dense_forward(layer, np.zeros(4))
-
 
 def test_sigmoid_saturation_and_symmetry():
     assert sigmoid(np.array(0.0)) == 0.5
@@ -48,45 +22,73 @@ def test_sigmoid_saturation_and_symmetry():
     assert np.allclose(sigmoid(x) + sigmoid(-x), 1.0, atol=1e-15)
 
 
-def _random_cell(rng, hidden, inp):
+def _sigmoid_two_branch(x):
+    """Reference: the logistic function with its sign branches spelled out."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_two_branch_reference_bit_for_bit():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0,
+                      tiny, -tiny, 1e-310, -1e-310])
+    rng = np.random.default_rng(17)
+    x = np.concatenate([edges] + [scale * rng.standard_normal(2000)
+                                  for scale in (1e-8, 1e-2, 1.0, 30.0, 800.0)])
+    assert np.array_equal(sigmoid(x), _sigmoid_two_branch(x), equal_nan=True)
+
+
+def _random_gru(rng, hidden, inp):
+    """(w_z, b_z, w_r, b_r, w_h, b_h); each weight matrix is [hidden, inp + hidden]."""
     shape = (hidden, inp + hidden)
-    return GRUCell(rng.normal(size=shape), rng.normal(size=shape),
-                   rng.normal(size=shape), rng.normal(size=hidden),
-                   rng.normal(size=hidden), rng.normal(size=hidden))
+    w_z, w_r, w_h = (rng.normal(size=shape) for _ in range(3))
+    b_z, b_r, b_h = (rng.normal(size=hidden) for _ in range(3))
+    return w_z, b_z, w_r, b_r, w_h, b_h
+
+
+def _gru_step(weights, x, h):
+    """One tape_gru step on constant nodes; x [batch, inp], h [batch, hidden]."""
+    tape = Tape()
+    return tape_gru(tape, tape.const(x), tape.const(h),
+                    *(tape.const(w) for w in weights)).value
 
 
 def test_gru_forward_matches_scalar_reference():
     rng = np.random.default_rng(7)
-    cell = _random_cell(rng, hidden=3, inp=2)
+    w_z, b_z, w_r, b_r, w_h, b_h = weights = _random_gru(rng, hidden=3, inp=2)
     x = rng.normal(size=2)
     h = rng.normal(size=3)
 
     def ref():
         xh = np.concatenate([x, h])
-        z = 1 / (1 + np.exp(-(cell.w_update @ xh + cell.b_update)))
-        r = 1 / (1 + np.exp(-(cell.w_reset @ xh + cell.b_reset)))
-        cand = np.tanh(cell.w_cand @ np.concatenate([x, r * h]) + cell.b_cand)
+        z = 1 / (1 + np.exp(-(w_z @ xh + b_z)))
+        r = 1 / (1 + np.exp(-(w_r @ xh + b_r)))
+        cand = np.tanh(w_h @ np.concatenate([x, r * h]) + b_h)
         return (1 - z) * h + z * cand
 
-    assert np.allclose(gru_forward(cell, x, h), ref(), atol=1e-14)
+    assert np.allclose(_gru_step(weights, x[None], h[None])[0], ref(), atol=1e-14)
 
 
 def test_gru_zero_weights_halve_state():
     """All-zero parameters: z = r = 1/2, candidate = 0, so h' = h / 2."""
-    cell = GRUCell(*(np.zeros((4, 6)) for _ in range(3)),
-                   *(np.zeros(4) for _ in range(3)))
+    weights = (np.zeros((4, 6)), np.zeros(4)) * 3
     h = np.array([1.0, -2.0, 0.5, 3.0])
-    out = gru_forward(cell, np.array([9.0, -9.0]), h)
-    assert np.allclose(out, h / 2)
+    out = _gru_step(weights, np.array([[9.0, -9.0]]), h[None])
+    assert np.allclose(out[0], h / 2)
 
 
 def test_gru_batch_consistency():
     rng = np.random.default_rng(13)
-    cell = _random_cell(rng, hidden=5, inp=3)
+    weights = _random_gru(rng, hidden=5, inp=3)
     x = rng.normal(size=(6, 3))
     h = rng.normal(size=(6, 5))
-    batched = gru_forward(cell, x, h)
-    rows = np.stack([gru_forward(cell, x[i], h[i]) for i in range(6)])
+    batched = _gru_step(weights, x, h)
+    rows = np.concatenate([_gru_step(weights, x[i:i + 1], h[i:i + 1])
+                           for i in range(6)])
     assert np.allclose(batched, rows, atol=1e-15)
 
 
@@ -218,6 +220,8 @@ def test_const_subgraphs_not_recorded():
     tape = Tape()
     c = tape.mul(tape.const(np.ones(3)), tape.const(np.ones(3)))
     assert not c.requires
+    # a const-only result holds neither its operands nor a vjp
+    assert c.parents == () and c.vjp is None
     p = tape.param("p", np.ones(3))
     out = tape.sum(tape.mul(p, c))
     grads = tape.backward(out)

@@ -65,22 +65,11 @@ def test_labels_scale_invariant():
                           ehf.label_extrema(3.7 * path, 0.05))
 
 
-def test_prose_rule_marks_trend_days_instead():
-    # steady 6% riser: no extrema, but every middle day is "higher than
-    # yesterday and lower than tomorrow"
-    path = 100 * 1.06 ** np.arange(6)
-    assert np.all(ehf.label_extrema(path, 0.05) == 1)
-    prose = ehf.label_extrema(path, 0.05, rule="prose")
-    assert np.all(prose[1:-1] == 0)
-
-
 def test_label_guards():
     with pytest.raises(DomainError):
         ehf.label_extrema(np.array([100.0, 101.0]), 0.05)
     with pytest.raises(DomainError):
         ehf.label_extrema(np.array([100.0, 101.0, 102.0]), -0.1)
-    with pytest.raises(ConfigurationError):
-        ehf.label_extrema(np.array([100.0, 101.0, 102.0]), 0.05, rule="wavelet")
 
 
 def test_label_matrix_matches_per_path(heston_small):
@@ -170,18 +159,6 @@ def test_forest_deterministic_given_seed():
     p1 = ehf.predict_labels(ehf.fit_forest(X, y, cfg), X)
     p2 = ehf.predict_labels(ehf.fit_forest(X, y, cfg), X)
     assert np.array_equal(p1, p2)
-
-
-def test_parallel_fit_matches_serial():
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(300, 2))
-    y = (X[:, 0] * X[:, 1] > 0).astype(np.int8)
-    cfg = ehf.ForestConfig(n_trees=8, seed=5)
-    serial = ehf.fit_forest(X, y, cfg, jobs=1)
-    parallel = ehf.fit_forest(X, y, cfg, jobs=4)
-    probe = rng.normal(size=(500, 2))
-    assert np.array_equal(ehf.predict_labels(serial, probe),
-                          ehf.predict_labels(parallel, probe))
 
 
 def test_predict_shape_guard():
