@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -26,19 +26,22 @@ from .analytics_bsm import ContractSpec
 from .errors import (ConfigurationError, DomainError, IntegrityError,
                      NumericError, ResolutionError, ShapeError, StateError)
 from .frontier import (GATE_SOURCES, SWEEP_MODES, SweepConfig, check_alpha_grid,
-                       compare_configs, format_comparison_table, pareto_filter,
-                       prepare_signal, read_frontier_csv, sweep_alpha,
-                       sweep_baseline, write_comparison_csv, write_frontier_csv)
+                       compare_configs, format_comparison_table, gate_labels,
+                       pareto_filter, prepare_signal, read_frontier_csv,
+                       sweep_alpha, sweep_baseline, write_comparison_csv,
+                       write_frontier_csv)
 from .hedging_engine import (CostModel, PolicyConfig, RiskConfig, TrainConfig,
                              combine_mask, compute_trade_mask, load_policy,
                              save_policy, train_policy)
 from .market_sim import (GBMParams, HestonParams, PathSet, SimConfig,
                          load_pathset, save_pathset, split_pathset)
-from .signal_forest import ForestConfig, save_forest, write_label_csv
+from .signal_forest import (ForestConfig, load_forest, save_forest,
+                            write_label_csv)
 
 PATHS_FILE = "paths.ehfp"
 MANIFEST_FILE = "paths.manifest.json"
 FOREST_FILE = "forest.npz"
+FOREST_MANIFEST_FILE = "forest.manifest.json"
 
 _SCENARIOS = ("low_vol", "high_vol", "gbm", "custom")
 
@@ -253,15 +256,15 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _scenario_assets(cfg: RunConfig):
-    """Returns (simulate(sim_config) -> PathSet, baseline volatility)."""
+def _scenario(cfg: RunConfig):
+    """(simulator parameters, simulate(params, sim_config), baseline volatility)."""
     if cfg.scenario == "gbm":
         params = cfg.gbm or GBMParams(mu=0.0, sigma=0.2)
-        return (lambda sim: market_sim.simulate_gbm(params, sim)), params.sigma
+        return params, market_sim.simulate_gbm, params.sigma
     params = {"low_vol": market_sim.LOW_VOL, "high_vol": market_sim.HIGH_VOL,
               "custom": cfg.heston}[cfg.scenario]
     vol = cfg.bsm_vol if cfg.bsm_vol is not None else float(np.sqrt(params.theta))
-    return (lambda sim: market_sim.simulate_heston(params, sim)), vol
+    return params, market_sim.simulate_heston, vol
 
 
 def _sha256(filename) -> str:
@@ -276,6 +279,23 @@ def _paths_file(cfg: RunConfig) -> str:
     return os.path.join(cfg.out_dir, PATHS_FILE)
 
 
+def _write_manifest(filename, manifest: dict) -> None:
+    with open(filename, "w") as fh:
+        json.dump(manifest, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _read_manifest(filename) -> dict:
+    with open(filename) as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise IntegrityError(f"{filename}: malformed JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise IntegrityError(f"{filename}: expected a JSON object")
+    return manifest
+
+
 def _load_paths(cfg: RunConfig) -> PathSet:
     filename = _paths_file(cfg)
     if not os.path.exists(filename):
@@ -283,13 +303,7 @@ def _load_paths(cfg: RunConfig) -> PathSet:
             f"path file {filename} not found — run the simulate command first")
     manifest_file = os.path.join(cfg.out_dir, MANIFEST_FILE)
     if os.path.exists(manifest_file):
-        with open(manifest_file) as fh:
-            try:
-                manifest = json.load(fh)
-            except ValueError as exc:
-                raise IntegrityError(f"{manifest_file}: malformed JSON ({exc})") from exc
-        if not isinstance(manifest, dict):
-            raise IntegrityError(f"{manifest_file}: expected a JSON object")
+        manifest = _read_manifest(manifest_file)
         actual = _sha256(filename)
         if manifest.get("sha256") != actual:
             raise IntegrityError(
@@ -302,11 +316,35 @@ def _contract(cfg: RunConfig) -> ContractSpec:
     return ContractSpec(strike=cfg.strike, maturity_steps=cfg.maturity_steps)
 
 
-def _signal_if_needed(cfg: RunConfig, train_paths, test_paths):
+def _forest_inputs(cfg: RunConfig) -> dict:
+    """What `label` fits the forest on, recorded next to it."""
+    return {"paths_sha256": _sha256(_paths_file(cfg)), "n_train": cfg.n_train,
+            "beta": cfg.beta, "fit_rows": cfg.forest_fit_rows}
+
+
+def _gate(cfg: RunConfig):
+    """PathSet -> gate labels for rf runs, None without rf.
+
+    Under gate = forecast the forest is the one `label` saved, and it must
+    have been fit on this config's inputs and forest settings.
+    """
     if not cfg.rf:
         return None
-    return prepare_signal(train_paths, test_paths, cfg.beta, cfg.forest,
-                          fit_rows=cfg.forest_fit_rows, gate=cfg.gate)
+    forest = None
+    if cfg.gate == "forecast":
+        filename = os.path.join(cfg.out_dir, FOREST_FILE)
+        if not os.path.exists(filename):
+            raise ResolutionError(f"{filename} not found — run `ehf label` first")
+        forest = load_forest(filename)
+        record_file = os.path.join(cfg.out_dir, FOREST_MANIFEST_FILE)
+        record = _read_manifest(record_file) if os.path.exists(record_file) else {}
+        stale = [k for k, v in _forest_inputs(cfg).items() if record.get(k) != v]
+        if forest.config != cfg.forest:
+            stale.append("forest settings")
+        if stale:
+            raise IntegrityError(f"{filename} was fit with other {', '.join(stale)}"
+                                 f" — rerun `ehf label`")
+    return lambda paths: gate_labels(paths, cfg.beta, cfg.gate, forest)
 
 
 def _checkpoint_name(cfg: RunConfig, cost_rate: float, lam: float) -> str:
@@ -328,29 +366,19 @@ def _frontier_name(out_dir: str, policy: str, rf: bool, cost_rate: float,
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    simulate, _ = _scenario_assets(cfg)
+    params, simulate, _ = _scenario(cfg)
     sim = SimConfig(n_paths=cfg.n_paths, seed=cfg.sim_seed, s0=cfg.s0,
                     n_steps=cfg.maturity_steps, dt=cfg.dt)
-    paths = simulate(sim)
+    paths = simulate(params, sim)
     filename = _paths_file(cfg)
     save_pathset(paths, filename)
     manifest = {
         "scenario": cfg.scenario,
         "n_paths": cfg.n_paths, "n_steps": cfg.maturity_steps,
         "s0": cfg.s0, "dt": cfg.dt, "seed": cfg.sim_seed,
-        "sha256": _sha256(filename),
+        "sha256": _sha256(filename), "params": asdict(params),
     }
-    if cfg.scenario == "gbm":
-        params = cfg.gbm or GBMParams(mu=0.0, sigma=0.2)
-        manifest["params"] = {"mu": params.mu, "sigma": params.sigma}
-    else:
-        p = {"low_vol": market_sim.LOW_VOL, "high_vol": market_sim.HIGH_VOL,
-             "custom": cfg.heston}[cfg.scenario]
-        manifest["params"] = {"v0": p.v0, "theta": p.theta, "kappa": p.kappa,
-                              "mu": p.mu, "sigma_v": p.sigma_v, "rho": p.rho}
-    with open(os.path.join(cfg.out_dir, MANIFEST_FILE), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_manifest(os.path.join(cfg.out_dir, MANIFEST_FILE), manifest)
     print(f"wrote {cfg.n_paths} x {cfg.maturity_steps + 1} prices to {filename} "
           f"(seed {cfg.sim_seed}, sha256 {manifest['sha256'][:12]}...)")
     return 0
@@ -361,8 +389,10 @@ def cmd_label(args) -> int:
     paths = _load_paths(cfg)
     train_paths, test_paths = split_pathset(paths, cfg.n_train, cfg.n_test)
     signal = prepare_signal(train_paths, test_paths, cfg.beta, cfg.forest,
-                            fit_rows=cfg.forest_fit_rows, gate=cfg.gate)
+                            fit_rows=cfg.forest_fit_rows)
     save_forest(os.path.join(cfg.out_dir, FOREST_FILE), signal.forest)
+    _write_manifest(os.path.join(cfg.out_dir, FOREST_MANIFEST_FILE),
+                    _forest_inputs(cfg))
     write_label_csv(os.path.join(cfg.out_dir, "labels.csv"), test_paths,
                     cfg.beta, predicted=signal.forecast_test)
     report_text = (f"training split:\n{signal.train_report}\n\n"
@@ -376,12 +406,11 @@ def cmd_label(args) -> int:
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     paths = _load_paths(cfg)
-    train_paths, test_paths = split_pathset(paths, cfg.n_train, cfg.n_test)
+    train_paths, _ = split_pathset(paths, cfg.n_train, cfg.n_test)
     contract = _contract(cfg)
-    signal = _signal_if_needed(cfg, train_paths, test_paths)
-    base_alpha = cfg.alphas[0]
-    mask = compute_trade_mask(train_paths, base_alpha)
-    labels = signal.train_labels if signal is not None else None
+    gate = _gate(cfg)
+    mask = compute_trade_mask(train_paths, cfg.alphas[0])
+    labels = gate(train_paths) if gate is not None else None
     if labels is not None:
         mask = combine_mask(mask, labels)
     for cost_rate in cfg.cost_rates:
@@ -409,15 +438,14 @@ def cmd_sweep(args) -> int:
     paths = _load_paths(cfg)
     train_paths, test_paths = split_pathset(paths, cfg.n_train, cfg.n_test)
     contract = _contract(cfg)
-    _, baseline_vol = _scenario_assets(cfg)
-    signal = _signal_if_needed(cfg, train_paths, test_paths)
+    _, _, baseline_vol = _scenario(cfg)
+    gate = _gate(cfg)
     for cost_rate in cfg.cost_rates:
         for lam in cfg.risk_aversions:
             sweep = SweepConfig(
                 alphas=tuple(cfg.alphas), scenario=cfg.scenario, rf=cfg.rf,
                 cost_rate=cost_rate, risk_aversion=lam, mode=cfg.mode,
-                seed=cfg.train.seed, beta=cfg.beta,
-                forest_fit_rows=cfg.forest_fit_rows, gate=cfg.gate)
+                seed=cfg.train.seed)
             base_points = sweep_baseline(sweep, test_paths, contract,
                                          baseline_vol, cfg.dt)
             write_frontier_csv(
@@ -432,8 +460,7 @@ def cmd_sweep(args) -> int:
             if cfg.mode == "fast" and os.path.exists(checkpoint):
                 policy = load_policy(checkpoint)
             points = sweep_alpha(sweep, train_paths, test_paths, contract,
-                                 cfg.policy, cfg.train, signal=signal,
-                                 forest_cfg=cfg.forest, policy=policy)
+                                 cfg.policy, cfg.train, gate=gate, policy=policy)
             out = _frontier_name(cfg.out_dir, cfg.policy.arch, cfg.rf,
                                  cost_rate, lam)
             write_frontier_csv(out, points)
@@ -578,10 +605,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError, ShapeError, StateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ResolutionError, IntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ResolutionError, IntegrityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

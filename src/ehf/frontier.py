@@ -17,9 +17,9 @@ import numpy as np
 
 from .analytics_bsm import ContractSpec
 from .errors import ConfigurationError, DomainError, IntegrityError, StateError
-from .hedging_engine import (CostModel, PolicyConfig, RiskConfig, TrainConfig,
-                             combine_mask, compute_trade_mask, evaluate_policy,
-                             train_policy)
+from .hedging_engine import (BSMPolicy, CostModel, PolicyConfig, RiskConfig,
+                             TrainConfig, combine_mask, compute_trade_mask,
+                             evaluate_policy, train_policy)
 from .market_sim import PathSet
 from .signal_forest import (Forest, ForestConfig, classification_report,
                             feature_table, fit_forest, label_matrix,
@@ -40,11 +40,6 @@ def check_alpha_grid(alphas) -> None:
     if np.any(np.diff(arr) < 0) or arr[0] < 0 or arr[-1] > 1:
         raise ConfigurationError(
             "alpha grid must be ascending and within [0, 1]")
-
-
-def default_alpha_grid(n_points: int = 100, high: float = 0.2) -> tuple[float, ...]:
-    """Evenly spaced thresholds from 0 to high inclusive."""
-    return tuple(float(a) for a in np.linspace(0.0, high, n_points))
 
 
 @dataclass(frozen=True)
@@ -78,16 +73,11 @@ class SweepConfig:
     risk_aversion: float = 0.5
     mode: str = "fast"
     seed: int = 0
-    beta: float = 0.05
-    forest_fit_rows: int = 15000   # cap on classifier training rows; 0 = all
-    gate: str = "oracle"           # rf gate labels: oracle | forecast
 
     def __post_init__(self):
         check_alpha_grid(self.alphas)
         if self.mode not in SWEEP_MODES:
             raise ConfigurationError(f"unknown sweep mode {self.mode!r}")
-        if self.gate not in GATE_SOURCES:
-            raise ConfigurationError(f"unknown gate source {self.gate!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -99,42 +89,21 @@ GATE_SOURCES = ("oracle", "forecast")
 
 @dataclass(frozen=True)
 class SignalArtifacts:
-    """Extrema labels for gating plus the fitted forecaster and its report.
-
-    ``train_labels``/``test_labels`` are the matrices rf sweeps gate with.
-    With ``gate="oracle"`` they are the realised extremum labels of each
-    path (a trader who knows the reversal is coming, the regime where the
-    classifier pipeline is meant to operate); with ``gate="forecast"`` they
-    are the forest's own out-of-sample votes.  The forecast matrices and
-    accuracy reports are kept either way.
-    """
+    """The fitted extrema forecaster, its test-split votes and accuracy reports."""
     forest: Forest
-    train_labels: np.ndarray   # gate labels, [n_train, n_steps]
-    test_labels: np.ndarray    # gate labels, [n_test, n_steps]
     train_report: object
     test_report: object
-    forecast_train: np.ndarray | None = None
-    forecast_test: np.ndarray | None = None
-    gate: str = "oracle"
+    forecast_test: np.ndarray   # [n_test, n_steps] forecast labels
 
 
 def prepare_signal(train_paths: PathSet, test_paths: PathSet, beta: float,
-                   forest_cfg: ForestConfig, fit_rows: int = 0,
-                   gate: str = "oracle") -> SignalArtifacts:
-    """Fit the extrema forecaster on training paths and label both splits.
+                   forest_cfg: ForestConfig, fit_rows: int = 0) -> SignalArtifacts:
+    """Fit the extrema forecaster on training paths and score it on both splits.
 
     fit_rows > 0 caps the classifier's training set with a seed-determined
     subsample (the full desk-scale table is larger than the two-feature
     problem needs).
-
-    gate selects which labels rf sweeps freeze trading on: "oracle" uses
-    the realised extremum labels, "forecast" the forest's own predictions.
-    One-day-ahead reversals are close to unpredictable from two past
-    returns, so the forecast gate barely changes the frontier; the oracle
-    gate shows what the strategy delivers when the signal is right.
     """
-    if gate not in GATE_SOURCES:
-        raise ConfigurationError(f"unknown gate source {gate!r}")
     X, path_row, day = feature_table(train_paths)
     truth = label_matrix(train_paths, beta)
     y = truth[path_row, day]
@@ -149,21 +118,32 @@ def prepare_signal(train_paths: PathSet, test_paths: PathSet, beta: float,
     test_pred = predict_label_matrix(forest, test_paths)
     test_truth = label_matrix(test_paths, beta)
     Xt, prow_t, day_t = feature_table(test_paths)
-    if gate == "oracle":
-        gate_train, gate_test = truth, test_truth
-    else:
-        gate_train, gate_test = train_pred, test_pred
     return SignalArtifacts(
         forest=forest,
-        train_labels=gate_train,
-        test_labels=gate_test,
         train_report=classification_report(train_pred[path_row, day], y),
         test_report=classification_report(
             test_pred[prow_t, day_t], test_truth[prow_t, day_t]),
-        forecast_train=train_pred,
         forecast_test=test_pred,
-        gate=gate,
     )
+
+
+def gate_labels(paths: PathSet, beta: float, gate: str,
+                forest: Forest | None = None) -> np.ndarray:
+    """[n_paths, n_steps] labels an rf sweep freezes trading on (0 = freeze).
+
+    "oracle" uses the realised extremum labels of each path (a trader who
+    knows the reversal is coming, the regime the classifier pipeline is meant
+    to operate in); "forecast" the fitted forest's out-of-sample votes.
+    One-day-ahead reversals are close to unpredictable from two past returns,
+    so the forecast gate barely changes the frontier.
+    """
+    if gate == "oracle":
+        return label_matrix(paths, beta)
+    if gate != "forecast":
+        raise ConfigurationError(f"unknown gate source {gate!r}")
+    if forest is None:
+        raise ConfigurationError("forecast gating needs a fitted forest")
+    return predict_label_matrix(forest, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +164,28 @@ def _masks_for(paths: PathSet, alpha: float, labels: np.ndarray | None) -> np.nd
     return mask
 
 
+def _point(sweep: SweepConfig, policy: str, rf: bool, mode: str, alpha: float,
+           summary) -> FrontierPoint:
+    return FrontierPoint(
+        scenario=sweep.scenario, policy=policy, rf=rf, cost_rate=sweep.cost_rate,
+        risk_aversion=sweep.risk_aversion, alpha=alpha,
+        mean_loss=summary.mean_loss, std_loss=summary.std_loss,
+        avg_trades=summary.avg_trades, n_test_paths=summary.n_paths, mode=mode,
+        seed=sweep.seed)
+
+
 def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: PathSet,
                 contract: ContractSpec, policy_cfg: PolicyConfig,
-                train_cfg: TrainConfig, signal: SignalArtifacts | None = None,
-                forest_cfg: ForestConfig | None = None,
+                train_cfg: TrainConfig, gate=None,
                 policy=None) -> list[FrontierPoint]:
     """One FrontierPoint per alpha, evaluated on the held-out test paths.
 
     mode="retrain" trains a fresh policy per alpha; mode="fast" re-masks a
     single policy — either the one passed in or one trained here at the
     densest mask (the grid's smallest alpha). Every emitted point carries the
-    mode tag.
+    mode tag. rf sweeps need gate, a function from a PathSet to its
+    [n, n_steps] gate labels; it sees the training paths only if the sweep
+    trains.
     """
     if train_paths is not None:
         _check_disjoint(train_paths, test_paths)
@@ -203,72 +194,44 @@ def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: Pat
     elif policy is None:
         raise ConfigurationError(
             "fast mode needs either a trained policy or training paths")
-    if sweep.rf and signal is None:
-        if train_paths is None:
-            raise ConfigurationError("rf gating needs training paths or a fitted signal")
-        signal = prepare_signal(train_paths, test_paths, sweep.beta,
-                                forest_cfg or ForestConfig(seed=sweep.seed),
-                                fit_rows=sweep.forest_fit_rows, gate=sweep.gate)
+    if sweep.rf and gate is None:
+        raise ConfigurationError("an rf sweep needs gate labels")
+    retrain = sweep.mode == "retrain"
+    trains = retrain or policy is None
     cost = CostModel(sweep.cost_rate)
     risk = RiskConfig(sweep.risk_aversion)
-    train_labels = signal.train_labels if sweep.rf else None
-    test_labels = signal.test_labels if sweep.rf else None
+    train_labels = gate(train_paths) if sweep.rf and trains else None
+    test_labels = gate(test_paths) if sweep.rf else None
 
-    def point_from(summary, alpha: float) -> FrontierPoint:
-        return FrontierPoint(
-            scenario=sweep.scenario, policy=policy_cfg.arch, rf=sweep.rf,
-            cost_rate=sweep.cost_rate, risk_aversion=sweep.risk_aversion,
-            alpha=alpha, mean_loss=summary.mean_loss, std_loss=summary.std_loss,
-            avg_trades=summary.avg_trades, n_test_paths=summary.n_paths,
-            mode=sweep.mode, seed=sweep.seed)
-
-    def run_one(alpha: float) -> FrontierPoint:
-        policy, _ = train_policy(
+    def trained_at(alpha: float):
+        return train_policy(
             train_paths, contract, cost, risk, policy_cfg,
             _masks_for(train_paths, alpha, train_labels), train_cfg,
-            labels=train_labels)
-        summary = evaluate_policy(
-            test_paths, policy, _masks_for(test_paths, alpha, test_labels),
-            contract, cost, labels=test_labels)
-        return point_from(summary, alpha)
+            labels=train_labels)[0]
 
-    if sweep.mode == "retrain":
-        points = [run_one(alpha) for alpha in sweep.alphas]
-    else:
-        if policy is None:
-            policy, _ = train_policy(
-                train_paths, contract, cost, risk, policy_cfg,
-                _masks_for(train_paths, sweep.alphas[0], train_labels), train_cfg,
-                labels=train_labels)
-        points = []
-        for alpha in sweep.alphas:
-            summary = evaluate_policy(
-                test_paths, policy, _masks_for(test_paths, alpha, test_labels),
-                contract, cost, labels=test_labels)
-            points.append(point_from(summary, alpha))
+    if policy is None and not retrain:
+        policy = trained_at(sweep.alphas[0])
+    # each evaluation's per-path arrays are dropped once its point is built,
+    # before retrain mode trains the next policy
+    points = [
+        _point(sweep, policy_cfg.arch, sweep.rf, sweep.mode, alpha, evaluate_policy(
+            test_paths, trained_at(alpha) if retrain else policy,
+            _masks_for(test_paths, alpha, test_labels), contract, cost,
+            labels=test_labels))
+        for alpha in sweep.alphas]
     _assert_trades_monotone(points)
     return points
 
 
 def sweep_baseline(sweep: SweepConfig, test_paths: PathSet, contract: ContractSpec,
-                   vol: float, dt: float,
-                   signal: SignalArtifacts | None = None) -> list[FrontierPoint]:
-    """Closed-form-delta frontier on the same grid (no training involved)."""
-    from .hedging_engine import BSMPolicy
+                   vol: float, dt: float) -> list[FrontierPoint]:
+    """Closed-form-delta frontier on the same grid (no training, no gate)."""
     cost = CostModel(sweep.cost_rate)
-    test_labels = signal.test_labels if (sweep.rf and signal is not None) else None
     policy = BSMPolicy(contract, vol, dt)
-    points = []
-    for alpha in sweep.alphas:
-        summary = evaluate_policy(
-            test_paths, policy, _masks_for(test_paths, alpha, test_labels),
-            contract, cost)
-        points.append(FrontierPoint(
-            scenario=sweep.scenario, policy="bsm", rf=sweep.rf and signal is not None,
-            cost_rate=sweep.cost_rate, risk_aversion=sweep.risk_aversion,
-            alpha=alpha, mean_loss=summary.mean_loss, std_loss=summary.std_loss,
-            avg_trades=summary.avg_trades, n_test_paths=summary.n_paths,
-            mode="fast", seed=sweep.seed))
+    points = [
+        _point(sweep, "bsm", False, "fast", alpha, evaluate_policy(
+            test_paths, policy, compute_trade_mask(test_paths, alpha), contract, cost))
+        for alpha in sweep.alphas]
     _assert_trades_monotone(points)
     return points
 

@@ -16,12 +16,12 @@ classifier's skip labels; on gated-off days delta is frozen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .analytics_bsm import ContractSpec
-from .errors import ConfigurationError, DomainError, ShapeError
+from .analytics_bsm import ContractSpec, bsm_delta_matrix
+from .errors import ConfigurationError, DomainError, IntegrityError, ShapeError
 from .market_sim import PathSet
 from . import neural_core as nc
 from .neural_core import AdamState, Tape, adam_step, fan_uniform, require_finite
@@ -104,12 +104,17 @@ class TrainConfig:
 # trade masks
 # ---------------------------------------------------------------------------
 
+def _daily_moves(prices: np.ndarray) -> np.ndarray:
+    """One-day relative moves S_t/S_{t-1} - 1: [n, width - 1] for [n, width] prices."""
+    return prices[:, 1:] / prices[:, :-1] - 1.0
+
+
 def compute_trade_mask(paths: PathSet, alpha: float) -> np.ndarray:
     """Boolean [n_paths, n_steps]; True on day 0 and whenever the one-day
     relative move |S_t/S_{t-1} - 1| exceeds alpha."""
     if alpha < 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
-    rel = np.abs(paths.prices[:, 1:] / paths.prices[:, :-1] - 1.0)
+    rel = np.abs(_daily_moves(paths.prices))
     mask = np.empty((paths.n_paths, paths.n_steps), dtype=bool)
     mask[:, 0] = True
     # decision on day t (1 <= t < n_steps) looks at the move into day t
@@ -146,7 +151,7 @@ def trade_frequency(paths: PathSet, alpha: float) -> float:
     """
     if alpha < 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
-    rel = np.abs(paths.prices[:, 1:] / paths.prices[:, :-1] - 1.0)
+    rel = np.abs(_daily_moves(paths.prices))
     return float(np.mean(np.sum(rel > alpha, axis=1)))
 
 
@@ -193,15 +198,6 @@ def episode_results(prices: np.ndarray, deltas: np.ndarray,
     )
 
 
-def termination_loss(path: np.ndarray, deltas: np.ndarray,
-                     contract: ContractSpec, cost: CostModel) -> float:
-    """Single-path loss; see module docstring for the accounting identity."""
-    res = episode_results(np.asarray(path, dtype=np.float64)[None, :],
-                          np.asarray(deltas, dtype=np.float64)[None, :],
-                          contract, cost)
-    return float(res.loss[0])
-
-
 # ---------------------------------------------------------------------------
 # entropic risk
 # ---------------------------------------------------------------------------
@@ -246,7 +242,7 @@ def _feature_arrays(cfg: PolicyConfig, s0: float, prices: np.ndarray, labels) ->
     n, width = prices.shape
     logp = np.log(prices / s0)
     change = np.zeros_like(prices)
-    change[:, 1:] = prices[:, 1:] / prices[:, :-1] - 1.0
+    change[:, 1:] = _daily_moves(prices)
     lab = _require_labels(cfg, labels, n, width - 1)
     return logp, change, lab
 
@@ -256,18 +252,14 @@ class BSMPolicy:
 
     arch = "bsm"
 
-    def __init__(self, contract: ContractSpec, vol: float, dt: float,
-                 rate: float = 0.0):
+    def __init__(self, contract: ContractSpec, vol: float, dt: float):
         self.contract = contract
         self.vol = vol
         self.dt = dt
-        self.rate = rate
 
     def deltas(self, prices: np.ndarray, mask: np.ndarray,
                labels=None) -> np.ndarray:
-        from .analytics_bsm import bsm_delta_matrix
-        return bsm_delta_matrix(prices, self.contract, self.vol, self.dt,
-                                rate=self.rate, mask=mask)
+        return bsm_delta_matrix(prices, self.contract, self.vol, self.dt, mask=mask)
 
 
 class DensePolicy:
@@ -460,16 +452,11 @@ class GRUPolicy:
         return self._rollout(tape, prices, mask, labels, tape.param)
 
 
-def make_policy(config: PolicyConfig, seed: int, s0: float = 100.0,
-                contract: ContractSpec | None = None, vol: float | None = None,
-                dt: float = 1.0 / 365.0):
-    if config.arch == "dense":
-        return DensePolicy.init(config, seed, s0)
-    if config.arch == "gru":
-        return GRUPolicy.init(config, seed, s0)
-    if contract is None or vol is None:
-        raise ConfigurationError("bsm policy needs a contract and a volatility")
-    return BSMPolicy(contract, vol, dt)
+def make_policy(config: PolicyConfig, seed: int, s0: float = 100.0):
+    """A freshly initialised trainable policy of the configured architecture."""
+    if config.arch == "bsm":
+        raise ConfigurationError("the closed-form policy has no trainable parameters")
+    return (DensePolicy if config.arch == "dense" else GRUPolicy).init(config, seed, s0)
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +524,6 @@ def train_policy(train_paths: PathSet, contract: ContractSpec, cost: CostModel,
     prices = train_paths.prices
     n = train_paths.n_paths
     check_mask(mask, n, train_paths.n_steps)
-    if policy_cfg.arch == "bsm":
-        raise ConfigurationError("the closed-form policy has no trainable parameters")
     policy = make_policy(policy_cfg, seed=train_cfg.seed, s0=train_paths.s0)
     n_val = int(round(n * train_cfg.val_fraction))
     n_train = n - n_val
@@ -595,23 +580,26 @@ def train_policy(train_paths: PathSet, contract: ContractSpec, cost: CostModel,
 def save_policy(filename, policy) -> None:
     if policy.arch == "bsm":
         raise ConfigurationError("closed-form policy has no checkpointable state")
-    cfg = policy.config
-    meta = {
-        "s0": policy.s0,
-        "hidden": cfg.hidden, "gru_hidden": cfg.gru_hidden,
-        "gru_layers": cfg.gru_layers, "window": cfg.window,
-        "use_change": cfg.use_change, "use_label": cfg.use_label,
-    }
+    meta = {**asdict(policy.config), "s0": policy.s0}
+    del meta["arch"]
     nc.save_params(filename, policy.arch, policy.params, meta)
 
 
 def load_policy(filename):
+    """Restore a checkpoint whose parameter blocks have the names and shapes
+    of a fresh policy of the stored architecture and config."""
     arch, params, meta = nc.load_params(filename)
-    cfg = PolicyConfig(
-        arch=arch, hidden=int(meta["hidden"]), gru_hidden=int(meta["gru_hidden"]),
-        gru_layers=int(meta["gru_layers"]), window=int(meta["window"]),
-        use_change=bool(meta["use_change"]), use_label=bool(meta["use_label"]))
-    cls = DensePolicy if arch == "dense" else GRUPolicy
-    if arch not in ("dense", "gru"):
-        raise ConfigurationError(f"cannot restore a policy of architecture {arch!r}")
-    return cls(cfg, params, s0=float(meta["s0"]))
+    try:
+        settings = {f.name: meta[f.name] for f in fields(PolicyConfig)
+                    if f.name != "arch"}
+        policy = make_policy(PolicyConfig(arch=arch, **settings), seed=0,
+                             s0=float(meta["s0"]))
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+        raise IntegrityError(f"{filename}: bad checkpoint header ({exc!r})") from exc
+    found = {k: v.shape for k, v in params.items()}
+    expected = {k: v.shape for k, v in policy.params.items()}
+    if found != expected:
+        raise IntegrityError(f"{filename}: parameter blocks {found} do not "
+                             f"match a {arch} policy's {expected}")
+    policy.params = params
+    return policy

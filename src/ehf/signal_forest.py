@@ -307,6 +307,25 @@ def save_forest(filename, forest: Forest) -> None:
     np.savez_compressed(filename, **payload)
 
 
+def _check_tree(tree: DecisionTree, n_features: int) -> None:
+    """ValueError unless prediction through the tree is safe and terminates.
+
+    _fit_tree allocates both children after their parent, so every internal
+    node's children must be later nodes of the table.
+    """
+    n = tree.n_nodes
+    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_class)
+    if n == 0 or any(a.shape != (n,) for a in arrays) or any(
+            a.dtype.kind not in "iu" for a in (tree.feature, tree.left, tree.right)):
+        raise ValueError("node arrays are empty, of unequal length or not integer")
+    if np.any((tree.feature < -1) | (tree.feature >= n_features)):
+        raise ValueError(f"feature index outside [-1, {n_features})")
+    inner = np.flatnonzero(tree.feature >= 0)
+    children = np.concatenate([tree.left[inner], tree.right[inner]])
+    if np.any((children <= np.tile(inner, 2)) | (children >= n)):
+        raise ValueError("a child does not point to a later node in range")
+
+
 def load_forest(filename) -> Forest:
     try:
         data = np.load(filename, allow_pickle=False)
@@ -314,21 +333,27 @@ def load_forest(filename) -> Forest:
         raise IntegrityError(f"{filename}: not a forest archive ({exc})") from exc
     with data:
         try:
-            n_trees, max_depth, min_leaf, seed, n_features = data["meta"]
+            meta, fraction = data["meta"], data["bootstrap_fraction"]
+            if meta.shape != (5,) or fraction.shape != (1,):
+                raise ValueError(f"meta shape {meta.shape}, bootstrap_fraction "
+                                 f"shape {fraction.shape}")
+            n_trees, max_depth, min_leaf, seed, n_features = (int(v) for v in meta)
+            if n_features < 1:
+                raise ValueError(f"{n_features} features")
             cfg = ForestConfig(
-                n_trees=int(n_trees), max_depth=int(max_depth),
-                min_leaf=int(min_leaf),
-                bootstrap_fraction=float(data["bootstrap_fraction"][0]),
-                seed=int(seed))
+                n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
+                bootstrap_fraction=float(fraction[0]), seed=seed)
             trees = tuple(
                 DecisionTree(
                     feature=data[f"t{i}_feature"], threshold=data[f"t{i}_threshold"],
                     left=data[f"t{i}_left"], right=data[f"t{i}_right"],
                     leaf_class=data[f"t{i}_leaf"])
                 for i in range(cfg.n_trees))
-        except KeyError as exc:
+            for tree in trees:
+                _check_tree(tree, n_features)
+        except (KeyError, ValueError, ConfigurationError) as exc:
             raise IntegrityError(f"{filename}: malformed forest file ({exc})") from exc
-    return Forest(trees=trees, config=cfg, n_features=int(n_features))
+    return Forest(trees=trees, config=cfg, n_features=n_features)
 
 
 def write_label_csv(filename, paths: PathSet, beta: float,

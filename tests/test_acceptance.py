@@ -29,11 +29,11 @@ CONTRACT = ehf.ContractSpec(strike=100.0, maturity_steps=30)
 COSTS = (0.02, 0.03, 0.05)
 
 
-def _sweep(train, test, cost, lam=0.5, rf=False, signal=None, arch="dense"):
+def _sweep(train, test, cost, lam=0.5, rf=False, gate=None, arch="dense"):
     sweep = ehf.SweepConfig(alphas=ALPHAS, cost_rate=cost, risk_aversion=lam,
                             mode="fast", seed=7, rf=rf)
     return ehf.sweep_alpha(sweep, train, test, CONTRACT,
-                           ehf.PolicyConfig(arch=arch), TRAIN_CFG, signal=signal)
+                           ehf.PolicyConfig(arch=arch), TRAIN_CFG, gate=gate)
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +52,14 @@ def signal(desk):
 
 
 @pytest.fixture(scope="module")
-def frontiers(desk, signal):
+def frontiers(desk):
     """All frontier sweeps the directional criteria share (9 trainings)."""
     train, test = desk
+    oracle = lambda paths: label_matrix(paths, 0.05)  # realised extremum labels
     f = {}
     for cost in COSTS:
         f[("dense", cost, 0.5)] = _sweep(train, test, cost)
-        f[("rf", cost, 0.5)] = _sweep(train, test, cost, rf=True, signal=signal)
+        f[("rf", cost, 0.5)] = _sweep(train, test, cost, rf=True, gate=oracle)
     f[("gru", 0.02, 0.5)] = _sweep(train, test, 0.02, arch="gru")
     for lam in (0.2, 0.7):
         f[("dense", 0.05, lam)] = _sweep(train, test, 0.05, lam=lam)

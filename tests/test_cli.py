@@ -7,6 +7,7 @@ import pytest
 
 import ehf
 from ehf.cli import (_parse_alpha_grid, _parse_number, load_config, main)
+from ehf.neural_core import load_params, save_params
 
 TINY_INI = """
 [scenario]
@@ -311,6 +312,99 @@ def test_jobs_flag_is_accepted_and_changes_no_artifact(tmp_path, capsys):
     assert "report.csv" in artifacts["1"]
     assert artifacts["1"] == artifacts["2"]
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the forest gate: label fits the forest, train and sweep read it
+# ---------------------------------------------------------------------------
+
+FORECAST_INI = TINY_INI.replace("rf = false", "rf = true").replace(
+    "fit_rows = 1200", "fit_rows = 1200\ngate = forecast")
+
+
+def _ini(tmp_path, text):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    return ini
+
+
+def test_forecast_pipeline_matches_library_run(tmp_path, capsys):
+    ini, out = _ini(tmp_path, FORECAST_INI), tmp_path / "out"
+    for cmd in ("simulate", "label", "train", "sweep"):
+        assert _run(ini, out, cmd) == 0, cmd
+    cfg = load_config(str(ini))
+    paths = ehf.load_pathset(out / "paths.ehfp")
+    train, test = ehf.split_pathset(paths, cfg.n_train, cfg.n_test)
+    signal = ehf.prepare_signal(train, test, cfg.beta, cfg.forest,
+                                fit_rows=cfg.forest_fit_rows)
+    sweep = ehf.SweepConfig(alphas=cfg.alphas, rf=True, cost_rate=0.02,
+                            risk_aversion=0.5, seed=cfg.train.seed)
+    points = ehf.sweep_alpha(
+        sweep, train, test, ehf.ContractSpec(100.0, 30), cfg.policy, cfg.train,
+        gate=lambda p: ehf.gate_labels(p, cfg.beta, "forecast", signal.forest))
+    ehf.write_frontier_csv(tmp_path / "library.csv", points)
+    assert (out / "frontier_dense_rf_c0.02_l0.5.csv").read_bytes() == \
+        (tmp_path / "library.csv").read_bytes()
+    capsys.readouterr()
+
+
+def test_forecast_gate_without_forest_exits_3(tmp_path, capsys):
+    ini, out = _ini(tmp_path, FORECAST_INI), tmp_path / "out"
+    assert _run(ini, out, "simulate") == 0
+    for cmd in ("train", "sweep"):
+        assert _run(ini, out, cmd) == 3, cmd
+        assert "run `ehf label` first" in capsys.readouterr().err
+    assert not (out / "forest.npz").exists()
+
+
+@pytest.mark.parametrize("label_args,stale", [
+    (("--seed", "9"), "forest settings"),
+    ((), "beta")], ids=["other-seed", "other-beta"])
+def test_forecast_gate_with_stale_forest_exits_3(tmp_path, capsys, label_args,
+                                                 stale):
+    """The forest on disk was fit under another forest seed, or another beta
+    than train and sweep now use."""
+    ini, out = _ini(tmp_path, FORECAST_INI), tmp_path / "out"
+    assert _run(ini, out, "simulate") == 0
+    assert _run(ini, out, "label", *label_args) == 0
+    if not label_args:
+        ini.write_text(FORECAST_INI.replace("beta = 0.05", "beta = 0.03"))
+    for cmd in ("train", "sweep"):
+        assert _run(ini, out, cmd) == 3, cmd
+        err = capsys.readouterr().err
+        assert stale in err and "rerun `ehf label`" in err
+
+
+def test_oracle_gate_needs_no_forest(tmp_path, capsys):
+    ini = _ini(tmp_path, TINY_INI.replace("rf = false", "rf = true"))
+    out = tmp_path / "out"
+    for cmd in ("simulate", "train", "sweep"):
+        assert _run(ini, out, cmd) == 0, cmd
+    assert (out / "frontier_dense_rf_c0.02_l0.5.csv").exists()
+    assert not (out / "forest.npz").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fault", ["meta-key", "missing-block", "block-shape",
+                                   "architecture"])
+def test_corrupt_checkpoint_exits_3(tmp_path, capsys, fault):
+    """A fast sweep restores policy_*.ehfm; each fault is exit 3, not a traceback."""
+    ini, out = _ini(tmp_path, TINY_INI), tmp_path / "out"
+    assert _run(ini, out, "simulate") == 0
+    ckpt = out / "policy_dense_c0.02_l0.5.ehfm"
+    ehf.save_policy(ckpt, ehf.DensePolicy.init(ehf.PolicyConfig(hidden=8), seed=0))
+    arch, params, meta = load_params(ckpt)
+    if fault == "meta-key":
+        del meta["hidden"]
+    elif fault == "missing-block":
+        del params["w3"]
+    elif fault == "block-shape":
+        params["w2"] = np.zeros((8, 9))
+    else:
+        arch = "lstm"
+    save_params(ckpt, arch, params, meta)
+    assert _run(ini, out, "sweep") == 3
+    assert str(ckpt) in capsys.readouterr().err
 
 
 def test_gradcheck_passes(capsys):

@@ -160,14 +160,6 @@ def test_frontier_csv_rejects_foreign_header(tmp_path):
         ehf.read_frontier_csv(fn)
 
 
-def test_default_alpha_grid_endpoints():
-    grid = ehf.default_alpha_grid()
-    assert len(grid) == 100
-    assert grid[0] == 0.0
-    assert grid[-1] == pytest.approx(0.2)
-    assert np.all(np.diff(grid) > 0)
-
-
 # ---------------------------------------------------------------------------
 # sweeps on tiny path sets
 # ---------------------------------------------------------------------------
@@ -257,8 +249,9 @@ def test_rf_sweep_uses_signal(tiny_split, contract):
                                 forest_cfg=ehf.ForestConfig(n_trees=5, seed=6),
                                 fit_rows=1000)
     sweep = ehf.SweepConfig(alphas=(0.0, 0.04), rf=True, cost_rate=0.02, seed=5)
-    pts = ehf.sweep_alpha(sweep, train, test, contract, TINY_POLICY,
-                          TINY_TRAIN, signal=signal)
+    pts = ehf.sweep_alpha(
+        sweep, train, test, contract, TINY_POLICY, TINY_TRAIN,
+        gate=lambda p: ehf.gate_labels(p, 0.05, "forecast", signal.forest))
     assert all(p.rf for p in pts)
     # the forest gate can only remove trading days
     plain = ehf.sweep_alpha(ehf.SweepConfig(alphas=(0.0, 0.04), cost_rate=0.02,
@@ -277,8 +270,27 @@ def test_sweep_config_validation():
         ehf.SweepConfig(alphas=(0.0, 1.5))
     with pytest.raises(ConfigurationError):
         ehf.SweepConfig(alphas=(0.0,), mode="lazy")
-    with pytest.raises(ConfigurationError):
-        ehf.SweepConfig(alphas=(0.0,), gate="hunch")
+
+
+def test_rf_sweep_needs_a_gate_and_reads_train_labels_only_to_train(
+        tiny_split, contract):
+    train, test = tiny_split
+    rf = ehf.SweepConfig(alphas=(0.0, 0.04), rf=True, cost_rate=0.02, seed=5)
+    with pytest.raises(ConfigurationError, match="gate"):
+        ehf.sweep_alpha(rf, train, test, contract, TINY_POLICY, TINY_TRAIN)
+    seen = []
+
+    def gate(paths):
+        seen.append(paths.n_paths)
+        return ehf.label_matrix(paths, 0.05)
+
+    ehf.sweep_alpha(rf, train, test, contract, TINY_POLICY, TINY_TRAIN, gate=gate)
+    assert sorted(seen) == [32, 64]
+    seen.clear()
+    policy = DensePolicy.init(TINY_POLICY, seed=1)
+    ehf.sweep_alpha(rf, train, test, contract, TINY_POLICY, TINY_TRAIN, gate=gate,
+                    policy=policy)
+    assert seen == [32]
 
 
 def test_frontier_point_validation():

@@ -52,19 +52,6 @@ def test_episode_out_of_money_zero_hedge_is_free():
     assert res.loss[0] == 0.0
 
 
-def test_termination_loss_matches_matrix_row():
-    rng = np.random.default_rng(8)
-    prices = 100 * np.exp(np.cumsum(rng.normal(0, 0.02, size=(4, 31)), axis=1))
-    prices[:, 0] = 100.0
-    deltas = rng.uniform(0, 1, size=(4, 30))
-    contract = ehf.ContractSpec(100.0, 30)
-    cost = ehf.CostModel(0.02)
-    res = ehf.episode_results(prices, deltas, contract, cost)
-    for i in range(4):
-        assert ehf.termination_loss(prices[i], deltas[i], contract, cost) == \
-            pytest.approx(res.loss[i], abs=1e-12)
-
-
 def test_cost_scales_linearly_in_rate():
     rng = np.random.default_rng(4)
     prices = 100 * np.exp(np.cumsum(rng.normal(0, 0.03, size=(16, 31)), axis=1))
@@ -390,8 +377,7 @@ def test_policy_label_feature_changes_output(gbm_small):
 
 
 def test_bsm_policy_matches_analytics(gbm_small, contract):
-    policy = ehf.make_policy(ehf.PolicyConfig(arch="bsm"), seed=0,
-                             contract=contract, vol=0.2)
+    policy = ehf.BSMPolicy(contract, 0.2, 1.0 / 365.0)
     mask = ehf.compute_trade_mask(gbm_small, 0.02)
     deltas = policy.deltas(gbm_small.prices, mask)
     ref = ehf.bsm_delta_matrix(gbm_small, contract, 0.2, mask=mask)

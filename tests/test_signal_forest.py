@@ -237,32 +237,58 @@ def test_forest_file_rejects_garbage(tmp_path):
         ehf.load_forest(fn)
 
 
+def _corrupt(table, key, edit):
+    arr = table[key].copy()
+    edit(arr)
+    table[key] = arr
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda t: t.update(meta=t["meta"][:4]), "meta shape"),
+    (lambda t: _corrupt(t, "bootstrap_fraction", lambda a: a.fill(1.5)),
+     "bootstrap fraction"),
+    (lambda t: _corrupt(t, "t0_left", lambda a: a.fill(0)), "later node"),
+    (lambda t: _corrupt(t, "t0_right", lambda a: a.fill(10 ** 6)), "later node"),
+    (lambda t: _corrupt(t, "t0_feature", lambda a: a.__setitem__(0, 2)),
+     "feature index"),
+], ids=["meta-length", "invalid-config", "child-loops-back", "child-out-of-range",
+        "feature-out-of-range"])
+def test_load_forest_rejects_corrupt_tables(tmp_path, edit, message):
+    """Each fault is an IntegrityError at load time; a left child pointing back
+    at its parent used to make prediction loop forever."""
+    X = np.random.default_rng(5).normal(size=(400, 2))
+    y = (X[:, 0] > 0.1).astype(np.int8)
+    fn = tmp_path / "forest.npz"
+    ehf.save_forest(fn, ehf.fit_forest(X, y, ehf.ForestConfig(n_trees=3, seed=1)))
+    with np.load(fn) as data:
+        table = dict(data)
+    assert table["t0_feature"][0] >= 0  # the root is a split
+    edit(table)
+    np.savez(fn, **table)
+    with pytest.raises(IntegrityError, match=message):
+        ehf.load_forest(fn)
+
+
 def test_prepare_signal_artifacts(heston_small):
     train = heston_small.take(0, 200)
     test = heston_small.take(200, 256)
     art = ehf.prepare_signal(train, test, beta=0.05,
                              forest_cfg=ehf.ForestConfig(n_trees=5, seed=4),
                              fit_rows=1500)
-    assert art.train_labels.shape == (200, 30)
-    assert art.test_labels.shape == (56, 30)
-    assert set(np.unique(art.train_labels)) <= {0, 1}
+    assert art.forecast_test.shape == (56, 30)
+    assert set(np.unique(art.forecast_test)) <= {0, 1}
     assert art.train_report.accuracy >= 0
     assert "accuracy" in str(art.test_report)
-    # default gate freezes on the realised extrema, not the forecast
-    assert art.gate == "oracle"
-    np.testing.assert_array_equal(art.train_labels,
+    # the oracle gate freezes on the realised extrema, the forecast gate on
+    # the forest's votes
+    np.testing.assert_array_equal(ehf.gate_labels(train, 0.05, "oracle"),
                                   ehf.label_matrix(train, 0.05))
-    np.testing.assert_array_equal(art.test_labels,
-                                  ehf.label_matrix(test, 0.05))
-    fc = ehf.prepare_signal(train, test, beta=0.05,
-                            forest_cfg=ehf.ForestConfig(n_trees=5, seed=4),
-                            fit_rows=1500, gate="forecast")
-    np.testing.assert_array_equal(fc.test_labels, fc.forecast_test)
-    np.testing.assert_array_equal(fc.forecast_test, art.forecast_test)
+    np.testing.assert_array_equal(
+        ehf.gate_labels(test, 0.05, "forecast", art.forest), art.forecast_test)
     with pytest.raises(ConfigurationError):
-        ehf.prepare_signal(train, test, beta=0.05,
-                           forest_cfg=ehf.ForestConfig(n_trees=5, seed=4),
-                           gate="hunch")
+        ehf.gate_labels(test, 0.05, "forecast")
+    with pytest.raises(ConfigurationError):
+        ehf.gate_labels(test, 0.05, "hunch", art.forest)
 
 
 def test_write_label_csv(tmp_path, heston_small):
