@@ -15,6 +15,7 @@ import csv
 import glob
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -95,15 +96,29 @@ class RunConfig:
         if self.mode not in SWEEP_MODES:
             raise ConfigurationError(f"unknown sweep mode {self.mode!r}")
         check_alpha_grid(self.alphas)
+        if not any(self.alpha_lo <= a <= self.alpha_hi for a in self.alphas):
+            raise ConfigurationError(f"no alpha of the grid lies in the report "
+                                     f"window [{self.alpha_lo}, {self.alpha_hi}]")
+        if not (self.cost_rates and self.risk_aversions):
+            raise ConfigurationError("cost_rates and risk_aversions must be non-empty")
+        for rate in self.cost_rates:
+            CostModel(rate)
+        for lam in self.risk_aversions:
+            RiskConfig(lam)
+        if not (self.beta >= 0 and self.forest_fit_rows >= 0
+                and (self.bsm_vol is None or self.bsm_vol >= 0)):
+            raise ConfigurationError("beta, fit_rows and bsm_vol must be >= 0")
+        _contract(self)      # strike and maturity
+        _sim_config(self)    # n_paths, seed, s0 and dt
 
 
 def _parse_number(text: str) -> float:
-    """Plain float, or an a/b fraction so configs can say dt = 1/365."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return float(num) / float(den)
-    return float(text)
+    """Finite float, or an a/b fraction so configs can say dt = 1/365."""
+    num, slash, den = text.partition("/")
+    value = float(num) / float(den) if slash else float(num)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -121,20 +136,47 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
     return _parse_float_list(text)
 
 
+def _parse_bool(text: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+# [section] key -> (target, parser). A target is a RunConfig field, or
+# "group.field" for a field of the nested config RunConfig keeps as `group`.
 _CONFIG_GRAMMAR = {
-    "scenario": {"name", "v0", "theta", "kappa", "mu", "sigma_v", "rho",
-                 "gbm_mu", "gbm_sigma", "bsm_vol"},
-    "simulation": {"n_paths", "n_train", "n_test", "s0", "dt", "seed"},
-    "contract": {"strike", "maturity_steps"},
-    "labels": {"beta", "n_trees", "max_depth", "min_leaf",
-               "bootstrap_fraction", "seed", "fit_rows", "gate"},
-    "policy": {"arch", "hidden", "gru_hidden", "gru_layers", "window",
-               "use_change", "use_label"},
-    "training": {"epochs", "batch_size", "lr", "val_fraction", "seed"},
-    "sweep": {"alphas", "cost_rates", "risk_aversions", "rf", "mode",
-              "alpha_lo", "alpha_hi"},
-    "output": {"dir"},
+    "scenario": {"name": ("scenario", str), "bsm_vol": ("bsm_vol", _parse_number),
+                 "gbm_mu": ("gbm.mu", _parse_number),
+                 "gbm_sigma": ("gbm.sigma", _parse_number),
+                 **{k: (f"heston.{k}", _parse_number)
+                    for k in ("v0", "theta", "kappa", "mu", "sigma_v", "rho")}},
+    "simulation": {"n_paths": ("n_paths", int), "n_train": ("n_train", int),
+                   "n_test": ("n_test", int), "s0": ("s0", _parse_number),
+                   "dt": ("dt", _parse_number), "seed": ("sim_seed", int)},
+    "contract": {"strike": ("strike", _parse_number),
+                 "maturity_steps": ("maturity_steps", int)},
+    "labels": {"beta": ("beta", _parse_number), "gate": ("gate", str),
+               "fit_rows": ("forest_fit_rows", int),
+               "bootstrap_fraction": ("forest.bootstrap_fraction", _parse_number),
+               **{k: (f"forest.{k}", int)
+                  for k in ("n_trees", "max_depth", "min_leaf", "seed")}},
+    "policy": {"arch": ("policy.arch", str),
+               **{k: (f"policy.{k}", int)
+                  for k in ("hidden", "gru_hidden", "gru_layers", "window")},
+               **{k: (f"policy.{k}", _parse_bool)
+                  for k in ("use_change", "use_label")}},
+    "training": {**{k: (f"train.{k}", int) for k in ("epochs", "batch_size", "seed")},
+                 **{k: (f"train.{k}", _parse_number) for k in ("lr", "val_fraction")}},
+    "sweep": {"alphas": ("alphas", _parse_alpha_grid), "rf": ("rf", _parse_bool),
+              "cost_rates": ("cost_rates", _parse_float_list),
+              "risk_aversions": ("risk_aversions", _parse_float_list),
+              "mode": ("mode", str), "alpha_lo": ("alpha_lo", _parse_number),
+              "alpha_hi": ("alpha_hi", _parse_number)},
+    "output": {"dir": ("out_dir", str)},
 }
+
+_GBM_DEFAULT = GBMParams(mu=0.0, sigma=0.2)
+# group of [scenario] keys -> (the scenario that reads them, their defaults)
+_SCENARIO_GROUPS = {"heston": ("custom", market_sim.HIGH_VOL),
+                    "gbm": ("gbm", _GBM_DEFAULT)}
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -142,102 +184,45 @@ def load_config(path: str | None) -> RunConfig:
         return RunConfig()
     if not os.path.exists(path):
         raise ResolutionError(f"config file not found: {path}")
-    ini = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # values are literal, and [DEFAULT] is an ordinary (hence unknown) section
+    ini = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                    interpolation=None, default_section="")
     try:
-        ini.read(path)
-    except configparser.Error as exc:
+        with open(path, encoding="utf-8") as fh:
+            ini.read_file(fh)
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
     # reject anything the grammar does not define: a silently ignored key is
     # far worse than a hard error in an experiment config
+    groups: dict[str, dict] = {}   # "" holds RunConfig's own fields
     for section in ini.sections():
         if section not in _CONFIG_GRAMMAR:
             raise ConfigurationError(f"{path}: unknown section [{section}]")
-        for option in ini.options(section):
-            if option not in _CONFIG_GRAMMAR[section]:
+        for key, raw in ini.items(section):
+            if key not in _CONFIG_GRAMMAR[section]:
                 raise ConfigurationError(
-                    f"{path}: unknown key {option!r} in section [{section}]")
+                    f"{path}: unknown key {key!r} in section [{section}]")
+            target, parse = _CONFIG_GRAMMAR[section][key]
+            group, _, field = target.rpartition(".")
+            try:
+                groups.setdefault(group, {})[field] = parse(raw)
+            except (ValueError, KeyError, ZeroDivisionError) as exc:
+                raise ConfigurationError(
+                    f"{path}: bad value for [{section}] {key} ({exc})") from exc
 
-    def get(section, option, fallback):
-        if ini.has_option(section, option):
-            return ini.get(section, option)
-        return fallback
-
-    def getnum(section, option, fallback):
-        raw = get(section, option, None)
-        return fallback if raw is None else _parse_number(raw)
-
-    def getint(section, option, fallback):
-        raw = get(section, option, None)
-        return fallback if raw is None else int(raw)
-
-    def getbool(section, option, fallback):
-        if ini.has_option(section, option):
-            return ini.getboolean(section, option)
-        return fallback
-
-    d = RunConfig()  # defaults
-    try:
-        scenario = get("scenario", "name", d.scenario)
-        heston = None
-        if scenario == "custom":
-            heston = HestonParams(
-                v0=getnum("scenario", "v0", 0.8), theta=getnum("scenario", "theta", 0.8),
-                kappa=getnum("scenario", "kappa", 1.0), mu=getnum("scenario", "mu", 0.01),
-                sigma_v=getnum("scenario", "sigma_v", 4.0),
-                rho=getnum("scenario", "rho", -0.7))
-        gbm = GBMParams(mu=getnum("scenario", "gbm_mu", 0.0),
-                        sigma=getnum("scenario", "gbm_sigma", 0.2)) \
-            if scenario == "gbm" else None
-        bsm_vol = getnum("scenario", "bsm_vol", None) \
-            if ini.has_option("scenario", "bsm_vol") else None
-        forest = ForestConfig(
-            n_trees=getint("labels", "n_trees", d.forest.n_trees),
-            max_depth=getint("labels", "max_depth", d.forest.max_depth),
-            min_leaf=getint("labels", "min_leaf", d.forest.min_leaf),
-            bootstrap_fraction=getnum("labels", "bootstrap_fraction",
-                                      d.forest.bootstrap_fraction),
-            seed=getint("labels", "seed", d.forest.seed))
-        policy = PolicyConfig(
-            arch=get("policy", "arch", d.policy.arch),
-            hidden=getint("policy", "hidden", d.policy.hidden),
-            gru_hidden=getint("policy", "gru_hidden", d.policy.gru_hidden),
-            gru_layers=getint("policy", "gru_layers", d.policy.gru_layers),
-            window=getint("policy", "window", d.policy.window),
-            use_change=getbool("policy", "use_change", d.policy.use_change),
-            use_label=getbool("policy", "use_label", d.policy.use_label))
-        train = TrainConfig(
-            epochs=getint("training", "epochs", d.train.epochs),
-            batch_size=getint("training", "batch_size", d.train.batch_size),
-            lr=getnum("training", "lr", d.train.lr),
-            val_fraction=getnum("training", "val_fraction", d.train.val_fraction),
-            seed=getint("training", "seed", d.train.seed))
-        alphas = _parse_alpha_grid(get("sweep", "alphas", "")) \
-            if ini.has_option("sweep", "alphas") else d.alphas
-        return RunConfig(
-            scenario=scenario, heston=heston, gbm=gbm, bsm_vol=bsm_vol,
-            strike=getnum("contract", "strike", d.strike),
-            maturity_steps=getint("contract", "maturity_steps", d.maturity_steps),
-            n_paths=getint("simulation", "n_paths", d.n_paths),
-            n_train=getint("simulation", "n_train", d.n_train),
-            n_test=getint("simulation", "n_test", d.n_test),
-            s0=getnum("simulation", "s0", d.s0),
-            dt=getnum("simulation", "dt", d.dt),
-            sim_seed=getint("simulation", "seed", d.sim_seed),
-            beta=getnum("labels", "beta", d.beta),
-            forest=forest,
-            forest_fit_rows=getint("labels", "fit_rows", d.forest_fit_rows),
-            gate=get("labels", "gate", d.gate),
-            policy=policy, train=train, alphas=alphas,
-            cost_rates=_parse_float_list(get("sweep", "cost_rates", "0.05")),
-            risk_aversions=_parse_float_list(get("sweep", "risk_aversions", "0.5")),
-            rf=getbool("sweep", "rf", d.rf),
-            mode=get("sweep", "mode", d.mode),
-            alpha_lo=getnum("sweep", "alpha_lo", d.alpha_lo),
-            alpha_hi=getnum("sweep", "alpha_hi", d.alpha_hi),
-            out_dir=get("output", "dir", d.out_dir))
-    except (ValueError, KeyError) as exc:
-        raise ConfigurationError(f"{path}: bad value ({exc})") from exc
+    d = RunConfig()
+    fields = groups.pop("", {})
+    name = fields.get("scenario", d.scenario)
+    defaults = {"forest": d.forest, "policy": d.policy, "train": d.train}
+    for group, (scenario, default) in _SCENARIO_GROUPS.items():
+        if name == scenario:
+            defaults[group] = default
+        elif group in groups:
+            raise ConfigurationError(f"{path}: {group} keys in [scenario] are "
+                                     f"read only under name = {scenario}")
+    return replace(d, **fields, **{group: replace(default, **groups.get(group, {}))
+                                   for group, default in defaults.items()})
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -259,12 +244,13 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 def _scenario(cfg: RunConfig):
     """(simulator parameters, simulate(params, sim_config), baseline volatility)."""
     if cfg.scenario == "gbm":
-        params = cfg.gbm or GBMParams(mu=0.0, sigma=0.2)
-        return params, market_sim.simulate_gbm, params.sigma
-    params = {"low_vol": market_sim.LOW_VOL, "high_vol": market_sim.HIGH_VOL,
-              "custom": cfg.heston}[cfg.scenario]
-    vol = cfg.bsm_vol if cfg.bsm_vol is not None else float(np.sqrt(params.theta))
-    return params, market_sim.simulate_heston, vol
+        params = cfg.gbm or _GBM_DEFAULT
+        simulate, vol = market_sim.simulate_gbm, params.sigma
+    else:
+        params = {"low_vol": market_sim.LOW_VOL, "high_vol": market_sim.HIGH_VOL,
+                  "custom": cfg.heston}[cfg.scenario]
+        simulate, vol = market_sim.simulate_heston, float(np.sqrt(params.theta))
+    return params, simulate, vol if cfg.bsm_vol is None else cfg.bsm_vol
 
 
 def _sha256(filename) -> str:
@@ -314,6 +300,11 @@ def _load_paths(cfg: RunConfig) -> PathSet:
 
 def _contract(cfg: RunConfig) -> ContractSpec:
     return ContractSpec(strike=cfg.strike, maturity_steps=cfg.maturity_steps)
+
+
+def _sim_config(cfg: RunConfig) -> SimConfig:
+    return SimConfig(n_paths=cfg.n_paths, seed=cfg.sim_seed, s0=cfg.s0,
+                     n_steps=cfg.maturity_steps, dt=cfg.dt)
 
 
 def _forest_inputs(cfg: RunConfig) -> dict:
@@ -367,9 +358,7 @@ def cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     os.makedirs(cfg.out_dir, exist_ok=True)
     params, simulate, _ = _scenario(cfg)
-    sim = SimConfig(n_paths=cfg.n_paths, seed=cfg.sim_seed, s0=cfg.s0,
-                    n_steps=cfg.maturity_steps, dt=cfg.dt)
-    paths = simulate(params, sim)
+    paths = simulate(params, _sim_config(cfg))
     filename = _paths_file(cfg)
     save_pathset(paths, filename)
     manifest = {
@@ -459,6 +448,10 @@ def cmd_sweep(args) -> int:
             checkpoint = _checkpoint_name(cfg, cost_rate, lam)
             if cfg.mode == "fast" and os.path.exists(checkpoint):
                 policy = load_policy(checkpoint)
+                if policy.config != cfg.policy:
+                    raise IntegrityError(
+                        f"{checkpoint} was trained with other [policy] settings "
+                        f"({policy.config}) — rerun `ehf train`")
             points = sweep_alpha(sweep, train_paths, test_paths, contract,
                                  cfg.policy, cfg.train, gate=gate, policy=policy)
             out = _frontier_name(cfg.out_dir, cfg.policy.arch, cfg.rf,

@@ -16,6 +16,7 @@ format.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -383,13 +384,16 @@ def load_params(filename) -> tuple[str, dict[str, np.ndarray], dict]:
             offset += 1
             shape = struct.unpack_from(f"<{ndim}Q", raw, offset)
             offset += 8 * ndim
-            n_vals = int(np.prod(shape)) if ndim else 1
+            n_vals = math.prod(shape)
+            if 8 * n_vals > len(raw) - offset:
+                raise IntegrityError(f"{filename}: block {name!r} runs past the end")
             arr = np.frombuffer(raw, dtype="<f8", count=n_vals, offset=offset).reshape(shape)
             offset += 8 * n_vals
             params[name] = arr.copy()
     except (struct.error, ValueError) as exc:
-        # struct.error: header cut short; ValueError: frombuffer past the end
-        # or mangled meta JSON (JSONDecodeError subclasses ValueError)
+        # struct.error: header cut short; ValueError: an undecodable name,
+        # mangled meta JSON (JSONDecodeError subclasses ValueError) or a
+        # shape numpy cannot make
         raise IntegrityError(f"{filename}: truncated checkpoint ({exc})") from exc
     return arch, params, meta
 

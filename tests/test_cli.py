@@ -1,13 +1,19 @@
 """End-to-end command-line pipeline on a miniature configuration."""
 
 import json
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ehf
-from ehf.cli import (_parse_alpha_grid, _parse_number, load_config, main)
+from ehf.cli import (RunConfig, _parse_alpha_grid, _parse_number, _scenario,
+                     load_config, main)
 from ehf.neural_core import load_params, save_params
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY_INI = """
 [scenario]
@@ -73,6 +79,9 @@ def test_parse_number_fractions():
     assert _parse_number("1/365") == pytest.approx(1 / 365)
     assert _parse_number("0.05") == 0.05
     assert _parse_number("2") == 2.0
+    for text in ("1/0", "0/0", "nan", "inf", "-inf/2"):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            _parse_number(text)
 
 
 def test_parse_alpha_grid_forms():
@@ -99,6 +108,95 @@ def test_load_config_reads_sections(workdir):
     assert cfg.cost_rates == (0.02,)
 
 
+DESK = RunConfig(
+    scenario="high_vol", heston=None, gbm=None, bsm_vol=None, strike=100.0,
+    maturity_steps=30, n_paths=25000, n_train=20000, n_test=5000, s0=100.0,
+    dt=1 / 365, sim_seed=12345, beta=0.05,
+    forest=ehf.ForestConfig(n_trees=50, max_depth=12, min_leaf=5,
+                            bootstrap_fraction=1.0, seed=7),
+    forest_fit_rows=15000, gate="oracle",
+    policy=ehf.PolicyConfig(arch="dense", hidden=32, gru_hidden=10, gru_layers=2,
+                            window=3, use_change=True, use_label=False),
+    train=ehf.TrainConfig(epochs=12, batch_size=256, lr=0.001, val_fraction=0.1,
+                          seed=7),
+    alphas=tuple(np.linspace(0.0, 0.2, 21)), cost_rates=(0.02, 0.03, 0.05),
+    risk_aversions=(0.5,), rf=False, mode="fast", alpha_lo=0.0, alpha_hi=0.1,
+    out_dir="out")
+
+
+def test_presets_load_to_their_run_configs():
+    assert load_config(str(ROOT / "configs" / "desk.ini")) == DESK
+    assert load_config(str(ROOT / "configs" / "default.ini")) == replace(
+        DESK, n_paths=120000, n_train=100000, n_test=20000,
+        alphas=tuple(np.linspace(0.0, 0.2, 100)), mode="retrain")
+
+
+def test_readme_grammar_block_loads(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Config grammar.*?```ini\n(.*?)```", readme, re.S)
+    ini = tmp_path / "readme.ini"
+    ini.write_text(block.group(1))
+    assert load_config(str(ini)) == DESK
+
+
+def test_custom_scenario_fills_unset_heston_keys_from_high_vol(tmp_path):
+    ini = tmp_path / "custom.ini"
+    ini.write_text("[scenario]\nname = custom\nv0 = 0.3\nkappa = 2\nrho = -0.5\n")
+    cfg = load_config(str(ini))
+    assert cfg.heston == replace(ehf.HIGH_VOL, v0=0.3, kappa=2.0, rho=-0.5)
+    assert cfg.gbm is None
+    assert _scenario(cfg)[2] == pytest.approx(np.sqrt(ehf.HIGH_VOL.theta))
+
+
+def test_gbm_scenario_reads_its_keys_and_bsm_vol(tmp_path):
+    ini = tmp_path / "gbm.ini"
+    ini.write_text("[scenario]\nname = gbm\ngbm_mu = 0.05\ngbm_sigma = 0.3\n")
+    cfg = load_config(str(ini))
+    assert cfg.gbm == ehf.GBMParams(mu=0.05, sigma=0.3) and cfg.heston is None
+    assert _scenario(cfg)[0] == cfg.gbm and _scenario(cfg)[2] == 0.3
+    ini.write_text("[scenario]\nname = gbm\nbsm_vol = 0.5\n")
+    cfg = load_config(str(ini))
+    assert cfg.gbm == ehf.GBMParams(mu=0.0, sigma=0.2)
+    assert _scenario(cfg)[2] == 0.5
+
+
+@pytest.mark.parametrize("name,key,owner", [
+    ("high_vol", "v0 = 0.1", "custom"), ("gbm", "theta = 0.4", "custom"),
+    ("custom", "gbm_sigma = 0.3", "gbm"), ("low_vol", "gbm_mu = 0.1", "gbm")])
+def test_scenario_keys_of_another_scenario_exit_2(tmp_path, capsys, name, key,
+                                                  owner):
+    ini = tmp_path / "scenario.ini"
+    ini.write_text(f"[scenario]\nname = {name}\n{key}\n")
+    code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"read only under name = {owner}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("old,new", [
+    ("seed = 31415", "seed = 31415\ndt = 1/0"),
+    ("seed = 31415", "seed = 31415\ndt = nan"),
+    ("seed = 31415", "seed = 31415\ns0 = nan"),
+    ("fit_rows = 1200", "fit_rows = -5"),
+    ("cost_rates = 0.02", "cost_rates ="),
+    ("strike = 100", "strike = -5"),
+    ("beta = 0.05", "beta = -1"),
+    ("risk_aversions = 0.5", "risk_aversions = 0"),
+    ("alpha_lo = 0", "alpha_lo = 0.5"),
+    ("name = high_vol", "name = high_vol\nbsm_vol = -0.1")],
+    ids=["dt-zero-denominator", "dt-nan", "s0-nan", "fit-rows", "no-cost-rates",
+         "strike", "beta", "risk-aversion", "empty-window", "bsm-vol"])
+def test_bad_config_exits_2_before_simulating(tmp_path, capsys, old, new):
+    """Each value used to pass load, then failed at a later command, in a
+    traceback, or not at all."""
+    ini = tmp_path / "bad.ini"
+    ini.write_text(TINY_INI.replace(old, new))
+    code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_scenario_exits_2(tmp_path, capsys):
     ini = tmp_path / "bad.ini"
     ini.write_text("[scenario]\nname = volatile\n")
@@ -113,6 +211,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_default_section_is_an_unknown_section(tmp_path, capsys):
+    """configparser would hand [DEFAULT]'s keys to every other section."""
+    ini = tmp_path / "default.ini"
+    ini.write_text("[DEFAULT]\nseed = 3\n")
+    code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "unknown section [DEFAULT]" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_3(tmp_path):
@@ -405,6 +512,16 @@ def test_corrupt_checkpoint_exits_3(tmp_path, capsys, fault):
     save_params(ckpt, arch, params, meta)
     assert _run(ini, out, "sweep") == 3
     assert str(ckpt) in capsys.readouterr().err
+
+
+def test_fast_sweep_refuses_a_checkpoint_of_other_policy_settings(tmp_path, capsys):
+    ini, out = _ini(tmp_path, TINY_INI), tmp_path / "out"
+    for cmd in ("simulate", "train"):
+        assert _run(ini, out, cmd) == 0, cmd
+    ini.write_text(TINY_INI.replace("hidden = 8", "hidden = 16\nuse_change = false"))
+    assert _run(ini, out, "sweep") == 3
+    assert "rerun `ehf train`" in capsys.readouterr().err
+    assert not (out / "frontier_dense_c0.02_l0.5.csv").exists()
 
 
 def test_gradcheck_passes(capsys):

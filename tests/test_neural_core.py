@@ -1,5 +1,7 @@
 """The logistic function, the reverse-mode tape, Adam, and checkpoint I/O."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -323,6 +325,10 @@ def test_params_file_rejects_corruption(tmp_path):
     save_params(fn, "gru", {"w": np.ones((2, 2))}, {})
     good = fn.read_bytes()
     fn.write_bytes(good[:-8])
+    with pytest.raises(IntegrityError):
+        load_params(fn)
+    # a first dimension of 2**63 (the shape's 16 bytes precede the 32 data bytes)
+    fn.write_bytes(good[:-48] + struct.pack("<Q", 2 ** 63) + good[-40:])
     with pytest.raises(IntegrityError):
         load_params(fn)
 
