@@ -108,6 +108,8 @@ class RunConfig:
         if not (self.beta >= 0 and self.forest_fit_rows >= 0
                 and (self.bsm_vol is None or self.bsm_vol >= 0)):
             raise ConfigurationError("beta, fit_rows and bsm_vol must be >= 0")
+        if not self.out_dir:
+            raise ConfigurationError("the output dir must not be empty")
         _contract(self)      # strike and maturity
         _sim_config(self)    # n_paths, seed, s0 and dt
 
@@ -501,8 +503,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .hedging_engine import (DensePolicy, GRUPolicy, episode_loss_node,
-                                 tape_entropy_risk)
+    from .hedging_engine import episode_loss_node, make_policy, tape_entropy_risk
     from .neural_core import Tape, grad_check
 
     failures = []
@@ -514,8 +515,9 @@ def cmd_gradcheck(args) -> int:
 
     def lin_quad(params):
         tape = Tape()
-        out = tape.squeeze_col(tape.matmul(tape.const(x), tape.param("w", params["w"])))
-        loss = tape.mul_const(tape.sum(tape.mul(out, out)), 0.5)
+        w = tape.param("w", params["w"])
+        out = x @ w.value.T
+        loss = tape.record(0.5 * float(np.sum(out * out)), (w,), lambda g: (g * out.T @ x,))
         return loss.value, tape.backward(loss)
 
     report = grad_check(lin_quad, w0)
@@ -532,7 +534,7 @@ def cmd_gradcheck(args) -> int:
 
     for arch, tol in (("dense", 1e-5), ("gru", 1e-4)):
         pol_cfg = PolicyConfig(arch=arch, hidden=6)
-        policy = (DensePolicy if arch == "dense" else GRUPolicy).init(pol_cfg, seed=7)
+        policy = make_policy(pol_cfg, seed=7)
         # Check at a generic parameter point: with zero biases the day-0
         # feature vector (all zeros) puts relu pre-activations exactly on the
         # kink, where central differences disagree with the subgradient.

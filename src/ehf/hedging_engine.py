@@ -15,6 +15,7 @@ classifier's skip labels; on gated-off days delta is frozen.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -71,10 +72,11 @@ class PolicyConfig:
     def __post_init__(self):
         if self.arch not in _ARCHS:
             raise ConfigurationError(f"unknown policy architecture {self.arch!r}")
-        if self.hidden < 1 or self.gru_hidden < 1 or self.gru_layers < 1:
-            raise ConfigurationError("network sizes must be >= 1")
-        if self.window < 1:
-            raise ConfigurationError(f"window length must be >= 1, got {self.window}")
+        sizes = (self.hidden, self.gru_hidden, self.gru_layers, self.window)
+        if any(type(size) is not int or size < 1 for size in sizes):
+            raise ConfigurationError(
+                f"hidden, gru_hidden, gru_layers and window must be integers >= 1, "
+                f"got {sizes}")
 
     @property
     def n_features(self) -> int:
@@ -214,38 +216,24 @@ def entropy_risk(losses: np.ndarray, risk: RiskConfig) -> float:
 
 
 def tape_entropy_risk(tape: Tape, loss_node: nc.Node, risk_aversion: float) -> nc.Node:
-    """Entropic risk as a recorded scalar node (same max-shift as entropy_risk)."""
-    a = tape.mul_const(loss_node, -risk_aversion)
-    m = float(np.max(a.value))
-    shifted = tape.add_const(a, -m)
-    log_mean = tape.log(tape.mean(tape.exp(shifted)))
-    return tape.mul_const(tape.add_const(log_mean, m), 1.0 / risk_aversion)
+    """Entropic risk as one recorded scalar node (same max-shift as entropy_risk).
+
+    With a = -lambda L and e = exp(a - max a), d rho / d L = -e / sum(e).
+    Value and gradient repeat the operations of an op-by-op recording in the
+    same order (a + -m, not a - m), so they match it bit for bit.
+    """
+    inv = 1.0 / risk_aversion
+    a = loss_node.value * -risk_aversion
+    m = float(np.max(a))
+    e = np.exp(a + -m)
+    mean = float(np.mean(e))
+    return tape.record((np.log(mean) + m) * inv, (loss_node,), lambda g: (
+        np.full_like(e, g * inv / mean / e.size) * e * -risk_aversion,))
 
 
 # ---------------------------------------------------------------------------
 # delta policies
 # ---------------------------------------------------------------------------
-
-def _require_labels(cfg: PolicyConfig, labels, n: int, n_steps: int) -> np.ndarray:
-    if not cfg.use_label:
-        return np.ones((n, n_steps))
-    if labels is None:
-        raise ConfigurationError("policy expects a label feature but none was given")
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.shape != (n, n_steps):
-        raise ShapeError(f"labels shape {labels.shape} != {(n, n_steps)}")
-    return labels
-
-
-def _feature_arrays(cfg: PolicyConfig, s0: float, prices: np.ndarray, labels) -> tuple:
-    """(log(S_t/S0), one-day relative change, labels) for every price column."""
-    n, width = prices.shape
-    logp = np.log(prices / s0)
-    change = np.zeros_like(prices)
-    change[:, 1:] = _daily_moves(prices)
-    lab = _require_labels(cfg, labels, n, width - 1)
-    return logp, change, lab
-
 
 class BSMPolicy:
     """Closed-form delta policy; not trainable. Rebalances only on masked days."""
@@ -262,14 +250,158 @@ class BSMPolicy:
         return bsm_delta_matrix(prices, self.contract, self.vol, self.dt, mask=mask)
 
 
-class DensePolicy:
-    """Two-hidden-layer feedforward delta generator with sigmoid output in [0,1].
+_DENSE = ("w1", "b1", "w2", "b2", "w3", "b3")
+_GATES = ("wz", "bz", "wr", "br", "wh", "bh")
 
-    Per-day features: log(S_t/S0), t/T, previous delta, and optionally the
-    one-day relative change and the classifier label.
+
+def param_shapes(config: PolicyConfig):
+    """Yield (name, shape) of every parameter block, in initialisation order.
+
+    Dense: a two-hidden-layer net. GRU: the stacked cells' z, r and candidate
+    gates, a sigmoid head, then the dense net prefixed fb_ for the first
+    window-1 days.
     """
+    if config.arch == "bsm":
+        raise ConfigurationError("the closed-form policy has no trainable parameters")
+    h, prefix = config.gru_hidden, ""
+    if config.arch == "gru":
+        for layer in range(1, config.gru_layers + 1):
+            for gate in "zrh":
+                yield f"l{layer}_w{gate}", (h, (config.window if layer == 1 else h) + h)
+                yield f"l{layer}_b{gate}", (h,)
+        yield from (("head_w", (1, h)), ("head_b", (1,)))
+        prefix = "fb_"
+    fb, nf = config.hidden, config.n_features
+    yield from zip((prefix + k for k in _DENSE),
+                   ((fb, nf), (fb,), (fb, fb), (fb,), (1, fb), (1,)))
 
-    arch = "dense"
+
+def _dense_inputs(cfg: PolicyConfig, s0: float, prices: np.ndarray, mask: np.ndarray,
+                  labels, n_days: int) -> tuple[np.ndarray, np.ndarray]:
+    """log(S_t/S0) for every price column, and the dense net's features of
+    each day t < n_days as xs[t] [n, n_features]: log(S_t/S0), t/T, the
+    previous delta (column 2, the rollout's to fill in), and optionally the
+    one-day relative change and the classifier label."""
+    n, n_steps = check_mask(mask, prices.shape[0], prices.shape[1] - 1).shape
+    logp = np.log(prices / s0)
+    xs = np.empty((n_days, n, cfg.n_features))
+    xs[:, :, 0] = logp[:, :n_days].T
+    xs[:, :, 1] = (np.arange(n_days) / n_steps)[:, None]
+    if cfg.use_change:
+        xs[1:, :, 3] = _daily_moves(prices[:, :n_days]).T
+        xs[:1, :, 3] = 0.0
+    if cfg.use_label:
+        if labels is None:
+            raise ConfigurationError("policy expects a label feature but none was given")
+        labels = np.asarray(labels, dtype=np.float64)
+        if labels.shape != (n, n_steps):
+            raise ShapeError(f"labels shape {labels.shape} != {(n, n_steps)}")
+        xs[:, :, -1] = labels[:, :n_days].T
+    return logp, xs
+
+
+def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
+                    mask: np.ndarray, cache: dict | None) -> np.ndarray:
+    """Deltas [n, n_steps] of the masked carry prev <- where(mask[:, t], sig[t], prev).
+
+    Days t < len(xs) run the dense net (blocks prefix + w1 ... b3) on xs[t]
+    with the previous delta filled in, and write its output to sig[t]; the
+    later rows of sig [n_steps, n] arrive filled. A cache receives sig and
+    each dense day's (x, h1, h2) for _masked_adjoint.
+    """
+    w1, b1, w2, b2, w3, b3 = (p[prefix + k] for k in _DENSE)
+    n, n_steps = mask.shape
+    days = []
+    prev = np.zeros(n)
+    out = np.empty((n, n_steps))
+    for t in range(n_steps):
+        if t < len(xs):
+            x = xs[t]
+            x[:, 2] = prev
+            h1 = np.maximum(x @ w1.T + b1, 0.0)
+            h2 = np.maximum(h1 @ w2.T + b2, 0.0)
+            sig[t] = nc.sigmoid(h2 @ w3.T + b3)[:, 0]
+            if cache is not None:
+                days.append((x, h1, h2))
+        prev = np.where(mask[:, t], sig[t], prev)
+        out[:, t] = prev
+    if cache is not None:
+        cache.update(sig=sig, dense=days)
+    return out
+
+
+def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
+                    cache: dict) -> tuple[np.ndarray, dict]:
+    """Reverse walk of _masked_rollout over the days for upstream gradient g.
+
+    The masked where splits each day's gradient: trade days send it into the
+    sigmoid, frozen days on to the carried previous delta. On dense days the
+    net's gradient at its prev-delta input (column 2 of w1) joins the carry.
+    Returns the gradient at every day's sigmoid input [n_steps, n], whose
+    later days feed their own adjoint, and the dense blocks' gradients.
+    """
+    w1_prev, w2, w3 = p[prefix + "w1"][:, 2], p[prefix + "w2"], p[prefix + "w3"][0]
+    sig, days = cache["sig"], cache["dense"]
+    ga3 = sig * (1.0 - sig) * mask.T  # sigmoid slope, zero on frozen days
+    frozen = ~mask
+    gw1, gw2, gw3 = (np.zeros_like(p[prefix + k]) for k in ("w1", "w2", "w3"))
+    gpre1, gpre2 = np.zeros((2, len(g), len(w2)))
+    carry = np.zeros(len(g))
+    for t in reversed(range(mask.shape[1])):
+        day = g[:, t] + carry
+        ga3[t] *= day
+        carry = day * frozen[:, t]
+        if t < len(days):
+            x, h1, h2 = days[t]
+            ga2 = np.multiply.outer(ga3[t], w3) * (h2 > 0)
+            ga1 = (ga2 @ w2) * (h1 > 0)
+            carry = carry + ga1 @ w1_prev
+            gw1 += ga1.T @ x
+            gw2 += ga2.T @ h1
+            gw3 += ga3[t] @ h2
+            gpre1 += ga1
+            gpre2 += ga2
+    blocks = (gw1, gpre1.sum(axis=0), gw2, gpre2.sum(axis=0), gw3,
+              ga3[:len(days)].sum().reshape(1))
+    return ga3, dict(zip((prefix + k for k in _DENSE), blocks))
+
+
+def _gru_cell(x, h, wz, bz, wr, br, wh, bh):
+    """One GRU step (Cho et al. 2014) on a batch: x [n, in], h [n, hidden].
+
+    Returns h' = (1 - z) h + z tanh([x, r h] wh' + bh), with z, r the sigmoid
+    gates of [x, h], and what _gru_cell_adjoint reads.
+    """
+    xh = np.concatenate([x, h], axis=1)
+    z = nc.sigmoid(xh @ wz.T + bz)
+    r = nc.sigmoid(xh @ wr.T + br)
+    xrh = np.concatenate([x, r * h], axis=1)
+    cand = np.tanh(xrh @ wh.T + bh)
+    return (1.0 - z) * h + z * cand, (xh, z, r, xrh, cand)
+
+
+def _gru_cell_adjoint(dh_new, saved, wz, wr, wh):
+    """Gradients of one _gru_cell step at dh_new = d/dh': (d/dx, d/dh, and
+    the gate blocks in _GATES order)."""
+    xh, z, r, xrh, cand = saved
+    nx = xh.shape[1] - z.shape[1]
+    h = xh[:, nx:]
+    gz = dh_new * (cand - h) * z * (1.0 - z)
+    gc = dh_new * z * (1.0 - cand * cand)
+    dxrh = gc @ wh
+    grh = dxrh[:, nx:]
+    gr = grh * h * r * (1.0 - r)
+    dxh = gz @ wz + gr @ wr
+    dh = dh_new * (1.0 - z) + grh * r + dxh[:, nx:]
+    blocks = (gz.T @ xh, gz.sum(axis=0), gr.T @ xh, gr.sum(axis=0),
+              gc.T @ xrh, gc.sum(axis=0))
+    return dxh[:, :nx] + dxrh[:, :nx], dh, blocks
+
+
+class _NeuralPolicy:
+    """A trainable policy: config, parameter blocks and S0. A subclass gives
+    _forward(prices, mask, labels, cache=None), the deltas (filling a given
+    cache dict), and _adjoint(g, mask, params, cache), the blocks' gradients."""
 
     def __init__(self, config: PolicyConfig, params: dict[str, np.ndarray],
                  s0: float = 100.0):
@@ -278,89 +410,50 @@ class DensePolicy:
         self.s0 = float(s0)
 
     @classmethod
-    def init(cls, config: PolicyConfig, seed: int, s0: float = 100.0) -> "DensePolicy":
+    def init(cls, config: PolicyConfig, seed: int, s0: float = 100.0):
+        """Fan-uniform weight matrices and zero biases, drawn in param_shapes order."""
         rng = np.random.default_rng(seed)
-        nf, h = config.n_features, config.hidden
-        params = {
-            "w1": fan_uniform(rng, h, nf), "b1": np.zeros(h),
-            "w2": fan_uniform(rng, h, h), "b2": np.zeros(h),
-            "w3": fan_uniform(rng, 1, h), "b3": np.zeros(1),
-        }
+        params = {name: fan_uniform(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+                  for name, shape in param_shapes(config)}
         return cls(config, params, s0)
-
-    def _rollout(self, prices: np.ndarray, mask: np.ndarray, labels,
-                 cache: list | None = None) -> np.ndarray:
-        """The dense forward pass; appends (x, h1, h2, sigmoid) per day to cache."""
-        n, n_steps = check_mask(mask, prices.shape[0], prices.shape[1] - 1).shape
-        logp, change, lab = _feature_arrays(self.config, self.s0, prices, labels)
-        # xs[t] is day t's feature matrix; its column 2, the previous delta,
-        # is filled in when the rollout reaches day t
-        xs = np.empty((n_steps, n, self.config.n_features))
-        xs[:, :, 0] = logp[:, :n_steps].T
-        xs[:, :, 1] = (np.arange(n_steps) / n_steps)[:, None]
-        extras = [change] * self.config.use_change + [lab] * self.config.use_label
-        for j, col in enumerate(extras, start=3):
-            xs[:, :, j] = col[:, :n_steps].T
-        p = self.params
-        prev = np.zeros(n)
-        out = np.empty((n, n_steps))
-        for t in range(n_steps):
-            x = xs[t]
-            x[:, 2] = prev
-            h1 = np.maximum(x @ p["w1"].T + p["b1"], 0.0)
-            h2 = np.maximum(h1 @ p["w2"].T + p["b2"], 0.0)
-            raw = nc.sigmoid(h2 @ p["w3"].T + p["b3"])[:, 0]
-            prev = np.where(mask[:, t], raw, prev)
-            out[:, t] = prev
-            if cache is not None:
-                cache.append((x, h1, h2, raw))
-        return out
-
-    def deltas(self, prices: np.ndarray, mask: np.ndarray, labels=None) -> np.ndarray:
-        return self._rollout(prices, mask, labels)
 
     def tape_deltas(self, tape: Tape, prices: np.ndarray, mask: np.ndarray,
                     labels=None) -> nc.Node:
-        """Record the whole rollout as one [n, n_steps] node.
-
-        Its vjp backpropagates through time by hand, walking the days in
-        reverse. The masked where splits each day's gradient: trade days send
-        it into the sigmoid, frozen days on to the carried previous delta. The
-        network's gradient at its prev-delta input (column 2 of w1) joins the
-        carry.
-        """
-        cache = []
-        value = self._rollout(prices, mask, labels, cache)
-        names = ("w1", "b1", "w2", "b2", "w3", "b3")
-        p = {k: self.params[k] for k in names}
+        """Record the whole rollout as one [n, n_steps] node whose vjp is the
+        policy's hand-written adjoint."""
+        cache = {}
+        value = self._forward(prices, mask, labels, cache)
+        p = dict(self.params)
 
         def vjp(g):
-            w1_prev, w2, w3 = p["w1"][:, 2], p["w2"], p["w3"][0]
-            sig = np.array([step[3] for step in cache])
-            ga3 = sig * (1.0 - sig) * mask.T  # sigmoid slope, zero on frozen days
-            frozen = ~mask
-            gw1, gw2, gw3 = (np.zeros_like(p[k]) for k in ("w1", "w2", "w3"))
-            gpre1, gpre2 = np.zeros((2, len(value), len(p["b1"])))
-            carry = np.zeros(len(value))
-            for t in reversed(range(len(cache))):
-                x, h1, h2, _ = cache[t]
-                day = g[:, t] + carry
-                ga3[t] *= day
-                ga2 = np.multiply.outer(ga3[t], w3) * (h2 > 0)
-                ga1 = (ga2 @ w2) * (h1 > 0)
-                carry = day * frozen[:, t] + ga1 @ w1_prev
-                gw1 += ga1.T @ x
-                gw2 += ga2.T @ h1
-                gw3 += ga3[t] @ h2
-                gpre1 += ga1
-                gpre2 += ga2
-            return (gw1, gpre1.sum(axis=0), gw2, gpre2.sum(axis=0),
-                    gw3, ga3.sum().reshape(1))
+            grads = self._adjoint(g, mask, p, cache)
+            return [grads[k] for k in p]
 
-        return tape.record(value, [tape.param(k, p[k]) for k in names], vjp)
+        return tape.record(value, [tape.param(k, v) for k, v in p.items()], vjp)
 
 
-class GRUPolicy:
+class DensePolicy(_NeuralPolicy):
+    """Two-hidden-layer feedforward delta generator with sigmoid output in [0,1].
+
+    Per-day features: log(S_t/S0), t/T, previous delta, and optionally the
+    one-day relative change and the classifier label.
+    """
+
+    arch = "dense"
+
+    def deltas(self, prices: np.ndarray, mask: np.ndarray, labels=None) -> np.ndarray:
+        return self._forward(prices, mask, labels)
+
+    def _forward(self, prices, mask, labels, cache=None):
+        _, xs = _dense_inputs(self.config, self.s0, prices, mask, labels,
+                              prices.shape[1] - 1)
+        return _masked_rollout(self.params, "", xs, np.empty(xs.shape[:2]), mask, cache)
+
+    def _adjoint(self, g, mask, p, cache):
+        return _masked_adjoint(g, mask, p, "", cache)[1]
+
+
+class GRUPolicy(_NeuralPolicy):
     """Stacked-GRU delta generator reading a rolling window of log prices.
 
     Days with an incomplete window (the first window-1 days) route through a
@@ -371,91 +464,51 @@ class GRUPolicy:
 
     arch = "gru"
 
-    def __init__(self, config: PolicyConfig, params: dict[str, np.ndarray],
-                 s0: float = 100.0):
-        self.config = config
-        self.params = params
-        self.s0 = float(s0)
-
-    @classmethod
-    def init(cls, config: PolicyConfig, seed: int, s0: float = 100.0) -> "GRUPolicy":
-        rng = np.random.default_rng(seed)
-        h, nf = config.gru_hidden, config.n_features
-        params = {}
-        in_size = config.window
-        for layer in range(1, config.gru_layers + 1):
-            for gate in ("z", "r", "h"):
-                params[f"l{layer}_w{gate}"] = fan_uniform(rng, h, in_size + h)
-                params[f"l{layer}_b{gate}"] = np.zeros(h)
-            in_size = h
-        params["head_w"] = fan_uniform(rng, 1, h)
-        params["head_b"] = np.zeros(1)
-        fb = config.hidden
-        params.update({
-            "fb_w1": fan_uniform(rng, fb, nf), "fb_b1": np.zeros(fb),
-            "fb_w2": fan_uniform(rng, fb, fb), "fb_b2": np.zeros(fb),
-            "fb_w3": fan_uniform(rng, 1, fb), "fb_b3": np.zeros(1),
-        })
-        return cls(config, params, s0)
-
-    def _rollout(self, tape: Tape, prices: np.ndarray, mask: np.ndarray, labels,
-                 leaf) -> nc.Node:
-        """The GRU forward pass on tape ops, joined into one [n, n_steps] node.
-
-        leaf(name, value) supplies each parameter's node: tape.param to record
-        for training, a constant for plain evaluation (nothing is recorded).
-        """
-        cfg = self.config
-        n, n_steps = check_mask(mask, prices.shape[0], prices.shape[1] - 1).shape
-        logp, change, lab = _feature_arrays(cfg, self.s0, prices, labels)
-        prm = {name: leaf(name, value) for name, value in self.params.items()}
-        states = [tape.const(np.zeros((n, cfg.gru_hidden)))
-                  for _ in range(cfg.gru_layers)]
-        prev = tape.const(np.zeros(n))
-        nodes = []
-        for t in range(n_steps):
-            if t < cfg.window - 1:
-                cols = [tape.const(logp[:, t]), tape.const(np.full(n, t / n_steps)), prev]
-                if cfg.use_change:
-                    cols.append(tape.const(change[:, t]))
-                if cfg.use_label:
-                    cols.append(tape.const(lab[:, t]))
-                x = tape.hstack(cols)
-                h1 = tape.relu(tape.add_row(tape.matmul(x, prm["fb_w1"]), prm["fb_b1"]))
-                h2 = tape.relu(tape.add_row(tape.matmul(h1, prm["fb_w2"]), prm["fb_b2"]))
-                raw = tape.squeeze_col(
-                    tape.sigmoid(tape.add_row(tape.matmul(h2, prm["fb_w3"]), prm["fb_b3"])))
-            else:
-                x = tape.const(logp[:, t - cfg.window + 1: t + 1])
-                for i in range(cfg.gru_layers):
-                    layer = i + 1
-                    states[i] = nc.tape_gru(
-                        tape, x, states[i],
-                        prm[f"l{layer}_wz"], prm[f"l{layer}_bz"],
-                        prm[f"l{layer}_wr"], prm[f"l{layer}_br"],
-                        prm[f"l{layer}_wh"], prm[f"l{layer}_bh"])
-                    x = states[i]
-                raw = tape.squeeze_col(
-                    tape.sigmoid(tape.add_row(tape.matmul(x, prm["head_w"]), prm["head_b"])))
-            prev = tape.where(mask[:, t], raw, prev)
-            nodes.append(prev)
-        return tape.hstack(nodes)
-
     def deltas(self, prices: np.ndarray, mask: np.ndarray, labels=None) -> np.ndarray:
-        tape = Tape()
-        return self._rollout(tape, prices, mask, labels,
-                             lambda name, value: tape.const(value)).value
+        return self._forward(prices, mask, labels)
 
-    def tape_deltas(self, tape: Tape, prices: np.ndarray, mask: np.ndarray,
-                    labels=None) -> nc.Node:
-        """Per-op recording of the GRU rollout, joined into one [n, n_steps] node."""
-        return self._rollout(tape, prices, mask, labels, tape.param)
+    def _forward(self, prices, mask, labels, cache=None):
+        cfg, p = self.config, self.params
+        n_fb = min(cfg.window - 1, prices.shape[1] - 1)
+        logp, xs = _dense_inputs(cfg, self.s0, prices, mask, labels, n_fb)
+        sig = np.empty(mask.shape[::-1])
+        states = [np.zeros((len(mask), cfg.gru_hidden))] * cfg.gru_layers
+        steps = None if cache is None else cache.setdefault("gru", [])
+        for t in range(n_fb, len(sig)):
+            x, saved = logp[:, t - cfg.window + 1: t + 1], []
+            for i in range(cfg.gru_layers):
+                states[i], cell = _gru_cell(x, states[i],
+                                            *(p[f"l{i + 1}_{k}"] for k in _GATES))
+                x = states[i]
+                saved.append(cell)
+            sig[t] = nc.sigmoid(x @ p["head_w"].T + p["head_b"])[:, 0]
+            if steps is not None:
+                steps.append((saved, x))
+        return _masked_rollout(p, "fb_", xs, sig, mask, cache)
+
+    def _adjoint(self, g, mask, p, cache):
+        """The masked walk, then backpropagation through time over the GRU
+        days, fed by their head gradients (the cells read no carried delta)."""
+        ga, grads = _masked_adjoint(g, mask, p, "fb_", cache)
+        ga = ga[len(cache["dense"]):]
+        grads.update((k, np.zeros_like(v)) for k, v in p.items() if k not in grads)
+        dstate = [0.0] * self.config.gru_layers
+        for t in reversed(range(len(ga))):
+            saved, top = cache["gru"][t]
+            grads["head_w"] += ga[t] @ top
+            dx = np.multiply.outer(ga[t], p["head_w"][0])
+            for i in reversed(range(len(saved))):
+                names = [f"l{i + 1}_{k}" for k in _GATES]
+                dx, dstate[i], blocks = _gru_cell_adjoint(
+                    dx + dstate[i], saved[i], *(p[k] for k in names[::2]))
+                for name, block in zip(names, blocks):
+                    grads[name] += block
+        grads["head_b"] = ga.sum().reshape(1)
+        return grads
 
 
 def make_policy(config: PolicyConfig, seed: int, s0: float = 100.0):
     """A freshly initialised trainable policy of the configured architecture."""
-    if config.arch == "bsm":
-        raise ConfigurationError("the closed-form policy has no trainable parameters")
     return (DensePolicy if config.arch == "dense" else GRUPolicy).init(config, seed, s0)
 
 
@@ -470,7 +523,7 @@ def episode_loss_node(tape: Tape, policy, prices: np.ndarray, mask: np.ndarray,
 
     The value is episode_results(...).loss. With cash_t = (D_t - D_{t-1}) S_t,
     dL/dD_t = (S_{t+1} - S_t) - c sign(cash_t) S_t + c sign(cash_{t+1}) S_{t+1},
-    the last term absent on the final day; sign(0) = 0 as in Tape.abs.
+    the last term absent on the final day; sign(0) = 0, a zero subgradient.
     """
     delta_node = policy.tape_deltas(tape, prices, mask, labels=labels)
     res = episode_results(prices, delta_node.value, contract, cost)
@@ -587,19 +640,20 @@ def save_policy(filename, policy) -> None:
 
 def load_policy(filename):
     """Restore a checkpoint whose parameter blocks have the names and shapes
-    of a fresh policy of the stored architecture and config."""
+    param_shapes gives for the stored architecture and config; they are
+    compared before anything is allocated for what the header claims."""
     arch, params, meta = nc.load_params(filename)
     try:
         settings = {f.name: meta[f.name] for f in fields(PolicyConfig)
                     if f.name != "arch"}
-        policy = make_policy(PolicyConfig(arch=arch, **settings), seed=0,
-                             s0=float(meta["s0"]))
+        config = PolicyConfig(arch=arch, **settings)
+        # one block past the file's count is enough to tell a longer list
+        expected = dict(itertools.islice(param_shapes(config), len(params) + 1))
+        s0 = float(meta["s0"])
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise IntegrityError(f"{filename}: bad checkpoint header ({exc!r})") from exc
     found = {k: v.shape for k, v in params.items()}
-    expected = {k: v.shape for k, v in policy.params.items()}
     if found != expected:
         raise IntegrityError(f"{filename}: parameter blocks {found} do not "
                              f"match a {arch} policy's {expected}")
-    policy.params = params
-    return policy
+    return (DensePolicy if arch == "dense" else GRUPolicy)(config, params, s0)

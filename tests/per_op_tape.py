@@ -1,0 +1,148 @@
+"""Op-by-op recording tape: the independent oracle for the fused tape nodes.
+
+The package records a policy rollout, the termination loss and the entropic
+risk each as one node with a hand-written vector-Jacobian product. Tests
+rebuild the same computations from the elementwise primitives here, each
+recorded with its own textbook vjp, and require the fused values and
+gradients to match.
+"""
+
+import numpy as np
+
+from ehf.errors import ShapeError
+from ehf.neural_core import Node, Tape, sigmoid
+
+
+class PerOpTape(Tape):
+    """A Tape with constant leaves and one recorded node per primitive."""
+
+    def const(self, value) -> Node:
+        return Node(np.asarray(value, dtype=np.float64))
+
+    def record(self, value, parents, vjp) -> Node:
+        """When no parent needs a gradient the result is a bare constant node
+        that holds neither its parents nor its vjp, so a pass recorded on
+        constants keeps no intermediates alive.
+        """
+        if not any(p.requires for p in parents):
+            return Node(value)
+        return super().record(value, parents, vjp)
+
+    # -- primitives ------------------------------------------------------
+    def matmul(self, x: Node, w: Node) -> Node:
+        xv, wv = x.value, w.value
+        if xv.shape[-1] != wv.shape[1]:
+            raise ShapeError(f"matmul width {xv.shape[-1]} != fan-in {wv.shape[1]}")
+        value = xv @ wv.T
+
+        def vjp(g):
+            return g @ wv, g.T @ xv
+
+        return self.record(value, (x, w), vjp)
+
+    def add_row(self, x: Node, b: Node) -> Node:
+        value = x.value + b.value
+
+        def vjp(g):
+            return g, g.sum(axis=0) if g.ndim > b.value.ndim else g
+
+        return self.record(value, (x, b), vjp)
+
+    def add(self, a: Node, b: Node) -> Node:
+        return self.record(a.value + b.value, (a, b), lambda g: (g, g))
+
+    def sub(self, a: Node, b: Node) -> Node:
+        return self.record(a.value - b.value, (a, b), lambda g: (g, -g))
+
+    def mul(self, a: Node, b: Node) -> Node:
+        av, bv = a.value, b.value
+        return self.record(av * bv, (a, b), lambda g: (g * bv, g * av))
+
+    def mul_const(self, a: Node, c) -> Node:
+        return self.record(a.value * c, (a,), lambda g: (g * c,))
+
+    def add_const(self, a: Node, c) -> Node:
+        return self.record(a.value + c, (a,), lambda g: (g,))
+
+    def rsub_const(self, c, a: Node) -> Node:
+        """c - a for constant c."""
+        return self.record(c - a.value, (a,), lambda g: (-g,))
+
+    def abs(self, a: Node) -> Node:
+        # subgradient convention sign(0) = 0
+        sgn = np.sign(a.value)
+        return self.record(np.abs(a.value), (a,), lambda g: (g * sgn,))
+
+    def relu(self, a: Node) -> Node:
+        value = np.maximum(a.value, 0.0)
+        mask = a.value > 0
+        return self.record(value, (a,), lambda g: (g * mask,))
+
+    def sigmoid(self, a: Node) -> Node:
+        value = sigmoid(a.value)
+        return self.record(value, (a,), lambda g: (g * value * (1.0 - value),))
+
+    def tanh(self, a: Node) -> Node:
+        value = np.tanh(a.value)
+        return self.record(value, (a,), lambda g: (g * (1.0 - value * value),))
+
+    def exp(self, a: Node) -> Node:
+        value = np.exp(a.value)
+        return self.record(value, (a,), lambda g: (g * value,))
+
+    def log(self, a: Node) -> Node:
+        av = a.value
+        return self.record(np.log(av), (a,), lambda g: (g / av,))
+
+    def hstack(self, parts: list[Node]) -> Node:
+        """Column-concatenate [batch]- or [batch, k]-shaped nodes into [batch, sum k]."""
+        cols = [p.value if p.value.ndim == 2 else p.value[:, None] for p in parts]
+        widths = [c.shape[1] for c in cols]
+        value = np.concatenate(cols, axis=1)
+        offsets = np.cumsum([0] + widths)
+
+        def vjp(g):
+            grads = []
+            for i, p in enumerate(parts):
+                piece = g[:, offsets[i]:offsets[i + 1]]
+                grads.append(piece if p.value.ndim == 2 else piece[:, 0])
+            return tuple(grads)
+
+        return self.record(value, tuple(parts), vjp)
+
+    def squeeze_col(self, a: Node) -> Node:
+        if a.value.ndim != 2 or a.value.shape[1] != 1:
+            raise ShapeError(f"expected [batch, 1], got {a.value.shape}")
+        return self.record(a.value[:, 0], (a,), lambda g: (g[:, None],))
+
+    def where(self, mask: np.ndarray, a: Node, b: Node) -> Node:
+        value = np.where(mask, a.value, b.value)
+        return self.record(value, (a, b), lambda g: (g * mask, g * ~mask))
+
+    def mean(self, a: Node) -> Node:
+        n = a.value.size
+        value = float(np.mean(a.value))
+        return self.record(value, (a,), lambda g: (np.full_like(a.value, g / n),))
+
+    def sum(self, a: Node) -> Node:
+        value = float(np.sum(a.value))
+        return self.record(value, (a,), lambda g: (np.full_like(a.value, g),))
+
+
+def tape_gru(tape: PerOpTape, x: Node, h: Node, w_z: Node, b_z: Node,
+             w_r: Node, b_r: Node, w_h: Node, b_h: Node) -> Node:
+    xh = tape.hstack([x, h])
+    z = tape.sigmoid(tape.add_row(tape.matmul(xh, w_z), b_z))
+    r = tape.sigmoid(tape.add_row(tape.matmul(xh, w_r), b_r))
+    xrh = tape.hstack([x, tape.mul(r, h)])
+    h_cand = tape.tanh(tape.add_row(tape.matmul(xrh, w_h), b_h))
+    return tape.add(tape.mul(tape.rsub_const(1.0, z), h), tape.mul(z, h_cand))
+
+
+def entropy_risk(tape: PerOpTape, loss_node: Node, risk_aversion: float) -> Node:
+    """Entropic risk recorded op by op (same max-shift as ehf.entropy_risk)."""
+    a = tape.mul_const(loss_node, -risk_aversion)
+    m = float(np.max(a.value))
+    shifted = tape.add_const(a, -m)
+    log_mean = tape.log(tape.mean(tape.exp(shifted)))
+    return tape.mul_const(tape.add_const(log_mean, m), 1.0 / risk_aversion)

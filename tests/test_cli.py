@@ -183,9 +183,11 @@ def test_scenario_keys_of_another_scenario_exit_2(tmp_path, capsys, name, key,
     ("beta = 0.05", "beta = -1"),
     ("risk_aversions = 0.5", "risk_aversions = 0"),
     ("alpha_lo = 0", "alpha_lo = 0.5"),
-    ("name = high_vol", "name = high_vol\nbsm_vol = -0.1")],
+    ("name = high_vol", "name = high_vol\nbsm_vol = -0.1"),
+    ("[sweep]", "[output]\ndir =\n\n[sweep]")],
     ids=["dt-zero-denominator", "dt-nan", "s0-nan", "fit-rows", "no-cost-rates",
-         "strike", "beta", "risk-aversion", "empty-window", "bsm-vol"])
+         "strike", "beta", "risk-aversion", "empty-window", "bsm-vol",
+         "empty-out-dir"])
 def test_bad_config_exits_2_before_simulating(tmp_path, capsys, old, new):
     """Each value used to pass load, then failed at a later command, in a
     traceback, or not at all."""
@@ -493,7 +495,7 @@ def test_oracle_gate_needs_no_forest(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fault", ["meta-key", "missing-block", "block-shape",
-                                   "architecture"])
+                                   "architecture", "float-size"])
 def test_corrupt_checkpoint_exits_3(tmp_path, capsys, fault):
     """A fast sweep restores policy_*.ehfm; each fault is exit 3, not a traceback."""
     ini, out = _ini(tmp_path, TINY_INI), tmp_path / "out"
@@ -507,6 +509,8 @@ def test_corrupt_checkpoint_exits_3(tmp_path, capsys, fault):
         del params["w3"]
     elif fault == "block-shape":
         params["w2"] = np.zeros((8, 9))
+    elif fault == "float-size":
+        meta["hidden"] = 8.0    # the block shapes still compare equal
     else:
         arch = "lstm"
     save_params(ckpt, arch, params, meta)

@@ -1,8 +1,9 @@
 """Hypothesis fuzzing of the config grammar and of the three artifact loaders.
 
 `load_config` must return a RunConfig or raise an EHFError for any INI text
-built from the grammar's own sections and keys. The path-set, checkpoint and
-frontier-CSV loaders must raise nothing but IntegrityError on a mangled file.
+built from the grammar's own sections and keys. The path-set, policy
+checkpoint and frontier-CSV loaders must raise nothing but IntegrityError on a
+mangled file.
 Sizes stay small, so no draw can ask for a large allocation.
 """
 
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 import ehf
 from ehf.cli import _CONFIG_GRAMMAR, RunConfig, load_config
 from ehf.errors import EHFError, IntegrityError
-from ehf.neural_core import load_params
 
 _FUZZ = settings(max_examples=400, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -85,7 +85,7 @@ def artifacts(tmp_path_factory):
     point = ehf.FrontierPoint("high_vol", "dense", False, 0.02, 0.5, 0.04, -12.5,
                               1.0, 30.0, 60, "fast", 3)
     ehf.write_frontier_csv(root / "frontier.csv", [point, point])
-    loaders = {"paths.ehfp": ehf.load_pathset, "policy.ehfm": load_params,
+    loaders = {"paths.ehfp": ehf.load_pathset, "policy.ehfm": ehf.load_policy,
                "frontier.csv": ehf.read_frontier_csv}
     return {name: ((root / name).read_bytes(), loader)
             for name, loader in loaders.items()}

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 import ehf
 from ehf.errors import DomainError, ShapeError
-from ehf.hedging_engine import (DensePolicy, GRUPolicy, _feature_arrays,
-                                episode_loss_node, tape_entropy_risk)
+from ehf.hedging_engine import (DensePolicy, GRUPolicy, episode_loss_node,
+                                tape_entropy_risk)
 from ehf.neural_core import Tape
+from per_op_tape import PerOpTape, tape_gru
+from per_op_tape import entropy_risk as per_op_entropy_risk
 
 
 def _pathset(prices, s0=100.0):
@@ -146,6 +148,11 @@ def test_tape_entropy_risk_matches_plain():
     grads = tape.backward(risk_node)
     w = np.exp(-0.5 * losses - np.max(-0.5 * losses))
     assert np.allclose(grads["l"], -w / w.sum(), atol=1e-12)
+    # the fused node repeats the per-op recording's arithmetic exactly
+    tape = PerOpTape()
+    ref = per_op_entropy_risk(tape, tape.param("l", losses), 0.5)
+    assert risk_node.value == ref.value
+    assert np.array_equal(grads["l"], tape.backward(ref)["l"])
 
 
 # ---------------------------------------------------------------------------
@@ -259,24 +266,42 @@ def test_plain_and_tape_forwards_agree(gbm_small, contract):
         assert np.array_equal(node.value, res.loss), arch
 
 
-def _per_op_dense_deltas(tape, policy, prices, mask, labels):
-    """Reference: the dense rollout recorded op by op, one node per day."""
+def _per_op_deltas(tape, policy, prices, mask, labels):
+    """Reference: the policy's rollout recorded op by op, one node per day.
+
+    Dense days run the dense net: every day of a DensePolicy, the first
+    window-1 days of a GRUPolicy (its fb_ blocks). The GRU's later days run
+    tape_gru cells over the window of log prices, then the sigmoid head.
+    """
+    cfg = policy.config
     n, n_steps = mask.shape
-    logp, change, lab = _feature_arrays(policy.config, policy.s0, prices, labels)
-    w1, b1, w2, b2, w3, b3 = (tape.param(k, policy.params[k])
-                              for k in ("w1", "b1", "w2", "b2", "w3", "b3"))
+    logp = np.log(prices / policy.s0)
+    change = np.zeros_like(prices)
+    change[:, 1:] = prices[:, 1:] / prices[:, :-1] - 1.0
+    prm = {k: tape.param(k, v) for k, v in policy.params.items()}
+    gru = policy.arch == "gru"
+    pre, n_dense = ("fb_", min(cfg.window - 1, n_steps)) if gru else ("", n_steps)
+    states = [tape.const(np.zeros((n, cfg.gru_hidden)))] * cfg.gru_layers
     prev = tape.const(np.zeros(n))
     nodes = []
     for t in range(n_steps):
-        cols = [tape.const(logp[:, t]), tape.const(np.full(n, t / n_steps)), prev]
-        if policy.config.use_change:
-            cols.append(tape.const(change[:, t]))
-        if policy.config.use_label:
-            cols.append(tape.const(lab[:, t]))
-        x = tape.hstack(cols)
-        h1 = tape.relu(tape.add_row(tape.matmul(x, w1), b1))
-        h2 = tape.relu(tape.add_row(tape.matmul(h1, w2), b2))
-        raw = tape.squeeze_col(tape.sigmoid(tape.add_row(tape.matmul(h2, w3), b3)))
+        if t < n_dense:
+            cols = [tape.const(logp[:, t]), tape.const(np.full(n, t / n_steps)), prev]
+            if cfg.use_change:
+                cols.append(tape.const(change[:, t]))
+            if cfg.use_label:
+                cols.append(tape.const(labels[:, t]))
+            x = tape.hstack(cols)
+            h1 = tape.relu(tape.add_row(tape.matmul(x, prm[pre + "w1"]), prm[pre + "b1"]))
+            x = tape.relu(tape.add_row(tape.matmul(h1, prm[pre + "w2"]), prm[pre + "b2"]))
+            w_out, b_out = prm[pre + "w3"], prm[pre + "b3"]
+        else:
+            x = tape.const(logp[:, t - cfg.window + 1: t + 1])
+            for i in range(cfg.gru_layers):
+                gates = (prm[f"l{i + 1}_{k}"] for k in ("wz", "bz", "wr", "br", "wh", "bh"))
+                states[i] = x = tape_gru(tape, x, states[i], *gates)
+            w_out, b_out = prm["head_w"], prm["head_b"]
+        raw = tape.squeeze_col(tape.sigmoid(tape.add_row(tape.matmul(x, w_out), b_out)))
         prev = tape.where(mask[:, t], raw, prev)
         nodes.append(prev)
     return nodes
@@ -302,21 +327,28 @@ _FUSED_CASES = [(alpha, flags) for alpha in (0.0, 0.02)
                 for flags in ({}, {"use_change": False}, {"use_label": True})]
 
 
-def _fused_vs_per_op(policy, prices, mask, labels, contract, cost, per_op_days):
+def _fused_vs_per_op(policy, prices, mask, labels, contract, cost):
     """Gradients of the entropic objective through the fused nodes and
-    through the per-op reference; returns the worst relative error per block."""
+    through the per-op reference, whose deltas must equal the policy's bit
+    for bit; returns the worst relative error of each block the rollout
+    reaches (the others must get an exactly zero gradient from both)."""
     tape = Tape()
     loss = episode_loss_node(tape, policy, prices, mask, contract, cost,
                              labels=labels)
     fused = tape.backward(tape_entropy_risk(tape, loss, 0.5))
-    tape = Tape()
-    loss = _per_op_loss(tape, per_op_days(tape), prices, contract, cost)
-    ref = tape.backward(tape_entropy_risk(tape, loss, 0.5))
+    tape = PerOpTape()
+    days = _per_op_deltas(tape, policy, prices, mask, labels)
+    assert np.array_equal(np.column_stack([d.value for d in days]),
+                          policy.deltas(prices, mask, labels=labels))
+    loss = _per_op_loss(tape, days, prices, contract, cost)
+    ref = tape.backward(per_op_entropy_risk(tape, loss, 0.5))
     assert fused.keys() == ref.keys()
     errors = {}
     for name, g in ref.items():
         assert fused[name].shape == g.shape, name
-        assert np.max(np.abs(g)) > 0, name
+        if not np.any(g):
+            assert not np.any(fused[name]), name
+            continue
         errors[name] = np.max(np.abs(fused[name] - g)) / np.max(np.abs(g))
     return errors
 
@@ -338,30 +370,38 @@ def test_fused_dense_adjoint_matches_per_op_tape(gbm_small, contract, alpha, fla
     mask = ehf.compute_trade_mask(gbm_small, alpha)
     labels = np.random.default_rng(5).integers(0, 2, mask.shape).astype(float) \
         if cfg.use_label else None
-    errors = _fused_vs_per_op(
-        policy, prices, mask, labels, contract, ehf.CostModel(0.02),
-        lambda tape: _per_op_dense_deltas(tape, policy, prices, mask, labels))
+    errors = _fused_vs_per_op(policy, prices, mask, labels, contract,
+                              ehf.CostModel(0.02))
     assert set(errors) == {"w1", "b1", "w2", "b2", "w3", "b3"}
     assert max(errors.values()) <= 1e-12, errors
 
 
-@pytest.mark.parametrize("alpha,flags", _FUSED_CASES)
-def test_gru_hstack_and_fused_loss_match_per_op_tape(gbm_small, contract, alpha,
-                                                     flags):
-    cfg = ehf.PolicyConfig(arch="gru", hidden=8, gru_hidden=6, **flags)
+# every window x depth with each alpha/flag case; the default shape (window 3,
+# two layers) keeps the case's plain id
+_GRU_CASES = [
+    pytest.param(window, layers, alpha, flags, id=f"{alpha}-flags{i}" + (
+        "" if (window, layers) == (3, 2) else f"-window{window}-layers{layers}"))
+    for window in (1, 3, 5) for layers in (1, 2)
+    for i, (alpha, flags) in enumerate(_FUSED_CASES)]
+
+
+@pytest.mark.parametrize("window,layers,alpha,flags", _GRU_CASES)
+def test_gru_hstack_and_fused_loss_match_per_op_tape(gbm_small, contract, window,
+                                                     layers, alpha, flags):
+    """The GRU's fused rollout node (the masked walk, then backpropagation
+    through time over the cells) against tape_gru cells recorded op by op."""
+    cfg = ehf.PolicyConfig(arch="gru", hidden=8, gru_hidden=6, window=window,
+                           gru_layers=layers, **flags)
     policy = _jittered(GRUPolicy, cfg, seed=22)
     prices = gbm_small.prices
     mask = ehf.compute_trade_mask(gbm_small, alpha)
     labels = np.random.default_rng(6).integers(0, 2, mask.shape).astype(float) \
         if cfg.use_label else None
-
-    def per_op_days(tape):
-        # the hstack node's parents are the per-day delta nodes
-        return policy.tape_deltas(tape, prices, mask, labels=labels).parents
-
     errors = _fused_vs_per_op(policy, prices, mask, labels, contract,
-                              ehf.CostModel(0.02), per_op_days)
-    assert set(errors) == set(policy.params)
+                              ehf.CostModel(0.02))
+    # with window 1 no day runs the dense fallback
+    assert set(errors) == {k for k in policy.params
+                           if window > 1 or not k.startswith("fb_")}
     assert max(errors.values()) <= 1e-12, errors
 
 

@@ -1,4 +1,5 @@
-"""The logistic function, the reverse-mode tape, Adam, and checkpoint I/O."""
+"""The logistic function, one GRU step, the reverse-mode tape and its per-op
+oracle, Adam, and checkpoint I/O."""
 
 import struct
 
@@ -7,9 +8,10 @@ import pytest
 
 import ehf
 from ehf.errors import IntegrityError, NumericError, ShapeError, StateError
+from ehf.hedging_engine import _gru_cell
 from ehf.neural_core import (AdamState, Tape, adam_step, fan_uniform, grad_check,
-                             load_params, require_finite, save_params, sigmoid,
-                             tape_gru)
+                             load_params, require_finite, save_params, sigmoid)
+from per_op_tape import PerOpTape
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +55,8 @@ def _random_gru(rng, hidden, inp):
 
 
 def _gru_step(weights, x, h):
-    """One tape_gru step on constant nodes; x [batch, inp], h [batch, hidden]."""
-    tape = Tape()
-    return tape_gru(tape, tape.const(x), tape.const(h),
-                    *(tape.const(w) for w in weights)).value
+    """One step of the policy's GRU cell; x [batch, inp], h [batch, hidden]."""
+    return _gru_cell(x, h, *weights)[0]
 
 
 def test_gru_forward_matches_scalar_reference():
@@ -95,7 +95,8 @@ def test_gru_batch_consistency():
 
 
 # ---------------------------------------------------------------------------
-# tape: recorded ops against hand gradients and finite differences
+# tape: the per-op oracle's recorded ops against hand gradients and finite
+# differences, and the backward pass they share with the package
 # ---------------------------------------------------------------------------
 
 def test_tape_linear_map_exact_gradient():
@@ -103,7 +104,7 @@ def test_tape_linear_map_exact_gradient():
     # f(w) = sum(x @ w.T) gives df/dw = column sums of x in every output row
     x = np.arange(12.0).reshape(4, 3)
     w0 = np.ones((2, 3))
-    tape = Tape()
+    tape = PerOpTape()
     w = tape.param("w", w0)
     out = tape.sum(tape.matmul(tape.const(x), w))
     grads = tape.backward(out)
@@ -114,7 +115,7 @@ def test_tape_linear_map_exact_gradient():
 def test_tape_chain_matches_manual_derivative():
     # f(a) = mean(sigmoid(2a + 1)); f'(a) = 2 sigma' / n elementwise
     a0 = np.array([[0.3, -1.2], [2.0, 0.0]])
-    tape = Tape()
+    tape = PerOpTape()
     a = tape.param("a", a0)
     out = tape.mean(tape.sigmoid(tape.add_const(tape.mul_const(a, 2.0), 1.0)))
     grads = tape.backward(out)
@@ -125,7 +126,7 @@ def test_tape_chain_matches_manual_derivative():
 def test_tape_reused_node_accumulates():
     # f(a) = sum(a * a) = sum(a^2); gradient 2a, both product parents are a
     a0 = np.array([1.5, -2.0, 0.25])
-    tape = Tape()
+    tape = PerOpTape()
     a = tape.param("a", a0)
     out = tape.sum(tape.mul(a, a))
     grads = tape.backward(out)
@@ -136,7 +137,7 @@ def test_tape_where_routes_gradient():
     a0 = np.array([1.0, 2.0, 3.0])
     b0 = np.array([10.0, 20.0, 30.0])
     pick = np.array([True, False, True])
-    tape = Tape()
+    tape = PerOpTape()
     a, b = tape.param("a", a0), tape.param("b", b0)
     out = tape.sum(tape.where(pick, a, b))
     grads = tape.backward(out)
@@ -145,21 +146,21 @@ def test_tape_where_routes_gradient():
 
 
 def test_tape_abs_subgradient_zero_at_zero():
-    tape = Tape()
+    tape = PerOpTape()
     a = tape.param("a", np.array([-2.0, 0.0, 3.0]))
     grads = tape.backward(tape.sum(tape.abs(a)))
     assert np.array_equal(grads["a"], [-1.0, 0.0, 1.0])
 
 
 def test_tape_relu_subgradient_zero_at_zero():
-    tape = Tape()
+    tape = PerOpTape()
     a = tape.param("a", np.array([-1.0, 0.0, 2.0]))
     grads = tape.backward(tape.sum(tape.relu(a)))
     assert np.array_equal(grads["a"], [0.0, 0.0, 1.0])
 
 
 def test_tape_unreached_param_gets_zero_gradient():
-    tape = Tape()
+    tape = PerOpTape()
     a = tape.param("a", np.array([1.0, 2.0]))
     tape.param("unused", np.array([5.0]))
     grads = tape.backward(tape.sum(a))
@@ -174,7 +175,7 @@ def test_tape_composite_against_finite_differences():
                "v": rng.normal(size=(1, 2))}
 
     def loss_and_grad(params):
-        tape = Tape()
+        tape = PerOpTape()
         w = tape.param("w", params["w"])
         b = tape.param("b", params["b"])
         v = tape.param("v", params["v"])
@@ -192,7 +193,7 @@ def test_tape_composite_against_finite_differences():
 
 def test_tape_hstack_splits_gradient():
     a0, b0 = np.array([1.0, 2.0, 3.0]), np.array([[4.0], [5.0], [6.0]])
-    tape = Tape()
+    tape = PerOpTape()
     a, b = tape.param("a", a0), tape.param("b", b0)
     stacked = tape.hstack([a, b])       # [3, 2]
     weights = np.array([[2.0, 7.0]])    # [out=1, in=2]
@@ -203,9 +204,9 @@ def test_tape_hstack_splits_gradient():
 
 
 def test_backward_rejects_foreign_root():
-    tape = Tape()
-    tape.param("a", np.ones(2))
-    other = Tape()
+    tape = PerOpTape()
+    tape.sum(tape.param("a", np.ones(2)))
+    other = PerOpTape()
     root = other.sum(other.param("b", np.ones(2)))
     with pytest.raises(StateError):
         tape.backward(root)
@@ -213,13 +214,13 @@ def test_backward_rejects_foreign_root():
 
 def test_backward_requires_recorded_graph():
     tape = Tape()
-    c = tape.const(np.ones(3))
+    a = tape.param("a", np.ones(3))
     with pytest.raises(StateError):
-        tape.backward(c)
+        tape.backward(a)
 
 
 def test_const_subgraphs_not_recorded():
-    tape = Tape()
+    tape = PerOpTape()
     c = tape.mul(tape.const(np.ones(3)), tape.const(np.ones(3)))
     assert not c.requires
     # a const-only result holds neither its operands nor a vjp

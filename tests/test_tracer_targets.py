@@ -1,13 +1,15 @@
-"""The benchmark tracer's wrap targets must exist in the package.
+"""The benchmark tracer must install on every one of its wrap targets.
 
-`perfbench/tracer.py` wraps `ehf` functions by module and qualified name; a
-rename that drops one would otherwise only surface when the traced benchmark
-runs.
+`perfbench/tracer.py` wraps `ehf` functions by module and qualified name, and
+takes a method from its owning class's own `__dict__`. A rename, or a method
+moved to a base class, would otherwise only surface when the traced
+benchmark runs.
 """
 
-import importlib
 import importlib.util
 import pathlib
+
+import ehf.cli  # noqa: F401  (imports every module the tracer wraps)
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -17,11 +19,8 @@ def test_every_tracer_target_resolves_to_a_callable():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     assert tracer.TARGETS
-    missing = []
-    for module_name, qualname, _ in tracer.TARGETS:
-        obj = importlib.import_module(f"ehf.{module_name}")
-        for part in qualname.split("."):
-            obj = getattr(obj, part, None)
-        if not callable(obj):
-            missing.append(f"ehf.{module_name}.{qualname}")
-    assert not missing, missing
+    installed = tracer.Tracer()
+    try:
+        installed.install()  # raises TracerError for a target it cannot wrap
+    finally:
+        installed.uninstall()
