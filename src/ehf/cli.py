@@ -4,7 +4,7 @@ Every command is driven by an INI config (see configs/ and the README for the
 grammar) plus a handful of overriding flags, writes its artifacts under the
 configured output directory, and is byte-for-byte reproducible given the same
 config and seeds. Exit codes: 0 success, 2 configuration/validation problems,
-3 missing or corrupt files, 4 numeric failures during training.
+3 missing, corrupt or stale files, 4 numeric failures during training.
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ from .signal_forest import (ForestConfig, load_forest, save_forest,
                             write_label_csv)
 
 PATHS_FILE = "paths.ehfp"
-MANIFEST_FILE = "paths.manifest.json"
 FOREST_FILE = "forest.npz"
-FOREST_MANIFEST_FILE = "forest.manifest.json"
 
 _SCENARIOS = ("low_vol", "high_vol", "gbm", "custom")
 
@@ -263,41 +261,69 @@ def _sha256(filename) -> str:
     return digest.hexdigest()
 
 
-def _paths_file(cfg: RunConfig) -> str:
-    return os.path.join(cfg.out_dir, PATHS_FILE)
+# Each artifact a later command reads: the command that writes it, its input
+# files and the config values (under a cost rate and lambda) that fix it. Its
+# record holds them, inputs by digest (simulate's description goes unchecked).
+_PROVENANCE = {
+    PATHS_FILE: ("simulate", (), lambda cfg, *_: {}),
+    FOREST_FILE: ("label", (PATHS_FILE,), lambda cfg, *_: {
+        "n_train": cfg.n_train, "beta": cfg.beta, "fit_rows": cfg.forest_fit_rows,
+        "forest settings": asdict(cfg.forest)}),
+    "policy": ("train", (PATHS_FILE, FOREST_FILE), lambda cfg, cost, lam: {
+        "n_train": cfg.n_train, "alphas[0]": cfg.alphas[0], "rf": cfg.rf,
+        **({"gate": cfg.gate, "beta": cfg.beta} if cfg.rf else {}),
+        "cost rate": cost, "lambda": lam, "policy settings": asdict(cfg.policy),
+        "training settings": asdict(cfg.train)}),
+    "frontier": ("sweep", (PATHS_FILE,), lambda cfg, *_: {
+        "n_train": cfg.n_train, "n_test": cfg.n_test}),
+}
 
 
-def _write_manifest(filename, manifest: dict) -> None:
-    with open(filename, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _made_from(cfg: RunConfig, kind: str, digests: dict, *setting) -> dict:
+    """What a `kind` artifact's record holds under cfg and (cost rate, lambda);
+    its inputs are those of `digests`, the files the command read."""
+    _, inputs, values = _PROVENANCE[kind]
+    return {**{f: digests[f] for f in inputs if f in digests}, **values(cfg, *setting)}
 
 
-def _read_manifest(filename) -> dict:
-    with open(filename) as fh:
+def _write_record(filename, values: dict) -> dict:
+    """Write `filename`'s record: `values` and its sha256, no path, no time."""
+    record = {**values, "sha256": _sha256(filename)}
+    with open(os.path.splitext(filename)[0] + ".manifest.json", "w") as fh:
+        fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    return record
+
+
+def _check_record(filename, kind: str, expected: dict) -> tuple[str, dict]:
+    """Check `filename` against its record: `expected` (compared as JSON) and its
+    own sha256, else exit 3 naming what differs. Returns (sha256, other values)."""
+    rerun = _PROVENANCE[kind][0]
+    record_file = os.path.splitext(filename)[0] + ".manifest.json"
+    for name in (filename, record_file):
+        if not os.path.exists(name):
+            raise ResolutionError(f"{name} not found — run `ehf {rerun}` first")
+    with open(record_file) as fh:
         try:
-            manifest = json.load(fh)
+            record = json.load(fh)
         except ValueError as exc:
-            raise IntegrityError(f"{filename}: malformed JSON ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise IntegrityError(f"{filename}: expected a JSON object")
-    return manifest
+            raise IntegrityError(f"{record_file}: malformed JSON ({exc})") from exc
+    if not isinstance(record, dict):
+        raise IntegrityError(f"{record_file}: expected a JSON object")
+    stale = [k for k, v in json.loads(json.dumps(expected)).items()
+             if record.get(k) != v]
+    if record.get("sha256") != _sha256(filename):
+        stale.append("sha256 (checksum mismatch)")
+    if stale:
+        raise IntegrityError(f"{filename}: its record holds other "
+                             f"{', '.join(stale)} — rerun `ehf {rerun}`")
+    return record.pop("sha256"), record
 
 
-def _load_paths(cfg: RunConfig) -> PathSet:
-    filename = _paths_file(cfg)
-    if not os.path.exists(filename):
-        raise ResolutionError(
-            f"path file {filename} not found — run the simulate command first")
-    manifest_file = os.path.join(cfg.out_dir, MANIFEST_FILE)
-    if os.path.exists(manifest_file):
-        manifest = _read_manifest(manifest_file)
-        actual = _sha256(filename)
-        if manifest.get("sha256") != actual:
-            raise IntegrityError(
-                f"{filename}: checksum mismatch ({actual} != manifest "
-                f"{manifest.get('sha256')})")
-    return load_pathset(filename)
+def _load_paths(cfg: RunConfig) -> tuple[PathSet, dict]:
+    """The path set and {PATHS_FILE: its digest}, once its record checks out."""
+    filename = os.path.join(cfg.out_dir, PATHS_FILE)
+    digest, _ = _check_record(filename, PATHS_FILE, {})
+    return load_pathset(filename), {PATHS_FILE: digest}
 
 
 def _contract(cfg: RunConfig) -> ContractSpec:
@@ -309,47 +335,23 @@ def _sim_config(cfg: RunConfig) -> SimConfig:
                      n_steps=cfg.maturity_steps, dt=cfg.dt)
 
 
-def _forest_inputs(cfg: RunConfig) -> dict:
-    """What `label` fits the forest on, recorded next to it."""
-    return {"paths_sha256": _sha256(_paths_file(cfg)), "n_train": cfg.n_train,
-            "beta": cfg.beta, "fit_rows": cfg.forest_fit_rows}
-
-
-def _gate(cfg: RunConfig):
-    """PathSet -> gate labels for rf runs, None without rf.
-
-    Under gate = forecast the forest is the one `label` saved, and it must
-    have been fit on this config's inputs and forest settings.
-    """
+def _gate(cfg: RunConfig, digests: dict):
+    """(PathSet -> gate labels, or None without rf; digests plus any forest's)."""
     if not cfg.rf:
-        return None
+        return None, digests
     forest = None
     if cfg.gate == "forecast":
         filename = os.path.join(cfg.out_dir, FOREST_FILE)
-        if not os.path.exists(filename):
-            raise ResolutionError(f"{filename} not found — run `ehf label` first")
-        forest = load_forest(filename)
-        record_file = os.path.join(cfg.out_dir, FOREST_MANIFEST_FILE)
-        record = _read_manifest(record_file) if os.path.exists(record_file) else {}
-        stale = [k for k, v in _forest_inputs(cfg).items() if record.get(k) != v]
-        if forest.config != cfg.forest:
-            stale.append("forest settings")
-        if stale:
-            raise IntegrityError(f"{filename} was fit with other {', '.join(stale)}"
-                                 f" — rerun `ehf label`")
-    return lambda paths: gate_labels(paths, cfg.beta, cfg.gate, forest)
+        digest, _ = _check_record(filename, FOREST_FILE,
+                                  _made_from(cfg, FOREST_FILE, digests))
+        digests, forest = {**digests, FOREST_FILE: digest}, load_forest(filename)
+    return (lambda paths: gate_labels(paths, cfg.beta, cfg.gate, forest)), digests
 
 
-def _checkpoint_name(cfg: RunConfig, cost_rate: float, lam: float) -> str:
-    rf_tag = "_rf" if cfg.rf else ""
-    return os.path.join(
-        cfg.out_dir, f"policy_{cfg.policy.arch}{rf_tag}_c{cost_rate:g}_l{lam:g}.ehfm")
-
-
-def _frontier_name(out_dir: str, policy: str, rf: bool, cost_rate: float,
-                   lam: float) -> str:
-    rf_tag = "_rf" if rf else ""
-    return os.path.join(out_dir, f"frontier_{policy}{rf_tag}_c{cost_rate:g}_l{lam:g}.csv")
+def _stem(cfg: RunConfig, kind: str, cost_rate: float, lam: float, arch=None) -> str:
+    """<out>/<kind>_<arch, else the policy's>[_rf]_c<cost>_l<lambda>, less a suffix."""
+    tag = arch or cfg.policy.arch + ("_rf" if cfg.rf else "")
+    return os.path.join(cfg.out_dir, f"{kind}_{tag}_c{cost_rate:g}_l{lam:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -361,29 +363,27 @@ def cmd_simulate(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     params, simulate, _ = _scenario(cfg)
     paths = simulate(params, _sim_config(cfg))
-    filename = _paths_file(cfg)
+    filename = os.path.join(cfg.out_dir, PATHS_FILE)
     save_pathset(paths, filename)
-    manifest = {
+    record = _write_record(filename, {
         "scenario": cfg.scenario,
         "n_paths": cfg.n_paths, "n_steps": cfg.maturity_steps,
-        "s0": cfg.s0, "dt": cfg.dt, "seed": cfg.sim_seed,
-        "sha256": _sha256(filename), "params": asdict(params),
-    }
-    _write_manifest(os.path.join(cfg.out_dir, MANIFEST_FILE), manifest)
+        "s0": cfg.s0, "dt": cfg.dt, "seed": cfg.sim_seed, "params": asdict(params),
+    })
     print(f"wrote {cfg.n_paths} x {cfg.maturity_steps + 1} prices to {filename} "
-          f"(seed {cfg.sim_seed}, sha256 {manifest['sha256'][:12]}...)")
+          f"(seed {cfg.sim_seed}, sha256 {record['sha256'][:12]}...)")
     return 0
 
 
 def cmd_label(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    paths = _load_paths(cfg)
+    paths, digests = _load_paths(cfg)
     train_paths, test_paths = split_pathset(paths, cfg.n_train, cfg.n_test)
     signal = prepare_signal(train_paths, test_paths, cfg.beta, cfg.forest,
                             fit_rows=cfg.forest_fit_rows)
-    save_forest(os.path.join(cfg.out_dir, FOREST_FILE), signal.forest)
-    _write_manifest(os.path.join(cfg.out_dir, FOREST_MANIFEST_FILE),
-                    _forest_inputs(cfg))
+    forest_file = os.path.join(cfg.out_dir, FOREST_FILE)
+    save_forest(forest_file, signal.forest)
+    _write_record(forest_file, _made_from(cfg, FOREST_FILE, digests))
     write_label_csv(os.path.join(cfg.out_dir, "labels.csv"), test_paths,
                     cfg.beta, predicted=signal.forecast_test)
     report_text = (f"training split:\n{signal.train_report}\n\n"
@@ -396,10 +396,10 @@ def cmd_label(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    paths = _load_paths(cfg)
+    paths, digests = _load_paths(cfg)
     train_paths, _ = split_pathset(paths, cfg.n_train, cfg.n_test)
     contract = _contract(cfg)
-    gate = _gate(cfg)
+    gate, digests = _gate(cfg, digests)
     mask = compute_trade_mask(train_paths, cfg.alphas[0])
     labels = gate(train_paths) if gate is not None else None
     if labels is not None:
@@ -409,10 +409,11 @@ def cmd_train(args) -> int:
             policy, log = train_policy(
                 train_paths, contract, CostModel(cost_rate), RiskConfig(lam),
                 cfg.policy, mask, cfg.train, labels=labels)
-            checkpoint = _checkpoint_name(cfg, cost_rate, lam)
-            save_policy(checkpoint, policy)
-            log_file = checkpoint[: -len(".ehfm")] + "_log.csv"
-            with open(log_file, "w", newline="") as fh:
+            stem = _stem(cfg, "policy", cost_rate, lam)
+            save_policy(stem + ".ehfm", policy)
+            _write_record(stem + ".ehfm",
+                          _made_from(cfg, "policy", digests, cost_rate, lam))
+            with open(stem + "_log.csv", "w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(["epoch", "train_objective", "val_objective"])
                 for e, (tr, va) in enumerate(zip(log.train_objective,
@@ -420,17 +421,17 @@ def cmd_train(args) -> int:
                     writer.writerow([e, repr(tr), repr(va)])
             print(f"trained {cfg.policy.arch} (cost {cost_rate:g}, lambda {lam:g}): "
                   f"val objective {log.val_objective[-1]:.4f} "
-                  f"(best epoch {log.best_epoch}) -> {checkpoint}")
+                  f"(best epoch {log.best_epoch}) -> {stem}.ehfm")
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    paths = _load_paths(cfg)
+    paths, digests = _load_paths(cfg)
     train_paths, test_paths = split_pathset(paths, cfg.n_train, cfg.n_test)
     contract = _contract(cfg)
     _, _, baseline_vol = _scenario(cfg)
-    gate = _gate(cfg)
+    gate, digests = _gate(cfg, digests)
     for cost_rate in cfg.cost_rates:
         for lam in cfg.risk_aversions:
             sweep = SweepConfig(
@@ -439,26 +440,24 @@ def cmd_sweep(args) -> int:
                 seed=cfg.train.seed)
             base_points = sweep_baseline(sweep, test_paths, contract,
                                          baseline_vol, cfg.dt)
-            write_frontier_csv(
-                _frontier_name(cfg.out_dir, "bsm", False, cost_rate, lam),
-                base_points)
+            base_file = _stem(cfg, "frontier", cost_rate, lam, "bsm") + ".csv"
+            write_frontier_csv(base_file, base_points)
+            _write_record(base_file, _made_from(cfg, "frontier", digests))
             if cfg.policy.arch == "bsm":
                 print(f"swept closed-form baseline only (cost {cost_rate:g}, "
                       f"lambda {lam:g})")
                 continue
             policy = None
-            checkpoint = _checkpoint_name(cfg, cost_rate, lam)
+            checkpoint = _stem(cfg, "policy", cost_rate, lam) + ".ehfm"
             if cfg.mode == "fast" and os.path.exists(checkpoint):
+                _check_record(checkpoint, "policy",
+                              _made_from(cfg, "policy", digests, cost_rate, lam))
                 policy = load_policy(checkpoint)
-                if policy.config != cfg.policy:
-                    raise IntegrityError(
-                        f"{checkpoint} was trained with other [policy] settings "
-                        f"({policy.config}) — rerun `ehf train`")
             points = sweep_alpha(sweep, train_paths, test_paths, contract,
                                  cfg.policy, cfg.train, gate=gate, policy=policy)
-            out = _frontier_name(cfg.out_dir, cfg.policy.arch, cfg.rf,
-                                 cost_rate, lam)
+            out = _stem(cfg, "frontier", cost_rate, lam) + ".csv"
             write_frontier_csv(out, points)
+            _write_record(out, _made_from(cfg, "frontier", digests))
             print(f"swept {len(points)} alphas (cost {cost_rate:g}, lambda "
                   f"{lam:g}, mode {cfg.mode}) -> {out}")
     return 0
@@ -469,26 +468,27 @@ def cmd_report(args) -> int:
     files = sorted(glob.glob(os.path.join(cfg.out_dir, "frontier_*.csv")))
     if not files:
         raise ResolutionError(f"no frontier CSVs under {cfg.out_dir}")
-    groups: dict[tuple, list] = {}
-    for filename in files:
-        points = read_frontier_csv(filename)
+    groups: dict[tuple, tuple] = {}   # -> (file name, points)
+    for name in files:
+        points = read_frontier_csv(name)
         if not points:
             continue
         p = points[0]
-        groups[(p.scenario, p.policy, p.rf, p.cost_rate, p.risk_aversion)] = points
+        groups[p.scenario, p.policy, p.rf, p.cost_rate, p.risk_aversion] = name, points
         kept = pareto_filter(points)
         pareto_name = os.path.join(
-            cfg.out_dir, "pareto_" + os.path.basename(filename)[len("frontier_"):])
+            cfg.out_dir, "pareto_" + os.path.basename(name)[len("frontier_"):])
         write_frontier_csv(pareto_name, kept)
     rows = []
-    for (scenario, policy, rf, cost_rate, lam), points in sorted(groups.items()):
-        if policy == "dense" and not rf:
-            continue  # this is the base config itself
+    for (scenario, policy, rf, cost_rate, lam), (name, points) in sorted(groups.items()):
         base = groups.get((scenario, "dense", False, cost_rate, lam))
-        if base is None:
-            continue
+        if base is None or (policy == "dense" and not rf):
+            continue  # no base, or this is the base config itself
+        # both sides must be swept on the same paths, n_train and n_test
+        _, made_from = _check_record(base[0], "frontier", {})
+        _check_record(name, "frontier", made_from)
         label = f"{policy}{'+rf' if rf else ''}@{cost_rate:g}/l{lam:g}"
-        rows.append((label, compare_configs(base, points,
+        rows.append((label, compare_configs(base[1], points,
                                             cfg.alpha_lo, cfg.alpha_hi)))
     if not rows:
         raise ResolutionError(

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import ehf
-from ehf.cli import (RunConfig, _parse_alpha_grid, _parse_number, _scenario,
-                     load_config, main)
+from ehf.cli import (RunConfig, _made_from, _parse_alpha_grid, _parse_number,
+                     _scenario, _write_record, load_config, main)
 from ehf.neural_core import load_params, save_params
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -333,26 +334,52 @@ def test_corrupted_manifest_exits_3(workdir, tmp_path, capsys):
     assert "checksum" in capsys.readouterr().err.lower()
 
 
-@pytest.mark.parametrize("body,message", [('{"sha256": ', "malformed JSON"),
-                                          ("[]", "expected a JSON object")],
-                         ids=["truncated", "not-an-object"])
-def test_malformed_manifest_json_exits_3(workdir, tmp_path, capsys, body, message):
-    ini, _ = workdir
-    clone = tmp_path / "manifest"
-    assert main(["simulate", "--config", str(ini), "--out", str(clone)]) == 0
-    (clone / "paths.manifest.json").write_text(body)
-    assert main(["label", "--config", str(ini), "--out", str(clone)]) == 3
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """An output dir with every kind of record: a forecast-gated pipeline
+    through sweep, plus a plain sweep that gives report its dense base."""
+    root = tmp_path_factory.mktemp("records")
+    (root / "gated.ini").write_text(FORECAST_INI)
+    (root / "plain.ini").write_text(TINY_INI)
+    for name, cmd in (("gated", "simulate"), ("gated", "label"), ("gated", "train"),
+                      ("gated", "sweep"), ("plain", "sweep")):
+        assert _run(root / f"{name}.ini", root / "out", cmd) == 0, (name, cmd)
+    return root
+
+
+# record -> (its file, the command that reads it first)
+_RECORDS = {"paths": ("paths.manifest.json", "label"),
+            "forest": ("forest.manifest.json", "train"),
+            "checkpoint": ("policy_dense_rf_c0.02_l0.5.manifest.json", "sweep"),
+            "frontier": ("frontier_dense_rf_c0.02_l0.5.manifest.json", "report")}
+_RECORD_FAULTS = {"truncated": ('{"sha256": ', "malformed JSON"),
+                  "not-an-object": ("[]", "expected a JSON object"),
+                  "missing": (None, "not found")}
+
+
+@pytest.mark.parametrize("record,fault", [
+    pytest.param(r, f, id=f if r == "paths" else f"{r}-{f}")
+    for r in _RECORDS for f in _RECORD_FAULTS])
+def test_malformed_manifest_json_exits_3(recorded, tmp_path, capsys, record, fault):
+    clone = tmp_path / "out"
+    shutil.copytree(recorded / "out", clone)
+    (name, command), (body, message) = _RECORDS[record], _RECORD_FAULTS[fault]
+    if body is None:
+        (clone / name).unlink()
+    else:
+        (clone / name).write_text(body)
+    assert _run(recorded / "gated.ini", clone, command) == 3
     assert message in capsys.readouterr().err
 
 
 def test_trailing_bytes_in_pathset_exits_3(workdir, tmp_path, capsys):
-    """Without a manifest to checksum against, the loader itself must notice."""
+    """With a record that matches the damaged file, the loader itself must notice."""
     ini, _ = workdir
     clone = tmp_path / "trailing"
     assert main(["simulate", "--config", str(ini), "--out", str(clone)]) == 0
-    (clone / "paths.manifest.json").unlink()
     with open(clone / "paths.ehfp", "ab") as fh:
         fh.write(b"\0" * 8)
+    _write_record(clone / "paths.ehfp", {})
     assert main(["label", "--config", str(ini), "--out", str(clone)]) == 3
     assert "trailing bytes" in capsys.readouterr().err
 
@@ -427,8 +454,8 @@ def test_jobs_flag_is_accepted_and_changes_no_artifact(tmp_path, capsys):
 # the forest gate: label fits the forest, train and sweep read it
 # ---------------------------------------------------------------------------
 
-FORECAST_INI = TINY_INI.replace("rf = false", "rf = true").replace(
-    "fit_rows = 1200", "fit_rows = 1200\ngate = forecast")
+RF_INI = TINY_INI.replace("rf = false", "rf = true")
+FORECAST_INI = RF_INI.replace("fit_rows = 1200", "fit_rows = 1200\ngate = forecast")
 
 
 def _ini(tmp_path, text):
@@ -485,8 +512,7 @@ def test_forecast_gate_with_stale_forest_exits_3(tmp_path, capsys, label_args,
 
 
 def test_oracle_gate_needs_no_forest(tmp_path, capsys):
-    ini = _ini(tmp_path, TINY_INI.replace("rf = false", "rf = true"))
-    out = tmp_path / "out"
+    ini, out = _ini(tmp_path, RF_INI), tmp_path / "out"
     for cmd in ("simulate", "train", "sweep"):
         assert _run(ini, out, cmd) == 0, cmd
     assert (out / "frontier_dense_rf_c0.02_l0.5.csv").exists()
@@ -514,18 +540,45 @@ def test_corrupt_checkpoint_exits_3(tmp_path, capsys, fault):
     else:
         arch = "lstm"
     save_params(ckpt, arch, params, meta)
+    digest = json.loads((out / "paths.manifest.json").read_text())["sha256"]
+    _write_record(ckpt, _made_from(load_config(str(ini)), "policy",
+                                   {"paths.ehfp": digest}, 0.02, 0.5))
     assert _run(ini, out, "sweep") == 3
     assert str(ckpt) in capsys.readouterr().err
 
 
-def test_fast_sweep_refuses_a_checkpoint_of_other_policy_settings(tmp_path, capsys):
-    ini, out = _ini(tmp_path, TINY_INI), tmp_path / "out"
+@pytest.mark.parametrize("text,old,new", [
+    (TINY_INI, "hidden = 8", "hidden = 16\nuse_change = false"),
+    (TINY_INI, "seed = 31415", "seed = 27182"),
+    (TINY_INI, "epochs = 1", "epochs = 2"),
+    (TINY_INI, "alphas = 0:0.08:3", "alphas = 0.01, 0.04, 0.08"),
+    (RF_INI, "beta = 0.05", "beta = 0.03")],
+    ids=["policy", "paths", "epochs", "first-alpha", "rf-beta"])
+def test_fast_sweep_refuses_a_checkpoint_of_other_policy_settings(
+        tmp_path, capsys, text, old, new):
+    """The checkpoint was trained on other paths or under other settings."""
+    ini, out = _ini(tmp_path, text), tmp_path / "out"
     for cmd in ("simulate", "train"):
         assert _run(ini, out, cmd) == 0, cmd
-    ini.write_text(TINY_INI.replace("hidden = 8", "hidden = 16\nuse_change = false"))
+    ini.write_text(text.replace(old, new))
+    assert _run(ini, out, "simulate") == 0
     assert _run(ini, out, "sweep") == 3
     assert "rerun `ehf train`" in capsys.readouterr().err
-    assert not (out / "frontier_dense_c0.02_l0.5.csv").exists()
+    assert not list(out.glob("frontier_dense*"))
+
+
+def test_report_refuses_a_pair_swept_on_other_paths(tmp_path, capsys):
+    """The variant was swept before the paths were simulated again."""
+    rf, plain = _ini(tmp_path, RF_INI), tmp_path / "plain.ini"
+    plain.write_text(TINY_INI)
+    out = tmp_path / "out"
+    assert _run(rf, out, "simulate") == 0
+    assert _run(rf, out, "sweep") == 0
+    assert _run(plain, out, "simulate", "--seed", "2") == 0
+    assert _run(plain, out, "sweep") == 0
+    assert _run(plain, out, "report") == 3
+    err = capsys.readouterr().err
+    assert "frontier_dense_rf_c0.02_l0.5.csv" in err and "rerun `ehf sweep`" in err
 
 
 def test_gradcheck_passes(capsys):
