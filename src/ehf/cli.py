@@ -270,12 +270,13 @@ _PROVENANCE = {
         "n_train": cfg.n_train, "beta": cfg.beta, "fit_rows": cfg.forest_fit_rows,
         "forest settings": asdict(cfg.forest)}),
     "policy": ("train", (PATHS_FILE, FOREST_FILE), lambda cfg, cost, lam: {
-        "n_train": cfg.n_train, "alphas[0]": cfg.alphas[0], "rf": cfg.rf,
+        "n_train": cfg.n_train, "strike": cfg.strike, "alphas[0]": cfg.alphas[0],
+        "rf": cfg.rf,
         **({"gate": cfg.gate, "beta": cfg.beta} if cfg.rf else {}),
         "cost rate": cost, "lambda": lam, "policy settings": asdict(cfg.policy),
         "training settings": asdict(cfg.train)}),
     "frontier": ("sweep", (PATHS_FILE,), lambda cfg, *_: {
-        "n_train": cfg.n_train, "n_test": cfg.n_test}),
+        "n_train": cfg.n_train, "n_test": cfg.n_test, "strike": cfg.strike}),
 }
 
 
@@ -454,7 +455,8 @@ def cmd_sweep(args) -> int:
                               _made_from(cfg, "policy", digests, cost_rate, lam))
                 policy = load_policy(checkpoint)
             points = sweep_alpha(sweep, train_paths, test_paths, contract,
-                                 cfg.policy, cfg.train, gate=gate, policy=policy)
+                                 cfg.policy, cfg.train, gate=gate, policy=policy,
+                                 jobs=args.jobs)
             out = _stem(cfg, "frontier", cost_rate, lam) + ".csv"
             write_frontier_csv(out, points)
             _write_record(out, _made_from(cfg, "frontier", digests))
@@ -484,7 +486,7 @@ def cmd_report(args) -> int:
         base = groups.get((scenario, "dense", False, cost_rate, lam))
         if base is None or (policy == "dense" and not rf):
             continue  # no base, or this is the base config itself
-        # both sides must be swept on the same paths, n_train and n_test
+        # both sides must be swept on the same paths, n_train, n_test and strike
         _, made_from = _check_record(base[0], "frontier", {})
         _check_record(name, "frontier", made_from)
         label = f"{policy}{'+rf' if rf else ''}@{cost_rate:g}/l{lam:g}"
@@ -567,6 +569,13 @@ def cmd_gradcheck(args) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ehf",
@@ -582,8 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("gradcheck", cmd_gradcheck, "verify analytic gradients by finite differences")):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="processes for a retrain sweep, this one included "
+                            "(at most the usable cores); other commands ignore it")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seeds")
         p.add_argument("--out", default=None, help="override the output directory")

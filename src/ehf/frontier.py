@@ -10,7 +10,13 @@ desk would read them: higher mean (smaller loss) and lower std are better.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
+import glob
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,8 +182,8 @@ def _point(sweep: SweepConfig, policy: str, rf: bool, mode: str, alpha: float,
 
 def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: PathSet,
                 contract: ContractSpec, policy_cfg: PolicyConfig,
-                train_cfg: TrainConfig, gate=None,
-                policy=None) -> list[FrontierPoint]:
+                train_cfg: TrainConfig, gate=None, policy=None,
+                jobs: int = 1) -> list[FrontierPoint]:
     """One FrontierPoint per alpha, evaluated on the held-out test paths.
 
     mode="retrain" trains a fresh policy per alpha; mode="fast" re-masks a
@@ -185,8 +191,13 @@ def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: Pat
     densest mask (the grid's smallest alpha). Every emitted point carries the
     mode tag. rf sweeps need gate, a function from a PathSet to its
     [n, n_steps] gate labels; it sees the training paths only if the sweep
-    trains.
+    trains. A retrain sweep spreads its alphas over up to `jobs` processes
+    (see _strided_map); every alpha trains from the same seeds, so the
+    points do not depend on jobs. A fast sweep's alphas are too cheap to pay
+    for a process and always run here.
     """
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if train_paths is not None:
         _check_disjoint(train_paths, test_paths)
     elif sweep.mode == "retrain":
@@ -209,16 +220,20 @@ def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: Pat
             _masks_for(train_paths, alpha, train_labels), train_cfg,
             labels=train_labels)[0]
 
-    if policy is None and not retrain:
-        policy = trained_at(sweep.alphas[0])
     # each evaluation's per-path arrays are dropped once its point is built,
     # before retrain mode trains the next policy
-    points = [
-        _point(sweep, policy_cfg.arch, sweep.rf, sweep.mode, alpha, evaluate_policy(
+    def point_at(alpha: float) -> FrontierPoint:
+        return _point(sweep, policy_cfg.arch, sweep.rf, sweep.mode, alpha, evaluate_policy(
             test_paths, trained_at(alpha) if retrain else policy,
             _masks_for(test_paths, alpha, test_labels), contract, cost,
             labels=test_labels))
-        for alpha in sweep.alphas]
+
+    if retrain:
+        points = _strided_map(point_at, sweep.alphas, jobs)
+    else:
+        if policy is None:
+            policy = trained_at(sweep.alphas[0])
+        points = [point_at(alpha) for alpha in sweep.alphas]
     _assert_trades_monotone(points)
     return points
 
@@ -243,6 +258,92 @@ def _assert_trades_monotone(points: list[FrontierPoint]) -> None:
         raise StateError(
             f"avg_trades increased along the sweep at alpha index {worst} "
             f"({trades[worst]:.4f} -> {trades[worst + 1]:.4f})")
+
+
+# ---------------------------------------------------------------------------
+# process pool for retrain sweeps
+# ---------------------------------------------------------------------------
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _openblas_thread_calls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas*"))
+    for lib_path in libs:
+        lib = ctypes.CDLL(lib_path)
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread inside the block, then restore it.
+
+    With one process per core, a second BLAS thread in each process only
+    contends for the same cores. The artifacts stay byte-identical to those
+    of a serial run with BLAS threads (tests compare --jobs 1 with 2).
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+# A pool worker's share of a _strided_map call: set by the pool's initializer
+# in the forked worker only, never in the calling process.
+_worker_share = None
+
+
+def _adopt_share(share) -> None:
+    global _worker_share
+    _worker_share = share
+
+
+def _run_share(k: int) -> list:
+    return _worker_share(k)
+
+
+def _strided_map(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items], dealt in strided shares items[k::n] over
+    n = min(jobs, len(items), usable cores) processes.
+
+    The calling process computes share 0 itself, and forked pool workers the
+    others. A forked worker inherits fn and all it reads (paths, masks, gate
+    labels), so only its results are pickled. Fork happens before the pool
+    starts its own thread, with BLAS at one thread. Without fork, or with one
+    share, everything runs here.
+    """
+    n = min(jobs, len(items), _usable_cores())
+    if n < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(x) for x in items]
+    out = [None] * len(items)
+    with _one_blas_thread(), ProcessPoolExecutor(
+            n - 1, mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt_share,
+            initargs=(lambda k: [fn(x) for x in items[k::n]],)) as pool:
+        futures = [pool.submit(_run_share, k) for k in range(1, n)]
+        out[0::n] = [fn(x) for x in items[0::n]]
+        for k, future in enumerate(futures, start=1):
+            out[k::n] = future.result()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -173,9 +173,9 @@ class HedgeEpisodeResult:
     deltas: np.ndarray       # [n, n_steps]
 
 
-def episode_results(prices: np.ndarray, deltas: np.ndarray,
-                    contract: ContractSpec, cost: CostModel) -> HedgeEpisodeResult:
-    """Vectorized termination-loss accounting for a batch of paths."""
+def _loss_and_cash(prices: np.ndarray, deltas: np.ndarray, contract: ContractSpec,
+                   cost: CostModel) -> tuple[np.ndarray, np.ndarray]:
+    """(termination loss [n], signed cash traded per day [n, n_steps]) of a batch."""
     prices = np.asarray(prices, dtype=np.float64)
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.ndim != 2 or prices.shape != (deltas.shape[0], deltas.shape[1] + 1):
@@ -184,15 +184,21 @@ def episode_results(prices: np.ndarray, deltas: np.ndarray,
     if contract.maturity_steps != deltas.shape[1]:
         raise ShapeError(
             f"contract maturity {contract.maturity_steps} != {deltas.shape[1]} hedge days")
-    position_changes = np.diff(deltas, axis=1, prepend=0.0)
-    buy_sell = position_changes * prices[:, :-1]
-    costs = cost.rate * np.abs(buy_sell)
+    buy_sell = np.diff(deltas, axis=1, prepend=0.0) * prices[:, :-1]
     pnl = np.sum(deltas * np.diff(prices, axis=1), axis=1)
     payoff = np.maximum(prices[:, -1] - contract.strike, 0.0)
-    loss = pnl - costs.sum(axis=1) - payoff
+    return pnl - (cost.rate * np.abs(buy_sell)).sum(axis=1) - payoff, buy_sell
+
+
+def episode_results(prices: np.ndarray, deltas: np.ndarray,
+                    contract: ContractSpec, cost: CostModel) -> HedgeEpisodeResult:
+    """Vectorized termination-loss accounting for a batch of paths."""
+    loss, buy_sell = _loss_and_cash(prices, deltas, contract, cost)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    costs = cost.rate * np.abs(buy_sell)
     return HedgeEpisodeResult(
         loss=loss,
-        trade_counts=np.count_nonzero(position_changes, axis=1),
+        trade_counts=np.count_nonzero(np.diff(deltas, axis=1, prepend=0.0), axis=1),
         total_cost=costs.sum(axis=1),
         buy_sell=buy_sell,
         costs=costs,
@@ -526,11 +532,11 @@ def episode_loss_node(tape: Tape, policy, prices: np.ndarray, mask: np.ndarray,
     the last term absent on the final day; sign(0) = 0, a zero subgradient.
     """
     delta_node = policy.tape_deltas(tape, prices, mask, labels=labels)
-    res = episode_results(prices, delta_node.value, contract, cost)
-    sgn = np.sign(res.buy_sell)
+    loss, buy_sell = _loss_and_cash(prices, delta_node.value, contract, cost)
+    sgn = np.sign(buy_sell)
     dloss = np.diff(prices, axis=1) - cost.rate * sgn * prices[:, :-1]
     dloss[:, :-1] += cost.rate * sgn[:, 1:] * prices[:, 1:-1]
-    return tape.record(res.loss, (delta_node,), lambda g: (g[:, None] * dloss,))
+    return tape.record(loss, (delta_node,), lambda g: (g[:, None] * dloss,))
 
 
 @dataclass

@@ -552,8 +552,9 @@ def test_corrupt_checkpoint_exits_3(tmp_path, capsys, fault):
     (TINY_INI, "seed = 31415", "seed = 27182"),
     (TINY_INI, "epochs = 1", "epochs = 2"),
     (TINY_INI, "alphas = 0:0.08:3", "alphas = 0.01, 0.04, 0.08"),
-    (RF_INI, "beta = 0.05", "beta = 0.03")],
-    ids=["policy", "paths", "epochs", "first-alpha", "rf-beta"])
+    (RF_INI, "beta = 0.05", "beta = 0.03"),
+    (TINY_INI, "strike = 100", "strike = 110")],
+    ids=["policy", "paths", "epochs", "first-alpha", "rf-beta", "strike"])
 def test_fast_sweep_refuses_a_checkpoint_of_other_policy_settings(
         tmp_path, capsys, text, old, new):
     """The checkpoint was trained on other paths or under other settings."""
@@ -581,6 +582,21 @@ def test_report_refuses_a_pair_swept_on_other_paths(tmp_path, capsys):
     assert "frontier_dense_rf_c0.02_l0.5.csv" in err and "rerun `ehf sweep`" in err
 
 
+def test_report_refuses_a_pair_swept_at_other_strikes(tmp_path, capsys):
+    """The variant was swept on the same paths for another contract."""
+    rf = _ini(tmp_path, RF_INI.replace("strike = 100", "strike = 110"))
+    plain = tmp_path / "plain.ini"
+    plain.write_text(TINY_INI)
+    out = tmp_path / "out"
+    assert _run(plain, out, "simulate") == 0
+    assert _run(rf, out, "sweep") == 0
+    assert _run(plain, out, "sweep") == 0
+    assert _run(plain, out, "report") == 3
+    err = capsys.readouterr().err
+    assert "frontier_dense_rf_c0.02_l0.5.csv: its record holds other strike" in err
+    assert "rerun `ehf sweep`" in err
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
@@ -603,3 +619,11 @@ def test_seed_override_changes_artifacts(workdir, tmp_path, capsys):
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         main(["transmogrify"])
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_jobs_below_one_exits_2_at_parse_time(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

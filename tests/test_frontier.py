@@ -1,10 +1,14 @@
 """Alpha sweeps, Pareto filtering, range summaries, and frontier CSV I/O."""
 
+import os
+
 import numpy as np
 import pytest
 
 import ehf
-from ehf.errors import ConfigurationError, DomainError, IntegrityError, StateError
+from ehf import frontier
+from ehf.errors import (ConfigurationError, DomainError, IntegrityError,
+                        NumericError, StateError)
 from ehf.hedging_engine import DensePolicy
 
 
@@ -298,3 +302,69 @@ def test_frontier_point_validation():
         _point(-10.0, -1.0)
     with pytest.raises(DomainError):
         _point(-10.0, 5.0, trades=-2.0)
+
+
+# ---------------------------------------------------------------------------
+# retrain sweeps over forked processes
+# ---------------------------------------------------------------------------
+
+RETRAIN_ALPHAS = (0.0, 0.02, 0.05, 0.1)
+
+
+def _retrain(split, alphas, jobs):
+    train, test = split
+    sweep = ehf.SweepConfig(alphas=alphas, cost_rate=0.02, mode="retrain", seed=5)
+    return ehf.sweep_alpha(sweep, train, test, ehf.ContractSpec(100.0, 30),
+                           TINY_POLICY, TINY_TRAIN, jobs=jobs)
+
+
+@pytest.fixture(scope="module")
+def serial_retrain(tiny_split):
+    return _retrain(tiny_split, RETRAIN_ALPHAS, jobs=1)
+
+
+@pytest.mark.parametrize("jobs,n_alphas", [(3, 4), (10, 2)],
+                         ids=["uneven-shares", "more-jobs-than-alphas"])
+def test_retrain_pool_gives_the_serial_points(tiny_split, serial_retrain,
+                                              monkeypatch, jobs, n_alphas):
+    """Every alpha trains from the same seeds, so the points of a pooled sweep
+    equal the serial ones, in grid order (4 alphas over 3 processes: shares
+    of 2, 1 and 1)."""
+    monkeypatch.setattr(frontier, "_usable_cores", lambda: 16)
+    pooled = _retrain(tiny_split, RETRAIN_ALPHAS[:n_alphas], jobs)
+    assert pooled == serial_retrain[:n_alphas]
+
+
+def test_retrain_pool_raises_a_worker_error_in_the_caller(tiny_split, monkeypatch):
+    monkeypatch.setattr(frontier, "_usable_cores", lambda: 2)
+    caller = os.getpid()
+    train_policy = frontier.train_policy
+
+    def failing_in_a_worker(*args, **kwargs):
+        if os.getpid() != caller:   # the second alpha, in the forked worker
+            raise NumericError("training objective is NaN")
+        return train_policy(*args, **kwargs)
+
+    monkeypatch.setattr(frontier, "train_policy", failing_in_a_worker)
+    with pytest.raises(NumericError, match="NaN"):
+        _retrain(tiny_split, RETRAIN_ALPHAS[:2], jobs=2)
+
+
+def test_retrain_pool_runs_blas_on_one_thread_and_restores_it(
+        tiny_split, serial_retrain, monkeypatch):
+    calls = frontier._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    get, _ = calls
+    monkeypatch.setattr(frontier, "_usable_cores", lambda: 2)
+    train_policy, seen = frontier.train_policy, []
+
+    def counting(*args, **kwargs):
+        seen.append(get())
+        return train_policy(*args, **kwargs)
+
+    monkeypatch.setattr(frontier, "train_policy", counting)
+    before = get()
+    assert _retrain(tiny_split, RETRAIN_ALPHAS, jobs=2) == serial_retrain
+    assert get() == before
+    assert seen == [1, 1]   # the calling process's share
