@@ -28,7 +28,7 @@ from .market_sim import (GBMParams, HestonParams, HIGH_VOL, LOW_VOL, PathSet,
                          SimConfig, load_pathset, save_pathset, simulate_gbm,
                          simulate_heston, split_pathset)
 from .neural_core import (AdamState, GradCheckReport, Node, Tape, adam_step,
-                          fan_uniform, grad_check, load_params, save_params)
+                          fan_uniform, grad_check)
 from .signal_forest import (ClassificationReport, DecisionTree, Forest,
                             ForestConfig, classification_report, feature_table,
                             fit_forest, label_extrema, label_matrix,

@@ -40,7 +40,7 @@ from .signal_forest import (ForestConfig, load_forest, save_forest,
                             write_label_csv)
 
 PATHS_FILE = "paths.ehfp"
-FOREST_FILE = "forest.npz"
+FOREST_FILE = "forest.ehff"
 
 _SCENARIOS = ("low_vol", "high_vol", "gbm", "custom")
 
@@ -228,8 +228,6 @@ def load_config(path: str | None) -> RunConfig:
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "out", None):
         cfg = replace(cfg, out_dir=args.out)
-    if getattr(args, "mode", None):
-        cfg = replace(cfg, mode=args.mode)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, sim_seed=args.seed,
                       train=replace(cfg.train, seed=args.seed),
@@ -597,8 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seeds")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--mode", choices=("retrain", "fast"), default=None,
-                       help="frontier sweep mode override")
         p.set_defaults(func=fn)
     return parser
 

@@ -16,7 +16,6 @@ import ctypes
 import glob
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,14 +306,9 @@ def _one_blas_thread():
         put(before)
 
 
-# A pool worker's share of a _strided_map call: set by the pool's initializer
-# in the forked worker only, never in the calling process.
+# A pool worker's share of a _strided_map call: k -> the results of share k.
+# Set in the calling process just before the pool forks, cleared after it.
 _worker_share = None
-
-
-def _adopt_share(share) -> None:
-    global _worker_share
-    _worker_share = share
 
 
 def _run_share(k: int) -> list:
@@ -327,22 +321,25 @@ def _strided_map(fn, items, jobs: int) -> list:
 
     The calling process computes share 0 itself, and forked pool workers the
     others. A forked worker inherits fn and all it reads (paths, masks, gate
-    labels), so only its results are pickled. Fork happens before the pool
-    starts its own thread, with BLAS at one thread. Without fork, or with one
-    share, everything runs here.
+    labels), so only its results are pickled. The pool forks its workers
+    before it starts its own threads, with BLAS at one thread. Leaving the
+    pool terminates the workers, so an error in share 0 surfaces at once.
+    Without fork, or with one share, everything runs here.
     """
+    global _worker_share
     n = min(jobs, len(items), _usable_cores())
     if n < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(x) for x in items]
     out = [None] * len(items)
-    with _one_blas_thread(), ProcessPoolExecutor(
-            n - 1, mp_context=multiprocessing.get_context("fork"),
-            initializer=_adopt_share,
-            initargs=(lambda k: [fn(x) for x in items[k::n]],)) as pool:
-        futures = [pool.submit(_run_share, k) for k in range(1, n)]
-        out[0::n] = [fn(x) for x in items[0::n]]
-        for k, future in enumerate(futures, start=1):
-            out[k::n] = future.result()
+    _worker_share = lambda k: [fn(x) for x in items[k::n]]
+    try:
+        with _one_blas_thread(), multiprocessing.get_context("fork").Pool(n - 1) as pool:
+            shares = pool.map_async(_run_share, range(1, n), chunksize=1)
+            out[0::n] = _worker_share(0)
+            for k, share in enumerate(shares.get(), start=1):
+                out[k::n] = share
+    finally:
+        _worker_share = None
     return out
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .analytics_bsm import ContractSpec, bsm_delta_matrix
 from .errors import ConfigurationError, DomainError, IntegrityError, ShapeError
 from .market_sim import PathSet
+from . import container
 from . import neural_core as nc
 from .neural_core import AdamState, Tape, adam_step, fan_uniform, require_finite
 
@@ -641,14 +642,14 @@ def save_policy(filename, policy) -> None:
         raise ConfigurationError("closed-form policy has no checkpointable state")
     meta = {**asdict(policy.config), "s0": policy.s0}
     del meta["arch"]
-    nc.save_params(filename, policy.arch, policy.params, meta)
+    container.save(filename, "checkpoint", policy.params, meta, tag=policy.arch)
 
 
 def load_policy(filename):
     """Restore a checkpoint whose parameter blocks have the names and shapes
     param_shapes gives for the stored architecture and config; they are
     compared before anything is allocated for what the header claims."""
-    arch, params, meta = nc.load_params(filename)
+    arch, meta, params = container.load(filename, "checkpoint")
     try:
         settings = {f.name: meta[f.name] for f in fields(PolicyConfig)
                     if f.name != "arch"}

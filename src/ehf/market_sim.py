@@ -7,18 +7,12 @@ batch is laid out or split across workers.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from .errors import ConfigurationError, IntegrityError
-
-PATHSET_MAGIC = b"EHFP"
-PATHSET_VERSION = 1
-
-# header: magic, version u32, n_paths u64, n_steps u64, s0 f64, seed u64
-_HEADER = struct.Struct("<4sIQQdQ")
 
 
 @dataclass(frozen=True)
@@ -201,46 +195,23 @@ def simulate_heston(params: HestonParams, cfg: SimConfig,
 
 
 def save_pathset(paths: PathSet, filename) -> None:
-    """Write the versioned little-endian binary PathSet format."""
-    with open(filename, "wb") as fh:
-        fh.write(_HEADER.pack(PATHSET_MAGIC, PATHSET_VERSION, paths.n_paths,
-                              paths.n_steps, paths.s0, paths.seed))
-        fh.write(np.ascontiguousarray(paths.prices, dtype="<f8").tobytes())
-        flag = 1.0 if paths.variances is not None else 0.0
-        fh.write(struct.pack("<d", flag))
-        if paths.variances is not None:
-            fh.write(np.ascontiguousarray(paths.variances, dtype="<f8").tobytes())
+    """Write the path set as a container: prices, and variances if simulated."""
+    blocks = {"prices": paths.prices}
+    if paths.variances is not None:
+        blocks["variances"] = paths.variances
+    container.save(filename, "paths", blocks,
+                   {"s0": float(paths.s0), "seed": int(paths.seed)})
 
 
 def load_pathset(filename) -> PathSet:
-    with open(filename, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise IntegrityError(f"{filename}: truncated header")
-    magic, version, n_paths, n_steps, s0, seed = _HEADER.unpack_from(raw, 0)
-    if magic != PATHSET_MAGIC:
-        raise IntegrityError(f"{filename}: bad magic {magic!r}")
-    if version != PATHSET_VERSION:
-        raise IntegrityError(f"{filename}: unsupported version {version}")
-    n_vals = n_paths * (n_steps + 1)
-    offset = _HEADER.size
-    expect_min = offset + 8 * n_vals + 8
-    if len(raw) < expect_min:
-        raise IntegrityError(f"{filename}: truncated price block")
-    prices = np.frombuffer(raw, dtype="<f8", count=n_vals, offset=offset).reshape(n_paths, n_steps + 1)
-    offset += 8 * n_vals
-    (flag,) = struct.unpack_from("<d", raw, offset)
-    offset += 8
-    variances = None
-    if flag == 1.0:
-        if len(raw) < offset + 8 * n_vals:
-            raise IntegrityError(f"{filename}: truncated variance block")
-        variances = np.frombuffer(raw, dtype="<f8", count=n_vals, offset=offset).reshape(n_paths, n_steps + 1)
-        offset += 8 * n_vals
-    elif flag != 0.0:
-        raise IntegrityError(f"{filename}: invalid variance flag {flag}")
-    if len(raw) != offset:
-        raise IntegrityError(f"{filename}: {len(raw) - offset} trailing bytes")
-    return PathSet(prices.copy(), None if variances is None else variances.copy(),
-                   s0, seed, np.arange(n_paths, dtype=np.int64))
-
+    _, meta, blocks = container.load(filename, "paths")
+    try:
+        prices, variances = blocks.pop("prices"), blocks.pop("variances", None)
+        if (blocks or prices.ndim != 2 or prices.shape[1] < 2
+                or (variances is not None and variances.shape != prices.shape)):
+            raise ValueError("blocks are not prices [paths, days] and optional "
+                             "variances of the same shape")
+        return PathSet(prices, variances, float(meta["s0"]), int(meta["seed"]),
+                       np.arange(len(prices), dtype=np.int64))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise IntegrityError(f"{filename}: not a path set ({exc!r})") from exc

@@ -8,24 +8,17 @@ reverse for exact parameter gradients, all in float64. It is deliberately
 not a general autodiff framework; the adjoints themselves, backpropagation
 through time included, live with the computations they differentiate.
 
-Also here: the logistic function, fan-based initialization, Adam,
-finite-difference gradient checking, and the versioned model checkpoint
-format.
+Also here: the logistic function, fan-based initialization, Adam and
+finite-difference gradient checking.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IntegrityError, NumericError, ShapeError, StateError
-
-MODEL_MAGIC = b"EHFM"
-MODEL_VERSION = 1
+from .errors import NumericError, ShapeError, StateError
 
 
 def sigmoid(x):
@@ -202,80 +195,6 @@ def grad_check(loss_and_grad, params: dict[str, np.ndarray],
             worst = max(worst, abs(a_flat[i] - numeric) / denom)
         report[name] = worst
     return GradCheckReport(report)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-def save_params(filename, arch: str, params: dict[str, np.ndarray],
-                meta: dict | None = None) -> None:
-    """Versioned binary checkpoint: magic, architecture tag, meta JSON, f64 arrays.
-
-    Round-trips are bit-exact; array order is sorted by name so rewrites of the
-    same model are byte-identical.
-    """
-    meta_blob = json.dumps(meta or {}, sort_keys=True).encode()
-    arch_blob = arch.encode()
-    with open(filename, "wb") as fh:
-        fh.write(struct.pack("<4sI", MODEL_MAGIC, MODEL_VERSION))
-        fh.write(struct.pack("<H", len(arch_blob)))
-        fh.write(arch_blob)
-        fh.write(struct.pack("<I", len(meta_blob)))
-        fh.write(meta_blob)
-        fh.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            blob = name.encode()
-            arr = np.ascontiguousarray(params[name], dtype="<f8")
-            fh.write(struct.pack("<H", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.tobytes())
-
-
-def load_params(filename) -> tuple[str, dict[str, np.ndarray], dict]:
-    with open(filename, "rb") as fh:
-        raw = fh.read()
-    try:
-        magic, version = struct.unpack_from("<4sI", raw, 0)
-        if magic != MODEL_MAGIC:
-            raise IntegrityError(f"{filename}: bad magic {magic!r}")
-        if version != MODEL_VERSION:
-            raise IntegrityError(f"{filename}: unsupported version {version}")
-        offset = 8
-        (arch_len,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        arch = raw[offset:offset + arch_len].decode()
-        offset += arch_len
-        (meta_len,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        meta = json.loads(raw[offset:offset + meta_len].decode())
-        offset += meta_len
-        (count,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        params = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", raw, offset)
-            offset += 2
-            name = raw[offset:offset + name_len].decode()
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", raw, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}Q", raw, offset)
-            offset += 8 * ndim
-            n_vals = math.prod(shape)
-            if 8 * n_vals > len(raw) - offset:
-                raise IntegrityError(f"{filename}: block {name!r} runs past the end")
-            arr = np.frombuffer(raw, dtype="<f8", count=n_vals, offset=offset).reshape(shape)
-            offset += 8 * n_vals
-            params[name] = arr.copy()
-    except (struct.error, ValueError) as exc:
-        # struct.error: header cut short; ValueError: an undecodable name,
-        # mangled meta JSON (JSONDecodeError subclasses ValueError) or a
-        # shape numpy cannot make
-        raise IntegrityError(f"{filename}: truncated checkpoint ({exc})") from exc
-    return arch, params, meta
 
 
 def require_finite(value, context: str) -> None:

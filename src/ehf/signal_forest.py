@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 import math
-import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import container
 from .errors import ConfigurationError, DomainError, IntegrityError, ShapeError
 from .market_sim import PathSet
 
@@ -292,67 +292,51 @@ def classification_report(predictions: np.ndarray, truth: np.ndarray) -> Classif
 
 
 def save_forest(filename, forest: Forest) -> None:
-    payload = {
-        "meta": np.array([
-            forest.config.n_trees, forest.config.max_depth, forest.config.min_leaf,
-            forest.config.seed, forest.n_features], dtype=np.int64),
-        "bootstrap_fraction": np.array([forest.config.bootstrap_fraction]),
-    }
-    for i, tree in enumerate(forest.trees):
-        payload[f"t{i}_feature"] = tree.feature
-        payload[f"t{i}_threshold"] = tree.threshold
-        payload[f"t{i}_left"] = tree.left
-        payload[f"t{i}_right"] = tree.right
-        payload[f"t{i}_leaf"] = tree.leaf_class
-    np.savez_compressed(filename, **payload)
+    """One [n_nodes, 5] block per tree: feature, threshold, left, right, leaf."""
+    blocks = {f"t{i}": np.column_stack([tree.feature, tree.threshold, tree.left,
+                                        tree.right, tree.leaf_class])
+              for i, tree in enumerate(forest.trees)}
+    container.save(filename, "forest", blocks,
+                   {**asdict(forest.config), "n_features": forest.n_features})
 
 
-def _check_tree(tree: DecisionTree, n_features: int) -> None:
-    """ValueError unless prediction through the tree is safe and terminates.
-
-    _fit_tree allocates both children after their parent, so every internal
-    node's children must be later nodes of the table.
+def _tree_from_table(table: np.ndarray, n_features: int) -> DecisionTree:
+    """The tree of a [n_nodes, 5] table (feature, threshold, left, right, leaf
+    class); ValueError unless the table is integral but for the threshold and
+    prediction through it terminates: _fit_tree allocates both children after
+    their parent, so a split's children must be later nodes; a leaf's are >= -1.
     """
-    n = tree.n_nodes
-    arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_class)
-    if n == 0 or any(a.shape != (n,) for a in arrays) or any(
-            a.dtype.kind not in "iu" for a in (tree.feature, tree.left, tree.right)):
-        raise ValueError("node arrays are empty, of unequal length or not integer")
-    if np.any((tree.feature < -1) | (tree.feature >= n_features)):
+    if table.ndim != 2 or table.shape[1] != 5 or len(table) == 0:
+        raise ValueError(f"a tree table of shape {table.shape}")
+    ints, feature = table[:, [0, 2, 3, 4]], table[:, 0]
+    if np.any(ints != np.trunc(ints)):     # NaN included
+        raise ValueError("a node index or leaf class is not an integer")
+    if np.any((feature < -1) | (feature >= n_features)):
         raise ValueError(f"feature index outside [-1, {n_features})")
-    inner = np.flatnonzero(tree.feature >= 0)
-    children = np.concatenate([tree.left[inner], tree.right[inner]])
-    if np.any((children <= np.tile(inner, 2)) | (children >= n)):
+    if not np.isin(table[:, 4], (-1, 0, 1)).all():
+        raise ValueError("leaf class outside {-1, 0, 1}")
+    first = np.where(feature >= 0, np.arange(len(table)) + 1, -1)[:, None]
+    if np.any((table[:, 2:4] < first) | (table[:, 2:4] >= len(table))):
         raise ValueError("a child does not point to a later node in range")
+    return DecisionTree(
+        feature=feature.astype(np.int32), threshold=table[:, 1].copy(),
+        left=table[:, 2].astype(np.int32), right=table[:, 3].astype(np.int32),
+        leaf_class=table[:, 4].astype(np.int8))
 
 
 def load_forest(filename) -> Forest:
+    _, meta, blocks = container.load(filename, "forest")
     try:
-        data = np.load(filename, allow_pickle=False)
-    except (ValueError, OSError, zipfile.BadZipFile) as exc:
-        raise IntegrityError(f"{filename}: not a forest archive ({exc})") from exc
-    with data:
-        try:
-            meta, fraction = data["meta"], data["bootstrap_fraction"]
-            if meta.shape != (5,) or fraction.shape != (1,):
-                raise ValueError(f"meta shape {meta.shape}, bootstrap_fraction "
-                                 f"shape {fraction.shape}")
-            n_trees, max_depth, min_leaf, seed, n_features = (int(v) for v in meta)
-            if n_features < 1:
-                raise ValueError(f"{n_features} features")
-            cfg = ForestConfig(
-                n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
-                bootstrap_fraction=float(fraction[0]), seed=seed)
-            trees = tuple(
-                DecisionTree(
-                    feature=data[f"t{i}_feature"], threshold=data[f"t{i}_threshold"],
-                    left=data[f"t{i}_left"], right=data[f"t{i}_right"],
-                    leaf_class=data[f"t{i}_leaf"])
-                for i in range(cfg.n_trees))
-            for tree in trees:
-                _check_tree(tree, n_features)
-        except (KeyError, ValueError, ConfigurationError) as exc:
-            raise IntegrityError(f"{filename}: malformed forest file ({exc})") from exc
+        n_features = meta.pop("n_features")
+        if type(n_features) is not int or not 1 <= n_features < 2 ** 31:
+            raise ValueError(f"{n_features!r} features")
+        cfg = ForestConfig(**meta)
+        if len(blocks) != cfg.n_trees:
+            raise ValueError(f"{len(blocks)} tree blocks for {cfg.n_trees} trees")
+        trees = tuple(_tree_from_table(blocks[f"t{i}"], n_features)
+                      for i in range(cfg.n_trees))
+    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+        raise IntegrityError(f"{filename}: malformed forest file ({exc!r})") from exc
     return Forest(trees=trees, config=cfg, n_features=n_features)
 
 

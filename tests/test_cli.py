@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import ehf
+from ehf import container
 from ehf.cli import (RunConfig, _made_from, _parse_alpha_grid, _parse_number,
                      _scenario, _write_record, load_config, main)
-from ehf.neural_core import load_params, save_params
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -259,13 +259,13 @@ def test_simulate_is_byte_identical_on_rerun(workdir, capsys):
 def test_label_builds_forest_and_reports(workdir, capsys):
     ini, out = workdir
     assert _run(ini, out, "label") == 0
-    assert (out / "forest.npz").exists()
+    assert (out / "forest.ehff").exists()
     assert (out / "labels.csv").exists()
     report = (out / "label_report.txt").read_text()
     assert "accuracy" in report and "baseline" in report
     stdout = capsys.readouterr().out
     assert "training split" in stdout and "test split" in stdout
-    forest = ehf.load_forest(out / "forest.npz")
+    forest = ehf.load_forest(out / "forest.ehff")
     assert forest.config.n_trees == 5
 
 
@@ -485,12 +485,15 @@ def test_forecast_pipeline_matches_library_run(tmp_path, capsys):
 
 
 def test_forecast_gate_without_forest_exits_3(tmp_path, capsys):
+    """A forecast gate needs the forest `ehf label` writes; a forest.npz of the
+    former format does not count."""
     ini, out = _ini(tmp_path, FORECAST_INI), tmp_path / "out"
     assert _run(ini, out, "simulate") == 0
+    (out / "forest.npz").write_bytes(b"PK\x03\x04")
     for cmd in ("train", "sweep"):
         assert _run(ini, out, cmd) == 3, cmd
         assert "run `ehf label` first" in capsys.readouterr().err
-    assert not (out / "forest.npz").exists()
+    assert not (out / "forest.ehff").exists()
 
 
 @pytest.mark.parametrize("label_args,stale", [
@@ -516,7 +519,7 @@ def test_oracle_gate_needs_no_forest(tmp_path, capsys):
     for cmd in ("simulate", "train", "sweep"):
         assert _run(ini, out, cmd) == 0, cmd
     assert (out / "frontier_dense_rf_c0.02_l0.5.csv").exists()
-    assert not (out / "forest.npz").exists()
+    assert not (out / "forest.ehff").exists()
     capsys.readouterr()
 
 
@@ -528,7 +531,7 @@ def test_corrupt_checkpoint_exits_3(tmp_path, capsys, fault):
     assert _run(ini, out, "simulate") == 0
     ckpt = out / "policy_dense_c0.02_l0.5.ehfm"
     ehf.save_policy(ckpt, ehf.DensePolicy.init(ehf.PolicyConfig(hidden=8), seed=0))
-    arch, params, meta = load_params(ckpt)
+    arch, meta, params = container.load(ckpt, "checkpoint")
     if fault == "meta-key":
         del meta["hidden"]
     elif fault == "missing-block":
@@ -539,7 +542,7 @@ def test_corrupt_checkpoint_exits_3(tmp_path, capsys, fault):
         meta["hidden"] = 8.0    # the block shapes still compare equal
     else:
         arch = "lstm"
-    save_params(ckpt, arch, params, meta)
+    container.save(ckpt, "checkpoint", params, meta, tag=arch)
     digest = json.loads((out / "paths.manifest.json").read_text())["sha256"]
     _write_record(ckpt, _made_from(load_config(str(ini)), "policy",
                                    {"paths.ehfp": digest}, 0.02, 0.5))

@@ -1,6 +1,8 @@
 """Alpha sweeps, Pareto filtering, range summaries, and frontier CSV I/O."""
 
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -348,6 +350,25 @@ def test_retrain_pool_raises_a_worker_error_in_the_caller(tiny_split, monkeypatc
     monkeypatch.setattr(frontier, "train_policy", failing_in_a_worker)
     with pytest.raises(NumericError, match="NaN"):
         _retrain(tiny_split, RETRAIN_ALPHAS[:2], jobs=2)
+
+
+def test_retrain_pool_stops_the_workers_when_the_callers_share_fails(
+        tiny_split, monkeypatch):
+    """The caller's error surfaces at once, not after the workers' shares."""
+    monkeypatch.setattr(frontier, "_usable_cores", lambda: 2)
+    caller = os.getpid()
+
+    def failing_in_the_caller(*args, **kwargs):
+        if os.getpid() == caller:   # the first alpha, in share 0
+            raise NumericError("training objective is NaN")
+        time.sleep(60)              # the second alpha, in the forked worker
+
+    monkeypatch.setattr(frontier, "train_policy", failing_in_the_caller)
+    start = time.monotonic()
+    with pytest.raises(NumericError, match="NaN"):
+        _retrain(tiny_split, RETRAIN_ALPHAS[:2], jobs=2)
+    assert time.monotonic() - start < 10
+    assert multiprocessing.active_children() == []
 
 
 def test_retrain_pool_runs_blas_on_one_thread_and_restores_it(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ehf
+from ehf import container
 from ehf.errors import IntegrityError
 
 
@@ -125,6 +126,20 @@ def test_pathset_rejects_truncation(tmp_path, gbm_small):
     raw = fn.read_bytes()
     fn.write_bytes(raw[: len(raw) - 16])
     with pytest.raises(IntegrityError):
+        ehf.load_pathset(fn)
+
+
+@pytest.mark.parametrize("blocks", [
+    {"prices": np.ones(5)},
+    {"prices": np.ones((4, 1))},
+    {"prices": np.ones((4, 3)), "variances": np.ones((4, 2))},
+    {"variances": np.ones((4, 3))},
+    {"prices": np.ones((4, 3)), "volumes": np.ones((4, 3))},
+], ids=["prices-1d", "one-day", "variance-shape", "no-prices", "unknown-block"])
+def test_pathset_rejects_blocks_of_other_shapes(tmp_path, blocks):
+    fn = tmp_path / "paths.ehfp"
+    container.save(fn, "paths", blocks, {"s0": 100.0, "seed": 1})
+    with pytest.raises(IntegrityError, match="prices"):
         ehf.load_pathset(fn)
 
 

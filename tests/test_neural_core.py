@@ -1,16 +1,14 @@
 """The logistic function, one GRU step, the reverse-mode tape and its per-op
-oracle, Adam, and checkpoint I/O."""
-
-import struct
+oracle, and Adam."""
 
 import numpy as np
 import pytest
 
 import ehf
-from ehf.errors import IntegrityError, NumericError, ShapeError, StateError
+from ehf.errors import NumericError, ShapeError, StateError
 from ehf.hedging_engine import _gru_cell
 from ehf.neural_core import (AdamState, Tape, adam_step, fan_uniform, grad_check,
-                             load_params, require_finite, save_params, sigmoid)
+                             require_finite, sigmoid)
 from per_op_tape import PerOpTape
 
 
@@ -297,41 +295,6 @@ def test_require_finite():
         require_finite(np.array([1.0, np.nan]), "batch loss")
     with pytest.raises(NumericError):
         require_finite(np.array([np.inf]), "batch loss")
-
-
-def test_params_roundtrip_bit_exact(tmp_path):
-    rng = np.random.default_rng(5)
-    params = {"w1": rng.normal(size=(7, 3)), "b1": rng.normal(size=7),
-              "scalarish": rng.normal(size=(1,))}
-    meta = {"s0": 100.0, "note": "abc"}
-    fn = tmp_path / "model.ehfm"
-    save_params(fn, "dense", params, meta)
-    arch, loaded, got_meta = load_params(fn)
-    assert arch == "dense"
-    assert got_meta == meta
-    assert set(loaded) == set(params)
-    for k in params:
-        assert np.array_equal(loaded[k], params[k])
-        assert loaded[k].dtype == np.float64
-
-
-def test_params_file_rejects_corruption(tmp_path):
-    fn = tmp_path / "model.ehfm"
-    save_params(fn, "gru", {"w": np.ones((2, 2))}, {})
-    raw = bytearray(fn.read_bytes())
-    raw[:4] = b"JUNK"
-    fn.write_bytes(bytes(raw))
-    with pytest.raises(IntegrityError):
-        load_params(fn)
-    save_params(fn, "gru", {"w": np.ones((2, 2))}, {})
-    good = fn.read_bytes()
-    fn.write_bytes(good[:-8])
-    with pytest.raises(IntegrityError):
-        load_params(fn)
-    # a first dimension of 2**63 (the shape's 16 bytes precede the 32 data bytes)
-    fn.write_bytes(good[:-48] + struct.pack("<Q", 2 ** 63) + good[-40:])
-    with pytest.raises(IntegrityError):
-        load_params(fn)
 
 
 def test_gradcheck_report_flags_worst_block():

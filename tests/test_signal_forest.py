@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ehf
+from ehf import container
 from ehf.errors import ConfigurationError, DomainError, IntegrityError, ShapeError
 from ehf.signal_forest import DecisionTree, Forest, _best_split
 
@@ -220,7 +221,7 @@ def test_forest_roundtrip(tmp_path, heston_small):
     X, path_row, day = ehf.feature_table(heston_small)
     truth = ehf.label_matrix(heston_small, 0.05)[path_row, day]
     forest = ehf.fit_forest(X[:3000], truth[:3000], ehf.ForestConfig(n_trees=9, seed=3))
-    fn = tmp_path / "forest.npz"
+    fn = tmp_path / "forest.ehff"
     ehf.save_forest(fn, forest)
     loaded = ehf.load_forest(fn)
     assert loaded.config == forest.config
@@ -231,40 +232,39 @@ def test_forest_roundtrip(tmp_path, heston_small):
 
 
 def test_forest_file_rejects_garbage(tmp_path):
-    fn = tmp_path / "forest.npz"
+    fn = tmp_path / "forest.ehff"
     fn.write_bytes(b"not an archive at all")
     with pytest.raises(IntegrityError):
         ehf.load_forest(fn)
 
 
-def _corrupt(table, key, edit):
-    arr = table[key].copy()
-    edit(arr)
-    table[key] = arr
+def _set(blocks, column, value, row=None):
+    """Write value into one column of tree 0's table, at one row or all."""
+    blocks["t0"][slice(None) if row is None else row, column] = value
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda t: t.update(meta=t["meta"][:4]), "meta shape"),
-    (lambda t: _corrupt(t, "bootstrap_fraction", lambda a: a.fill(1.5)),
-     "bootstrap fraction"),
-    (lambda t: _corrupt(t, "t0_left", lambda a: a.fill(0)), "later node"),
-    (lambda t: _corrupt(t, "t0_right", lambda a: a.fill(10 ** 6)), "later node"),
-    (lambda t: _corrupt(t, "t0_feature", lambda a: a.__setitem__(0, 2)),
-     "feature index"),
-], ids=["meta-length", "invalid-config", "child-loops-back", "child-out-of-range",
-        "feature-out-of-range"])
+    (lambda meta, blocks: meta.pop("n_features"), "n_features"),
+    (lambda meta, blocks: meta.update(bootstrap_fraction=1.5), "bootstrap fraction"),
+    (lambda meta, blocks: _set(blocks, 2, 0), "later node"),
+    (lambda meta, blocks: _set(blocks, 3, 10 ** 6), "later node"),
+    (lambda meta, blocks: _set(blocks, 0, 2, row=0), "feature index"),
+    (lambda meta, blocks: _set(blocks, 4, 7, row=-1), "leaf class"),
+    (lambda meta, blocks: _set(blocks, 2, 1.5, row=0), "not an integer"),
+], ids=["meta-missing-n_features", "invalid-config", "child-loops-back",
+        "child-out-of-range", "feature-out-of-range", "leaf-class-7",
+        "non-integral-child"])
 def test_load_forest_rejects_corrupt_tables(tmp_path, edit, message):
     """Each fault is an IntegrityError at load time; a left child pointing back
     at its parent used to make prediction loop forever."""
     X = np.random.default_rng(5).normal(size=(400, 2))
     y = (X[:, 0] > 0.1).astype(np.int8)
-    fn = tmp_path / "forest.npz"
+    fn = tmp_path / "forest.ehff"
     ehf.save_forest(fn, ehf.fit_forest(X, y, ehf.ForestConfig(n_trees=3, seed=1)))
-    with np.load(fn) as data:
-        table = dict(data)
-    assert table["t0_feature"][0] >= 0  # the root is a split
-    edit(table)
-    np.savez(fn, **table)
+    _, meta, blocks = container.load(fn, "forest")
+    assert blocks["t0"][0, 0] >= 0  # the root is a split
+    edit(meta, blocks)
+    container.save(fn, "forest", blocks, meta)
     with pytest.raises(IntegrityError, match=message):
         ehf.load_forest(fn)
 
