@@ -32,7 +32,8 @@ from .neural_core import (AdamState, GradCheckReport, Node, Tape, adam_step,
 from .signal_forest import (ClassificationReport, DecisionTree, Forest,
                             ForestConfig, classification_report, feature_table,
                             fit_forest, label_extrema, label_matrix,
-                            load_forest, predict_label_matrix, predict_labels,
-                            save_forest, write_label_csv)
+                            load_forecast, load_forest, predict_label_matrix,
+                            predict_labels, save_forecast, save_forest,
+                            write_label_csv)
 
 __version__ = "0.1.0"

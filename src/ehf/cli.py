@@ -36,11 +36,12 @@ from .hedging_engine import (CostModel, PolicyConfig, RiskConfig, TrainConfig,
                              save_policy, train_policy)
 from .market_sim import (GBMParams, HestonParams, PathSet, SimConfig,
                          load_pathset, save_pathset, split_pathset)
-from .signal_forest import (ForestConfig, load_forest, save_forest,
-                            write_label_csv)
+from .signal_forest import (ForestConfig, load_forecast, save_forecast,
+                            save_forest, write_label_csv)
 
 PATHS_FILE = "paths.ehfp"
 FOREST_FILE = "forest.ehff"
+FORECAST_FILE = "forecast.ehfl"
 
 _SCENARIOS = ("low_vol", "high_vol", "gbm", "custom")
 
@@ -267,6 +268,8 @@ _PROVENANCE = {
     FOREST_FILE: ("label", (PATHS_FILE,), lambda cfg, *_: {
         "n_train": cfg.n_train, "beta": cfg.beta, "fit_rows": cfg.forest_fit_rows,
         "forest settings": asdict(cfg.forest)}),
+    FORECAST_FILE: ("label", (PATHS_FILE, FOREST_FILE), lambda cfg, *_: {
+        "n_train": cfg.n_train, "n_test": cfg.n_test}),
     "policy": ("train", (PATHS_FILE, FOREST_FILE), lambda cfg, cost, lam: {
         "n_train": cfg.n_train, "strike": cfg.strike, "alphas[0]": cfg.alphas[0],
         "rf": cfg.rf,
@@ -274,7 +277,8 @@ _PROVENANCE = {
         "cost rate": cost, "lambda": lam, "policy settings": asdict(cfg.policy),
         "training settings": asdict(cfg.train)}),
     "frontier": ("sweep", (PATHS_FILE,), lambda cfg, *_: {
-        "n_train": cfg.n_train, "n_test": cfg.n_test, "strike": cfg.strike}),
+        "n_train": cfg.n_train, "n_test": cfg.n_test, "strike": cfg.strike,
+        "dt": cfg.dt, "baseline vol": _scenario(cfg)[2]}),
 }
 
 
@@ -335,16 +339,31 @@ def _sim_config(cfg: RunConfig) -> SimConfig:
 
 
 def _gate(cfg: RunConfig, digests: dict):
-    """(PathSet -> gate labels, or None without rf; digests plus any forest's)."""
+    """(PathSet -> gate labels, or None without rf; digests plus any forest's).
+
+    The forecast gate reads the labels `label` stored, once both the forest
+    and the stored labels check out against their records; it predicts nothing.
+    """
     if not cfg.rf:
         return None, digests
-    forest = None
-    if cfg.gate == "forecast":
-        filename = os.path.join(cfg.out_dir, FOREST_FILE)
-        digest, _ = _check_record(filename, FOREST_FILE,
-                                  _made_from(cfg, FOREST_FILE, digests))
-        digests, forest = {**digests, FOREST_FILE: digest}, load_forest(filename)
-    return (lambda paths: gate_labels(paths, cfg.beta, cfg.gate, forest)), digests
+    if cfg.gate == "oracle":
+        return (lambda paths: gate_labels(paths, cfg.beta, "oracle")), digests
+    forest_file, filename = (os.path.join(cfg.out_dir, f)
+                             for f in (FOREST_FILE, FORECAST_FILE))
+    digest, _ = _check_record(forest_file, FOREST_FILE,
+                              _made_from(cfg, FOREST_FILE, digests))
+    digests = {**digests, FOREST_FILE: digest}
+    _check_record(filename, FORECAST_FILE, _made_from(cfg, FORECAST_FILE, digests))
+    stored = load_forecast(filename)
+
+    def gate(paths: PathSet) -> np.ndarray:
+        ids = paths.path_ids
+        if ids.size and not (0 <= ids.min() and ids.max() < len(stored)):
+            raise IntegrityError(f"{filename} holds the labels of path ids 0 to "
+                                 f"{len(stored) - 1}, not {ids.min()} to {ids.max()}")
+        return stored[ids]
+
+    return gate, digests
 
 
 def _stem(cfg: RunConfig, kind: str, cost_rate: float, lam: float, arch=None) -> str:
@@ -382,13 +401,23 @@ def cmd_label(args) -> int:
                             fit_rows=cfg.forest_fit_rows)
     forest_file = os.path.join(cfg.out_dir, FOREST_FILE)
     save_forest(forest_file, signal.forest)
-    _write_record(forest_file, _made_from(cfg, FOREST_FILE, digests))
+    digests[FOREST_FILE] = _write_record(
+        forest_file, _made_from(cfg, FOREST_FILE, digests))["sha256"]
+    # both splits' rows, train then test: the rows of path ids 0 .. n_train + n_test - 1
+    forecast_file = os.path.join(cfg.out_dir, FORECAST_FILE)
+    save_forecast(forecast_file, np.concatenate([signal.forecast_train,
+                                                 signal.forecast_test]))
+    _write_record(forecast_file, _made_from(cfg, FORECAST_FILE, digests))
     write_label_csv(os.path.join(cfg.out_dir, "labels.csv"), test_paths,
                     cfg.beta, predicted=signal.forecast_test)
     report_text = (f"training split:\n{signal.train_report}\n\n"
                    f"test split:\n{signal.test_report}\n")
     with open(os.path.join(cfg.out_dir, "label_report.txt"), "w") as fh:
         fh.write(report_text)
+    with open(os.path.join(cfg.out_dir, "label_report.json"), "w") as fh:
+        fh.write(json.dumps({"train": signal.train_report.as_dict(),
+                             "test": signal.test_report.as_dict()},
+                            sort_keys=True, indent=2) + "\n")
     print(report_text, end="")
     return 0
 

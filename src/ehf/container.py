@@ -1,4 +1,4 @@
-"""The one binary layout of path sets, forests and policy checkpoints.
+"""The one binary layout of path sets, forests, forecast labels and checkpoints.
 
 Little-endian: a magic and u32 version, a u16-length tag, a u32-length JSON
 meta object, a u32 block count, then per block a u16-length name, u8 ndim,
@@ -18,7 +18,8 @@ import numpy as np
 from .errors import IntegrityError
 
 # kind -> (magic, version)
-FORMATS = {"checkpoint": (b"EHFM", 1), "paths": (b"EHFP", 2), "forest": (b"EHFF", 1)}
+FORMATS = {"checkpoint": (b"EHFM", 1), "paths": (b"EHFP", 2), "forest": (b"EHFF", 1),
+           "forecast": (b"EHFL", 1)}
 
 
 def save(filename, kind: str, blocks: dict[str, np.ndarray], meta: dict,

@@ -24,7 +24,7 @@ from .analytics_bsm import ContractSpec
 from .errors import ConfigurationError, DomainError, IntegrityError, StateError
 from .hedging_engine import (BSMPolicy, CostModel, PolicyConfig, RiskConfig,
                              TrainConfig, combine_mask, compute_trade_mask,
-                             evaluate_policy, train_policy)
+                             evaluate_deltas, train_policy)
 from .market_sim import PathSet
 from .signal_forest import (Forest, ForestConfig, classification_report,
                             feature_table, fit_forest, label_matrix,
@@ -94,10 +94,11 @@ GATE_SOURCES = ("oracle", "forecast")
 
 @dataclass(frozen=True)
 class SignalArtifacts:
-    """The fitted extrema forecaster, its test-split votes and accuracy reports."""
+    """The fitted extrema forecaster, its votes on both splits and accuracy reports."""
     forest: Forest
     train_report: object
     test_report: object
+    forecast_train: np.ndarray  # [n_train, n_steps] forecast labels
     forecast_test: np.ndarray   # [n_test, n_steps] forecast labels
 
 
@@ -128,6 +129,7 @@ def prepare_signal(train_paths: PathSet, test_paths: PathSet, beta: float,
         train_report=classification_report(train_pred[path_row, day], y),
         test_report=classification_report(
             test_pred[prow_t, day_t], test_truth[prow_t, day_t]),
+        forecast_train=train_pred,
         forecast_test=test_pred,
     )
 
@@ -169,14 +171,25 @@ def _masks_for(paths: PathSet, alpha: float, labels: np.ndarray | None) -> np.nd
     return mask
 
 
-def _point(sweep: SweepConfig, policy: str, rf: bool, mode: str, alpha: float,
-           summary) -> FrontierPoint:
-    return FrontierPoint(
-        scenario=sweep.scenario, policy=policy, rf=rf, cost_rate=sweep.cost_rate,
-        risk_aversion=sweep.risk_aversion, alpha=alpha,
-        mean_loss=summary.mean_loss, std_loss=summary.std_loss,
-        avg_trades=summary.avg_trades, n_test_paths=summary.n_paths, mode=mode,
-        seed=sweep.seed)
+def _points(sweep: SweepConfig, arch: str, rf: bool, mode: str, policy,
+            test_paths: PathSet, contract: ContractSpec, labels,
+            alphas) -> list[FrontierPoint]:
+    """One FrontierPoint per alpha of policy's deltas on test_paths under the
+    alpha mask (ANDed with labels, if any). The policy's remasker does the
+    work no mask reads once, for all the alphas."""
+    cost = CostModel(sweep.cost_rate)
+    deltas_at = policy.remasker(test_paths.prices, labels=labels)
+    points = []
+    for alpha in alphas:
+        summary = evaluate_deltas(
+            test_paths, deltas_at(_masks_for(test_paths, alpha, labels)), contract, cost)
+        points.append(FrontierPoint(
+            scenario=sweep.scenario, policy=arch, rf=rf, cost_rate=sweep.cost_rate,
+            risk_aversion=sweep.risk_aversion, alpha=alpha,
+            mean_loss=summary.mean_loss, std_loss=summary.std_loss,
+            avg_trades=summary.avg_trades, n_test_paths=summary.n_paths, mode=mode,
+            seed=sweep.seed))
+    return points
 
 
 def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: PathSet,
@@ -219,20 +232,19 @@ def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: Pat
             _masks_for(train_paths, alpha, train_labels), train_cfg,
             labels=train_labels)[0]
 
+    def points_of(policy, alphas) -> list[FrontierPoint]:
+        return _points(sweep, policy_cfg.arch, sweep.rf, sweep.mode, policy,
+                       test_paths, contract, test_labels, alphas)
+
     # each evaluation's per-path arrays are dropped once its point is built,
     # before retrain mode trains the next policy
-    def point_at(alpha: float) -> FrontierPoint:
-        return _point(sweep, policy_cfg.arch, sweep.rf, sweep.mode, alpha, evaluate_policy(
-            test_paths, trained_at(alpha) if retrain else policy,
-            _masks_for(test_paths, alpha, test_labels), contract, cost,
-            labels=test_labels))
-
     if retrain:
-        points = _strided_map(point_at, sweep.alphas, jobs)
+        points = _strided_map(lambda alpha: points_of(trained_at(alpha), (alpha,))[0],
+                              sweep.alphas, jobs)
     else:
         if policy is None:
             policy = trained_at(sweep.alphas[0])
-        points = [point_at(alpha) for alpha in sweep.alphas]
+        points = points_of(policy, sweep.alphas)
     _assert_trades_monotone(points)
     return points
 
@@ -240,12 +252,8 @@ def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: Pat
 def sweep_baseline(sweep: SweepConfig, test_paths: PathSet, contract: ContractSpec,
                    vol: float, dt: float) -> list[FrontierPoint]:
     """Closed-form-delta frontier on the same grid (no training, no gate)."""
-    cost = CostModel(sweep.cost_rate)
-    policy = BSMPolicy(contract, vol, dt)
-    points = [
-        _point(sweep, "bsm", False, "fast", alpha, evaluate_policy(
-            test_paths, policy, compute_trade_mask(test_paths, alpha), contract, cost))
-        for alpha in sweep.alphas]
+    points = _points(sweep, "bsm", False, "fast", BSMPolicy(contract, vol, dt),
+                     test_paths, contract, None, sweep.alphas)
     _assert_trades_monotone(points)
     return points
 
@@ -315,6 +323,13 @@ def _run_share(k: int) -> list:
     return _worker_share(k)
 
 
+def _reraise_failed(shares) -> None:
+    """Re-raise the error of a pool share that has failed, if one has."""
+    for share in shares:
+        if share.ready() and not share.successful():
+            share.get()
+
+
 def _strided_map(fn, items, jobs: int) -> list:
     """[fn(x) for x in items], dealt in strided shares items[k::n] over
     n = min(jobs, len(items), usable cores) processes.
@@ -324,7 +339,9 @@ def _strided_map(fn, items, jobs: int) -> list:
     labels), so only its results are pickled. The pool forks its workers
     before it starts its own threads, with BLAS at one thread. Leaving the
     pool terminates the workers, so an error in share 0 surfaces at once.
-    Without fork, or with one share, everything runs here.
+    A worker's error surfaces as soon as the caller looks: before each item
+    of share 0, then while it waits for the other shares. Without fork, or
+    with one share, everything runs here.
     """
     global _worker_share
     n = min(jobs, len(items), _usable_cores())
@@ -334,10 +351,15 @@ def _strided_map(fn, items, jobs: int) -> list:
     _worker_share = lambda k: [fn(x) for x in items[k::n]]
     try:
         with _one_blas_thread(), multiprocessing.get_context("fork").Pool(n - 1) as pool:
-            shares = pool.map_async(_run_share, range(1, n), chunksize=1)
-            out[0::n] = _worker_share(0)
-            for k, share in enumerate(shares.get(), start=1):
-                out[k::n] = share
+            shares = [pool.apply_async(_run_share, (k,)) for k in range(1, n)]
+            for i in range(0, len(items), n):
+                _reraise_failed(shares)
+                out[i] = fn(items[i])
+            while waiting := [share for share in shares if not share.ready()]:
+                _reraise_failed(shares)
+                waiting[0].wait(0.05)
+            for k, share in enumerate(shares, start=1):
+                out[k::n] = share.get()
     finally:
         _worker_share = None
     return out

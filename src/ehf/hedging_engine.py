@@ -256,6 +256,15 @@ class BSMPolicy:
                labels=None) -> np.ndarray:
         return bsm_delta_matrix(prices, self.contract, self.vol, self.dt, mask=mask)
 
+    def remasker(self, prices: np.ndarray, labels=None):
+        """mask -> self.deltas(prices, mask), bit for bit. The targets
+        bs_delta(S_t, tau_t) read no mask and are computed once, here; each
+        mask then runs only the masked carry."""
+        targets = np.ascontiguousarray(
+            bsm_delta_matrix(prices, self.contract, self.vol, self.dt).T)
+        return lambda mask: _masked_rollout(
+            {}, "", (), targets, check_mask(mask, *targets.shape[::-1]), None)
+
 
 _DENSE = ("w1", "b1", "w2", "b2", "w3", "b3")
 _GATES = ("wz", "bz", "wr", "br", "wh", "bh")
@@ -283,13 +292,13 @@ def param_shapes(config: PolicyConfig):
                    ((fb, nf), (fb,), (fb, fb), (fb,), (1, fb), (1,)))
 
 
-def _dense_inputs(cfg: PolicyConfig, s0: float, prices: np.ndarray, mask: np.ndarray,
-                  labels, n_days: int) -> tuple[np.ndarray, np.ndarray]:
+def _dense_inputs(cfg: PolicyConfig, s0: float, prices: np.ndarray, labels,
+                  n_days: int) -> tuple[np.ndarray, np.ndarray]:
     """log(S_t/S0) for every price column, and the dense net's features of
     each day t < n_days as xs[t] [n, n_features]: log(S_t/S0), t/T, the
     previous delta (column 2, the rollout's to fill in), and optionally the
-    one-day relative change and the classifier label."""
-    n, n_steps = check_mask(mask, prices.shape[0], prices.shape[1] - 1).shape
+    one-day relative change and the classifier label. None reads a mask."""
+    n, n_steps = prices.shape[0], prices.shape[1] - 1
     logp = np.log(prices / s0)
     xs = np.empty((n_days, n, cfg.n_features))
     xs[:, :, 0] = logp[:, :n_days].T
@@ -311,12 +320,13 @@ def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
                     mask: np.ndarray, cache: dict | None) -> np.ndarray:
     """Deltas [n, n_steps] of the masked carry prev <- where(mask[:, t], sig[t], prev).
 
-    Days t < len(xs) run the dense net (blocks prefix + w1 ... b3) on xs[t]
-    with the previous delta filled in, and write its output to sig[t]; the
-    later rows of sig [n_steps, n] arrive filled. A cache receives sig and
-    each dense day's (x, h1, h2) for _masked_adjoint.
+    Days t < len(xs) run the dense net (blocks prefix + w1 ... b3 of p; p
+    may be empty without such days) on xs[t] with the previous delta filled
+    in, and write its output to sig[t]; the later rows of sig [n_steps, n]
+    arrive filled and are only read. A cache receives sig and each dense
+    day's (x, h1, h2) for _masked_adjoint.
     """
-    w1, b1, w2, b2, w3, b3 = (p[prefix + k] for k in _DENSE)
+    w1, b1, w2, b2, w3, b3 = (p.get(prefix + k) for k in _DENSE)
     n, n_steps = mask.shape
     days = []
     prev = np.zeros(n)
@@ -451,9 +461,14 @@ class DensePolicy(_NeuralPolicy):
     def deltas(self, prices: np.ndarray, mask: np.ndarray, labels=None) -> np.ndarray:
         return self._forward(prices, mask, labels)
 
+    def remasker(self, prices: np.ndarray, labels=None):
+        """mask -> self.deltas(prices, mask, labels). Every day's net reads the
+        carried delta, so no work is shared between masks."""
+        return lambda mask: self.deltas(prices, mask, labels)
+
     def _forward(self, prices, mask, labels, cache=None):
-        _, xs = _dense_inputs(self.config, self.s0, prices, mask, labels,
-                              prices.shape[1] - 1)
+        check_mask(mask, prices.shape[0], prices.shape[1] - 1)
+        _, xs = _dense_inputs(self.config, self.s0, prices, labels, prices.shape[1] - 1)
         return _masked_rollout(self.params, "", xs, np.empty(xs.shape[:2]), mask, cache)
 
     def _adjoint(self, g, mask, p, cache):
@@ -474,13 +489,36 @@ class GRUPolicy(_NeuralPolicy):
     def deltas(self, prices: np.ndarray, mask: np.ndarray, labels=None) -> np.ndarray:
         return self._forward(prices, mask, labels)
 
+    def remasker(self, prices: np.ndarray, labels=None):
+        """mask -> self.deltas(prices, mask, labels), bit for bit. The GRU days'
+        outputs and the fallback days' features read no mask and are computed
+        once, here; each mask then runs only the fallback days and the carry."""
+        n_steps = prices.shape[1] - 1
+        logp, xs = self._inputs(prices, labels)
+        sig = self._recurrent_rows(logp, len(xs))
+        return lambda mask: _masked_rollout(
+            self.params, "fb_", xs, sig, check_mask(mask, len(prices), n_steps), None)
+
     def _forward(self, prices, mask, labels, cache=None):
+        check_mask(mask, prices.shape[0], prices.shape[1] - 1)
+        logp, xs = self._inputs(prices, labels)
+        sig = self._recurrent_rows(
+            logp, len(xs), None if cache is None else cache.setdefault("gru", []))
+        return _masked_rollout(self.params, "fb_", xs, sig, mask, cache)
+
+    def _inputs(self, prices, labels):
+        """log prices, and the dense features of the first window-1 days."""
+        n_fb = min(self.config.window - 1, prices.shape[1] - 1)
+        return _dense_inputs(self.config, self.s0, prices, labels, n_fb)
+
+    def _recurrent_rows(self, logp, n_fb, steps=None):
+        """sig [n_steps, n] whose rows t >= n_fb hold the head output of day t;
+        the stacked cells read only windows of logp [n, n_steps + 1], never a
+        mask or a delta. Rows t < n_fb are left to the fallback days. steps,
+        if given, receives each GRU day's (cells, top state) for _adjoint."""
         cfg, p = self.config, self.params
-        n_fb = min(cfg.window - 1, prices.shape[1] - 1)
-        logp, xs = _dense_inputs(cfg, self.s0, prices, mask, labels, n_fb)
-        sig = np.empty(mask.shape[::-1])
-        states = [np.zeros((len(mask), cfg.gru_hidden))] * cfg.gru_layers
-        steps = None if cache is None else cache.setdefault("gru", [])
+        sig = np.empty((logp.shape[1] - 1, len(logp)))
+        states = [np.zeros((len(logp), cfg.gru_hidden))] * cfg.gru_layers
         for t in range(n_fb, len(sig)):
             x, saved = logp[:, t - cfg.window + 1: t + 1], []
             for i in range(cfg.gru_layers):
@@ -491,7 +529,7 @@ class GRUPolicy(_NeuralPolicy):
             sig[t] = nc.sigmoid(x @ p["head_w"].T + p["head_b"])[:, 0]
             if steps is not None:
                 steps.append((saved, x))
-        return _masked_rollout(p, "fb_", xs, sig, mask, cache)
+        return sig
 
     def _adjoint(self, g, mask, p, cache):
         """The masked walk, then backpropagation through time over the GRU
@@ -560,7 +598,14 @@ def evaluate_policy(paths: PathSet, policy, mask: np.ndarray,
                     contract: ContractSpec, cost: CostModel,
                     labels=None) -> EvalSummary:
     """Pure evaluation pass: per-path losses and their summary statistics."""
-    deltas = policy.deltas(paths.prices, mask, labels=labels)
+    return evaluate_deltas(paths, policy.deltas(paths.prices, mask, labels=labels),
+                           contract, cost)
+
+
+def evaluate_deltas(paths: PathSet, deltas: np.ndarray, contract: ContractSpec,
+                    cost: CostModel) -> EvalSummary:
+    """Per-path losses of the deltas [n, n_steps] held on paths, and their
+    summary statistics."""
     res = episode_results(paths.prices, deltas, contract, cost)
     return EvalSummary(
         mean_loss=float(np.mean(res.loss)),

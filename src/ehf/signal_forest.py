@@ -270,6 +270,12 @@ class ClassificationReport:
             f"  true 0 {c[0, 0]:7d} {c[0, 1]:7d}\n"
             f"  true 1 {c[1, 0]:7d} {c[1, 1]:7d}")
 
+    def as_dict(self) -> dict:
+        """The report's numbers as plain JSON values."""
+        return {"accuracy": self.accuracy, "majority_baseline": self.baseline_accuracy,
+                "class_1_prevalence": self.prevalence_one,
+                "confusion_truth_x_prediction": self.confusion.tolist()}
+
 
 def classification_report(predictions: np.ndarray, truth: np.ndarray) -> ClassificationReport:
     predictions = np.asarray(predictions).ravel()
@@ -338,6 +344,23 @@ def load_forest(filename) -> Forest:
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise IntegrityError(f"{filename}: malformed forest file ({exc!r})") from exc
     return Forest(trees=trees, config=cfg, n_features=n_features)
+
+
+def save_forecast(filename, labels: np.ndarray) -> None:
+    """Forecast labels [n_paths, n_steps] in {0, 1}, row i that of path id i."""
+    container.save(filename, "forecast", {"labels": labels}, {})
+
+
+def load_forecast(filename) -> np.ndarray:
+    """The int8 [n_paths, n_steps] labels of save_forecast; IntegrityError
+    for any other block, shape or value."""
+    _, _, blocks = container.load(filename, "forecast")
+    labels = blocks.get("labels")
+    if (set(blocks) != {"labels"} or labels.ndim != 2
+            or not np.isin(labels, (0, 1)).all()):
+        raise IntegrityError(f"{filename}: not one [n_paths, n_steps] block of "
+                             f"labels in {{0, 1}}")
+    return labels.astype(np.int8)
 
 
 def write_label_csv(filename, paths: PathSet, beta: float,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ehf
-from ehf import container
+from ehf import cli, container
 from ehf.cli import (RunConfig, _made_from, _parse_alpha_grid, _parse_number,
                      _scenario, _write_record, load_config, main)
 
@@ -350,6 +350,7 @@ def recorded(tmp_path_factory):
 # record -> (its file, the command that reads it first)
 _RECORDS = {"paths": ("paths.manifest.json", "label"),
             "forest": ("forest.manifest.json", "train"),
+            "forecast": ("forecast.manifest.json", "sweep"),
             "checkpoint": ("policy_dense_rf_c0.02_l0.5.manifest.json", "sweep"),
             "frontier": ("frontier_dense_rf_c0.02_l0.5.manifest.json", "report")}
 _RECORD_FAULTS = {"truncated": ('{"sha256": ', "malformed JSON"),
@@ -464,10 +465,21 @@ def _ini(tmp_path, text):
     return ini
 
 
-def test_forecast_pipeline_matches_library_run(tmp_path, capsys):
+def test_forecast_pipeline_matches_library_run(tmp_path, capsys, monkeypatch):
+    """train and sweep gate with the labels `label` stored: they neither load
+    the forest nor predict, and give the library run's frontier byte for byte."""
     ini, out = _ini(tmp_path, FORECAST_INI), tmp_path / "out"
-    for cmd in ("simulate", "label", "train", "sweep"):
+    for cmd in ("simulate", "label"):
         assert _run(ini, out, cmd) == 0, cmd
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the forest was read after `ehf label`")
+
+    with monkeypatch.context() as patched:
+        for name in ("predict_labels", "load_forest"):
+            patched.setattr(ehf.signal_forest, name, refuse)
+        for cmd in ("train", "sweep"):
+            assert _run(ini, out, cmd) == 0, cmd
     cfg = load_config(str(ini))
     paths = ehf.load_pathset(out / "paths.ehfp")
     train, test = ehf.split_pathset(paths, cfg.n_train, cfg.n_test)
@@ -512,6 +524,78 @@ def test_forecast_gate_with_stale_forest_exits_3(tmp_path, capsys, label_args,
         assert _run(ini, out, cmd) == 3, cmd
         err = capsys.readouterr().err
         assert stale in err and "rerun `ehf label`" in err
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("missing", "run `ehf label` first"),
+    ("other-n_test", "n_test — rerun `ehf label`"),
+    ("other-forest", "forest.ehff — rerun `ehf label`"),
+    ("corrupt", "checksum mismatch) — rerun `ehf label`")])
+def test_forecast_gate_needs_the_labels_of_this_forest_and_split(
+        tmp_path, capsys, fault, message):
+    """The stored forecast labels are missing, or were predicted for another
+    test split or by another forest than the one on disk, or are damaged."""
+    ini, out = _ini(tmp_path, FORECAST_INI), tmp_path / "out"
+    for cmd in ("simulate", "label"):
+        assert _run(ini, out, cmd) == 0, cmd
+    forecast = out / "forecast.ehfl"
+    if fault == "missing":
+        forecast.unlink()
+    elif fault == "other-n_test":
+        ini.write_text(FORECAST_INI.replace("n_test = 60", "n_test = 50"))
+    elif fault == "other-forest":
+        kept = forecast.read_bytes(), (out / "forecast.manifest.json").read_bytes()
+        ini.write_text(FORECAST_INI.replace("n_trees = 5", "n_trees = 4"))
+        assert _run(ini, out, "label") == 0
+        forecast.write_bytes(kept[0])
+        (out / "forecast.manifest.json").write_bytes(kept[1])
+    else:
+        raw = bytearray(forecast.read_bytes())
+        raw[-1] ^= 0x01
+        forecast.write_bytes(bytes(raw))
+    capsys.readouterr()
+    for cmd in ("train", "sweep"):
+        assert _run(ini, out, cmd) == 3, cmd
+        assert message in capsys.readouterr().err
+    assert not list(out.glob("policy_*")) and not list(out.glob("frontier_*"))
+
+
+def test_stored_forecast_refuses_path_ids_it_does_not_hold(tmp_path, capsys):
+    ini, out = _ini(tmp_path, FORECAST_INI), tmp_path / "out"
+    for cmd in ("simulate", "label"):
+        assert _run(ini, out, cmd) == 0, cmd
+    cfg = replace(load_config(str(ini)), out_dir=str(out))
+    paths, digests = cli._load_paths(cfg)
+    gate, _ = cli._gate(cfg, digests)
+    assert np.array_equal(gate(paths), ehf.load_forecast(out / "forecast.ehfl"))
+    beyond = ehf.PathSet(paths.prices[:2], None, 100.0, 0, np.array([219, 220]))
+    with pytest.raises(ehf.IntegrityError, match="path ids 0 to 219, not 219 to 220"):
+        gate(beyond)
+    capsys.readouterr()
+
+
+def test_label_report_json_holds_the_text_reports_numbers(tmp_path, capsys):
+    ini, out = _ini(tmp_path, TINY_INI), tmp_path / "out"
+    for cmd in ("simulate", "label"):
+        assert _run(ini, out, cmd) == 0, cmd
+    first = (out / "label_report.json").read_bytes()
+    report = json.loads(first)
+    text = (out / "label_report.txt").read_text()
+    assert sorted(report) == ["test", "train"]
+    for split in report.values():
+        assert sorted(split) == ["accuracy", "class_1_prevalence",
+                                 "confusion_truth_x_prediction", "majority_baseline"]
+        confusion = np.array(split["confusion_truth_x_prediction"])
+        assert split["accuracy"] == np.trace(confusion) / confusion.sum()
+        assert f"accuracy {split['accuracy']:.4f} (majority baseline " \
+               f"{split['majority_baseline']:.4f}, class-1 prevalence " \
+               f"{split['class_1_prevalence']:.4f})" in text
+    assert report["test"]["confusion_truth_x_prediction"] != \
+        report["train"]["confusion_truth_x_prediction"]
+    assert _run(ini, out, "label") == 0
+    assert (out / "label_report.json").read_bytes() == first
+    assert (out / "label_report.txt").read_text() == text
+    capsys.readouterr()
 
 
 def test_oracle_gate_needs_no_forest(tmp_path, capsys):
@@ -597,6 +681,26 @@ def test_report_refuses_a_pair_swept_at_other_strikes(tmp_path, capsys):
     assert _run(plain, out, "report") == 3
     err = capsys.readouterr().err
     assert "frontier_dense_rf_c0.02_l0.5.csv: its record holds other strike" in err
+    assert "rerun `ehf sweep`" in err
+
+
+@pytest.mark.parametrize("old,new,value", [
+    ("seed = 31415", "seed = 31415\ndt = 1/252", "dt"),
+    ("name = high_vol", "name = high_vol\nbsm_vol = 0.5", "baseline vol")])
+def test_report_refuses_a_baseline_swept_at_another_dt_or_vol(tmp_path, capsys,
+                                                              old, new, value):
+    """The closed-form frontier was swept again, alone, at another dt or
+    baseline vol than the dense base it is compared with."""
+    plain = _ini(tmp_path, TINY_INI)
+    bsm = tmp_path / "bsm.ini"
+    bsm.write_text(TINY_INI.replace(old, new).replace("arch = dense", "arch = bsm"))
+    out = tmp_path / "out"
+    assert _run(plain, out, "simulate") == 0
+    assert _run(plain, out, "sweep") == 0
+    assert _run(bsm, out, "sweep") == 0
+    assert _run(plain, out, "report") == 3
+    err = capsys.readouterr().err
+    assert f"frontier_bsm_c0.02_l0.5.csv: its record holds other {value}" in err
     assert "rerun `ehf sweep`" in err
 
 

@@ -63,3 +63,5 @@ def test_a_file_of_another_kind_is_refused_by_its_magic(tmp_path, gbm_small):
         ehf.load_policy(paths_file)
     with pytest.raises(IntegrityError, match="EHFM"):
         ehf.load_forest(policy_file)
+    with pytest.raises(IntegrityError, match="EHFP"):
+        ehf.load_forecast(paths_file)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ehf
-from ehf import frontier
+from ehf import frontier, hedging_engine
 from ehf.errors import (ConfigurationError, DomainError, IntegrityError,
                         NumericError, StateError)
 from ehf.hedging_engine import DensePolicy
@@ -389,3 +389,136 @@ def test_retrain_pool_runs_blas_on_one_thread_and_restores_it(
     assert _retrain(tiny_split, RETRAIN_ALPHAS, jobs=2) == serial_retrain
     assert get() == before
     assert seen == [1, 1]   # the calling process's share
+
+
+def test_retrain_pool_raises_a_worker_error_between_the_callers_alphas(
+        tiny_split, monkeypatch):
+    """A worker's error surfaces after the caller's current alpha, not after
+    the caller's whole share (four alphas of 2 s each here)."""
+    monkeypatch.setattr(frontier, "_usable_cores", lambda: 2)
+    caller = os.getpid()
+    train_policy = frontier.train_policy
+
+    def slow_in_the_caller(*args, **kwargs):
+        if os.getpid() != caller:   # share 1's first alpha, in the forked worker
+            raise NumericError("training objective is NaN")
+        time.sleep(2)
+        return train_policy(*args, **kwargs)
+
+    monkeypatch.setattr(frontier, "train_policy", slow_in_the_caller)
+    start = time.monotonic()
+    with pytest.raises(NumericError, match="NaN"):
+        _retrain(tiny_split, tuple(np.linspace(0.0, 0.14, 8)), jobs=2)
+    assert time.monotonic() - start < 5
+    assert multiprocessing.active_children() == []
+
+
+
+def test_strided_map_raises_a_later_workers_error_while_an_earlier_one_runs(
+        monkeypatch):
+    """With the caller's share done, share 2's error surfaces while share 1
+    still runs (the shares used to be awaited in order)."""
+    monkeypatch.setattr(frontier, "_usable_cores", lambda: 3)
+
+    def item(k):
+        if k == 1:
+            time.sleep(60)
+        if k == 2:
+            raise NumericError("training objective is NaN")
+        return k
+
+    start = time.monotonic()
+    with pytest.raises(NumericError, match="NaN"):
+        frontier._strided_map(item, [0, 1, 2], jobs=3)
+    assert time.monotonic() - start < 10
+    assert multiprocessing.active_children() == []
+
+# ---------------------------------------------------------------------------
+# fast sweeps: the work no mask reads runs once per sweep
+# ---------------------------------------------------------------------------
+
+FAST_ALPHAS = (0.0, 0.01, 0.02, 0.04)
+
+
+def _per_alpha(test, policy, contract, labels=None):
+    """(mean, std, avg trades) of evaluate_policy at each alpha: the reference."""
+    out = []
+    for alpha in FAST_ALPHAS:
+        mask = ehf.compute_trade_mask(test, alpha)
+        if labels is not None:
+            mask = ehf.combine_mask(mask, labels)
+        s = ehf.evaluate_policy(test, policy, mask, contract, ehf.CostModel(0.02),
+                                labels=labels)
+        out.append((s.mean_loss, s.std_loss, s.avg_trades))
+    return out
+
+
+def _fast_sweep(test, policy, contract, policy_cfg, labels=None):
+    sweep = ehf.SweepConfig(alphas=FAST_ALPHAS, rf=labels is not None,
+                            cost_rate=0.02)
+    points = ehf.sweep_alpha(sweep, None, test, contract, policy_cfg, TINY_TRAIN,
+                             gate=lambda paths: labels, policy=policy)
+    return [(p.mean_loss, p.std_loss, p.avg_trades) for p in points]
+
+
+def _jittered(policy, seed):
+    """Nonzero biases, so every unit of the net is live."""
+    rng = np.random.default_rng(seed)
+    policy.params = {k: v + 0.3 * rng.standard_normal(v.shape)
+                     for k, v in policy.params.items()}
+    return policy
+
+
+_GATED = pytest.mark.parametrize("rf,use_label", [
+    (False, False), (True, False), (True, True)], ids=["plain", "rf", "rf-label"])
+
+
+@_GATED
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("window", [1, 3, 5])
+def test_gru_fast_sweep_gives_the_per_alpha_points(tiny_split, contract, window,
+                                                   layers, rf, use_label):
+    _, test = tiny_split
+    cfg = ehf.PolicyConfig(arch="gru", hidden=6, gru_hidden=4, gru_layers=layers,
+                           window=window, use_label=use_label)
+    policy = _jittered(ehf.make_policy(cfg, seed=window), seed=layers)
+    labels = ehf.label_matrix(test, 0.01) if rf else None
+    assert _fast_sweep(test, policy, contract, cfg, labels) == \
+        _per_alpha(test, policy, contract, labels)
+
+
+@_GATED
+def test_dense_fast_sweep_gives_the_per_alpha_points(tiny_split, contract, rf,
+                                                     use_label):
+    _, test = tiny_split
+    cfg = ehf.PolicyConfig(arch="dense", hidden=6, use_label=use_label)
+    policy = _jittered(ehf.make_policy(cfg, seed=2), seed=2)
+    labels = ehf.label_matrix(test, 0.01) if rf else None
+    assert _fast_sweep(test, policy, contract, cfg, labels) == \
+        _per_alpha(test, policy, contract, labels)
+
+
+def test_baseline_sweep_gives_the_per_alpha_points(tiny_split, contract):
+    _, test = tiny_split
+    sweep = ehf.SweepConfig(alphas=FAST_ALPHAS, cost_rate=0.02)
+    points = ehf.sweep_baseline(sweep, test, contract, vol=0.9, dt=1 / 365)
+    assert [(p.mean_loss, p.std_loss, p.avg_trades) for p in points] == \
+        _per_alpha(test, ehf.BSMPolicy(contract, 0.9, 1 / 365), contract)
+
+
+@pytest.mark.parametrize("window,layers", [(1, 1), (3, 2), (5, 2)])
+def test_gru_fast_sweep_runs_the_recurrent_stack_once(tiny_split, contract,
+                                                      monkeypatch, window, layers):
+    """gru_layers cells per day from day window-1 on, for all alphas together."""
+    _, test = tiny_split
+    cfg = ehf.PolicyConfig(arch="gru", gru_layers=layers, window=window)
+    policy = ehf.make_policy(cfg, seed=1)
+    cell, calls = hedging_engine._gru_cell, []
+
+    def counting(*args):
+        calls.append(1)
+        return cell(*args)
+
+    monkeypatch.setattr(hedging_engine, "_gru_cell", counting)
+    _fast_sweep(test, policy, contract, cfg)
+    assert len(calls) == layers * (test.n_steps - window + 1)

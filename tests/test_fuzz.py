@@ -1,9 +1,9 @@
-"""Hypothesis fuzzing of the config grammar and of the four artifact loaders.
+"""Hypothesis fuzzing of the config grammar and of the five artifact loaders.
 
 `load_config` must return a RunConfig or raise an EHFError for any INI text
-built from the grammar's own sections and keys. The path-set, forest, policy
-checkpoint and frontier-CSV loaders must raise nothing but IntegrityError on a
-mangled file.
+built from the grammar's own sections and keys. The path-set, forest,
+forecast-label, policy checkpoint and frontier-CSV loaders must raise nothing
+but IntegrityError on a mangled file.
 Sizes stay small, so no draw can ask for a large allocation.
 """
 
@@ -84,19 +84,21 @@ def artifacts(tmp_path_factory):
     X = np.random.default_rng(0).normal(size=(40, 2))
     ehf.save_forest(root / "forest.ehff", ehf.fit_forest(
         X, (X[:, 0] > 0).astype(np.int8), ehf.ForestConfig(n_trees=2, max_depth=3)))
+    ehf.save_forecast(root / "forecast.ehfl", ehf.label_matrix(paths, 0.01))
     ehf.save_policy(root / "policy.ehfm",
                     ehf.DensePolicy.init(ehf.PolicyConfig(hidden=2), seed=0))
     point = ehf.FrontierPoint("high_vol", "dense", False, 0.02, 0.5, 0.04, -12.5,
                               1.0, 30.0, 60, "fast", 3)
     ehf.write_frontier_csv(root / "frontier.csv", [point, point])
     loaders = {"paths.ehfp": ehf.load_pathset, "forest.ehff": ehf.load_forest,
-               "policy.ehfm": ehf.load_policy, "frontier.csv": ehf.read_frontier_csv}
+               "forecast.ehfl": ehf.load_forecast, "policy.ehfm": ehf.load_policy,
+               "frontier.csv": ehf.read_frontier_csv}
     return {name: ((root / name).read_bytes(), loader)
             for name, loader in loaders.items()}
 
 
-@pytest.mark.parametrize("name", ["paths.ehfp", "forest.ehff", "policy.ehfm",
-                                  "frontier.csv"])
+@pytest.mark.parametrize("name", ["paths.ehfp", "forest.ehff", "forecast.ehfl",
+                                  "policy.ehfm", "frontier.csv"])
 @_FUZZ
 @given(mutations=st.lists(_mutation, min_size=1, max_size=3))
 def test_loader_fuzz_raises_only_integrity_error(artifacts, tmp_path, name,

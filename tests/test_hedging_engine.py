@@ -250,6 +250,25 @@ def test_policy_freezes_on_masked_days(gbm_small):
         assert np.array_equal(deltas[:, 1:][frozen], deltas[:, :-1][frozen]), arch
 
 
+def test_remasker_gives_the_deltas_of_every_mask(gbm_small, contract):
+    """A remasker's deltas equal deltas() bit for bit for each mask, whatever
+    masks it ran before (it reuses its buffers between calls), and it checks
+    each mask as deltas() does."""
+    labels = ehf.label_matrix(gbm_small, 0.005)
+    masks = [ehf.combine_mask(ehf.compute_trade_mask(gbm_small, a), labels)
+             for a in (0.0, 0.02, 0.0, 0.01)]
+    policies = [ehf.BSMPolicy(contract, 0.2, 1 / 365)] + [
+        cls.init(ehf.PolicyConfig(arch=arch, window=4, use_label=True), seed=5)
+        for arch, cls in (("dense", DensePolicy), ("gru", GRUPolicy))]
+    for policy in policies:
+        deltas_at = policy.remasker(gbm_small.prices, labels=labels)
+        for mask in masks:
+            assert np.array_equal(deltas_at(mask), policy.deltas(
+                gbm_small.prices, mask, labels=labels)), policy.arch
+        with pytest.raises(DomainError):
+            deltas_at(np.zeros_like(masks[0]))
+
+
 def test_plain_and_tape_forwards_agree(gbm_small, contract):
     """The recorded rollout is one [n, n_steps] node holding the plain deltas
     bit for bit, and the recorded loss is episode_results' loss."""

@@ -298,3 +298,21 @@ def test_write_label_csv(tmp_path, heston_small):
     assert lines[0] == "path_id,day,r1,r2,label,predicted"
     assert len(lines) == 1 + 10 * 28  # days 2..29 per path
     assert "np.float64" not in lines[1]
+
+
+def test_forecast_labels_roundtrip(tmp_path, gbm_small):
+    labels = ehf.label_matrix(gbm_small, 0.005)
+    ehf.save_forecast(tmp_path / "forecast.ehfl", labels)
+    loaded = ehf.load_forecast(tmp_path / "forecast.ehfl")
+    assert loaded.dtype == np.int8 and np.array_equal(loaded, labels)
+
+
+@pytest.mark.parametrize("blocks", [
+    {"labels": np.array([[1.0, 2.0]])}, {"labels": np.array([[1.0, np.nan]])},
+    {"labels": np.ones(3)}, {"labels": np.ones((2, 3)), "extra": np.ones(1)},
+    {"votes": np.ones((2, 3))}],
+    ids=["label-2", "nan", "one-dimensional", "extra-block", "other-name"])
+def test_load_forecast_rejects_other_blocks(tmp_path, blocks):
+    container.save(tmp_path / "forecast.ehfl", "forecast", blocks, {})
+    with pytest.raises(IntegrityError, match="labels in"):
+        ehf.load_forecast(tmp_path / "forecast.ehfl")
