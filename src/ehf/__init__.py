@@ -12,10 +12,10 @@ from .analytics_bsm import (ContractSpec, bs_call_price, bs_delta,
 from .errors import (ConfigurationError, DomainError, EHFError, IntegrityError,
                      NumericError, ResolutionError, ShapeError, StateError)
 from .frontier import (Comparison, FrontierPoint, SignalArtifacts, SweepConfig,
-                       compare_configs, format_comparison_table, gate_labels,
-                       pareto_filter, prepare_signal, read_frontier_csv,
-                       summarize_range, sweep_alpha, sweep_baseline,
-                       write_comparison_csv, write_frontier_csv)
+                       compare_configs, format_comparison_table, pareto_filter,
+                       prepare_signal, read_frontier_csv, summarize_range,
+                       sweep_alpha, sweep_baseline, write_comparison_csv,
+                       write_frontier_csv)
 from .hedging_engine import (BSMPolicy, CostModel, DensePolicy, EvalSummary,
                              GRUPolicy, HedgeEpisodeResult, PolicyConfig,
                              RiskConfig, TrainConfig, TrainingLog,
@@ -23,7 +23,7 @@ from .hedging_engine import (BSMPolicy, CostModel, DensePolicy, EvalSummary,
                              entropy_risk, episode_loss_node, episode_results,
                              evaluate_policy, load_policy, make_policy,
                              save_policy, tape_entropy_risk, trade_frequency,
-                             train_policy)
+                             trade_mask, train_policy)
 from .market_sim import (GBMParams, HestonParams, HIGH_VOL, LOW_VOL, PathSet,
                          SimConfig, load_pathset, save_pathset, simulate_gbm,
                          simulate_heston, split_pathset)

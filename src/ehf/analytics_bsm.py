@@ -78,32 +78,19 @@ def bs_delta(spot, strike: float, rate: float, vol: float, tau: float):
 
 
 def bsm_delta_matrix(paths: PathSet, contract: ContractSpec, vol: float,
-                     dt: float = 1.0 / 365.0, rate: float = 0.0,
-                     mask: np.ndarray | None = None) -> np.ndarray:
-    """Per-day BSM deltas on simulated paths, frozen on masked-out days.
+                     dt: float = 1.0 / 365.0, rate: float = 0.0) -> np.ndarray:
+    """Per-day BSM deltas on simulated paths: [n_paths, n_steps].
 
-    Day t uses spot S_t and remaining maturity (n_steps - t) * dt. With
-    mask=None every day rebalances. Accepts a PathSet or a raw price matrix
-    of shape [n_paths, n_steps + 1].
+    Day t uses spot S_t and remaining maturity (n_steps - t) * dt. Accepts a
+    PathSet or a raw price matrix of shape [n_paths, n_steps + 1].
     """
-    from .hedging_engine import check_mask  # local import avoids a module cycle
-
     prices = np.asarray(getattr(paths, "prices", paths), dtype=np.float64)
     n_paths, n_steps = prices.shape[0], prices.shape[1] - 1
     if contract.maturity_steps != n_steps:
         raise DomainError(
             f"contract maturity {contract.maturity_steps} != path length {n_steps}")
-    if mask is not None:
-        check_mask(mask, n_paths, n_steps)
     deltas = np.empty((n_paths, n_steps))
-    prev = np.zeros(n_paths)
     for t in range(n_steps):
-        tau = (n_steps - t) * dt
-        target = bs_delta(prices[:, t], contract.strike, rate, vol, tau)
-        if mask is None:
-            prev = target
-        else:
-            prev = np.where(mask[:, t], target, prev)
-        deltas[:, t] = prev
+        deltas[:, t] = bs_delta(prices[:, t], contract.strike, rate, vol,
+                                (n_steps - t) * dt)
     return deltas
-

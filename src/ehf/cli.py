@@ -26,24 +26,24 @@ from . import market_sim
 from .analytics_bsm import ContractSpec
 from .errors import (ConfigurationError, DomainError, IntegrityError,
                      NumericError, ResolutionError, ShapeError, StateError)
-from .frontier import (GATE_SOURCES, SWEEP_MODES, SweepConfig, check_alpha_grid,
-                       compare_configs, format_comparison_table, gate_labels,
-                       pareto_filter, prepare_signal, read_frontier_csv,
-                       sweep_alpha, sweep_baseline, write_comparison_csv,
-                       write_frontier_csv)
+from .frontier import (SWEEP_MODES, SweepConfig, check_alpha_grid,
+                       compare_configs, format_comparison_table, pareto_filter,
+                       prepare_signal, read_frontier_csv, sweep_alpha,
+                       sweep_baseline, write_comparison_csv, write_frontier_csv)
 from .hedging_engine import (CostModel, PolicyConfig, RiskConfig, TrainConfig,
-                             combine_mask, compute_trade_mask, load_policy,
-                             save_policy, train_policy)
+                             compute_trade_mask, load_policy, save_policy,
+                             trade_mask, train_policy)
 from .market_sim import (GBMParams, HestonParams, PathSet, SimConfig,
                          load_pathset, save_pathset, split_pathset)
-from .signal_forest import (ForestConfig, load_forecast, save_forecast,
-                            save_forest, write_label_csv)
+from .signal_forest import (ForestConfig, label_matrix, load_forecast,
+                            save_forecast, save_forest, write_label_csv)
 
 PATHS_FILE = "paths.ehfp"
 FOREST_FILE = "forest.ehff"
 FORECAST_FILE = "forecast.ehfl"
 
 _SCENARIOS = ("low_vol", "high_vol", "gbm", "custom")
+_GATE_SOURCES = ("oracle", "forecast")
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,7 @@ class RunConfig:
                 f"simulated paths ({self.n_paths})")
         if not (0 < self.n_train and 0 < self.n_test):
             raise ConfigurationError("n_train and n_test must be positive")
-        if self.gate not in GATE_SOURCES:
+        if self.gate not in _GATE_SOURCES:
             raise ConfigurationError(f"unknown gate source {self.gate!r}")
         if self.mode not in SWEEP_MODES:
             raise ConfigurationError(f"unknown sweep mode {self.mode!r}")
@@ -262,9 +262,12 @@ def _sha256(filename) -> str:
 
 # Each artifact a later command reads: the command that writes it, its input
 # files and the config values (under a cost rate and lambda) that fix it. Its
-# record holds them, inputs by digest (simulate's description goes unchecked).
+# record holds them, inputs by digest.
 _PROVENANCE = {
-    PATHS_FILE: ("simulate", (), lambda cfg, *_: {}),
+    PATHS_FILE: ("simulate", (), lambda cfg, *_: {
+        "scenario": cfg.scenario, "n_paths": cfg.n_paths,
+        "n_steps": cfg.maturity_steps, "s0": cfg.s0, "dt": cfg.dt,
+        "seed": cfg.sim_seed, "params": asdict(_scenario(cfg)[0])}),
     FOREST_FILE: ("label", (PATHS_FILE,), lambda cfg, *_: {
         "n_train": cfg.n_train, "beta": cfg.beta, "fit_rows": cfg.forest_fit_rows,
         "forest settings": asdict(cfg.forest)}),
@@ -323,9 +326,10 @@ def _check_record(filename, kind: str, expected: dict) -> tuple[str, dict]:
 
 
 def _load_paths(cfg: RunConfig) -> tuple[PathSet, dict]:
-    """The path set and {PATHS_FILE: its digest}, once its record checks out."""
+    """The path set and {PATHS_FILE: its digest}, once its record shows it
+    was simulated under cfg's scenario, size, s0, dt and seed."""
     filename = os.path.join(cfg.out_dir, PATHS_FILE)
-    digest, _ = _check_record(filename, PATHS_FILE, {})
+    digest, _ = _check_record(filename, PATHS_FILE, _made_from(cfg, PATHS_FILE, {}))
     return load_pathset(filename), {PATHS_FILE: digest}
 
 
@@ -339,15 +343,20 @@ def _sim_config(cfg: RunConfig) -> SimConfig:
 
 
 def _gate(cfg: RunConfig, digests: dict):
-    """(PathSet -> gate labels, or None without rf; digests plus any forest's).
+    """(PathSet -> the [n, n_steps] labels an rf sweep freezes trading on
+    (0 = freeze), or None without rf; digests plus any forest's).
 
-    The forecast gate reads the labels `label` stored, once both the forest
-    and the stored labels check out against their records; it predicts nothing.
+    The oracle gate uses each path's realised extremum labels (a trader who
+    knows the reversal is coming). The forecast gate reads the forest's
+    votes that `label` stored, once both the forest and the stored labels
+    check out against their records; it predicts nothing. One-day-ahead
+    reversals are close to unpredictable from two past returns, so the
+    forecast gate barely changes the frontier.
     """
     if not cfg.rf:
         return None, digests
     if cfg.gate == "oracle":
-        return (lambda paths: gate_labels(paths, cfg.beta, "oracle")), digests
+        return (lambda paths: label_matrix(paths, cfg.beta)), digests
     forest_file, filename = (os.path.join(cfg.out_dir, f)
                              for f in (FOREST_FILE, FORECAST_FILE))
     digest, _ = _check_record(forest_file, FOREST_FILE,
@@ -383,11 +392,7 @@ def cmd_simulate(args) -> int:
     paths = simulate(params, _sim_config(cfg))
     filename = os.path.join(cfg.out_dir, PATHS_FILE)
     save_pathset(paths, filename)
-    record = _write_record(filename, {
-        "scenario": cfg.scenario,
-        "n_paths": cfg.n_paths, "n_steps": cfg.maturity_steps,
-        "s0": cfg.s0, "dt": cfg.dt, "seed": cfg.sim_seed, "params": asdict(params),
-    })
+    record = _write_record(filename, _made_from(cfg, PATHS_FILE, {}))
     print(f"wrote {cfg.n_paths} x {cfg.maturity_steps + 1} prices to {filename} "
           f"(seed {cfg.sim_seed}, sha256 {record['sha256'][:12]}...)")
     return 0
@@ -428,10 +433,8 @@ def cmd_train(args) -> int:
     train_paths, _ = split_pathset(paths, cfg.n_train, cfg.n_test)
     contract = _contract(cfg)
     gate, digests = _gate(cfg, digests)
-    mask = compute_trade_mask(train_paths, cfg.alphas[0])
     labels = gate(train_paths) if gate is not None else None
-    if labels is not None:
-        mask = combine_mask(mask, labels)
+    mask = trade_mask(train_paths, cfg.alphas[0], labels)
     for cost_rate in cfg.cost_rates:
         for lam in cfg.risk_aversions:
             policy, log = train_policy(

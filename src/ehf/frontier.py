@@ -23,8 +23,8 @@ import numpy as np
 from .analytics_bsm import ContractSpec
 from .errors import ConfigurationError, DomainError, IntegrityError, StateError
 from .hedging_engine import (BSMPolicy, CostModel, PolicyConfig, RiskConfig,
-                             TrainConfig, combine_mask, compute_trade_mask,
-                             evaluate_deltas, train_policy)
+                             TrainConfig, evaluate_deltas, trade_mask,
+                             train_policy)
 from .market_sim import PathSet
 from .signal_forest import (Forest, ForestConfig, classification_report,
                             feature_table, fit_forest, label_matrix,
@@ -89,9 +89,6 @@ class SweepConfig:
 # forest preparation
 # ---------------------------------------------------------------------------
 
-GATE_SOURCES = ("oracle", "forecast")
-
-
 @dataclass(frozen=True)
 class SignalArtifacts:
     """The fitted extrema forecaster, its votes on both splits and accuracy reports."""
@@ -134,25 +131,6 @@ def prepare_signal(train_paths: PathSet, test_paths: PathSet, beta: float,
     )
 
 
-def gate_labels(paths: PathSet, beta: float, gate: str,
-                forest: Forest | None = None) -> np.ndarray:
-    """[n_paths, n_steps] labels an rf sweep freezes trading on (0 = freeze).
-
-    "oracle" uses the realised extremum labels of each path (a trader who
-    knows the reversal is coming, the regime the classifier pipeline is meant
-    to operate in); "forecast" the fitted forest's out-of-sample votes.
-    One-day-ahead reversals are close to unpredictable from two past returns,
-    so the forecast gate barely changes the frontier.
-    """
-    if gate == "oracle":
-        return label_matrix(paths, beta)
-    if gate != "forecast":
-        raise ConfigurationError(f"unknown gate source {gate!r}")
-    if forest is None:
-        raise ConfigurationError("forecast gating needs a fitted forest")
-    return predict_label_matrix(forest, paths)
-
-
 # ---------------------------------------------------------------------------
 # sweeping
 # ---------------------------------------------------------------------------
@@ -162,13 +140,6 @@ def _check_disjoint(train_paths: PathSet, test_paths: PathSet) -> None:
     if overlap.size:
         raise StateError(
             f"train/test path ids overlap ({overlap.size} shared, e.g. {overlap[0]})")
-
-
-def _masks_for(paths: PathSet, alpha: float, labels: np.ndarray | None) -> np.ndarray:
-    mask = compute_trade_mask(paths, alpha)
-    if labels is not None:
-        mask = combine_mask(mask, labels)
-    return mask
 
 
 def _points(sweep: SweepConfig, arch: str, rf: bool, mode: str, policy,
@@ -182,7 +153,7 @@ def _points(sweep: SweepConfig, arch: str, rf: bool, mode: str, policy,
     points = []
     for alpha in alphas:
         summary = evaluate_deltas(
-            test_paths, deltas_at(_masks_for(test_paths, alpha, labels)), contract, cost)
+            test_paths, deltas_at(trade_mask(test_paths, alpha, labels)), contract, cost)
         points.append(FrontierPoint(
             scenario=sweep.scenario, policy=arch, rf=rf, cost_rate=sweep.cost_rate,
             risk_aversion=sweep.risk_aversion, alpha=alpha,
@@ -229,7 +200,7 @@ def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: Pat
     def trained_at(alpha: float):
         return train_policy(
             train_paths, contract, cost, risk, policy_cfg,
-            _masks_for(train_paths, alpha, train_labels), train_cfg,
+            trade_mask(train_paths, alpha, train_labels), train_cfg,
             labels=train_labels)[0]
 
     def points_of(policy, alphas) -> list[FrontierPoint]:

@@ -145,6 +145,12 @@ def combine_mask(threshold_mask: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return out
 
 
+def trade_mask(paths: PathSet, alpha: float, labels=None) -> np.ndarray:
+    """The alpha mask of paths, ANDed with classifier labels if any are given."""
+    mask = compute_trade_mask(paths, alpha)
+    return mask if labels is None else combine_mask(mask, labels)
+
+
 def trade_frequency(paths: PathSet, alpha: float) -> float:
     """Average number of daily moves per path exceeding alpha.
 
@@ -241,30 +247,6 @@ def tape_entropy_risk(tape: Tape, loss_node: nc.Node, risk_aversion: float) -> n
 # ---------------------------------------------------------------------------
 # delta policies
 # ---------------------------------------------------------------------------
-
-class BSMPolicy:
-    """Closed-form delta policy; not trainable. Rebalances only on masked days."""
-
-    arch = "bsm"
-
-    def __init__(self, contract: ContractSpec, vol: float, dt: float):
-        self.contract = contract
-        self.vol = vol
-        self.dt = dt
-
-    def deltas(self, prices: np.ndarray, mask: np.ndarray,
-               labels=None) -> np.ndarray:
-        return bsm_delta_matrix(prices, self.contract, self.vol, self.dt, mask=mask)
-
-    def remasker(self, prices: np.ndarray, labels=None):
-        """mask -> self.deltas(prices, mask), bit for bit. The targets
-        bs_delta(S_t, tau_t) read no mask and are computed once, here; each
-        mask then runs only the masked carry."""
-        targets = np.ascontiguousarray(
-            bsm_delta_matrix(prices, self.contract, self.vol, self.dt).T)
-        return lambda mask: _masked_rollout(
-            {}, "", (), targets, check_mask(mask, *targets.shape[::-1]), None)
-
 
 _DENSE = ("w1", "b1", "w2", "b2", "w3", "b3")
 _GATES = ("wz", "bz", "wr", "br", "wh", "bh")
@@ -415,10 +397,46 @@ def _gru_cell_adjoint(dh_new, saved, wz, wr, wh):
     return dxh[:, :nx] + dxrh[:, :nx], dh, blocks
 
 
-class _NeuralPolicy:
+class _Policy:
+    """A delta policy: every delta it gives comes out of the one masked carry,
+    _masked_rollout. A subclass gives only the carry's inputs that read no
+    mask, _unmasked(prices, labels, cache) -> (prefix, xs, sig): the
+    features xs of the days that run the dense net (blocks prefix + w1 ...
+    b3 of params), and sig [n_steps, n], whose later rows hold the other
+    days' targets."""
+
+    def deltas(self, prices: np.ndarray, mask: np.ndarray, labels=None) -> np.ndarray:
+        return self.remasker(prices, labels)(mask)
+
+    def remasker(self, prices: np.ndarray, labels=None, cache: dict | None = None):
+        """mask -> the deltas [n, n_steps] held on prices under mask. The work
+        no mask reads is done once, here; each mask runs only the carry. A
+        cache receives what the policy's _adjoint reads."""
+        prefix, xs, sig = self._unmasked(prices, labels, cache)
+        return lambda mask: _masked_rollout(
+            self.params, prefix, xs, sig, check_mask(mask, *sig.shape[::-1]), cache)
+
+
+class BSMPolicy(_Policy):
+    """Closed-form delta policy; not trainable. Rebalances only on masked days."""
+
+    arch = "bsm"
+
+    def __init__(self, contract: ContractSpec, vol: float, dt: float):
+        self.contract = contract
+        self.vol = vol
+        self.dt = dt
+        self.params = {}
+
+    def _unmasked(self, prices, labels, cache):
+        """No dense days; every day's target is bs_delta(S_t, tau_t)."""
+        targets = bsm_delta_matrix(prices, self.contract, self.vol, self.dt)
+        return "", (), np.ascontiguousarray(targets.T)
+
+
+class _NeuralPolicy(_Policy):
     """A trainable policy: config, parameter blocks and S0. A subclass gives
-    _forward(prices, mask, labels, cache=None), the deltas (filling a given
-    cache dict), and _adjoint(g, mask, params, cache), the blocks' gradients."""
+    _unmasked and _adjoint(g, mask, params, cache), the blocks' gradients."""
 
     def __init__(self, config: PolicyConfig, params: dict[str, np.ndarray],
                  s0: float = 100.0):
@@ -439,7 +457,7 @@ class _NeuralPolicy:
         """Record the whole rollout as one [n, n_steps] node whose vjp is the
         policy's hand-written adjoint."""
         cache = {}
-        value = self._forward(prices, mask, labels, cache)
+        value = self.remasker(prices, labels, cache)(mask)
         p = dict(self.params)
 
         def vjp(g):
@@ -457,19 +475,14 @@ class DensePolicy(_NeuralPolicy):
     """
 
     arch = "dense"
+    # bound here, not only on _Policy, so the two architectures' evaluations
+    # can be wrapped and timed apart (perfbench/tracer.py)
+    deltas = _Policy.deltas
 
-    def deltas(self, prices: np.ndarray, mask: np.ndarray, labels=None) -> np.ndarray:
-        return self._forward(prices, mask, labels)
-
-    def remasker(self, prices: np.ndarray, labels=None):
-        """mask -> self.deltas(prices, mask, labels). Every day's net reads the
-        carried delta, so no work is shared between masks."""
-        return lambda mask: self.deltas(prices, mask, labels)
-
-    def _forward(self, prices, mask, labels, cache=None):
-        check_mask(mask, prices.shape[0], prices.shape[1] - 1)
+    def _unmasked(self, prices, labels, cache):
+        """Every day runs the net; its features, and rows for its outputs."""
         _, xs = _dense_inputs(self.config, self.s0, prices, labels, prices.shape[1] - 1)
-        return _masked_rollout(self.params, "", xs, np.empty(xs.shape[:2]), mask, cache)
+        return "", xs, np.empty(xs.shape[:2])
 
     def _adjoint(self, g, mask, p, cache):
         return _masked_adjoint(g, mask, p, "", cache)[1]
@@ -485,31 +498,15 @@ class GRUPolicy(_NeuralPolicy):
     """
 
     arch = "gru"
+    deltas = _Policy.deltas   # bound here for the same reason as DensePolicy's
 
-    def deltas(self, prices: np.ndarray, mask: np.ndarray, labels=None) -> np.ndarray:
-        return self._forward(prices, mask, labels)
-
-    def remasker(self, prices: np.ndarray, labels=None):
-        """mask -> self.deltas(prices, mask, labels), bit for bit. The GRU days'
-        outputs and the fallback days' features read no mask and are computed
-        once, here; each mask then runs only the fallback days and the carry."""
-        n_steps = prices.shape[1] - 1
-        logp, xs = self._inputs(prices, labels)
-        sig = self._recurrent_rows(logp, len(xs))
-        return lambda mask: _masked_rollout(
-            self.params, "fb_", xs, sig, check_mask(mask, len(prices), n_steps), None)
-
-    def _forward(self, prices, mask, labels, cache=None):
-        check_mask(mask, prices.shape[0], prices.shape[1] - 1)
-        logp, xs = self._inputs(prices, labels)
-        sig = self._recurrent_rows(
-            logp, len(xs), None if cache is None else cache.setdefault("gru", []))
-        return _masked_rollout(self.params, "fb_", xs, sig, mask, cache)
-
-    def _inputs(self, prices, labels):
-        """log prices, and the dense features of the first window-1 days."""
+    def _unmasked(self, prices, labels, cache):
+        """The first window-1 days' dense features, and the later days' GRU
+        outputs (the cells read no mask and no delta)."""
         n_fb = min(self.config.window - 1, prices.shape[1] - 1)
-        return _dense_inputs(self.config, self.s0, prices, labels, n_fb)
+        logp, xs = _dense_inputs(self.config, self.s0, prices, labels, n_fb)
+        steps = None if cache is None else cache.setdefault("gru", [])
+        return "fb_", xs, self._recurrent_rows(logp, n_fb, steps)
 
     def _recurrent_rows(self, logp, n_fb, steps=None):
         """sig [n_steps, n] whose rows t >= n_fb hold the head output of day t;

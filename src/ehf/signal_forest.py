@@ -23,8 +23,8 @@ from .market_sim import PathSet
 # labeling
 # ---------------------------------------------------------------------------
 
-def label_extrema(path: np.ndarray, beta: float) -> np.ndarray:
-    """Per-day {0,1} labels for one price path; ends default to 1.
+def _extrema_labels(s: np.ndarray, beta: float) -> np.ndarray:
+    """{0,1} labels of the prices s along the last axis; both ends are 1.
 
     Day t is labeled 0 iff it beats both neighbors by more than beta in
     relative terms:
@@ -32,36 +32,32 @@ def label_extrema(path: np.ndarray, beta: float) -> np.ndarray:
         up-spike:   (S_t - S_{t-1})/S_{t-1} > beta  and  (S_t - S_{t+1})/S_{t+1} > beta
         down-spike: (S_{t-1} - S_t)/S_{t-1} > beta  and  (S_{t+1} - S_t)/S_t > beta
     """
+    if beta < 0:
+        raise DomainError(f"beta must be >= 0, got {beta}")
+    prev, cur, nxt = s[..., :-2], s[..., 1:-1], s[..., 2:]
+    up_spike = ((cur - prev) / prev > beta) & ((cur - nxt) / nxt > beta)
+    down_spike = ((prev - cur) / prev > beta) & ((nxt - cur) / cur > beta)
+    labels = np.ones(s.shape, dtype=np.int8)
+    labels[..., 1:-1][up_spike | down_spike] = 0
+    return labels
+
+
+def label_extrema(path: np.ndarray, beta: float) -> np.ndarray:
+    """Per-day {0,1} labels for one path of at least 3 prices: 0 on a day
+    that spikes by more than beta against both neighbors (_extrema_labels)."""
     s = np.asarray(path, dtype=np.float64)
     if s.ndim != 1 or len(s) < 3:
         raise DomainError(f"need at least 3 prices to label, got shape {s.shape}")
-    if beta < 0:
-        raise DomainError(f"beta must be >= 0, got {beta}")
-    prev, cur, nxt = s[:-2], s[1:-1], s[2:]
-    up_spike = ((cur - prev) / prev > beta) & ((cur - nxt) / nxt > beta)
-    down_spike = ((prev - cur) / prev > beta) & ((nxt - cur) / cur > beta)
-    is_zero = up_spike | down_spike
-    labels = np.ones(len(s), dtype=np.int8)
-    labels[1:-1][is_zero] = 0
-    return labels
+    return _extrema_labels(s, beta)
 
 
 def label_matrix(paths: PathSet, beta: float) -> np.ndarray:
     """Ground-truth labels for every hedge day: [n_paths, n_steps] in {0,1}.
 
-    Vectorized equivalent of label_extrema over rows, truncated to the
-    n_steps decision days (the final price has no tomorrow and is not a
-    decision day anyway).
+    The rule of label_extrema on every row, less the final price's label (it
+    has no tomorrow and is not a decision day anyway).
     """
-    s = paths.prices
-    if beta < 0:
-        raise DomainError(f"beta must be >= 0, got {beta}")
-    prev, cur, nxt = s[:, :-2], s[:, 1:-1], s[:, 2:]
-    is_zero = (((cur - prev) / prev > beta) & ((cur - nxt) / nxt > beta)) | \
-              (((prev - cur) / prev > beta) & ((nxt - cur) / cur > beta))
-    labels = np.ones_like(s, dtype=np.int8)
-    labels[:, 1:-1][is_zero] = 0
-    return labels[:, : paths.n_steps]
+    return _extrema_labels(paths.prices, beta)[:, : paths.n_steps]
 
 
 def feature_table(paths: PathSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -77,7 +77,7 @@ def test_delta_matrix_matches_scalar_calls(gbm_small, contract):
 
 def test_delta_matrix_mask_freezes_position(gbm_small, contract):
     mask = ehf.compute_trade_mask(gbm_small, 0.05)
-    deltas = ehf.bsm_delta_matrix(gbm_small, contract, 0.2, mask=mask)
+    deltas = ehf.BSMPolicy(contract, 0.2, 1 / 365).deltas(gbm_small.prices, mask)
     frozen = ~mask[:, 1:]
     assert np.array_equal(deltas[:, 1:][frozen], deltas[:, :-1][frozen])
     # day 0 always establishes the hedge

@@ -380,7 +380,9 @@ def test_trailing_bytes_in_pathset_exits_3(workdir, tmp_path, capsys):
     assert main(["simulate", "--config", str(ini), "--out", str(clone)]) == 0
     with open(clone / "paths.ehfp", "ab") as fh:
         fh.write(b"\0" * 8)
-    _write_record(clone / "paths.ehfp", {})
+    record = json.loads((clone / "paths.manifest.json").read_text())
+    del record["sha256"]
+    _write_record(clone / "paths.ehfp", record)
     assert main(["label", "--config", str(ini), "--out", str(clone)]) == 3
     assert "trailing bytes" in capsys.readouterr().err
 
@@ -489,7 +491,7 @@ def test_forecast_pipeline_matches_library_run(tmp_path, capsys, monkeypatch):
                             risk_aversion=0.5, seed=cfg.train.seed)
     points = ehf.sweep_alpha(
         sweep, train, test, ehf.ContractSpec(100.0, 30), cfg.policy, cfg.train,
-        gate=lambda p: ehf.gate_labels(p, cfg.beta, "forecast", signal.forest))
+        gate=lambda p: ehf.predict_label_matrix(signal.forest, p))
     ehf.write_frontier_csv(tmp_path / "library.csv", points)
     assert (out / "frontier_dense_rf_c0.02_l0.5.csv").read_bytes() == \
         (tmp_path / "library.csv").read_bytes()
@@ -508,18 +510,19 @@ def test_forecast_gate_without_forest_exits_3(tmp_path, capsys):
     assert not (out / "forest.ehff").exists()
 
 
-@pytest.mark.parametrize("label_args,stale", [
-    (("--seed", "9"), "forest settings"),
-    ((), "beta")], ids=["other-seed", "other-beta"])
-def test_forecast_gate_with_stale_forest_exits_3(tmp_path, capsys, label_args,
-                                                 stale):
+@pytest.mark.parametrize("label_ini,run_ini,stale", [
+    (FORECAST_INI.replace("seed = 3\nfit_rows", "seed = 9\nfit_rows"), FORECAST_INI,
+     "forest settings"),
+    (FORECAST_INI, FORECAST_INI.replace("beta = 0.05", "beta = 0.03"), "beta")],
+    ids=["other-seed", "other-beta"])
+def test_forecast_gate_with_stale_forest_exits_3(tmp_path, capsys, label_ini,
+                                                 run_ini, stale):
     """The forest on disk was fit under another forest seed, or another beta
     than train and sweep now use."""
-    ini, out = _ini(tmp_path, FORECAST_INI), tmp_path / "out"
+    ini, out = _ini(tmp_path, label_ini), tmp_path / "out"
     assert _run(ini, out, "simulate") == 0
-    assert _run(ini, out, "label", *label_args) == 0
-    if not label_args:
-        ini.write_text(FORECAST_INI.replace("beta = 0.05", "beta = 0.03"))
+    assert _run(ini, out, "label") == 0
+    ini.write_text(run_ini)
     for cmd in ("train", "sweep"):
         assert _run(ini, out, cmd) == 3, cmd
         err = capsys.readouterr().err
@@ -663,7 +666,7 @@ def test_report_refuses_a_pair_swept_on_other_paths(tmp_path, capsys):
     assert _run(rf, out, "simulate") == 0
     assert _run(rf, out, "sweep") == 0
     assert _run(plain, out, "simulate", "--seed", "2") == 0
-    assert _run(plain, out, "sweep") == 0
+    assert _run(plain, out, "sweep", "--seed", "2") == 0
     assert _run(plain, out, "report") == 3
     err = capsys.readouterr().err
     assert "frontier_dense_rf_c0.02_l0.5.csv" in err and "rerun `ehf sweep`" in err
@@ -697,11 +700,38 @@ def test_report_refuses_a_baseline_swept_at_another_dt_or_vol(tmp_path, capsys,
     out = tmp_path / "out"
     assert _run(plain, out, "simulate") == 0
     assert _run(plain, out, "sweep") == 0
+    assert _run(bsm, out, "simulate") == 0
     assert _run(bsm, out, "sweep") == 0
     assert _run(plain, out, "report") == 3
     err = capsys.readouterr().err
     assert f"frontier_bsm_c0.02_l0.5.csv: its record holds other {value}" in err
     assert "rerun `ehf sweep`" in err
+
+
+@pytest.mark.parametrize("changes,stale", [
+    ((("name = high_vol", "name = low_vol"), ("seed = 31415", "seed = 31415\ndt = 1/252")),
+     "scenario, dt, params"),
+    ((("n_paths = 220", "n_paths = 230"),), "n_paths"),
+    ((("maturity_steps = 30", "maturity_steps = 20"),), "n_steps"),
+    ((("seed = 31415", "seed = 31415\ns0 = 90"),), "s0"),
+    ((("seed = 31415", "seed = 27"),), "seed")],
+    ids=["scenario-and-dt", "n_paths", "n_steps", "s0", "seed"])
+def test_paths_simulated_under_another_config_exit_3(tmp_path, capsys, changes,
+                                                     stale):
+    """label, train and sweep refuse a path file simulated under another
+    scenario, size, s0, dt or seed than their config gives."""
+    ini, out = _ini(tmp_path, TINY_INI), tmp_path / "out"
+    assert _run(ini, out, "simulate") == 0
+    text = TINY_INI
+    for old, new in changes:
+        text = text.replace(old, new)
+    ini.write_text(text)
+    for cmd in ("label", "train", "sweep"):
+        assert _run(ini, out, cmd) == 3, cmd
+        err = capsys.readouterr().err
+        assert f"paths.ehfp: its record holds other {stale} — rerun `ehf simulate`" \
+            in err, cmd
+    assert not list(out.glob("frontier_*")) and not (out / "forest.ehff").exists()
 
 
 def test_gradcheck_passes(capsys):

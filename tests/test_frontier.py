@@ -257,7 +257,7 @@ def test_rf_sweep_uses_signal(tiny_split, contract):
     sweep = ehf.SweepConfig(alphas=(0.0, 0.04), rf=True, cost_rate=0.02, seed=5)
     pts = ehf.sweep_alpha(
         sweep, train, test, contract, TINY_POLICY, TINY_TRAIN,
-        gate=lambda p: ehf.gate_labels(p, 0.05, "forecast", signal.forest))
+        gate=lambda p: ehf.predict_label_matrix(signal.forest, p))
     assert all(p.rf for p in pts)
     # the forest gate can only remove trading days
     plain = ehf.sweep_alpha(ehf.SweepConfig(alphas=(0.0, 0.04), cost_rate=0.02,

@@ -439,7 +439,11 @@ def test_bsm_policy_matches_analytics(gbm_small, contract):
     policy = ehf.BSMPolicy(contract, 0.2, 1.0 / 365.0)
     mask = ehf.compute_trade_mask(gbm_small, 0.02)
     deltas = policy.deltas(gbm_small.prices, mask)
-    ref = ehf.bsm_delta_matrix(gbm_small, contract, 0.2, mask=mask)
+    # each day rebalances to its closed-form target or holds the last delta
+    targets = ehf.bsm_delta_matrix(gbm_small, contract, 0.2)
+    ref, prev = np.empty_like(targets), np.zeros(len(targets))
+    for t in range(targets.shape[1]):
+        prev = ref[:, t] = np.where(mask[:, t], targets[:, t], prev)
     assert np.array_equal(deltas, ref)
 
 

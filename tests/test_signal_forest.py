@@ -5,7 +5,7 @@ import pytest
 
 import ehf
 from ehf import container
-from ehf.errors import ConfigurationError, DomainError, IntegrityError, ShapeError
+from ehf.errors import DomainError, IntegrityError, ShapeError
 from ehf.signal_forest import DecisionTree, Forest, _best_split
 
 
@@ -279,16 +279,9 @@ def test_prepare_signal_artifacts(heston_small):
     assert set(np.unique(art.forecast_test)) <= {0, 1}
     assert art.train_report.accuracy >= 0
     assert "accuracy" in str(art.test_report)
-    # the oracle gate freezes on the realised extrema, the forecast gate on
-    # the forest's votes
-    np.testing.assert_array_equal(ehf.gate_labels(train, 0.05, "oracle"),
-                                  ehf.label_matrix(train, 0.05))
+    # the forecast labels are the forest's votes on the test paths
     np.testing.assert_array_equal(
-        ehf.gate_labels(test, 0.05, "forecast", art.forest), art.forecast_test)
-    with pytest.raises(ConfigurationError):
-        ehf.gate_labels(test, 0.05, "forecast")
-    with pytest.raises(ConfigurationError):
-        ehf.gate_labels(test, 0.05, "hunch", art.forest)
+        ehf.predict_label_matrix(art.forest, test), art.forecast_test)
 
 
 def test_write_label_csv(tmp_path, heston_small):
