@@ -1,8 +1,9 @@
 """Closed-form European call pricing and delta, and per-day BSM delta matrices.
 
 All hedging accounting in this package runs at zero financing rate, so the
-cash-account leg of a replicating portfolio drops out; the functions still
-accept an explicit rate for pricing.
+cash-account leg of a replicating portfolio drops out; the delta matrix the
+baseline policy reads is taken at zero rate, while the pricing functions
+still accept an explicit rate.
 """
 
 from __future__ import annotations
@@ -35,51 +36,47 @@ def norm_cdf(x):
     return 0.5 * erfc(-np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
 
 
-def _check_positive(spot, strike):
+def _d1(spot, strike: float, rate: float, vol: float, tau: float, delta: bool = False):
+    """(spot as float64, the discounted strike, d1) once the arguments check
+    out; d1 is None at vol = 0 or tau = 0, where the value degenerates. A
+    delta needs tau > 0: it is a step at expiry."""
     if np.any(np.asarray(spot) <= 0):
         raise DomainError("spot must be > 0")
     if strike <= 0:
         raise DomainError("strike must be > 0")
-
-
-def bs_call_price(spot, strike: float, rate: float, vol: float, tau: float):
-    """Black-Scholes-Merton call value; returns intrinsic value at tau = 0."""
-    _check_positive(spot, strike)
+    if delta and tau <= 0:
+        raise DomainError(f"tau must be > 0 for delta, got {tau}")
     if vol < 0:
         raise DomainError(f"vol must be >= 0, got {vol}")
     if tau < 0:
         raise DomainError(f"tau must be >= 0, got {tau}")
     spot = np.asarray(spot, dtype=np.float64)
-    if tau == 0 or vol == 0:
-        # degenerate: forward intrinsic value
-        value = np.maximum(spot - strike * np.exp(-rate * tau), 0.0)
-        return value if value.ndim else float(value)
-    sig_rt = vol * np.sqrt(tau)
-    d1 = (np.log(spot / strike) + (rate + 0.5 * vol ** 2) * tau) / sig_rt
-    d2 = d1 - sig_rt
-    value = spot * norm_cdf(d1) - strike * np.exp(-rate * tau) * norm_cdf(d2)
+    d1 = None if tau == 0 or vol == 0 else \
+        (np.log(spot / strike) + (rate + 0.5 * vol ** 2) * tau) / (vol * np.sqrt(tau))
+    return spot, strike * np.exp(-rate * tau), d1
+
+
+def bs_call_price(spot, strike: float, rate: float, vol: float, tau: float):
+    """Black-Scholes-Merton call value; the forward intrinsic value at
+    tau = 0 or vol = 0."""
+    spot, discounted, d1 = _d1(spot, strike, rate, vol, tau)
+    if d1 is None:
+        value = np.maximum(spot - discounted, 0.0)
+    else:
+        value = spot * norm_cdf(d1) - discounted * norm_cdf(d1 - vol * np.sqrt(tau))
     return value if value.ndim else float(value)
 
 
 def bs_delta(spot, strike: float, rate: float, vol: float, tau: float):
-    """Call delta N(d1); tau must be strictly positive (delta is a step at expiry)."""
-    _check_positive(spot, strike)
-    if tau <= 0:
-        raise DomainError(f"tau must be > 0 for delta, got {tau}")
-    if vol < 0:
-        raise DomainError(f"vol must be >= 0, got {vol}")
-    spot = np.asarray(spot, dtype=np.float64)
-    if vol == 0:
-        value = (spot > strike * np.exp(-rate * tau)).astype(np.float64)
-        return value if value.ndim else float(value)
-    d1 = (np.log(spot / strike) + (rate + 0.5 * vol ** 2) * tau) / (vol * np.sqrt(tau))
-    value = norm_cdf(d1)
+    """Call delta N(d1); tau must be strictly positive."""
+    spot, discounted, d1 = _d1(spot, strike, rate, vol, tau, delta=True)
+    value = (spot > discounted).astype(np.float64) if d1 is None else norm_cdf(d1)
     return value if value.ndim else float(value)
 
 
 def bsm_delta_matrix(paths: PathSet, contract: ContractSpec, vol: float,
-                     dt: float = 1.0 / 365.0, rate: float = 0.0) -> np.ndarray:
-    """Per-day BSM deltas on simulated paths: [n_paths, n_steps].
+                     dt: float = 1.0 / 365.0) -> np.ndarray:
+    """Per-day BSM deltas at zero rate on simulated paths: [n_paths, n_steps].
 
     Day t uses spot S_t and remaining maturity (n_steps - t) * dt. Accepts a
     PathSet or a raw price matrix of shape [n_paths, n_steps + 1].
@@ -91,6 +88,6 @@ def bsm_delta_matrix(paths: PathSet, contract: ContractSpec, vol: float,
             f"contract maturity {contract.maturity_steps} != path length {n_steps}")
     deltas = np.empty((n_paths, n_steps))
     for t in range(n_steps):
-        deltas[:, t] = bs_delta(prices[:, t], contract.strike, rate, vol,
+        deltas[:, t] = bs_delta(prices[:, t], contract.strike, 0.0, vol,
                                 (n_steps - t) * dt)
     return deltas

@@ -526,7 +526,7 @@ def cmd_report(args) -> int:
         raise ResolutionError(
             "nothing to compare: need a dense no-rf frontier plus at least "
             "one variant with matching cost rate and risk aversion")
-    table = format_comparison_table(rows, base_name="dense", variant_name="variant")
+    table = format_comparison_table(rows)
     with open(os.path.join(cfg.out_dir, "report.txt"), "w") as fh:
         fh.write(table + "\n")
     write_comparison_csv(os.path.join(cfg.out_dir, "report.csv"), rows)

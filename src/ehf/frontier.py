@@ -395,12 +395,10 @@ def compare_configs(base: list[FrontierPoint], variant: list[FrontierPoint],
     )
 
 
-def format_comparison_table(rows: list[tuple[str, Comparison]],
-                            base_name: str = "base",
-                            variant_name: str = "variant") -> str:
-    """Aligned text table of per-configuration improvements."""
-    header = (f"{'config':<18} {base_name + ' mean':>14} {base_name + ' std':>13} "
-              f"{variant_name + ' mean':>14} {variant_name + ' std':>13} "
+def format_comparison_table(rows: list[tuple[str, Comparison]]) -> str:
+    """Aligned text table of per-configuration improvements over the dense base."""
+    header = (f"{'config':<18} {'dense mean':>14} {'dense std':>13} "
+              f"{'variant mean':>14} {'variant std':>13} "
               f"{'mean impr %':>12} {'std impr %':>11}")
     lines = [header, "-" * len(header)]
     for label, c in rows:

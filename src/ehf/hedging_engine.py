@@ -101,6 +101,9 @@ class TrainConfig:
                 f"val_fraction must be in [0, 1), got {self.val_fraction}")
         if not (self.lr > 0.0):
             raise ConfigurationError(f"learning rate must be > 0, got {self.lr}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigurationError(
+                f"training seed must be in [0, 2**64), got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +115,20 @@ def _daily_moves(prices: np.ndarray) -> np.ndarray:
     return prices[:, 1:] / prices[:, :-1] - 1.0
 
 
-def compute_trade_mask(paths: PathSet, alpha: float) -> np.ndarray:
-    """Boolean [n_paths, n_steps]; True on day 0 and whenever the one-day
-    relative move |S_t/S_{t-1} - 1| exceeds alpha."""
+def _moves_over(prices: np.ndarray, alpha: float) -> np.ndarray:
+    """Whether each one-day relative move |S_t/S_{t-1} - 1| exceeds alpha:
+    [n, width - 1] for [n, width] prices."""
     if alpha < 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
-    rel = np.abs(_daily_moves(paths.prices))
+    return np.abs(_daily_moves(prices)) > alpha
+
+
+def compute_trade_mask(paths: PathSet, alpha: float) -> np.ndarray:
+    """Boolean [n_paths, n_steps]; True on day 0 and whenever the move into
+    day t exceeds alpha (_moves_over)."""
     mask = np.empty((paths.n_paths, paths.n_steps), dtype=bool)
     mask[:, 0] = True
-    # decision on day t (1 <= t < n_steps) looks at the move into day t
-    mask[:, 1:] = rel[:, : paths.n_steps - 1] > alpha
+    mask[:, 1:] = _moves_over(paths.prices, alpha)[:, :-1]
     return mask
 
 
@@ -158,10 +165,7 @@ def trade_frequency(paths: PathSet, alpha: float) -> float:
     over all n_steps daily returns of each path (at alpha = 0 it is exactly
     n_steps); it deliberately excludes the forced day-0 rebalance of the mask.
     """
-    if alpha < 0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
-    rel = np.abs(_daily_moves(paths.prices))
-    return float(np.mean(np.sum(rel > alpha, axis=1)))
+    return float(np.mean(np.sum(_moves_over(paths.prices, alpha), axis=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -108,42 +108,39 @@ def fan_uniform(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
 # Adam
 # ---------------------------------------------------------------------------
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8   # Kingma & Ba's defaults
+
+
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], lr: float = 1e-3,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
-                   m={k: np.zeros_like(p) for k, p in params.items()},
+    def for_params(cls, params: dict[str, np.ndarray], lr: float = 1e-3) -> "AdamState":
+        return cls(lr=lr, step=0, m={k: np.zeros_like(p) for k, p in params.items()},
                    v={k: np.zeros_like(p) for k, p in params.items()})
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState) -> tuple[dict[str, np.ndarray], AdamState]:
+              state: AdamState) -> None:
     """In-place Adam update with bias correction; increments the step count."""
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - _BETA1 ** state.step
+    bc2 = 1.0 - _BETA2 ** state.step
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return params, state
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +159,12 @@ class GradCheckReport:
         return self.max_rel_error <= tol
 
 
-def grad_check(loss_and_grad, params: dict[str, np.ndarray],
-               h: float = 1e-6, floor: float = 1e-3) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
+def grad_check(loss_and_grad, params: dict[str, np.ndarray]) -> GradCheckReport:
+    """Compare analytic gradients against central finite differences of step 1e-6.
 
     loss_and_grad(params) must return (scalar loss, gradient dict) and be a
     pure function of the parameters. The relative-error denominator is floored
-    so roundoff noise on near-zero partials does not read as failure.
+    at 1e-3 so roundoff noise on near-zero partials does not read as failure.
 
     Check at a generic point: relu and abs use a zero subgradient at exactly
     zero, so parameters that put a pre-activation precisely on a kink (e.g.
@@ -176,6 +172,7 @@ def grad_check(loss_and_grad, params: dict[str, np.ndarray],
     differences disagree with the analytic convention. Perturb the parameters
     first when that can happen.
     """
+    h = 1e-6
     _, analytic = loss_and_grad(params)
     report = {}
     work = {k: p.copy() for k, p in params.items()}
@@ -191,7 +188,7 @@ def grad_check(loss_and_grad, params: dict[str, np.ndarray],
             down, _ = loss_and_grad(work)
             flat[i] = orig
             numeric = (up - down) / (2.0 * h)
-            denom = max(abs(a_flat[i]), abs(numeric), floor)
+            denom = max(abs(a_flat[i]), abs(numeric), 1e-3)
             worst = max(worst, abs(a_flat[i] - numeric) / denom)
         report[name] = worst
     return GradCheckReport(report)

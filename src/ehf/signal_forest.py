@@ -97,6 +97,9 @@ class ForestConfig:
         if not (0.0 < self.bootstrap_fraction <= 1.0):
             raise ConfigurationError(
                 f"bootstrap fraction must be in (0, 1], got {self.bootstrap_fraction}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigurationError(
+                f"forest seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -108,10 +111,6 @@ class DecisionTree:
     left: np.ndarray
     right: np.ndarray
     leaf_class: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
 
 
 @dataclass(frozen=True)
@@ -360,8 +359,9 @@ def load_forecast(filename) -> np.ndarray:
 
 
 def write_label_csv(filename, paths: PathSet, beta: float,
-                    predicted: np.ndarray | None = None) -> None:
-    """Feature/label table: path_id, day, r1, r2, label, predicted."""
+                    predicted: np.ndarray) -> None:
+    """Feature/label table: path_id, day, r1, r2, label, and the predicted
+    label of predicted [n_paths, n_steps]."""
     X, path_row, day = feature_table(paths)
     truth = label_matrix(paths, beta)
     with open(filename, "w", newline="") as fh:
@@ -369,7 +369,6 @@ def write_label_csv(filename, paths: PathSet, beta: float,
         writer.writerow(["path_id", "day", "r1", "r2", "label", "predicted"])
         for k in range(len(X)):
             i, t = path_row[k], day[k]
-            pred = "" if predicted is None else int(predicted[i, t])
             writer.writerow([int(paths.path_ids[i]), int(t),
                              repr(float(X[k, 0])), repr(float(X[k, 1])),
-                             int(truth[i, t]), pred])
+                             int(truth[i, t]), int(predicted[i, t])])

@@ -140,7 +140,7 @@ def tape_gru(tape: PerOpTape, x: Node, h: Node, w_z: Node, b_z: Node,
 
 
 def entropy_risk(tape: PerOpTape, loss_node: Node, risk_aversion: float) -> Node:
-    """Entropic risk recorded op by op (same max-shift as ehf.entropy_risk)."""
+    """Entropic risk recorded op by op (the max-shift of hedging_engine.entropy_risk)."""
     a = tape.mul_const(loss_node, -risk_aversion)
     m = float(np.max(a.value))
     shifted = tape.add_const(a, -m)

@@ -14,10 +14,12 @@ import pytest
 
 import ehf
 from ehf import market_sim
-from ehf.hedging_engine import (DensePolicy, GRUPolicy, episode_loss_node,
-                                tape_entropy_risk)
+from ehf.analytics_bsm import bs_call_price, bs_delta
+from ehf.frontier import FrontierPoint
+from ehf.hedging_engine import (DensePolicy, GRUPolicy, entropy_risk, episode_loss_node,
+                                episode_results, tape_entropy_risk, trade_frequency)
 from ehf.neural_core import Tape, grad_check
-from ehf.signal_forest import label_matrix
+from ehf.signal_forest import label_extrema, label_matrix, predict_labels
 
 # ---------------------------------------------------------------------------
 # shared desk-scale assets
@@ -96,12 +98,12 @@ def test_c1_trade_frequency_profile(record):
     verdicts = {}
     for name, params in (("high_vol", ehf.HIGH_VOL), ("low_vol", ehf.LOW_VOL)):
         paths = ehf.simulate_heston(params, ehf.SimConfig(n_paths=25000, seed=12345))
-        at_zero = ehf.trade_frequency(paths, 0.0)
-        freqs = [ehf.trade_frequency(paths, a) for a in sorted(REF_FREQ)]
+        at_zero = trade_frequency(paths, 0.0)
+        freqs = [trade_frequency(paths, a) for a in sorted(REF_FREQ)]
         decreasing = all(a > b for a, b in zip(freqs, freqs[1:]))
         in_band = all(abs(f - REF_FREQ[a]) <= 0.30 * REF_FREQ[a]
                       for f, a in zip(freqs, sorted(REF_FREQ)))
-        tail = ehf.trade_frequency(paths, 0.2)
+        tail = trade_frequency(paths, 0.2)
         verdicts[name] = (at_zero, decreasing, in_band, tail, freqs)
     ok = any(v[0] == 30.0 and v[1] and v[2] and v[3] < 0.5
              for v in verdicts.values())
@@ -160,7 +162,7 @@ CASH_QUANTIZATION = 1.1e-2
 def _replay(table, rate):
     prices = np.array([[row[1] for row in table] + [100.0]])  # dummy final mark
     deltas = np.array([[row[2] for row in table]])
-    res = ehf.episode_results(prices, deltas,
+    res = episode_results(prices, deltas,
                               ehf.ContractSpec(100.0, len(table)),
                               ehf.CostModel(rate))
     return res.buy_sell[0], res.costs[0]
@@ -260,14 +262,14 @@ def test_c6_risk_aversion_shift(record, frontiers):
 
 def _entropy_properties(rng):
     L = rng.normal(-5.0, 3.0, size=400)
-    rho = ehf.entropy_risk(L, ehf.RiskConfig(0.5))
-    shifted = ehf.entropy_risk(L + 2.5, ehf.RiskConfig(0.5))
+    rho = entropy_risk(L, ehf.RiskConfig(0.5))
+    shifted = entropy_risk(L + 2.5, ehf.RiskConfig(0.5))
     assert abs(shifted - (rho - 2.5)) < 1e-9, "cash invariance"
     lams = [0.1, 0.5, 1.0, 2.0]
-    rhos = [ehf.entropy_risk(L, ehf.RiskConfig(lam)) for lam in lams]
+    rhos = [entropy_risk(L, ehf.RiskConfig(lam)) for lam in lams]
     assert all(a <= b + 1e-12 for a, b in zip(rhos, rhos[1:])), "monotone in lambda"
     assert rho >= -float(np.mean(L)) - 1e-12, "Jensen bound"
-    assert abs(ehf.entropy_risk(L, ehf.RiskConfig(1e-8)) + float(np.mean(L))) <= 1e-6
+    assert abs(entropy_risk(L, ehf.RiskConfig(1e-8)) + float(np.mean(L))) <= 1e-6
 
 
 def _mask_monotone(paths):
@@ -286,7 +288,7 @@ def _pareto_brute_force(rng):
 
     for _ in range(1000):
         n = int(rng.integers(1, 40))
-        pts = [ehf.FrontierPoint("s", "dense", False, 0.05, 0.5, 0.0,
+        pts = [FrontierPoint("s", "dense", False, 0.05, 0.5, 0.0,
                                  float(rng.normal(-12, 3)),
                                  float(rng.uniform(0, 8)), 10.0, 100, "fast", 0)
                for _ in range(n)]
@@ -338,23 +340,23 @@ def _delta_finite_difference():
     for spot in (80.0, 100.0, 125.0):
         for vol in (0.15, 0.6):
             for tau in (5 / 365, 30 / 365):
-                fd = (ehf.bs_call_price(spot + h, 100.0, 0.0, vol, tau)
-                      - ehf.bs_call_price(spot - h, 100.0, 0.0, vol, tau)) / (2 * h)
-                delta = ehf.bs_delta(spot, 100.0, 0.0, vol, tau)
+                fd = (bs_call_price(spot + h, 100.0, 0.0, vol, tau)
+                      - bs_call_price(spot - h, 100.0, 0.0, vol, tau)) / (2 * h)
+                delta = bs_delta(spot, 100.0, 0.0, vol, tau)
                 assert abs(delta - fd) <= 1e-6, (spot, vol, tau)
 
 
 def _labeling_invariances(rng):
     path = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.05, size=20)))
-    base = ehf.label_extrema(path, 0.05)
+    base = label_extrema(path, 0.05)
     for day in (0, 5, 19):
         nudged = path.copy()
         nudged[day] *= 1.4
-        changed = ehf.label_extrema(nudged, 0.05)
+        changed = label_extrema(nudged, 0.05)
         window = {max(day - 1, 0), day, min(day + 1, 19)}
         outside = [t for t in range(20) if t not in window]
         assert np.array_equal(changed[outside], base[outside]), "locality"
-    np.testing.assert_array_equal(ehf.label_extrema(path * 3.7, 0.05), base)
+    np.testing.assert_array_equal(label_extrema(path * 3.7, 0.05), base)
 
 
 def _forest_baseline(desk):
@@ -389,8 +391,8 @@ def _determinism(desk):
     X = np.random.default_rng(1).normal(size=(300, 2))
     y = (X[:, 0] > 0.2).astype(np.int64)
     fcfg = ehf.ForestConfig(n_trees=7, seed=9)
-    p1 = ehf.predict_labels(ehf.fit_forest(X, y, fcfg), X)
-    p2 = ehf.predict_labels(ehf.fit_forest(X, y, fcfg), X)
+    p1 = predict_labels(ehf.fit_forest(X, y, fcfg), X)
+    p2 = predict_labels(ehf.fit_forest(X, y, fcfg), X)
     np.testing.assert_array_equal(p1, p2)
 
     small = a

@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 import ehf
 from ehf.analytics_bsm import bs_call_price, bs_delta, norm_cdf
+from ehf.hedging_engine import episode_results
 
 
 def test_norm_cdf_matches_scipy():
@@ -85,7 +86,7 @@ def test_delta_matrix_mask_freezes_position(gbm_small, contract):
 
 
 def test_baseline_episode_fields(gbm_small, contract):
-    result = ehf.episode_results(gbm_small.prices,
+    result = episode_results(gbm_small.prices,
                                  ehf.bsm_delta_matrix(gbm_small, contract, 0.2),
                                  contract, ehf.CostModel(0.02))
     assert result.loss.shape == (64,)

@@ -13,6 +13,8 @@ import ehf
 from ehf import cli, container
 from ehf.cli import (RunConfig, _made_from, _parse_alpha_grid, _parse_number,
                      _scenario, _write_record, load_config, main)
+from ehf.hedging_engine import DensePolicy
+from ehf.signal_forest import load_forest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -200,6 +202,31 @@ def test_bad_config_exits_2_before_simulating(tmp_path, capsys, old, new):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("where,value,cmd", [
+    ("[simulation]", 2 ** 64, "simulate"), ("--seed", 2 ** 64, "simulate"),
+    ("[training]", -3, "train"), ("[training]", -3, "sweep"),
+    ("[training]", 2 ** 64, "train"), ("[training]", 2 ** 64, "sweep"),
+    ("[labels]", -3, "label"), ("[labels]", 2 ** 64, "label")])
+def test_seed_outside_u64_exits_2(tmp_path, capsys, where, value, cmd):
+    """A seed every RNG of the pipeline can take lies in [0, 2**64); any other
+    used to end its command in an OverflowError or ValueError traceback."""
+    ini, out = _ini(tmp_path, TINY_INI), tmp_path / "out"
+    assert _run(ini, out, "simulate") == 0
+    capsys.readouterr()
+    if where == "--seed":
+        args = (cmd, "--seed", str(value))
+    else:
+        start = TINY_INI.index(where)
+        ini.write_text(TINY_INI[:start] + re.sub(r"seed = \d+", f"seed = {value}",
+                                                 TINY_INI[start:], count=1))
+        args = (cmd,)
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert _run(ini, out, *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be in [0, 2**64)" in err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
 def test_bad_scenario_exits_2(tmp_path, capsys):
     ini = tmp_path / "bad.ini"
     ini.write_text("[scenario]\nname = volatile\n")
@@ -265,7 +292,7 @@ def test_label_builds_forest_and_reports(workdir, capsys):
     assert "accuracy" in report and "baseline" in report
     stdout = capsys.readouterr().out
     assert "training split" in stdout and "test split" in stdout
-    forest = ehf.load_forest(out / "forest.ehff")
+    forest = load_forest(out / "forest.ehff")
     assert forest.config.n_trees == 5
 
 
@@ -617,7 +644,7 @@ def test_corrupt_checkpoint_exits_3(tmp_path, capsys, fault):
     ini, out = _ini(tmp_path, TINY_INI), tmp_path / "out"
     assert _run(ini, out, "simulate") == 0
     ckpt = out / "policy_dense_c0.02_l0.5.ehfm"
-    ehf.save_policy(ckpt, ehf.DensePolicy.init(ehf.PolicyConfig(hidden=8), seed=0))
+    ehf.save_policy(ckpt, DensePolicy.init(ehf.PolicyConfig(hidden=8), seed=0))
     arch, meta, params = container.load(ckpt, "checkpoint")
     if fault == "meta-key":
         del meta["hidden"]

@@ -8,6 +8,8 @@ import pytest
 import ehf
 from ehf import container
 from ehf.errors import IntegrityError
+from ehf.hedging_engine import DensePolicy
+from ehf.signal_forest import load_forest
 
 
 def test_params_roundtrip_bit_exact(tmp_path):
@@ -47,7 +49,7 @@ def test_params_file_rejects_corruption(tmp_path):
 
 def test_checkpoint_with_trailing_bytes_raises(tmp_path):
     fn = tmp_path / "policy.ehfm"
-    ehf.save_policy(fn, ehf.DensePolicy.init(ehf.PolicyConfig(hidden=2), seed=0))
+    ehf.save_policy(fn, DensePolicy.init(ehf.PolicyConfig(hidden=2), seed=0))
     with open(fn, "ab") as fh:
         fh.write(b"\0" * 64)
     with pytest.raises(IntegrityError, match="64 trailing bytes"):
@@ -58,10 +60,10 @@ def test_a_file_of_another_kind_is_refused_by_its_magic(tmp_path, gbm_small):
     paths_file, policy_file = tmp_path / "paths.ehfp", tmp_path / "policy.ehfm"
     ehf.save_pathset(gbm_small, paths_file)
     ehf.save_policy(policy_file,
-                    ehf.DensePolicy.init(ehf.PolicyConfig(hidden=2), seed=0))
+                    DensePolicy.init(ehf.PolicyConfig(hidden=2), seed=0))
     with pytest.raises(IntegrityError, match="EHFP"):
         ehf.load_policy(paths_file)
     with pytest.raises(IntegrityError, match="EHFM"):
-        ehf.load_forest(policy_file)
+        load_forest(policy_file)
     with pytest.raises(IntegrityError, match="EHFP"):
         ehf.load_forecast(paths_file)

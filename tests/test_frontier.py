@@ -11,7 +11,8 @@ import ehf
 from ehf import frontier, hedging_engine
 from ehf.errors import (ConfigurationError, DomainError, IntegrityError,
                         NumericError, StateError)
-from ehf.hedging_engine import DensePolicy
+from ehf.frontier import FrontierPoint
+from ehf.hedging_engine import DensePolicy, combine_mask, evaluate_policy
 
 
 def _point(mean, std, alpha=0.0, trades=10.0, **kw):
@@ -19,7 +20,7 @@ def _point(mean, std, alpha=0.0, trades=10.0, **kw):
                 risk_aversion=0.5, alpha=alpha, mean_loss=mean, std_loss=std,
                 avg_trades=trades, n_test_paths=100, mode="fast", seed=0)
     base.update(kw)
-    return ehf.FrontierPoint(**base)
+    return FrontierPoint(**base)
 
 
 def _brute_force_pareto(points):
@@ -138,6 +139,8 @@ def test_compare_configs_rejects_grid_mismatch():
 def test_format_comparison_table_mentions_labels():
     cmp = ehf.compare_configs([_point(-10.0, 5.0)], [_point(-9.0, 4.0, rf=True)])
     text = ehf.format_comparison_table([("dense+rf@0.05", cmp)])
+    assert text.split()[1:9] == ["dense", "mean", "dense", "std",
+                                 "variant", "mean", "variant", "std"]
     assert "dense+rf@0.05" in text
     assert "10.00" in text and "20.00" in text
 
@@ -224,7 +227,7 @@ def test_sweep_cost_rates_scale_costs_linearly(tiny_split, contract):
                            policy=policy)
     for a, p2, p5 in zip(alphas, pts2, pts5):
         mask = ehf.compute_trade_mask(test, a)
-        res2 = ehf.evaluate_policy(test, policy, mask, contract,
+        res2 = evaluate_policy(test, policy, mask, contract,
                                    ehf.CostModel(0.02)).result
         mean_cost2 = res2.total_cost.mean()
         assert p5.mean_loss == pytest.approx(p2.mean_loss - 1.5 * mean_cost2,
@@ -446,8 +449,8 @@ def _per_alpha(test, policy, contract, labels=None):
     for alpha in FAST_ALPHAS:
         mask = ehf.compute_trade_mask(test, alpha)
         if labels is not None:
-            mask = ehf.combine_mask(mask, labels)
-        s = ehf.evaluate_policy(test, policy, mask, contract, ehf.CostModel(0.02),
+            mask = combine_mask(mask, labels)
+        s = evaluate_policy(test, policy, mask, contract, ehf.CostModel(0.02),
                                 labels=labels)
         out.append((s.mean_loss, s.std_loss, s.avg_trades))
     return out

@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 import ehf
 from ehf.cli import _CONFIG_GRAMMAR, RunConfig, load_config
 from ehf.errors import EHFError, IntegrityError
+from ehf.frontier import FrontierPoint
+from ehf.hedging_engine import DensePolicy
+from ehf.signal_forest import load_forest
 
 _FUZZ = settings(max_examples=400, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -86,11 +89,11 @@ def artifacts(tmp_path_factory):
         X, (X[:, 0] > 0).astype(np.int8), ehf.ForestConfig(n_trees=2, max_depth=3)))
     ehf.save_forecast(root / "forecast.ehfl", ehf.label_matrix(paths, 0.01))
     ehf.save_policy(root / "policy.ehfm",
-                    ehf.DensePolicy.init(ehf.PolicyConfig(hidden=2), seed=0))
-    point = ehf.FrontierPoint("high_vol", "dense", False, 0.02, 0.5, 0.04, -12.5,
+                    DensePolicy.init(ehf.PolicyConfig(hidden=2), seed=0))
+    point = FrontierPoint("high_vol", "dense", False, 0.02, 0.5, 0.04, -12.5,
                               1.0, 30.0, 60, "fast", 3)
     ehf.write_frontier_csv(root / "frontier.csv", [point, point])
-    loaders = {"paths.ehfp": ehf.load_pathset, "forest.ehff": ehf.load_forest,
+    loaders = {"paths.ehfp": ehf.load_pathset, "forest.ehff": load_forest,
                "forecast.ehfl": ehf.load_forecast, "policy.ehfm": ehf.load_policy,
                "frontier.csv": ehf.read_frontier_csv}
     return {name: ((root / name).read_bytes(), loader)

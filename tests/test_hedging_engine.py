@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import ehf
 from ehf.errors import DomainError, ShapeError
-from ehf.hedging_engine import (DensePolicy, GRUPolicy, episode_loss_node,
-                                tape_entropy_risk)
+from ehf.hedging_engine import (DensePolicy, GRUPolicy, check_mask, combine_mask,
+                                entropy_risk, episode_loss_node, episode_results,
+                                evaluate_policy, tape_entropy_risk, trade_frequency)
 from ehf.neural_core import Tape
 from per_op_tape import PerOpTape, tape_gru
 from per_op_tape import entropy_risk as per_op_entropy_risk
@@ -28,7 +29,7 @@ def test_episode_hand_computed():
     prices = np.array([[100.0, 110.0, 105.0, 115.0]])
     deltas = np.array([[0.5, 0.6, 0.4]])
     contract = ehf.ContractSpec(strike=100.0, maturity_steps=3)
-    res = ehf.episode_results(prices, deltas, contract, ehf.CostModel(0.01))
+    res = episode_results(prices, deltas, contract, ehf.CostModel(0.01))
     assert np.allclose(res.buy_sell, [[50.0, 11.0, -21.0]])
     assert np.allclose(res.costs, [[0.50, 0.11, 0.21]])
     assert res.total_cost[0] == pytest.approx(0.82)
@@ -41,7 +42,7 @@ def test_episode_zero_position_loses_payoff():
     prices = np.array([[100.0, 90.0, 130.0]])
     deltas = np.zeros((1, 2))
     contract = ehf.ContractSpec(strike=100.0, maturity_steps=2)
-    res = ehf.episode_results(prices, deltas, contract, ehf.CostModel(0.05))
+    res = episode_results(prices, deltas, contract, ehf.CostModel(0.05))
     assert res.loss[0] == -30.0
     assert res.total_cost[0] == 0.0
     assert res.trade_counts[0] == 0
@@ -49,7 +50,7 @@ def test_episode_zero_position_loses_payoff():
 
 def test_episode_out_of_money_zero_hedge_is_free():
     prices = np.array([[100.0, 95.0, 90.0]])
-    res = ehf.episode_results(prices, np.zeros((1, 2)),
+    res = episode_results(prices, np.zeros((1, 2)),
                               ehf.ContractSpec(100.0, 2), ehf.CostModel(0.05))
     assert res.loss[0] == 0.0
 
@@ -59,8 +60,8 @@ def test_cost_scales_linearly_in_rate():
     prices = 100 * np.exp(np.cumsum(rng.normal(0, 0.03, size=(16, 31)), axis=1))
     deltas = rng.uniform(0, 1, size=(16, 30))
     contract = ehf.ContractSpec(100.0, 30)
-    lo = ehf.episode_results(prices, deltas, contract, ehf.CostModel(0.02))
-    hi = ehf.episode_results(prices, deltas, contract, ehf.CostModel(0.05))
+    lo = episode_results(prices, deltas, contract, ehf.CostModel(0.02))
+    hi = episode_results(prices, deltas, contract, ehf.CostModel(0.05))
     # identical up to one rounding: 0.05 = 2.5 * 0.02 only to the last ulp
     assert np.allclose(hi.costs, 2.5 * lo.costs, rtol=5e-16, atol=0)
     assert np.allclose(hi.total_cost, 2.5 * lo.total_cost, rtol=1e-16 * 30, atol=0)
@@ -71,7 +72,7 @@ def test_final_day_carries_no_liquidation_cost():
     expiry settles the payoff without a closing trade."""
     prices = np.array([[100.0, 100.0, 200.0]])
     deltas = np.array([[1.0, 1.0]])
-    res = ehf.episode_results(prices, deltas, ehf.ContractSpec(100.0, 2),
+    res = episode_results(prices, deltas, ehf.ContractSpec(100.0, 2),
                               ehf.CostModel(0.05))
     # one trade on day 0 (buy 1 @ 100): cost 5; pnl 100; payoff 100
     assert res.trade_counts[0] == 1
@@ -85,20 +86,20 @@ def test_final_day_carries_no_liquidation_cost():
 def test_entropy_risk_constant_losses():
     risk = ehf.RiskConfig(risk_aversion=0.5)
     losses = np.full(100, -7.25)
-    assert ehf.entropy_risk(losses, risk) == pytest.approx(7.25, abs=1e-12)
+    assert entropy_risk(losses, risk) == pytest.approx(7.25, abs=1e-12)
 
 
 def test_entropy_risk_two_point_oracle():
     # L in {0, -1}: rho = ln((1 + e)/2) for lambda = 1
     risk = ehf.RiskConfig(risk_aversion=1.0)
-    val = ehf.entropy_risk(np.array([0.0, -1.0]), risk)
+    val = entropy_risk(np.array([0.0, -1.0]), risk)
     assert val == pytest.approx(np.log((1 + np.e) / 2), abs=1e-12)
 
 
 def test_entropy_risk_small_lambda_is_negative_mean():
     rng = np.random.default_rng(1)
     losses = rng.normal(-10, 3, size=500)
-    val = ehf.entropy_risk(losses, ehf.RiskConfig(risk_aversion=1e-8))
+    val = entropy_risk(losses, ehf.RiskConfig(risk_aversion=1e-8))
     assert val == pytest.approx(-losses.mean(), abs=1e-6)
 
 
@@ -106,13 +107,13 @@ def test_entropy_risk_jensen_bound():
     rng = np.random.default_rng(2)
     losses = rng.normal(0, 5, size=300)
     for lam in (0.1, 0.5, 1.0, 2.0):
-        assert ehf.entropy_risk(losses, ehf.RiskConfig(lam)) >= -losses.mean() - 1e-12
+        assert entropy_risk(losses, ehf.RiskConfig(lam)) >= -losses.mean() - 1e-12
 
 
 def test_entropy_risk_monotone_in_aversion():
     rng = np.random.default_rng(3)
     losses = rng.normal(-5, 4, size=400)
-    vals = [ehf.entropy_risk(losses, ehf.RiskConfig(lam))
+    vals = [entropy_risk(losses, ehf.RiskConfig(lam))
             for lam in (0.1, 0.3, 0.5, 1.0, 2.0)]
     assert np.all(np.diff(vals) > 0)
 
@@ -123,15 +124,15 @@ def test_entropy_risk_cash_invariance(shift, lam):
     rng = np.random.default_rng(9)
     losses = rng.normal(-8, 4, size=200)
     risk = ehf.RiskConfig(lam)
-    base = ehf.entropy_risk(losses, risk)
-    shifted = ehf.entropy_risk(losses + shift, risk)
+    base = entropy_risk(losses, risk)
+    shifted = entropy_risk(losses + shift, risk)
     assert shifted == pytest.approx(base - shift, abs=1e-10)
 
 
 def test_entropy_risk_survives_extreme_losses():
     # max-shift keeps exp() in range even when lambda * loss is huge;
     # the worst outcome dominates: rho -> 4000 - ln 2
-    val = ehf.entropy_risk(np.array([-4000.0, -3000.0]), ehf.RiskConfig(1.0))
+    val = entropy_risk(np.array([-4000.0, -3000.0]), ehf.RiskConfig(1.0))
     assert np.isfinite(val)
     assert val == pytest.approx(4000.0 - np.log(2), abs=1e-9)
 
@@ -143,7 +144,7 @@ def test_tape_entropy_risk_matches_plain():
     node = tape.param("l", losses)
     risk_node = tape_entropy_risk(tape, node, 0.5)
     assert risk_node.value == pytest.approx(
-        ehf.entropy_risk(losses, ehf.RiskConfig(0.5)), abs=1e-12)
+        entropy_risk(losses, ehf.RiskConfig(0.5)), abs=1e-12)
     # gradient: d rho / d L_i = -softmax(-lambda L)_i
     grads = tape.backward(risk_node)
     w = np.exp(-0.5 * losses - np.max(-0.5 * losses))
@@ -192,37 +193,37 @@ def test_mask_rejects_negative_alpha(gbm_small):
 
 def test_check_mask_guards(gbm_small):
     good = ehf.compute_trade_mask(gbm_small, 0.02)
-    assert ehf.check_mask(good, 64, 30) is good
+    assert check_mask(good, 64, 30) is good
     with pytest.raises(ShapeError):
-        ehf.check_mask(good.astype(int), 64, 30)
+        check_mask(good.astype(int), 64, 30)
     with pytest.raises(ShapeError):
-        ehf.check_mask(good[:, :-1], 64, 30)
+        check_mask(good[:, :-1], 64, 30)
     bad = good.copy()
     bad[0, 0] = False
     with pytest.raises(DomainError):
-        ehf.check_mask(bad, 64, 30)
+        check_mask(bad, 64, 30)
 
 
 def test_combine_mask_keeps_day0():
     paths = _pathset([[100.0, 103.0, 106.0, 109.0]])
     mask = ehf.compute_trade_mask(paths, 0.01)
     labels = np.array([[0, 0, 1]])
-    combined = ehf.combine_mask(mask, labels)
+    combined = combine_mask(mask, labels)
     assert combined.tolist() == [[True, False, True]]
 
 
 def test_trade_frequency_hand_oracle():
     # moves: 2%, ~0.49%, ~1.46%; alpha = 1% admits two of the three
     paths = _pathset([[100.0, 102.0, 102.5, 101.0]])
-    assert ehf.trade_frequency(paths, 0.01) == pytest.approx(2.0)
-    assert ehf.trade_frequency(paths, 0.0) == pytest.approx(3.0)
-    assert ehf.trade_frequency(paths, 0.05) == 0.0
+    assert trade_frequency(paths, 0.01) == pytest.approx(2.0)
+    assert trade_frequency(paths, 0.0) == pytest.approx(3.0)
+    assert trade_frequency(paths, 0.05) == 0.0
 
 
 def test_trade_frequency_counts_all_days_not_mask(heston_small):
     """The frequency statistic covers every daily return; the mask also
     forces day 0, so at large alpha they must diverge."""
-    freq = ehf.trade_frequency(heston_small, 0.5)
+    freq = trade_frequency(heston_small, 0.5)
     mask = ehf.compute_trade_mask(heston_small, 0.5)
     per_path = float(np.mean(np.sum(mask, axis=1)))
     assert freq < 0.05
@@ -255,7 +256,7 @@ def test_remasker_gives_the_deltas_of_every_mask(gbm_small, contract):
     masks it ran before (it reuses its buffers between calls), and it checks
     each mask as deltas() does."""
     labels = ehf.label_matrix(gbm_small, 0.005)
-    masks = [ehf.combine_mask(ehf.compute_trade_mask(gbm_small, a), labels)
+    masks = [combine_mask(ehf.compute_trade_mask(gbm_small, a), labels)
              for a in (0.0, 0.02, 0.0, 0.01)]
     policies = [ehf.BSMPolicy(contract, 0.2, 1 / 365)] + [
         cls.init(ehf.PolicyConfig(arch=arch, window=4, use_label=True), seed=5)
@@ -281,7 +282,7 @@ def test_plain_and_tape_forwards_agree(gbm_small, contract):
         assert np.array_equal(plain, taped.value), arch
         node = episode_loss_node(Tape(), policy, gbm_small.prices, mask,
                                  contract, cost)
-        res = ehf.episode_results(gbm_small.prices, plain, contract, cost)
+        res = episode_results(gbm_small.prices, plain, contract, cost)
         assert np.array_equal(node.value, res.loss), arch
 
 
@@ -450,8 +451,8 @@ def test_bsm_policy_matches_analytics(gbm_small, contract):
 def test_evaluate_policy_is_pure(gbm_small, contract):
     policy = DensePolicy.init(ehf.PolicyConfig(arch="dense"), seed=1)
     mask = ehf.compute_trade_mask(gbm_small, 0.02)
-    a = ehf.evaluate_policy(gbm_small, policy, mask, contract, ehf.CostModel(0.02))
-    b = ehf.evaluate_policy(gbm_small, policy, mask, contract, ehf.CostModel(0.02))
+    a = evaluate_policy(gbm_small, policy, mask, contract, ehf.CostModel(0.02))
+    b = evaluate_policy(gbm_small, policy, mask, contract, ehf.CostModel(0.02))
     assert a.mean_loss == b.mean_loss
     assert a.std_loss == b.std_loss
     assert a.avg_trades == b.avg_trades
@@ -467,14 +468,14 @@ def test_training_reduces_objective(heston_small, contract):
     cfg = ehf.TrainConfig(epochs=4, batch_size=64, seed=2)
     pol_cfg = ehf.PolicyConfig(arch="dense", hidden=16)
     untrained = DensePolicy.init(pol_cfg, seed=2)
-    before = ehf.entropy_risk(
-        ehf.episode_results(heston_small.prices,
+    before = entropy_risk(
+        episode_results(heston_small.prices,
                             untrained.deltas(heston_small.prices, mask),
                             contract, cost).loss, risk)
     policy, log = ehf.train_policy(heston_small, contract, cost, risk,
                                    pol_cfg, mask, cfg)
-    after = ehf.entropy_risk(
-        ehf.episode_results(heston_small.prices,
+    after = entropy_risk(
+        episode_results(heston_small.prices,
                             policy.deltas(heston_small.prices, mask),
                             contract, cost).loss, risk)
     assert after < before
@@ -501,7 +502,7 @@ def test_masked_days_cost_exactly_zero(gbm_small, contract):
     policy = DensePolicy.init(ehf.PolicyConfig(arch="dense"), seed=4)
     mask = ehf.compute_trade_mask(gbm_small, 0.04)
     deltas = policy.deltas(gbm_small.prices, mask)
-    res = ehf.episode_results(gbm_small.prices, deltas, contract,
+    res = episode_results(gbm_small.prices, deltas, contract,
                               ehf.CostModel(0.05))
     frozen = ~mask
     assert np.all(res.costs[frozen] == 0.0)

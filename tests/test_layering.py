@@ -1,4 +1,5 @@
-"""Each `ehf` module imports only the modules below it in one fixed order.
+"""Each `ehf` module imports only the modules below it in one fixed order,
+and the package exports only what some reader uses.
 
 The order runs from the error types up to the command line. An import that
 goes up the order, at module level or inside a function, makes a cycle
@@ -7,10 +8,14 @@ possible; a function-local import is how such a cycle usually hides.
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ehf"
+import ehf
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "ehf"
 ORDER = ("errors", "container", "market_sim", "neural_core", "analytics_bsm",
          "hedging_engine", "signal_forest", "frontier", "cli")
 
@@ -59,3 +64,44 @@ def test_the_parser_sees_function_local_and_absolute_imports(tmp_path):
                       "    import numpy\n")
     assert _ehf_imports(source) == {"container", "errors", "market_sim",
                                     "frontier", "cli"}
+
+
+def _read_across_modules() -> set:
+    """Names one `ehf` module takes from another: by `from .x import name`,
+    or as `x.name` off a module it imported with `from . import x`."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not (
+                    node.level or (node.module or "").startswith("ehf")):
+                continue
+            if node.module in (None, "ehf"):     # the names are modules
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:
+                found.update(alias.name for alias in node.names)
+        found.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name) and node.value.id in modules)
+    return found
+
+
+def test_every_export_has_a_reader():
+    """A name `ehf` exports is an error type, is used as `ehf.<name>` by the
+    README or the benchmark, or is read by another `ehf` module. Tests import
+    the rest from the module that defines it."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    exports = [alias.asname or alias.name for node in tree.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    docs = [ROOT / "README.md", *sorted((ROOT / "perfbench").rglob("*.py")),
+            *sorted((ROOT / "perfbench").rglob("*.md"))]
+    dotted = {m for path in docs for m in re.findall(r"\behf\.(\w+)", path.read_text())}
+    read = _read_across_modules()
+    unread = [name for name in exports
+              if not (isinstance(getattr(ehf, name), type)
+                      and issubclass(getattr(ehf, name), ehf.EHFError))
+              and name not in dotted and name not in read]
+    assert not unread, f"ehf exports {unread}, which no reader uses"

@@ -7,8 +7,8 @@ import pytest
 import ehf
 from ehf.errors import NumericError, ShapeError, StateError
 from ehf.hedging_engine import _gru_cell
-from ehf.neural_core import (AdamState, Tape, adam_step, fan_uniform, grad_check,
-                             require_finite, sigmoid)
+from ehf.neural_core import (AdamState, GradCheckReport, Tape, adam_step, fan_uniform,
+                             grad_check, require_finite, sigmoid)
 from per_op_tape import PerOpTape
 
 
@@ -298,7 +298,7 @@ def test_require_finite():
 
 
 def test_gradcheck_report_flags_worst_block():
-    rep = ehf.GradCheckReport(per_block={"w": 1e-9, "b": 3e-4})
+    rep = GradCheckReport(per_block={"w": 1e-9, "b": 3e-4})
     assert rep.max_rel_error == 3e-4
     assert not rep.ok(1e-5)
     assert rep.ok(1e-3)

@@ -6,7 +6,8 @@ import pytest
 import ehf
 from ehf import container
 from ehf.errors import DomainError, IntegrityError, ShapeError
-from ehf.signal_forest import DecisionTree, Forest, _best_split
+from ehf.signal_forest import (DecisionTree, Forest, _best_split, label_extrema,
+                               load_forest, predict_labels)
 
 
 def _pathset(prices, s0=100.0):
@@ -20,23 +21,23 @@ def _pathset(prices, s0=100.0):
 
 def test_monotone_path_all_ones():
     path = np.linspace(100, 130, 12)
-    assert np.all(ehf.label_extrema(path, 0.05) == 1)
+    assert np.all(label_extrema(path, 0.05) == 1)
 
 
 def test_symmetric_vee_marks_bottom():
-    labels = ehf.label_extrema(np.array([100.0, 90.0, 100.0]), 0.05)
+    labels = label_extrema(np.array([100.0, 90.0, 100.0]), 0.05)
     assert labels.tolist() == [1, 0, 1]
 
 
 def test_spike_marks_peak():
     # 7% up then 7% above tomorrow: significant local max
-    labels = ehf.label_extrema(np.array([100.0, 107.0, 100.0, 101.0]), 0.05)
+    labels = label_extrema(np.array([100.0, 107.0, 100.0, 101.0]), 0.05)
     assert labels.tolist() == [1, 0, 1, 1]
 
 
 def test_shallow_extremum_not_marked():
     # turning point exists but both moves are under 5%
-    labels = ehf.label_extrema(np.array([100.0, 103.0, 100.0]), 0.05)
+    labels = label_extrema(np.array([100.0, 103.0, 100.0]), 0.05)
     assert labels.tolist() == [1, 1, 1]
 
 
@@ -44,40 +45,40 @@ def test_ends_always_one():
     rng = np.random.default_rng(0)
     for _ in range(5):
         path = 100 * np.exp(np.cumsum(rng.normal(0, 0.1, size=10)))
-        labels = ehf.label_extrema(path, 0.0)
+        labels = label_extrema(path, 0.0)
         assert labels[0] == 1 and labels[-1] == 1
 
 
 def test_label_uses_only_adjacent_days():
     rng = np.random.default_rng(1)
     path = 100 * np.exp(np.cumsum(rng.normal(0, 0.08, size=12)))
-    base = ehf.label_extrema(path, 0.05)
+    base = label_extrema(path, 0.05)
     for t in range(3, 9):
         bumped = path.copy()
         bumped[t + 2:] *= 1.8        # violent move, but beyond the window
         bumped[: t - 1] *= 0.6
-        assert ehf.label_extrema(bumped, 0.05)[t] == base[t]
+        assert label_extrema(bumped, 0.05)[t] == base[t]
 
 
 def test_labels_scale_invariant():
     rng = np.random.default_rng(2)
     path = 100 * np.exp(np.cumsum(rng.normal(0, 0.07, size=15)))
-    assert np.array_equal(ehf.label_extrema(path, 0.05),
-                          ehf.label_extrema(3.7 * path, 0.05))
+    assert np.array_equal(label_extrema(path, 0.05),
+                          label_extrema(3.7 * path, 0.05))
 
 
 def test_label_guards():
     with pytest.raises(DomainError):
-        ehf.label_extrema(np.array([100.0, 101.0]), 0.05)
+        label_extrema(np.array([100.0, 101.0]), 0.05)
     with pytest.raises(DomainError):
-        ehf.label_extrema(np.array([100.0, 101.0, 102.0]), -0.1)
+        label_extrema(np.array([100.0, 101.0, 102.0]), -0.1)
 
 
 def test_label_matrix_matches_per_path(heston_small):
     mat = ehf.label_matrix(heston_small, 0.05)
     assert mat.shape == (256, 30)
     for i in (0, 100, 255):
-        full = ehf.label_extrema(heston_small.prices[i], 0.05)
+        full = label_extrema(heston_small.prices[i], 0.05)
         assert np.array_equal(mat[i], full[:30])
 
 
@@ -132,14 +133,14 @@ def test_separable_set_perfect_training_accuracy():
     X = rng.normal(size=(200, 2))
     y = (X[:, 0] > 0).astype(np.int8)
     forest = ehf.fit_forest(X, y, ehf.ForestConfig(n_trees=11, seed=3))
-    assert np.array_equal(ehf.predict_labels(forest, X), y)
+    assert np.array_equal(predict_labels(forest, X), y)
 
 
 def test_single_class_input_is_constant_forest():
     X = np.random.default_rng(7).normal(size=(30, 2))
     forest = ehf.fit_forest(X, np.zeros(30, dtype=np.int8),
                             ehf.ForestConfig(n_trees=5, seed=0))
-    assert np.all(ehf.predict_labels(forest, X) == 0)
+    assert np.all(predict_labels(forest, X) == 0)
 
 
 def test_tie_vote_goes_to_one():
@@ -148,7 +149,7 @@ def test_tie_vote_goes_to_one():
     leaf1 = DecisionTree(np.array([-1]), np.zeros(1), np.array([-1]),
                          np.array([-1]), np.array([1], dtype=np.int8))
     forest = Forest((leaf0, leaf1), ehf.ForestConfig(n_trees=2), 2)
-    votes = ehf.predict_labels(forest, np.zeros((4, 2)))
+    votes = predict_labels(forest, np.zeros((4, 2)))
     assert np.all(votes == 1)
 
 
@@ -157,8 +158,8 @@ def test_forest_deterministic_given_seed():
     X = rng.normal(size=(150, 2))
     y = (rng.uniform(size=150) > 0.3).astype(np.int8)
     cfg = ehf.ForestConfig(n_trees=7, seed=42)
-    p1 = ehf.predict_labels(ehf.fit_forest(X, y, cfg), X)
-    p2 = ehf.predict_labels(ehf.fit_forest(X, y, cfg), X)
+    p1 = predict_labels(ehf.fit_forest(X, y, cfg), X)
+    p2 = predict_labels(ehf.fit_forest(X, y, cfg), X)
     assert np.array_equal(p1, p2)
 
 
@@ -167,14 +168,14 @@ def test_predict_shape_guard():
     forest = ehf.fit_forest(X, (X[:, 0] > 0).astype(np.int8),
                             ehf.ForestConfig(n_trees=3, seed=1))
     with pytest.raises(ShapeError):
-        ehf.predict_labels(forest, np.zeros((5, 3)))
+        predict_labels(forest, np.zeros((5, 3)))
 
 
 def test_training_accuracy_beats_majority_baseline(heston_small):
     X, path_row, day = ehf.feature_table(heston_small)
     truth = ehf.label_matrix(heston_small, 0.05)[path_row, day]
     forest = ehf.fit_forest(X, truth, ehf.ForestConfig(seed=11))
-    report = ehf.classification_report(ehf.predict_labels(forest, X), truth)
+    report = ehf.classification_report(predict_labels(forest, X), truth)
     assert report.accuracy >= report.baseline_accuracy
 
 
@@ -189,7 +190,7 @@ def test_heldout_accuracy_with_regularized_trees(heston_wide):
                                                        min_leaf=5, seed=12))
     Xte, pe, de = ehf.feature_table(test)
     yte = ehf.label_matrix(test, 0.05)[pe, de]
-    report = ehf.classification_report(ehf.predict_labels(forest, Xte), yte)
+    report = ehf.classification_report(predict_labels(forest, Xte), yte)
     assert report.accuracy >= report.baseline_accuracy - 0.01
 
 
@@ -223,19 +224,19 @@ def test_forest_roundtrip(tmp_path, heston_small):
     forest = ehf.fit_forest(X[:3000], truth[:3000], ehf.ForestConfig(n_trees=9, seed=3))
     fn = tmp_path / "forest.ehff"
     ehf.save_forest(fn, forest)
-    loaded = ehf.load_forest(fn)
+    loaded = load_forest(fn)
     assert loaded.config == forest.config
     assert loaded.n_features == forest.n_features
     probe = X[3000:4000]
-    assert np.array_equal(ehf.predict_labels(loaded, probe),
-                          ehf.predict_labels(forest, probe))
+    assert np.array_equal(predict_labels(loaded, probe),
+                          predict_labels(forest, probe))
 
 
 def test_forest_file_rejects_garbage(tmp_path):
     fn = tmp_path / "forest.ehff"
     fn.write_bytes(b"not an archive at all")
     with pytest.raises(IntegrityError):
-        ehf.load_forest(fn)
+        load_forest(fn)
 
 
 def _set(blocks, column, value, row=None):
@@ -266,7 +267,7 @@ def test_load_forest_rejects_corrupt_tables(tmp_path, edit, message):
     edit(meta, blocks)
     container.save(fn, "forest", blocks, meta)
     with pytest.raises(IntegrityError, match=message):
-        ehf.load_forest(fn)
+        load_forest(fn)
 
 
 def test_prepare_signal_artifacts(heston_small):
@@ -286,7 +287,8 @@ def test_prepare_signal_artifacts(heston_small):
 
 def test_write_label_csv(tmp_path, heston_small):
     fn = tmp_path / "labels.csv"
-    ehf.write_label_csv(fn, heston_small.take(0, 10), 0.05)
+    ehf.write_label_csv(fn, heston_small.take(0, 10), 0.05,
+                        np.ones((10, 30), dtype=np.int8))
     lines = fn.read_text().strip().splitlines()
     assert lines[0] == "path_id,day,r1,r2,label,predicted"
     assert len(lines) == 1 + 10 * 28  # days 2..29 per path
