@@ -27,7 +27,7 @@ from .market_sim import (GBMParams, HestonParams, HIGH_VOL, LOW_VOL, PathSet,
 from .neural_core import AdamState, Node, Tape, adam_step, fan_uniform, grad_check
 from .signal_forest import (Forest, ForestConfig, classification_report,
                             feature_table, fit_forest, label_matrix,
-                            load_forecast, predict_label_matrix, save_forecast,
-                            save_forest, write_label_csv)
+                            load_forecast, save_forecast, save_forest,
+                            write_label_csv)
 
 __version__ = "0.1.0"

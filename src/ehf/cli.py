@@ -410,11 +410,10 @@ def cmd_label(args) -> int:
         forest_file, _made_from(cfg, FOREST_FILE, digests))["sha256"]
     # both splits' rows, train then test: the rows of path ids 0 .. n_train + n_test - 1
     forecast_file = os.path.join(cfg.out_dir, FORECAST_FILE)
-    save_forecast(forecast_file, np.concatenate([signal.forecast_train,
-                                                 signal.forecast_test]))
+    save_forecast(forecast_file, signal.forecast)
     _write_record(forecast_file, _made_from(cfg, FORECAST_FILE, digests))
     write_label_csv(os.path.join(cfg.out_dir, "labels.csv"), test_paths,
-                    cfg.beta, predicted=signal.forecast_test)
+                    cfg.beta, predicted=signal.forecast[cfg.n_train:])
     report_text = (f"training split:\n{signal.train_report}\n\n"
                    f"test split:\n{signal.test_report}\n")
     with open(os.path.join(cfg.out_dir, "label_report.txt"), "w") as fh:
@@ -538,6 +537,7 @@ def cmd_gradcheck(args) -> int:
     from .hedging_engine import episode_loss_node, make_policy, tape_entropy_risk
     from .neural_core import Tape, grad_check
 
+    _apply_overrides(load_config(args.config), args)  # checked, though not read
     failures = []
 
     # linear model, quadratic loss: reverse-mode is exact up to rounding
@@ -635,7 +635,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, DomainError, ShapeError, StateError) as exc:
+    except (ConfigurationError, DomainError, ShapeError, StateError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResolutionError, IntegrityError, OSError) as exc:

@@ -26,9 +26,9 @@ from .hedging_engine import (BSMPolicy, CostModel, PolicyConfig, RiskConfig,
                              TrainConfig, evaluate_deltas, trade_mask,
                              train_policy)
 from .market_sim import PathSet
-from .signal_forest import (Forest, ForestConfig, classification_report,
-                            feature_table, fit_forest, label_matrix,
-                            predict_label_matrix)
+from .signal_forest import (Forest, ForestConfig, _day_rows,
+                            classification_report, feature_table, fit_forest,
+                            label_matrix, predict_labels)
 
 FRONTIER_COLUMNS = ("scenario", "policy", "rf", "cost_rate", "lambda", "alpha",
                     "mean_loss", "std_loss", "avg_trades", "n_test_paths",
@@ -95,40 +95,35 @@ class SignalArtifacts:
     forest: Forest
     train_report: object
     test_report: object
-    forecast_train: np.ndarray  # [n_train, n_steps] forecast labels
-    forecast_test: np.ndarray   # [n_test, n_steps] forecast labels
+    forecast: np.ndarray  # [n_train + n_test, n_steps] forecast labels, train rows first
 
 
 def prepare_signal(train_paths: PathSet, test_paths: PathSet, beta: float,
                    forest_cfg: ForestConfig, fit_rows: int = 0) -> SignalArtifacts:
-    """Fit the extrema forecaster on training paths and score it on both splits.
+    """Fit the extrema forecaster on training paths and score it on both splits
+    (of one path set: both have the same n_steps).
 
     fit_rows > 0 caps the classifier's training set with a seed-determined
     subsample (the full desk-scale table is larger than the two-feature
     problem needs).
     """
-    X, path_row, day = feature_table(train_paths)
-    truth = label_matrix(train_paths, beta)
-    y = truth[path_row, day]
+    (X, y), (X_test, y_test) = (
+        (feature_table(paths), _day_rows(label_matrix(paths, beta)).ravel())
+        for paths in (train_paths, test_paths))
+    sel = slice(None)
     if fit_rows and len(X) > fit_rows:
         rng = np.random.default_rng(np.uint64(forest_cfg.seed) ^ np.uint64(0xF17ED))
         sel = np.sort(rng.choice(len(X), size=fit_rows, replace=False))
-        X_fit, y_fit = X[sel], y[sel]
-    else:
-        X_fit, y_fit = X, y
-    forest = fit_forest(X_fit, y_fit, forest_cfg)
-    train_pred = predict_label_matrix(forest, train_paths)
-    test_pred = predict_label_matrix(forest, test_paths)
-    test_truth = label_matrix(test_paths, beta)
-    Xt, prow_t, day_t = feature_table(test_paths)
-    return SignalArtifacts(
-        forest=forest,
-        train_report=classification_report(train_pred[path_row, day], y),
-        test_report=classification_report(
-            test_pred[prow_t, day_t], test_truth[prow_t, day_t]),
-        forecast_train=train_pred,
-        forecast_test=test_pred,
-    )
+    forest = fit_forest(X[sel], y[sel], forest_cfg)
+    votes, votes_test = predict_labels(forest, X), predict_labels(forest, X_test)
+    forecast = np.ones((train_paths.n_paths + test_paths.n_paths, train_paths.n_steps),
+                       dtype=np.int8)
+    rows = _day_rows(forecast)
+    rows[:] = np.concatenate([votes, votes_test]).reshape(rows.shape)
+    return SignalArtifacts(forest=forest,
+                           train_report=classification_report(votes, y),
+                           test_report=classification_report(votes_test, y_test),
+                           forecast=forecast)
 
 
 # ---------------------------------------------------------------------------

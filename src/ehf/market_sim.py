@@ -81,6 +81,9 @@ class SimConfig:
             raise ConfigurationError(f"dt must be > 0, got {self.dt}")
         if self.n_paths < 1:
             raise ConfigurationError(f"n_paths must be >= 1, got {self.n_paths}")
+        if self.n_paths * (self.n_steps + 1) >= 2 ** 59:  # 16 bytes a path-day < 2**63
+            raise ConfigurationError(f"n_paths x (n_steps + 1) must be below 2**59, got "
+                                     f"{self.n_paths} x {self.n_steps + 1}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigurationError(f"seed must be in [0, 2**64), got {self.seed}")
 

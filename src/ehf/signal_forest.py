@@ -9,7 +9,7 @@ rebalances without lookahead.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -60,21 +60,22 @@ def label_matrix(paths: PathSet, beta: float) -> np.ndarray:
     return _extrema_labels(paths.prices, beta)[:, : paths.n_steps]
 
 
-def feature_table(paths: PathSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _day_rows(day_matrix: np.ndarray) -> np.ndarray:
+    """The [n_paths, n_steps - 2] view of days 2 .. n_steps - 1 of a per-day
+    matrix: the classifier's rows, raveled in feature_table's order."""
+    return day_matrix[:, 2:]
+
+
+def feature_table(paths: PathSet) -> np.ndarray:
     """Classifier features for every day with two prior returns.
 
-    Returns (X, path_row, day): X[k] = (log(S_t/S_{t-1}), log(S_{t-1}/S_{t-2}))
-    for day = t in [2, n_steps), flattened path-major. Days 0-1 are excluded —
-    at prediction time they carry no usable history and are forced to label 1.
+    The [n_paths * (n_steps - 2), 2] table holds (log(S_t/S_{t-1}),
+    log(S_{t-1}/S_{t-2})) for days t = 2 .. n_steps - 1, path-major: the
+    order of a raveled _day_rows. Days 0-1 are excluded: at prediction time
+    they carry no usable history and are forced to label 1.
     """
-    r = np.diff(np.log(paths.prices), axis=1)
-    days = np.arange(2, paths.n_steps)
-    r1 = r[:, days - 1]
-    r2 = r[:, days - 2]
-    X = np.stack([r1.ravel(), r2.ravel()], axis=1)
-    path_row = np.repeat(np.arange(paths.n_paths), len(days))
-    day = np.tile(days, paths.n_paths)
-    return X, path_row, day
+    r = np.diff(np.log(paths.prices), axis=1)   # r[:, t - 1] = log(S_t/S_{t-1})
+    return np.stack([r[:, 1:-1].ravel(), r[:, :-2].ravel()], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +239,9 @@ def predict_labels(forest: Forest, X: np.ndarray) -> np.ndarray:
 
 def predict_label_matrix(forest: Forest, paths: PathSet) -> np.ndarray:
     """[n_paths, n_steps] forecast labels; days 0-1 forced to 1 (no history)."""
-    X, path_row, day = feature_table(paths)
     labels = np.ones((paths.n_paths, paths.n_steps), dtype=np.int8)
-    labels[path_row, day] = predict_labels(forest, X)
+    rows = _day_rows(labels)
+    rows[:] = predict_labels(forest, feature_table(paths)).reshape(rows.shape)
     return labels
 
 
@@ -278,10 +279,10 @@ def classification_report(predictions: np.ndarray, truth: np.ndarray) -> Classif
     if len(predictions) != len(truth):
         raise ShapeError(
             f"{len(predictions)} predictions vs {len(truth)} truth labels")
-    confusion = np.zeros((2, 2), dtype=np.int64)
-    for t in (0, 1):
-        for p in (0, 1):
-            confusion[t, p] = int(np.sum((truth == t) & (predictions == p)))
+    if not (np.isin(predictions, (0, 1)).all() and np.isin(truth, (0, 1)).all()):
+        raise DomainError("predictions and truth must be labels in {0, 1}")
+    confusion = np.bincount(2 * truth.astype(np.int64) + predictions,
+                            minlength=4).reshape(2, 2)
     total = len(truth)
     prevalence = float(np.mean(truth == 1))
     return ClassificationReport(
@@ -362,13 +363,13 @@ def write_label_csv(filename, paths: PathSet, beta: float,
                     predicted: np.ndarray) -> None:
     """Feature/label table: path_id, day, r1, r2, label, and the predicted
     label of predicted [n_paths, n_steps]."""
-    X, path_row, day = feature_table(paths)
-    truth = label_matrix(paths, beta)
+    if np.shape(predicted) != (paths.n_paths, paths.n_steps):
+        raise ShapeError(f"{np.shape(predicted)} labels for {paths.prices.shape} prices")
+    keys = itertools.product(paths.path_ids.tolist(), range(2, paths.n_steps))
+    columns = (*feature_table(paths).T.tolist(),
+               _day_rows(label_matrix(paths, beta)).ravel().tolist(),
+               _day_rows(np.asarray(predicted, dtype=np.int64)).ravel().tolist())
     with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path_id", "day", "r1", "r2", "label", "predicted"])
-        for k in range(len(X)):
-            i, t = path_row[k], day[k]
-            writer.writerow([int(paths.path_ids[i]), int(t),
-                             repr(float(X[k, 0])), repr(float(X[k, 1])),
-                             int(truth[i, t]), int(predicted[i, t])])
+        fh.write("path_id,day,r1,r2,label,predicted\n")
+        fh.writelines(f"{i},{t},{r1!r},{r2!r},{y},{p}\n"
+                      for (i, t), r1, r2, y, p in zip(keys, *columns))

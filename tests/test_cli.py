@@ -14,7 +14,7 @@ from ehf import cli, container
 from ehf.cli import (RunConfig, _made_from, _parse_alpha_grid, _parse_number,
                      _scenario, _write_record, load_config, main)
 from ehf.hedging_engine import DensePolicy
-from ehf.signal_forest import load_forest
+from ehf.signal_forest import load_forest, predict_label_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -200,6 +200,28 @@ def test_bad_config_exits_2_before_simulating(tmp_path, capsys, old, new):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("old,new,at_load", [
+    ("n_paths = 220", "n_paths = 100000000000000000000", True),
+    ("n_paths = 220", f"n_paths = {2 ** 59 // 31 + 1}", True),
+    ("maturity_steps = 30", f"maturity_steps = {2 ** 58}", True),
+    ("n_paths = 220", f"n_paths = {2 ** 46}", False)],
+    ids=["n-paths-1e20", "n-paths-at-bound", "n-steps-at-bound", "n-paths-2**46"])
+def test_size_numpy_cannot_hold_exits_2(tmp_path, capsys, old, new, at_load):
+    """A size whose [n_paths, n_steps + 1, 2] float64 normals numpy cannot
+    index exits 2 at config load; one it can index but the host cannot hold
+    (here 2**49 bytes of path ids) exits 2 on its MemoryError. Each used to
+    end in a traceback. Every size is above 2**48 bytes, so no allocation
+    touches a page before it fails."""
+    ini = tmp_path / "big.ini"
+    ini.write_text(TINY_INI.replace(old, new))
+    code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert ("n_paths x (n_steps + 1) must be below 2**59" in err) == at_load
+    assert not (tmp_path / "o" / "paths.ehfp").exists()
 
 
 @pytest.mark.parametrize("where,value,cmd", [
@@ -507,6 +529,7 @@ def test_forecast_pipeline_matches_library_run(tmp_path, capsys, monkeypatch):
     with monkeypatch.context() as patched:
         for name in ("predict_labels", "load_forest"):
             patched.setattr(ehf.signal_forest, name, refuse)
+        patched.setattr(ehf.frontier, "predict_labels", refuse)
         for cmd in ("train", "sweep"):
             assert _run(ini, out, cmd) == 0, cmd
     cfg = load_config(str(ini))
@@ -518,7 +541,7 @@ def test_forecast_pipeline_matches_library_run(tmp_path, capsys, monkeypatch):
                             risk_aversion=0.5, seed=cfg.train.seed)
     points = ehf.sweep_alpha(
         sweep, train, test, ehf.ContractSpec(100.0, 30), cfg.policy, cfg.train,
-        gate=lambda p: ehf.predict_label_matrix(signal.forest, p))
+        gate=lambda p: predict_label_matrix(signal.forest, p))
     ehf.write_frontier_csv(tmp_path / "library.csv", points)
     assert (out / "frontier_dense_rf_c0.02_l0.5.csv").read_bytes() == \
         (tmp_path / "library.csv").read_bytes()
@@ -765,6 +788,19 @@ def test_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "dense" in out and "gru" in out
+
+
+@pytest.mark.parametrize("text,args", [
+    ("[simulation]\nbogus = 1\n", ()), ("", ("--seed", str(2 ** 64)))],
+    ids=["unknown-key", "seed-over-u64"])
+def test_gradcheck_checks_its_config(tmp_path, capsys, text, args):
+    """gradcheck reads no config value, but like every command it checks the
+    whole config before any work; it used to pass both and exit 0."""
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    assert main(["gradcheck", "--config", str(ini), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_seed_override_changes_artifacts(workdir, tmp_path, capsys):

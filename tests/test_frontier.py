@@ -13,6 +13,7 @@ from ehf.errors import (ConfigurationError, DomainError, IntegrityError,
                         NumericError, StateError)
 from ehf.frontier import FrontierPoint
 from ehf.hedging_engine import DensePolicy, combine_mask, evaluate_policy
+from ehf.signal_forest import predict_label_matrix
 
 
 def _point(mean, std, alpha=0.0, trades=10.0, **kw):
@@ -260,7 +261,7 @@ def test_rf_sweep_uses_signal(tiny_split, contract):
     sweep = ehf.SweepConfig(alphas=(0.0, 0.04), rf=True, cost_rate=0.02, seed=5)
     pts = ehf.sweep_alpha(
         sweep, train, test, contract, TINY_POLICY, TINY_TRAIN,
-        gate=lambda p: ehf.predict_label_matrix(signal.forest, p))
+        gate=lambda p: predict_label_matrix(signal.forest, p))
     assert all(p.rf for p in pts)
     # the forest gate can only remove trading days
     plain = ehf.sweep_alpha(ehf.SweepConfig(alphas=(0.0, 0.04), cost_rate=0.02,

@@ -154,6 +154,14 @@ def test_loaded_arrays_are_readonly(tmp_path, gbm_small):
 def test_sim_config_validation():
     with pytest.raises(ehf.ConfigurationError):
         ehf.SimConfig(n_paths=0, seed=1)
+    # two float64 normals per path and day stay under numpy's 2**63 bytes
+    # (only the dataclass is built, no array)
+    largest = (2 ** 59 - 1) // 31
+    assert ehf.SimConfig(n_paths=largest, seed=1).n_paths == largest
+    with pytest.raises(ehf.ConfigurationError, match="below 2\\*\\*59"):
+        ehf.SimConfig(n_paths=largest + 1, seed=1)
+    with pytest.raises(ehf.ConfigurationError, match="below 2\\*\\*59"):
+        ehf.SimConfig(n_paths=2, seed=1, n_steps=2 ** 58)
     with pytest.raises(ehf.ConfigurationError):
         ehf.SimConfig(n_paths=10, seed=1, dt=0.0)
     with pytest.raises(ehf.ConfigurationError):

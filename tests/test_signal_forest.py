@@ -7,7 +7,7 @@ import ehf
 from ehf import container
 from ehf.errors import DomainError, IntegrityError, ShapeError
 from ehf.signal_forest import (DecisionTree, Forest, _best_split, label_extrema,
-                               load_forest, predict_labels)
+                               load_forest, predict_label_matrix, predict_labels)
 
 
 def _pathset(prices, s0=100.0):
@@ -82,15 +82,20 @@ def test_label_matrix_matches_per_path(heston_small):
         assert np.array_equal(mat[i], full[:30])
 
 
+def _truth_rows(paths, beta=0.05):
+    """The label of every classifier row: days 2 .. n_steps - 1, path-major."""
+    return ehf.label_matrix(paths, beta)[:, 2:].ravel()
+
+
 def test_feature_table_log_returns(heston_small):
-    X, path_row, day = ehf.feature_table(heston_small)
-    assert X.shape[1] == 2
-    assert day.min() == 2 and day.max() == 29
-    k = 1000
-    i, t = path_row[k], day[k]
-    s = heston_small.prices[i]
-    assert X[k, 0] == pytest.approx(np.log(s[t] / s[t - 1]), abs=1e-14)
-    assert X[k, 1] == pytest.approx(np.log(s[t - 1] / s[t - 2]), abs=1e-14)
+    X = ehf.feature_table(heston_small)
+    assert X.shape == (256 * 28, 2)    # days 2 .. 29 of every path
+    for k in (0, 27, 28, 1000, len(X) - 1):
+        i, t = divmod(k, 28)
+        t += 2
+        s = heston_small.prices[i]
+        assert X[k, 0] == pytest.approx(np.log(s[t] / s[t - 1]), abs=1e-14)
+        assert X[k, 1] == pytest.approx(np.log(s[t - 1] / s[t - 2]), abs=1e-14)
     assert np.all(np.isfinite(X))
 
 
@@ -172,8 +177,7 @@ def test_predict_shape_guard():
 
 
 def test_training_accuracy_beats_majority_baseline(heston_small):
-    X, path_row, day = ehf.feature_table(heston_small)
-    truth = ehf.label_matrix(heston_small, 0.05)[path_row, day]
+    X, truth = ehf.feature_table(heston_small), _truth_rows(heston_small)
     forest = ehf.fit_forest(X, truth, ehf.ForestConfig(seed=11))
     report = ehf.classification_report(predict_labels(forest, X), truth)
     assert report.accuracy >= report.baseline_accuracy
@@ -184,12 +188,10 @@ def test_heldout_accuracy_with_regularized_trees(heston_wide):
     held-out data (two past returns barely predict tomorrow)."""
     train = heston_wide.take(0, 3000)
     test = heston_wide.take(3000, 4096)
-    Xtr, pr, dr = ehf.feature_table(train)
-    ytr = ehf.label_matrix(train, 0.05)[pr, dr]
+    Xtr, ytr = ehf.feature_table(train), _truth_rows(train)
     forest = ehf.fit_forest(Xtr, ytr, ehf.ForestConfig(n_trees=20, max_depth=12,
                                                        min_leaf=5, seed=12))
-    Xte, pe, de = ehf.feature_table(test)
-    yte = ehf.label_matrix(test, 0.05)[pe, de]
+    Xte, yte = ehf.feature_table(test), _truth_rows(test)
     report = ehf.classification_report(predict_labels(forest, Xte), yte)
     assert report.accuracy >= report.baseline_accuracy - 0.01
 
@@ -207,20 +209,28 @@ def test_classification_report_oracles():
     p = (rng.uniform(size=20000) > 0.5).astype(np.int8)
     chance = ehf.classification_report(p, t)
     assert chance.accuracy == pytest.approx(0.5, abs=0.02)
+    for truth_label in (0, 1):
+        for vote in (0, 1):
+            assert chance.confusion[truth_label, vote] == np.sum(
+                (t == truth_label) & (p == vote))
+    with pytest.raises(DomainError):
+        ehf.classification_report(np.array([0, 2]), np.array([0, 1]))
 
 
 def test_predict_label_matrix_forces_early_days(heston_small):
-    X, path_row, day = ehf.feature_table(heston_small)
-    truth = ehf.label_matrix(heston_small, 0.05)[path_row, day]
+    X, truth = ehf.feature_table(heston_small), _truth_rows(heston_small)
     forest = ehf.fit_forest(X[:4000], truth[:4000], ehf.ForestConfig(n_trees=5, seed=2))
-    predicted = ehf.predict_label_matrix(forest, heston_small)
+    predicted = predict_label_matrix(forest, heston_small)
     assert predicted.shape == (256, 30)
     assert np.all(predicted[:, :2] == 1)
+    # days 2 .. 29 hold the votes on feature_table's rows, in its order
+    votes = predict_labels(forest, X)
+    assert 0 < np.count_nonzero(votes == 0) < len(votes)
+    np.testing.assert_array_equal(predicted[:, 2:].ravel(), votes)
 
 
 def test_forest_roundtrip(tmp_path, heston_small):
-    X, path_row, day = ehf.feature_table(heston_small)
-    truth = ehf.label_matrix(heston_small, 0.05)[path_row, day]
+    X, truth = ehf.feature_table(heston_small), _truth_rows(heston_small)
     forest = ehf.fit_forest(X[:3000], truth[:3000], ehf.ForestConfig(n_trees=9, seed=3))
     fn = tmp_path / "forest.ehff"
     ehf.save_forest(fn, forest)
@@ -276,23 +286,44 @@ def test_prepare_signal_artifacts(heston_small):
     art = ehf.prepare_signal(train, test, beta=0.05,
                              forest_cfg=ehf.ForestConfig(n_trees=5, seed=4),
                              fit_rows=1500)
-    assert art.forecast_test.shape == (56, 30)
-    assert set(np.unique(art.forecast_test)) <= {0, 1}
+    assert art.forecast.shape == (256, 30)
+    assert set(np.unique(art.forecast)) <= {0, 1}
     assert art.train_report.accuracy >= 0
     assert "accuracy" in str(art.test_report)
-    # the forecast labels are the forest's votes on the test paths
+    # the forecast labels are the forest's votes on the train, then the test paths
     np.testing.assert_array_equal(
-        ehf.predict_label_matrix(art.forest, test), art.forecast_test)
+        np.concatenate([predict_label_matrix(art.forest, train),
+                        predict_label_matrix(art.forest, test)]), art.forecast)
+    # each report scores the votes on days 2 .. 29 against the truth there
+    for report, rows, paths in ((art.train_report, art.forecast[:200], train),
+                                (art.test_report, art.forecast[200:], test)):
+        expected = ehf.classification_report(rows[:, 2:], _truth_rows(paths))
+        assert report.as_dict() == expected.as_dict()
 
 
 def test_write_label_csv(tmp_path, heston_small):
     fn = tmp_path / "labels.csv"
-    ehf.write_label_csv(fn, heston_small.take(0, 10), 0.05,
-                        np.ones((10, 30), dtype=np.int8))
+    paths = heston_small.take(40, 50)    # path ids 40 .. 49
+    predicted = (np.arange(300).reshape(10, 30) % 3 != 0).astype(np.int8)
+    ehf.write_label_csv(fn, paths, 0.05, predicted)
     lines = fn.read_text().strip().splitlines()
     assert lines[0] == "path_id,day,r1,r2,label,predicted"
     assert len(lines) == 1 + 10 * 28  # days 2..29 per path
     assert "np.float64" not in lines[1]
+    # each row, recomputed from the prices: path id, day, the two log returns
+    # (exact, as repr round-trips), the extremum label and the predicted label
+    expected = []
+    for i in range(10):
+        log_s, truth = np.log(paths.prices[i]), label_extrema(paths.prices[i], 0.05)
+        for t in range(2, 30):
+            expected.append([40 + i, t, log_s[t] - log_s[t - 1],
+                             log_s[t - 1] - log_s[t - 2], truth[t], predicted[i, t]])
+    rows = [[int(a), int(b), float(c), float(d), int(e), int(f)]
+            for a, b, c, d, e, f in (line.split(",") for line in lines[1:])]
+    assert rows == expected
+    assert {row[4] for row in rows} == {0, 1} and {row[5] for row in rows} == {0, 1}
+    with pytest.raises(ShapeError):     # labels of another shape than the paths'
+        ehf.write_label_csv(fn, paths, 0.05, np.ones((10, 31), dtype=np.int8))
 
 
 def test_forecast_labels_roundtrip(tmp_path, gbm_small):
