@@ -412,8 +412,8 @@ def cmd_label(args) -> int:
     forecast_file = os.path.join(cfg.out_dir, FORECAST_FILE)
     save_forecast(forecast_file, signal.forecast)
     _write_record(forecast_file, _made_from(cfg, FORECAST_FILE, digests))
-    write_label_csv(os.path.join(cfg.out_dir, "labels.csv"), test_paths,
-                    cfg.beta, predicted=signal.forecast[cfg.n_train:])
+    write_label_csv(os.path.join(cfg.out_dir, "labels.csv"), test_paths.path_ids,
+                    signal.test_features, signal.test_truth, signal.forecast[cfg.n_train:])
     report_text = (f"training split:\n{signal.train_report}\n\n"
                    f"test split:\n{signal.test_report}\n")
     with open(os.path.join(cfg.out_dir, "label_report.txt"), "w") as fh:

@@ -96,6 +96,8 @@ class SignalArtifacts:
     train_report: object
     test_report: object
     forecast: np.ndarray  # [n_train + n_test, n_steps] forecast labels, train rows first
+    test_features: np.ndarray  # the test split's feature_table, for labels.csv
+    test_truth: np.ndarray     # the extremum label of each of those rows
 
 
 def prepare_signal(train_paths: PathSet, test_paths: PathSet, beta: float,
@@ -123,7 +125,7 @@ def prepare_signal(train_paths: PathSet, test_paths: PathSet, beta: float,
     return SignalArtifacts(forest=forest,
                            train_report=classification_report(votes, y),
                            test_report=classification_report(votes_test, y_test),
-                           forecast=forecast)
+                           forecast=forecast, test_features=X_test, test_truth=y_test)
 
 
 # ---------------------------------------------------------------------------

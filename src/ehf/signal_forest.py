@@ -9,15 +9,19 @@ rebalances without lookahead.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import container
 from .errors import ConfigurationError, DomainError, IntegrityError, ShapeError
 from .market_sim import PathSet
+
+_MAX_TABLE_CELLS = 2 ** 26   # the most cells a forest's lookup tables may hold
+_CSV_BLOCK_PATHS = 2048      # paths per write_label_csv block
 
 # ---------------------------------------------------------------------------
 # labeling
@@ -119,6 +123,10 @@ class Forest:
     trees: tuple
     config: ForestConfig
     n_features: int
+    _tables: tuple = field(init=False, compare=False, repr=False)  # _compile_forest
+
+    def __post_init__(self):
+        object.__setattr__(self, "_tables", _compile_forest(self.trees, self.n_features))
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
@@ -198,15 +206,40 @@ def _fit_tree(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
     )
 
 
-def _tree_predict(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    idx = np.zeros(len(X), dtype=np.int64)
-    active = np.flatnonzero(tree.feature[idx] >= 0)
-    while active.size:
-        node = idx[active]
-        go_left = X[active, tree.feature[node]] <= tree.threshold[node]
-        idx[active] = np.where(go_left, tree.left[node], tree.right[node])
-        active = active[tree.feature[idx[active]] >= 0]
-    return tree.leaf_class[idx]
+def _compile_forest(trees: tuple, n_features: int) -> tuple:
+    """(union, per tree (maps, table)): a tree's raveled int8 table holds the
+    leaf class of each cell of the grid its thresholds cut (a table grows as
+    the product of their counts, hence the cap). A value's bin counts the
+    thresholds strictly below it, so x <= thr exactly when the bin is at most
+    thr's index, and NaN goes right at every split. union[f] sorts all trees'
+    thresholds on feature f; maps[f] takes its bins to offsets in the table."""
+    thresholds = [[np.unique(t.threshold[t.feature == f]).tolist()
+                   for f in range(n_features)] for t in trees]
+    cells = sum(math.prod(len(thr) + 1 for thr in per_f) for per_f in thresholds)
+    if cells > _MAX_TABLE_CELLS:
+        raise ConfigurationError(f"the forest's lookup tables would hold {cells} cells, "
+                                 f"above {_MAX_TABLE_CELLS}: lower max_depth or "
+                                 "fit_rows, or raise min_leaf")
+    union = [np.unique(np.concatenate(per_tree)) for per_tree in zip(*thresholds)]
+    compiled = []
+    for tree, per_f in zip(trees, thresholds):
+        table = np.zeros([len(thr) + 1 for thr in per_f], dtype=np.int8)
+        feature, threshold, left, right, leaf = (a.tolist() for a in (
+            tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_class))
+        stack = [(0, (0,) * n_features, table.shape)]   # node, its cells' bin bounds
+        while stack:
+            node, lo, hi = stack.pop()
+            f = feature[node]
+            if f < 0:
+                table[tuple(map(slice, lo, hi))] = leaf[node]
+                continue
+            k = bisect.bisect_left(per_f[f], threshold[node]) + 1  # bins < k go left
+            stack += [(left[node], lo, hi[:f] + (min(hi[f], k),) + hi[f + 1:]),
+                      (right[node], lo[:f] + (max(lo[f], k),) + lo[f + 1:], hi)]
+        maps = [np.append(np.searchsorted(thr, u), len(thr)) * stride
+                for thr, u, stride in zip(per_f, union, table.strides)]
+        compiled.append((maps, table.ravel()))
+    return union, compiled
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
@@ -217,8 +250,8 @@ def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
         raise ShapeError(f"features {X.shape} do not match {len(y)} labels")
     if len(y) < 2:
         raise DomainError("need at least 2 samples to fit")
-    if not np.isin(y, (0, 1)).all():
-        raise DomainError("labels must be binary in {0, 1}")
+    if not (np.isin(y, (0, 1)).all() and np.isfinite(X).all()):
+        raise DomainError("labels must be binary in {0, 1} and features finite")
     y = y.astype(np.int8)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
     trees = tuple(_fit_tree(X, y, cfg, np.random.default_rng(s)) for s in seeds)
@@ -231,9 +264,11 @@ def predict_labels(forest: Forest, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise ShapeError(
             f"expected [n, {forest.n_features}] features, got {X.shape}")
+    union, compiled = forest._tables
+    bins = [np.searchsorted(u, x) for u, x in zip(union, X.T)]
     votes = np.zeros(len(X), dtype=np.int64)
-    for tree in forest.trees:
-        votes += _tree_predict(tree, X)
+    for maps, table in compiled:
+        votes += table[sum(m[b] for m, b in zip(maps, bins))]
     return (2 * votes >= len(forest.trees)).astype(np.int8)
 
 
@@ -304,9 +339,9 @@ def save_forest(filename, forest: Forest) -> None:
 
 def _tree_from_table(table: np.ndarray, n_features: int) -> DecisionTree:
     """The tree of a [n_nodes, 5] table (feature, threshold, left, right, leaf
-    class); ValueError unless the table is integral but for the threshold and
-    prediction through it terminates: _fit_tree allocates both children after
-    their parent, so a split's children must be later nodes; a leaf's are >= -1.
+    class); ValueError unless it is an integral tree but for its thresholds,
+    none NaN: _fit_tree allocates both children after their parent, so a
+    split's children must be later nodes, each one split's; a leaf's are >= -1.
     """
     if table.ndim != 2 or table.shape[1] != 5 or len(table) == 0:
         raise ValueError(f"a tree table of shape {table.shape}")
@@ -315,11 +350,15 @@ def _tree_from_table(table: np.ndarray, n_features: int) -> DecisionTree:
         raise ValueError("a node index or leaf class is not an integer")
     if np.any((feature < -1) | (feature >= n_features)):
         raise ValueError(f"feature index outside [-1, {n_features})")
-    if not np.isin(table[:, 4], (-1, 0, 1)).all():
-        raise ValueError("leaf class outside {-1, 0, 1}")
+    leaf = table[:, 4]
+    if not np.all(np.isin(leaf, (0, 1)) | (feature >= 0) & (leaf == -1)):
+        raise ValueError("leaf class outside {0, 1}, or a split's outside {-1, 0, 1}")
     first = np.where(feature >= 0, np.arange(len(table)) + 1, -1)[:, None]
     if np.any((table[:, 2:4] < first) | (table[:, 2:4] >= len(table))):
         raise ValueError("a child does not point to a later node in range")
+    children = table[feature >= 0, 2:4]
+    if len(np.unique(children)) != children.size or np.isnan(table[feature >= 0, 1]).any():
+        raise ValueError("a node is the child of two splits, or a split's threshold is NaN")
     return DecisionTree(
         feature=feature.astype(np.int32), threshold=table[:, 1].copy(),
         left=table[:, 2].astype(np.int32), right=table[:, 3].astype(np.int32),
@@ -337,9 +376,9 @@ def load_forest(filename) -> Forest:
             raise ValueError(f"{len(blocks)} tree blocks for {cfg.n_trees} trees")
         trees = tuple(_tree_from_table(blocks[f"t{i}"], n_features)
                       for i in range(cfg.n_trees))
+        return Forest(trees=trees, config=cfg, n_features=n_features)
     except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
         raise IntegrityError(f"{filename}: malformed forest file ({exc!r})") from exc
-    return Forest(trees=trees, config=cfg, n_features=n_features)
 
 
 def save_forecast(filename, labels: np.ndarray) -> None:
@@ -359,17 +398,24 @@ def load_forecast(filename) -> np.ndarray:
     return labels.astype(np.int8)
 
 
-def write_label_csv(filename, paths: PathSet, beta: float,
-                    predicted: np.ndarray) -> None:
-    """Feature/label table: path_id, day, r1, r2, label, and the predicted
-    label of predicted [n_paths, n_steps]."""
-    if np.shape(predicted) != (paths.n_paths, paths.n_steps):
-        raise ShapeError(f"{np.shape(predicted)} labels for {paths.prices.shape} prices")
-    keys = itertools.product(paths.path_ids.tolist(), range(2, paths.n_steps))
-    columns = (*feature_table(paths).T.tolist(),
-               _day_rows(label_matrix(paths, beta)).ravel().tolist(),
-               _day_rows(np.asarray(predicted, dtype=np.int64)).ravel().tolist())
+def write_label_csv(filename, path_ids: np.ndarray, features: np.ndarray,
+                    truth: np.ndarray, predicted: np.ndarray) -> None:
+    """Feature/label table: path_id, day, r1, r2, label, predicted of each
+    feature_table row of the paths path_ids (and of its truth label), with
+    their predicted labels [n_paths, n_steps]; _CSV_BLOCK_PATHS at a time."""
+    votes = _day_rows(np.asarray(predicted))
+    if (len(votes), np.shape(features), np.shape(truth)) != (
+            len(path_ids), (votes.size, 2), (votes.size,)):
+        raise ShapeError(f"{np.shape(predicted)} labels, {np.shape(features)} features and "
+                         f"{np.shape(truth)} truth labels of {len(path_ids)} paths")
+    days, rows = range(2, 2 + votes.shape[1]), votes.shape[1]
     with open(filename, "w", newline="") as fh:
         fh.write("path_id,day,r1,r2,label,predicted\n")
-        fh.writelines(f"{i},{t},{r1!r},{r2!r},{y},{p}\n"
-                      for (i, t), r1, r2, y, p in zip(keys, *columns))
+        for start in range(0, len(path_ids), _CSV_BLOCK_PATHS):
+            stop = start + _CSV_BLOCK_PATHS
+            block = slice(start * rows, stop * rows)
+            keys = itertools.product(path_ids[start:stop].tolist(), days)
+            columns = (*features[block].T.tolist(), truth[block].tolist(),
+                       votes[start:stop].ravel().tolist())
+            fh.writelines(f"{i},{t},{r1!r},{r2!r},{y},{p}\n"
+                          for (i, t), r1, r2, y, p in zip(keys, *columns))

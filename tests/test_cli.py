@@ -627,6 +627,18 @@ def test_stored_forecast_refuses_path_ids_it_does_not_hold(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_label_refuses_a_forest_too_large_to_tabulate(tmp_path, capsys, monkeypatch):
+    """A forest whose lookup tables would pass the cell cap exits 2 and names
+    the settings that shrink it, before it writes a forest."""
+    ini, out = _ini(tmp_path, TINY_INI), tmp_path / "out"
+    assert _run(ini, out, "simulate") == 0
+    monkeypatch.setattr(ehf.signal_forest, "_MAX_TABLE_CELLS", 10)
+    assert _run(ini, out, "label") == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("max_depth", "min_leaf", "fit_rows"))
+    assert not (out / "forest.ehff").exists()
+
+
 def test_label_report_json_holds_the_text_reports_numbers(tmp_path, capsys):
     ini, out = _ini(tmp_path, TINY_INI), tmp_path / "out"
     for cmd in ("simulate", "label"):

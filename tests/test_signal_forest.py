@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ehf
-from ehf import container
-from ehf.errors import DomainError, IntegrityError, ShapeError
+from ehf import container, signal_forest
+from ehf.errors import ConfigurationError, DomainError, IntegrityError, ShapeError
 from ehf.signal_forest import (DecisionTree, Forest, _best_split, label_extrema,
                                load_forest, predict_label_matrix, predict_labels)
+from node_walk import forest_predict, tree_predict
 
 
 def _pathset(prices, s0=100.0):
@@ -196,6 +199,119 @@ def test_heldout_accuracy_with_regularized_trees(heston_wide):
     assert report.accuracy >= report.baseline_accuracy - 0.01
 
 
+# ---------------------------------------------------------------------------
+# lookup tables against the node walk
+# ---------------------------------------------------------------------------
+
+_SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan)
+
+
+def _probe(forest, rng, n=300):
+    """Rows of values exactly at the forest's thresholds, one ulp either side
+    of them, +-0.0, +-inf and NaN, mixed across the columns at random."""
+    thr = np.concatenate([t.threshold[t.feature >= 0] for t in forest.trees])
+    pool = np.concatenate([thr, np.nextafter(thr, -np.inf), np.nextafter(thr, np.inf),
+                           _SPECIAL, rng.normal(size=8)])
+    return rng.choice(pool, size=(n, forest.n_features))
+
+
+def _assert_tables_match_walk(forest, X):
+    """Each tree's table vote (as a one-tree forest) and the forest's
+    majority vote equal the node walk's."""
+    for tree in forest.trees:
+        single = Forest((tree,), ehf.ForestConfig(n_trees=1), forest.n_features)
+        np.testing.assert_array_equal(predict_labels(single, X), tree_predict(tree, X))
+    np.testing.assert_array_equal(predict_labels(forest, X), forest_predict(forest, X))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_features=st.integers(1, 3), n_rows=st.integers(2, 120),
+       distinct=st.integers(1, 6), max_depth=st.sampled_from([0, 1, 3, 8]),
+       min_leaf=st.integers(1, 3), n_trees=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tables_vote_as_the_node_walk(tmp_path, n_features, n_rows, distinct,
+                                      max_depth, min_leaf, n_trees, seed):
+    """Random forests fit on heavily duplicated values: the tables' votes
+    equal the walk's on training rows and on probes at every threshold, and
+    so do a saved and reloaded forest's."""
+    rng = np.random.default_rng(seed)
+    X = rng.choice(rng.normal(size=distinct), size=(n_rows, n_features))
+    y = rng.integers(0, 2, size=n_rows)
+    forest = ehf.fit_forest(X, y, ehf.ForestConfig(
+        n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf, seed=seed))
+    probe = np.vstack([X, _probe(forest, rng)])
+    _assert_tables_match_walk(forest, probe)
+    ehf.save_forest(tmp_path / "forest.ehff", forest)
+    loaded = load_forest(tmp_path / "forest.ehff")
+    _assert_tables_match_walk(loaded, probe)
+    np.testing.assert_array_equal(predict_labels(loaded, probe),
+                                  predict_labels(forest, probe))
+
+
+@st.composite
+def _random_tree(draw, n_features):
+    """A tree no fit would grow: thresholds repeat along a path, fall outside
+    their cell, sit at +-0.0 or +-inf."""
+    feature, threshold, left, right, leaf = [], [], [], [], []
+    values = st.sampled_from([-1.0, -0.5, 0.0, -0.0, 0.5, 1.0, np.inf, -np.inf])
+
+    def grow(depth):
+        node = len(feature)
+        for column in (feature, threshold, left, right, leaf):
+            column.append(-1)
+        if depth == 0 or draw(st.booleans()):
+            threshold[node], leaf[node] = 0.0, draw(st.integers(0, 1))
+            return node
+        feature[node] = draw(st.integers(0, n_features - 1))
+        threshold[node] = draw(values)
+        left[node] = grow(depth - 1)
+        right[node] = grow(depth - 1)
+        return node
+
+    grow(draw(st.integers(0, 5)))
+    return DecisionTree(np.array(feature, dtype=np.int32),
+                        np.array(threshold, dtype=np.float64),
+                        np.array(left, dtype=np.int32), np.array(right, dtype=np.int32),
+                        np.array(leaf, dtype=np.int8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_features=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_tables_of_arbitrary_trees_vote_as_the_node_walk(data, n_features, seed):
+    trees = tuple(data.draw(st.lists(_random_tree(n_features), min_size=1, max_size=4)))
+    forest = Forest(trees, ehf.ForestConfig(n_trees=len(trees)), n_features)
+    _assert_tables_match_walk(forest, _probe(forest, np.random.default_rng(seed)))
+
+
+def test_fit_refuses_non_finite_features():
+    """The midpoint of -inf and +inf is a NaN threshold, which no bin search
+    can place; so fitting refuses any non-finite feature."""
+    X = np.array([[-np.inf, 0.0], [np.inf, 1.0], [0.0, 2.0], [1.0, 3.0]])
+    for bad in (X, np.where(np.isinf(X), np.nan, X)):
+        with pytest.raises(DomainError, match="finite"):
+            ehf.fit_forest(bad, np.array([0, 1, 0, 1]), ehf.ForestConfig(n_trees=1))
+
+
+def test_table_cap_refuses_fit_and_load(tmp_path, monkeypatch):
+    """A forest whose tables would hold more cells than the cap is a
+    ConfigurationError on fit and an IntegrityError on load."""
+    X = np.random.default_rng(5).normal(size=(200, 2))
+    y = (X[:, 0] * X[:, 1] > 0).astype(np.int8)
+    cfg = ehf.ForestConfig(n_trees=3, seed=1)
+    forest = ehf.fit_forest(X, y, cfg)
+    ehf.save_forest(tmp_path / "forest.ehff", forest)
+    cells = sum(t.size for _, t in forest._tables[1])
+    monkeypatch.setattr(signal_forest, "_MAX_TABLE_CELLS", cells)
+    ehf.fit_forest(X, y, cfg)            # at the cap: accepted
+    load_forest(tmp_path / "forest.ehff")
+    monkeypatch.setattr(signal_forest, "_MAX_TABLE_CELLS", cells - 1)
+    with pytest.raises(ConfigurationError, match="max_depth or fit_rows, or raise min_leaf"):
+        ehf.fit_forest(X, y, cfg)
+    with pytest.raises(IntegrityError, match="cells"):
+        load_forest(tmp_path / "forest.ehff")
+
+
 def test_classification_report_oracles():
     truth = np.array([1, 1, 0, 1, 0, 1])
     perfect = ehf.classification_report(truth.copy(), truth)
@@ -262,9 +378,13 @@ def _set(blocks, column, value, row=None):
     (lambda meta, blocks: _set(blocks, 0, 2, row=0), "feature index"),
     (lambda meta, blocks: _set(blocks, 4, 7, row=-1), "leaf class"),
     (lambda meta, blocks: _set(blocks, 2, 1.5, row=0), "not an integer"),
+    (lambda meta, blocks: _set(blocks, 1, np.nan, row=0), "threshold is NaN"),
+    (lambda meta, blocks: _set(blocks, 4, -1, row=-1), "leaf class outside"),
+    (lambda meta, blocks: _set(blocks, 3, blocks["t0"][0, 2], row=0), "two splits"),
 ], ids=["meta-missing-n_features", "invalid-config", "child-loops-back",
         "child-out-of-range", "feature-out-of-range", "leaf-class-7",
-        "non-integral-child"])
+        "non-integral-child", "nan-threshold", "leaf-class-minus-1",
+        "shared-child"])
 def test_load_forest_rejects_corrupt_tables(tmp_path, edit, message):
     """Each fault is an IntegrityError at load time; a left child pointing back
     at its parent used to make prediction loop forever."""
@@ -305,7 +425,8 @@ def test_write_label_csv(tmp_path, heston_small):
     fn = tmp_path / "labels.csv"
     paths = heston_small.take(40, 50)    # path ids 40 .. 49
     predicted = (np.arange(300).reshape(10, 30) % 3 != 0).astype(np.int8)
-    ehf.write_label_csv(fn, paths, 0.05, predicted)
+    inputs = (paths.path_ids, ehf.feature_table(paths), _truth_rows(paths))
+    ehf.write_label_csv(fn, *inputs, predicted)
     lines = fn.read_text().strip().splitlines()
     assert lines[0] == "path_id,day,r1,r2,label,predicted"
     assert len(lines) == 1 + 10 * 28  # days 2..29 per path
@@ -323,7 +444,20 @@ def test_write_label_csv(tmp_path, heston_small):
     assert rows == expected
     assert {row[4] for row in rows} == {0, 1} and {row[5] for row in rows} == {0, 1}
     with pytest.raises(ShapeError):     # labels of another shape than the paths'
-        ehf.write_label_csv(fn, paths, 0.05, np.ones((10, 31), dtype=np.int8))
+        ehf.write_label_csv(fn, *inputs, np.ones((10, 31), dtype=np.int8))
+    with pytest.raises(ShapeError):     # features of another path count
+        ehf.write_label_csv(fn, paths.path_ids[:9], *inputs[1:], predicted[:9])
+
+
+def test_write_label_csv_blocks_join_seamlessly(tmp_path, heston_small, monkeypatch):
+    """Blocks of 3 paths, the last one short, write the bytes of one block."""
+    paths = heston_small.take(0, 10)
+    predicted = np.ones((10, 30), dtype=np.int8)
+    rows = (paths.path_ids, ehf.feature_table(paths), _truth_rows(paths), predicted)
+    ehf.write_label_csv(tmp_path / "one.csv", *rows)
+    monkeypatch.setattr(signal_forest, "_CSV_BLOCK_PATHS", 3)
+    ehf.write_label_csv(tmp_path / "blocks.csv", *rows)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 def test_forecast_labels_roundtrip(tmp_path, gbm_small):
