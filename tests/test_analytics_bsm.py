@@ -14,6 +14,23 @@ def test_norm_cdf_matches_scipy():
     assert np.max(np.abs(norm_cdf(x) - norm.cdf(x))) < 1e-14
 
 
+def test_norm_cdf_edges_and_tails():
+    """Shapes pass through, the limits are exact, and the far left tail keeps
+    its relative accuracy wherever the reference is a normal float."""
+    assert norm_cdf(0.3).shape == ()
+    assert type(bs_delta(100.0, 100.0, 0.0, 0.2, 0.1)) is float
+    assert norm_cdf(np.array([])).shape == (0,)
+    assert norm_cdf(np.ones((2, 3))).shape == (2, 3)
+    edges = norm_cdf(np.array([-np.inf, np.inf, np.nan]))
+    assert edges[0] == 0.0 and edges[1] == 1.0 and np.isnan(edges[2])
+    x = np.linspace(-40, 40, 801)
+    ours, ref = norm_cdf(x), norm.cdf(x)
+    assert np.max(np.abs(ours - ref)) < 1e-14
+    tail = (x < 0) & (ref >= np.finfo(np.float64).tiny)
+    assert x[tail].min() < -37
+    assert np.max(np.abs(ours[tail] - ref[tail]) / ref[tail]) < 1e-13
+
+
 def test_price_against_scipy_formula():
     for s, k, vol, tau, r in [(100, 100, 0.2, 0.25, 0.0),
                               (95, 100, 0.6, 30 / 365, 0.01),

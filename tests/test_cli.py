@@ -1,5 +1,7 @@
 """End-to-end command-line pipeline on a miniature configuration."""
 
+import contextlib
+import io
 import json
 import re
 import shutil
@@ -63,10 +65,14 @@ alpha_hi = 0.08
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
+    """The tiny config and an output dir that `simulate` has already filled,
+    so a test that needs only the paths runs without the simulate test."""
     root = tmp_path_factory.mktemp("cli")
     ini = root / "tiny.ini"
     ini.write_text(TINY_INI)
     out = root / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert _run(ini, out, "simulate") == 0
     return ini, out
 
 

@@ -1,4 +1,5 @@
 """Each `ehf` module imports only the modules below it in one fixed order,
+imports nothing but numpy and the standard library from outside the package,
 and the package exports only what some reader uses.
 
 The order runs from the error types up to the command line. An import that
@@ -7,8 +8,11 @@ possible; a function-local import is how such a cycle usually hides.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -20,24 +24,29 @@ ORDER = ("errors", "container", "market_sim", "neural_core", "analytics_bsm",
          "hedging_engine", "signal_forest", "frontier", "cli")
 
 
-def _ehf_imports(path: pathlib.Path) -> set:
-    """The `ehf` modules a module imports anywhere in its body."""
+def _imports(path: pathlib.Path) -> set:
+    """The dotted names of the modules a module imports anywhere in its body;
+    a relative import is named under `ehf`, and `from . import x` and
+    `from ehf import x` name the modules `ehf.x` themselves."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
-            found.update(alias.name.split(".")[1] for alias in node.names
-                         if alias.name.startswith("ehf."))
+            found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                parts = (node.module or "").split(".")
-                if parts[0] != "ehf":
-                    continue
-                parts = parts[1:]
-            else:
-                parts = node.module.split(".") if node.module else []
-            # `from . import x` and `from ehf import x` name the modules themselves
-            found.update(parts[:1] or [alias.name for alias in node.names])
+            base = ".".join(filter(None, ("ehf" if node.level else None, node.module)))
+            found.update([f"ehf.{alias.name}" for alias in node.names]
+                         if base == "ehf" else [base])
     return found
+
+
+def _ehf_imports(path: pathlib.Path) -> set:
+    """The `ehf` modules a module imports anywhere in its body."""
+    return {name.split(".")[1] for name in _imports(path) if name.startswith("ehf.")}
+
+
+def _outside_imports(path: pathlib.Path) -> set:
+    """The top-level packages outside `ehf` a module imports anywhere in its body."""
+    return {name.split(".")[0] for name in _imports(path)} - {"ehf"}
 
 
 def test_every_module_has_a_place_in_the_order():
@@ -64,6 +73,31 @@ def test_the_parser_sees_function_local_and_absolute_imports(tmp_path):
                       "    import numpy\n")
     assert _ehf_imports(source) == {"container", "errors", "market_sim",
                                     "frontier", "cli"}
+    assert _outside_imports(source) == {"numpy"}
+    source.write_text("import math\n"
+                      "def f():\n"
+                      "    from scipy.special import erfc\n")
+    assert _outside_imports(source) == {"math", "scipy"}
+
+
+@pytest.mark.parametrize("module", ("__init__", *ORDER))
+def test_module_imports_only_numpy_and_the_standard_library(module):
+    """numpy is the one runtime dependency; scipy is a test-only oracle."""
+    outside = _outside_imports(SRC / f"{module}.py") - {"numpy"}
+    foreign = sorted(outside - set(sys.stdlib_module_names))
+    assert not foreign, f"{module} imports {foreign}"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """A fresh interpreter that imports `ehf.cli` has no scipy module loaded,
+    whatever imports it indirectly."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))}
+    probe = ("import sys, ehf.cli; "
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.strip() == "[]"
 
 
 def _read_across_modules() -> set:
