@@ -21,6 +21,7 @@ from .errors import ConfigurationError, DomainError, IntegrityError, ShapeError
 from .market_sim import PathSet
 
 _MAX_TABLE_CELLS = 2 ** 26   # the most cells a forest's lookup tables may hold
+_MAX_GROUP_ROWS = 2 ** 18    # the most bootstrap rows fit_forest grows at once
 _CSV_BLOCK_PATHS = 2048      # paths per write_label_csv block
 
 # ---------------------------------------------------------------------------
@@ -129,81 +130,160 @@ class Forest:
         object.__setattr__(self, "_tables", _compile_forest(self.trees, self.n_features))
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Exhaustive weighted-Gini minimization over midpoint thresholds.
+def _side_gini(size: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """size * (1 - (ones/size)^2 - ((size - ones)/size)^2) of each side of
+    size rows, ones of them labeled 1 (float64 arrays of integers). Each step
+    rounds as written: another order could break a tie between two splits
+    the other way, and so change a tree."""
+    p = ones / size
+    q = size - ones
+    q /= size
+    np.square(p, out=p)
+    np.square(q, out=q)
+    gini = np.subtract(1.0, p, out=p)
+    gini -= q
+    gini *= size
+    return gini
 
-    Returns (feature, threshold, gini) or None if no split leaves both sides
-    with at least min_leaf samples.
+
+def _grow_trees(xb: np.ndarray, ranks: np.ndarray, yb: np.ndarray, n_trees: int,
+                cfg: ForestConfig) -> list:
+    """The trees of n_trees equal bootstraps laid end to end (features xb
+    [n_features, rows], their ranks among the feature's distinct values,
+    labels yb), grown together one depth at a time over presorted rows
+    (SLIQ; Mehta, Agrawal & Rissanen, EDBT 1996).
+
+    orders[f] holds the rows of every open node as one segment, sorted by
+    feature f (by rank) with ties in bootstrap position: the order in which
+    growing the node alone would stable-sort its rows. Each depth scores,
+    with the weighted Gini, every boundary between distinct values that
+    leaves min_leaf rows a side, and splits each node at its first minimum
+    (first feature, then first boundary). Its children's rows move, still
+    sorted, into their own segments; a child that is a leaf drops them.
     """
-    n = len(y)
-    best = (math.inf, -1, 0.0)
-    sizes_left = np.arange(1, n, dtype=np.float64)
-    sizes_right = n - sizes_left
-    for f in range(X.shape[1]):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ones_left = np.cumsum(y[order])[:-1].astype(np.float64)
-        valid = (xs[1:] != xs[:-1]) & (sizes_left >= min_leaf) & (sizes_right >= min_leaf)
-        if not valid.any():
-            continue
-        ones_right = float(y.sum()) - ones_left
-        gini_left = 1.0 - (ones_left / sizes_left) ** 2 \
-            - ((sizes_left - ones_left) / sizes_left) ** 2
-        gini_right = 1.0 - (ones_right / sizes_right) ** 2 \
-            - ((sizes_right - ones_right) / sizes_right) ** 2
-        gini = (sizes_left * gini_left + sizes_right * gini_right) / n
-        gini[~valid] = math.inf
-        i = int(np.argmin(gini))
-        if gini[i] < best[0]:
-            best = (gini[i], f, 0.5 * (xs[i] + xs[i + 1]))
-    if best[1] < 0:
-        return None
-    return best[1], best[2], best[0]
+    n_rows, n_boot, min_leaf = xb.shape[1], xb.shape[1] // n_trees, cfg.min_leaf
+    settled = []        # per batch of nodes: ids, feature, threshold, leaf class
+    splits = []         # per depth: the split nodes, their left and their right children
+
+    def leaf(ids, sizes, ones):
+        settled.append((ids, -1, 0.0, 2 * ones >= sizes))
+
+    def settle(ids, sizes, ones, depth):
+        """Record the new nodes that are leaves; the mask of the others."""
+        grow = (ones > 0) & (ones < sizes) & (sizes >= 2 * min_leaf)
+        grow &= cfg.max_depth == 0 or depth < cfg.max_depth
+        leaf(ids[~grow], sizes[~grow], ones[~grow])
+        return grow
+
+    nodes = np.arange(n_trees)
+    sizes = np.full(n_trees, n_boot)
+    ones = yb.reshape(n_trees, n_boot).sum(axis=1, dtype=np.int64)
+    grow = settle(nodes, sizes, ones, 0)
+    offsets = np.arange(0, n_rows, n_boot)[:, None]
+    orders = [(np.argsort(rank.reshape(n_trees, n_boot), axis=1, kind="stable")
+               + offsets)[grow].ravel() for rank in ranks]
+    nodes, sizes, ones = nodes[grow], sizes[grow], ones[grow]
+    n_nodes, depth = n_trees, 0
+    routes = np.empty(n_rows, dtype=np.int8)
+    while len(nodes):
+        starts = np.cumsum(sizes) - sizes
+        at = np.repeat(np.arange(len(nodes)), sizes)  # node of each position
+        # a boundary after position p leaves min_leaf rows a side
+        fits = np.repeat(np.tile([False, True, False], len(nodes)), np.column_stack(
+            (np.full_like(sizes, min_leaf - 1), sizes - 2 * min_leaf + 1,
+             np.full_like(sizes, min_leaf))).ravel())[:-1]
+        # per feature and node: gini, rows and ones left, the values either side
+        best = np.full((5, len(orders), len(nodes)), np.inf)
+        node_rows, node_ones = sizes.astype(np.float64), ones.astype(np.float64)
+        for f, order in enumerate(orders):
+            rs, ys = ranks[f][order], yb[order]
+            cut = np.flatnonzero(np.not_equal(rs[1:], rs[:-1]) & fits)
+            if not len(cut):
+                continue
+            node = at[cut]
+            ones_through = np.cumsum(ys, dtype=np.int32)
+            base = ones_through[starts] - ys[starts]          # ones before each segment
+            rows_left = (cut + 1 - starts[node]).astype(np.float64)
+            ones_left = (ones_through[cut] - base[node]).astype(np.float64)
+            n = node_rows[node]
+            gini = _side_gini(rows_left, ones_left)
+            gini += _side_gini(n - rows_left, node_ones[node] - ones_left)
+            gini /= n
+            first = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])  # each node's first cut
+            low = np.minimum.reduceat(gini, first)
+            hit = np.flatnonzero(gini == np.repeat(low, np.diff(first, append=len(cut))))
+            hit = hit[np.r_[True, node[hit[1:]] != node[hit[:-1]]]]   # each node's first minimum
+            best[:, f, node[first]] = (low, rows_left[hit], ones_left[hit],
+                                       xb[f][order[cut[hit]]], xb[f][order[cut[hit] + 1]])
+        feature = np.argmin(best[0], axis=0)
+        _, rows_left, ones_left, lo, hi = best[:, feature, np.arange(len(nodes))]
+        split = np.isfinite(lo)
+        leaf(nodes[~split], sizes[~split], ones[~split])
+        with np.errstate(over="ignore"):
+            mid = 0.5 * (lo + hi)
+        threshold = np.where((lo <= mid) & (mid < hi), mid, lo)   # lo where mid rounds to hi
+        s = np.flatnonzero(split)
+        kids = n_nodes + np.arange(2 * len(s))                    # left children, then right
+        n_nodes += len(kids)
+        settled.append((nodes[s], feature[s], threshold[s], -1))
+        splits.append((nodes[s], kids[:len(s)], kids[len(s):]))
+        kid_sizes = np.concatenate((rows_left[s], sizes[s] - rows_left[s])).astype(np.int64)
+        kid_ones = np.concatenate((ones_left[s], ones[s] - ones_left[s])).astype(np.int64)
+        depth += 1
+        grow = settle(kids, kid_sizes, kid_ones, depth)
+        # A row's route: 0 to an open left child, 1 to an open right one, 2
+        # to a leaf. In the order of its split's feature, a node's first
+        # n_left rows go left; a node that does not split sends all to 2.
+        to = np.full((len(nodes), 2), 2, dtype=np.int8)          # [node, left / right]
+        to[s, 0] = np.where(grow[:len(s)], 0, 2)
+        to[s, 1] = np.where(grow[len(s):], 1, 2)
+        n_left = np.where(split, rows_left, sizes).astype(np.int64)
+        for f, order in enumerate(orders):
+            mine = feature == f
+            run = np.repeat(np.where(mine[:, None], to, 0), np.column_stack(
+                (np.where(mine, n_left, sizes), np.where(mine, sizes - n_left, 0))).ravel())
+            if f:
+                routes[order] += run
+            else:
+                routes[order] = run
+        nodes, sizes, ones = kids[grow], kid_sizes[grow], kid_ones[grow]
+        for f, order in enumerate(orders):
+            route = routes[order]
+            orders[f] = np.concatenate((order[route == 0], order[route == 1]))
+    return _stack_order(n_trees, n_nodes, settled, splits)
 
 
-def _fit_tree(X: np.ndarray, y: np.ndarray, cfg: ForestConfig,
-              rng: np.random.Generator) -> DecisionTree:
-    n = len(y)
-    n_boot = max(1, int(round(cfg.bootstrap_fraction * n)))
-    boot = rng.integers(0, n, size=n_boot)
-    Xb, yb = X[boot], y[boot]
-    feature, threshold, left, right, leaf_class = [], [], [], [], []
-
-    def alloc() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        leaf_class.append(-1)
-        return len(feature) - 1
-
-    stack = [(alloc(), np.arange(n_boot), 0)]
-    while stack:
-        node, rows, depth = stack.pop()
-        ys = yb[rows]
-        ones = int(ys.sum())
-        split = None
-        depth_ok = cfg.max_depth == 0 or depth < cfg.max_depth
-        if 0 < ones < len(rows) and depth_ok and len(rows) >= 2 * cfg.min_leaf:
-            split = _best_split(Xb[rows], ys, cfg.min_leaf)
-        if split is None:
-            leaf_class[node] = 1 if 2 * ones >= len(rows) else 0
-            continue
-        f, thr, _ = split
-        go_left = Xb[rows, f] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = alloc()
-        right[node] = alloc()
-        stack.append((left[node], rows[go_left], depth + 1))
-        stack.append((right[node], rows[~go_left], depth + 1))
-    return DecisionTree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        leaf_class=np.asarray(leaf_class, dtype=np.int8),
-    )
+def _stack_order(n_trees: int, n_nodes: int, settled: list, splits: list) -> list:
+    """The trees of _grow_trees's nodes 0 .. n_nodes - 1 (roots 0 .. n_trees - 1),
+    each node numbered as a stack grows its tree: the k-th split popped, a
+    right child before its left sibling, gives its children 2k + 1 and 2k + 2.
+    settled holds batches (ids, feature, threshold, leaf class) and splits
+    holds per depth (split nodes, their left children, their right ones)."""
+    below = np.zeros(n_nodes, dtype=np.int64)      # the splits in each node's subtree
+    for parents, lefts, rights in reversed(splits):
+        below[parents] = 1 + below[lefts] + below[rights]
+    size = 2 * below[:n_trees] + 1
+    base = np.zeros(n_nodes, dtype=np.int64)       # the first row of the node's tree
+    base[:n_trees] = np.cumsum(size) - size
+    number = np.zeros(n_nodes, dtype=np.int64)     # the node's number in its tree
+    popped = np.zeros(n_nodes, dtype=np.int64)     # the splits popped before the node
+    for parents, lefts, rights in splits:
+        popped[rights] = popped[parents] + 1
+        popped[lefts] = popped[rights] + below[rights]
+        number[lefts] = 2 * popped[parents] + 1
+        number[rights] = number[lefts] + 1
+        base[lefts] = base[rights] = base[parents]
+    place = base + number
+    columns = [np.empty(n_nodes, dtype=t) for t in (np.int32, np.float64, np.int8)]
+    for ids, *values in settled:
+        for column, value in zip(columns, values):
+            column[place[ids]] = value
+    feature, threshold, leaf_class = columns
+    left, right = np.full((2, n_nodes), -1, dtype=np.int32)
+    for parents, lefts, rights in splits:
+        left[place[parents]], right[place[parents]] = number[lefts], number[rights]
+    return [DecisionTree(feature[a:b], threshold[a:b], left[a:b], right[a:b], leaf_class[a:b])
+            for a, b in zip(base[:n_trees], base[:n_trees] + size)]
 
 
 def _compile_forest(trees: tuple, n_features: int) -> tuple:
@@ -243,19 +323,38 @@ def _compile_forest(trees: tuple, n_features: int) -> tuple:
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> Forest:
-    """Bootstrap-aggregated Gini trees; deterministic given cfg.seed."""
+    """Bootstrap-aggregated Gini trees; deterministic given cfg.seed.
+
+    Tree t bootstraps from SeedSequence(cfg.seed)'s t-th spawned child. The
+    trees grow together (_grow_trees) in groups of at most _MAX_GROUP_ROWS
+    bootstrap rows, which bounds the memory a fit takes.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if X.ndim != 2 or len(X) != len(y):
         raise ShapeError(f"features {X.shape} do not match {len(y)} labels")
+    if X.shape[1] == 0:
+        raise ShapeError(f"features {X.shape} have no column")
     if len(y) < 2:
         raise DomainError("need at least 2 samples to fit")
     if not (np.isin(y, (0, 1)).all() and np.isfinite(X).all()):
         raise DomainError("labels must be binary in {0, 1} and features finite")
     y = y.astype(np.int8)
+    xt = np.ascontiguousarray(X.T)
+    # each value's rank among its feature's distinct values: sorting ranks
+    # orders rows as sorting values does, and 16-bit ranks sort by radix
+    ranks = np.stack([np.unique(x, return_inverse=True)[1] for x in xt]).astype(
+        np.min_scalar_type(len(y) - 1))
+    n_boot = max(1, int(round(cfg.bootstrap_fraction * len(y))))
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
-    trees = tuple(_fit_tree(X, y, cfg, np.random.default_rng(s)) for s in seeds)
-    return Forest(trees=trees, config=cfg, n_features=X.shape[1])
+    per_group = max(1, _MAX_GROUP_ROWS // n_boot)
+    trees = []
+    for first in range(0, cfg.n_trees, per_group):
+        boot = np.concatenate([np.random.default_rng(s).integers(0, len(y), size=n_boot)
+                               for s in seeds[first:first + per_group]])
+        trees += _grow_trees(xt.take(boot, axis=1), ranks.take(boot, axis=1), y[boot],
+                             len(boot) // n_boot, cfg)
+    return Forest(trees=tuple(trees), config=cfg, n_features=X.shape[1])
 
 
 def predict_labels(forest: Forest, X: np.ndarray) -> np.ndarray:
@@ -340,7 +439,7 @@ def save_forest(filename, forest: Forest) -> None:
 def _tree_from_table(table: np.ndarray, n_features: int) -> DecisionTree:
     """The tree of a [n_nodes, 5] table (feature, threshold, left, right, leaf
     class); ValueError unless it is an integral tree but for its thresholds,
-    none NaN: _fit_tree allocates both children after their parent, so a
+    none NaN: fit_forest numbers both children after their parent, so a
     split's children must be later nodes, each one split's; a leaf's are >= -1.
     """
     if table.ndim != 2 or table.shape[1] != 5 or len(table) == 0:

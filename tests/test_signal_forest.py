@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 import ehf
 from ehf import container, signal_forest
 from ehf.errors import ConfigurationError, DomainError, IntegrityError, ShapeError
-from ehf.signal_forest import (DecisionTree, Forest, _best_split, label_extrema,
-                               load_forest, predict_label_matrix, predict_labels)
+from ehf.signal_forest import (DecisionTree, Forest, label_extrema, load_forest,
+                               predict_label_matrix, predict_labels)
 from node_walk import forest_predict, tree_predict
+from tree_oracle import best_split, forest_trees
 
 
 def _pathset(prices, s0=100.0):
@@ -130,10 +131,24 @@ def test_best_split_matches_brute_force():
         return best
 
     w_ref, f_ref, thr_ref = brute()
-    f, thr, w = _best_split(X, y, min_leaf=1)
+    f, thr, w = best_split(X, y, min_leaf=1)
     assert f == f_ref
     assert thr == pytest.approx(thr_ref, abs=1e-12)
     assert w == pytest.approx(w_ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("lo, hi", [(1 + 2.0 ** -52, 1 + 2.0 ** -51), (1.5e308, 1.7e308)],
+                         ids=["adjacent-doubles", "midpoint-overflows"])
+def test_split_between_close_or_huge_values_separates_them(lo, hi):
+    """0.5 * (lo + hi) rounds to hi, or overflows to inf, so a midpoint
+    threshold would send every row left; the split's threshold is lo instead."""
+    X = np.repeat([lo, hi], 10)[:, None]
+    y = np.repeat([0, 1], 10)
+    forest = ehf.fit_forest(X, y, ehf.ForestConfig(n_trees=1, min_leaf=1))
+    tree = forest.trees[0]
+    assert tree.threshold[0] == lo and len(tree.feature) == 3
+    np.testing.assert_array_equal(predict_labels(forest, X), y)
+    assert best_split(X, y, min_leaf=1)[1] == lo
 
 
 def test_separable_set_perfect_training_accuracy():
@@ -197,6 +212,64 @@ def test_heldout_accuracy_with_regularized_trees(heston_wide):
     Xte, yte = ehf.feature_table(test), _truth_rows(test)
     report = ehf.classification_report(predict_labels(forest, Xte), yte)
     assert report.accuracy >= report.baseline_accuracy - 0.01
+
+
+# ---------------------------------------------------------------------------
+# the depth-at-a-time fit against the node-by-node oracle
+# ---------------------------------------------------------------------------
+
+def _assert_oracle_trees(forest, X, y, cfg):
+    """Every tree equals the oracle's in every array, dtype and byte."""
+    oracle = forest_trees(X, y, cfg)
+    assert len(forest.trees) == len(oracle)
+    for t, (tree, want) in enumerate(zip(forest.trees, oracle)):
+        for name in ("feature", "threshold", "left", "right", "leaf_class"):
+            a, b = getattr(tree, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), \
+                f"tree {t}: {name} {a} != {b}"
+
+
+# ties, signed zeros, adjacent doubles and midpoints that overflow
+_GRID = (-1.0, -0.0, 0.0, 0.5, 1.0, 1 + 2.0 ** -52, 1 + 2.0 ** -51, 1.5e308, 1.7e308)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_trees=st.integers(1, 4), n_rows=st.integers(2, 300), n_features=st.integers(1, 3),
+       grid=st.booleans(), labels=st.sampled_from(["mixed", "zeros", "ones", "by-x"]),
+       max_depth=st.integers(0, 6), min_leaf=st.integers(1, 8),
+       bootstrap=st.one_of(st.just(1e-6), st.just(1.0), st.floats(1e-3, 1.0)),
+       group_rows=st.sampled_from([None, 1, 2, 37, 300]), seed=st.integers(0, 2 ** 32 - 1))
+def test_fit_grows_the_oracle_trees(monkeypatch, n_trees, n_rows, n_features, grid, labels,
+                                    max_depth, min_leaf, bootstrap, group_rows, seed):
+    """fit_forest grows, tree for tree, what growing each tree node by node
+    grows: on heavily tied and on continuous values, single-class labels, a
+    one-row bootstrap (bootstrap 1e-6), and trees grown in groups of a
+    lowered row cap."""
+    rng = np.random.default_rng(seed)
+    if grid:
+        X = rng.choice(rng.choice(_GRID, size=rng.integers(1, 5)), size=(n_rows, n_features))
+    else:
+        X = rng.normal(size=(n_rows, n_features)) * 10.0 ** rng.integers(-3, 4)
+    y = {"mixed": rng.integers(0, 2, size=n_rows), "zeros": np.zeros(n_rows, dtype=int),
+         "ones": np.ones(n_rows, dtype=int),
+         "by-x": (X[:, 0] + 0.5 * rng.normal(size=n_rows) > 0).astype(int)}[labels]
+    cfg = ehf.ForestConfig(n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
+                           bootstrap_fraction=bootstrap, seed=seed)
+    with monkeypatch.context() as patch:
+        if group_rows:
+            patch.setattr(signal_forest, "_MAX_GROUP_ROWS", group_rows)
+        forest = ehf.fit_forest(X, y, cfg)
+    _assert_oracle_trees(forest, X, y, cfg)
+
+
+def test_fit_grows_the_oracle_trees_on_heston_features(heston_small):
+    """Desk's [labels] forest on 7,168 Heston rows: two groups of trees at
+    the default row cap."""
+    X, y = ehf.feature_table(heston_small), _truth_rows(heston_small)
+    cfg = ehf.ForestConfig(n_trees=50, max_depth=12, min_leaf=5, seed=7)
+    assert len(y) * cfg.n_trees > signal_forest._MAX_GROUP_ROWS
+    _assert_oracle_trees(ehf.fit_forest(X, y, cfg), X, y, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +364,13 @@ def test_fit_refuses_non_finite_features():
     for bad in (X, np.where(np.isinf(X), np.nan, X)):
         with pytest.raises(DomainError, match="finite"):
             ehf.fit_forest(bad, np.array([0, 1, 0, 1]), ehf.ForestConfig(n_trees=1))
+
+
+def test_fit_refuses_zero_columns():
+    """With no feature no node can split: a forest of bare leaves whose class
+    is bootstrap luck."""
+    with pytest.raises(ShapeError, match="no column"):
+        ehf.fit_forest(np.zeros((10, 0)), [0, 1] * 5, ehf.ForestConfig(n_trees=1))
 
 
 def test_table_cap_refuses_fit_and_load(tmp_path, monkeypatch):
