@@ -307,25 +307,40 @@ def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
     """Deltas [n, n_steps] of the masked carry prev <- where(mask[:, t], sig[t], prev).
 
     Days t < len(xs) run the dense net (blocks prefix + w1 ... b3 of p; p
-    may be empty without such days) on xs[t] with the previous delta filled
-    in, and write its output to sig[t]; the later rows of sig [n_steps, n]
-    arrive filled and are only read. A cache receives sig and each dense
-    day's (x, h1, h2) for _masked_adjoint.
+    may be empty without such days) on the rows of xs[t] that trade that
+    day, with the previous delta filled in, and write its outputs to those
+    rows of sig[t]. The carry would discard a frozen row's output, so such
+    rows skip the net and get 0.0 in sig[t]: no dense day leaves a stale or
+    NaN entry (sig may come from np.empty) in _masked_adjoint's slope
+    sig * (1 - sig) * mask. A day on which every row trades runs the whole
+    batch as views of xs[t] and prev; a day on which none does runs no net.
+    The later rows of sig [n_steps, n] arrive filled and are only read. A
+    cache receives sig and each dense day's (rows, x, h1, h2), or None for a
+    day without a trading row, for _masked_adjoint.
     """
     w1, b1, w2, b2, w3, b3 = (p.get(prefix + k) for k in _DENSE)
     n, n_steps = mask.shape
+    n_trading = mask[:, :len(xs)].sum(axis=0).tolist()
     days = []
     prev = np.zeros(n)
     out = np.empty((n, n_steps))
     for t in range(n_steps):
         if t < len(xs):
-            x = xs[t]
-            x[:, 2] = prev
-            h1 = np.maximum(x @ w1.T + b1, 0.0)
-            h2 = np.maximum(h1 @ w2.T + b2, 0.0)
-            sig[t] = nc.sigmoid(h2 @ w3.T + b3)[:, 0]
+            day = None
+            if n_trading[t] == n:
+                rows = slice(None)
+            else:
+                rows = np.flatnonzero(mask[:, t])
+                sig[t] = 0.0
+            if n_trading[t]:
+                x = xs[t][rows]
+                x[:, 2] = prev[rows]
+                h1 = np.maximum(x @ w1.T + b1, 0.0)
+                h2 = np.maximum(h1 @ w2.T + b2, 0.0)
+                sig[t][rows] = nc.sigmoid(h2 @ w3.T + b3)[:, 0]
+                day = (rows, x, h1, h2)
             if cache is not None:
-                days.append((x, h1, h2))
+                days.append(day)
         prev = np.where(mask[:, t], sig[t], prev)
         out[:, t] = prev
     if cache is not None:
@@ -339,7 +354,9 @@ def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
 
     The masked where splits each day's gradient: trade days send it into the
     sigmoid, frozen days on to the carried previous delta. On dense days the
-    net's gradient at its prev-delta input (column 2 of w1) joins the carry.
+    net's gradient at its prev-delta input (column 2 of w1) joins the carry
+    of the rows the net ran on; sig holds 0.0 at a dense day's frozen rows,
+    so their slope is an exact zero.
     Returns the gradient at every day's sigmoid input [n_steps, n], whose
     later days feed their own adjoint, and the dense blocks' gradients.
     """
@@ -354,16 +371,17 @@ def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
         day = g[:, t] + carry
         ga3[t] *= day
         carry = day * frozen[:, t]
-        if t < len(days):
-            x, h1, h2 = days[t]
-            ga2 = np.multiply.outer(ga3[t], w3) * (h2 > 0)
+        if t < len(days) and days[t] is not None:
+            rows, x, h1, h2 = days[t]
+            ga = ga3[t][rows]
+            ga2 = np.multiply.outer(ga, w3) * (h2 > 0)
             ga1 = (ga2 @ w2) * (h1 > 0)
-            carry = carry + ga1 @ w1_prev
+            carry[rows] += ga1 @ w1_prev
             gw1 += ga1.T @ x
             gw2 += ga2.T @ h1
-            gw3 += ga3[t] @ h2
-            gpre1 += ga1
-            gpre2 += ga2
+            gw3 += ga @ h2
+            gpre1[rows] += ga1
+            gpre2[rows] += ga2
     blocks = (gw1, gpre1.sum(axis=0), gw2, gpre2.sum(axis=0), gw3,
               ga3[:len(days)].sum().reshape(1))
     return ga3, dict(zip((prefix + k for k in _DENSE), blocks))

@@ -110,6 +110,21 @@ class PerOpTape(Tape):
 
         return self.record(value, tuple(parts), vjp)
 
+    def take_rows(self, a: Node, rows: np.ndarray) -> Node:
+        """a[rows] for an index array rows without repeats."""
+        def vjp(g):
+            out = np.zeros_like(a.value)
+            out[rows] = g
+            return (out,)
+
+        return self.record(a.value[rows], (a,), vjp)
+
+    def put_rows(self, a: Node, rows: np.ndarray, n: int) -> Node:
+        """[n]-shaped: a at rows, 0.0 elsewhere."""
+        value = np.zeros(n)
+        value[rows] = a.value
+        return self.record(value, (a,), lambda g: (g[rows],))
+
     def squeeze_col(self, a: Node) -> Node:
         if a.value.ndim != 2 or a.value.shape[1] != 1:
             raise ShapeError(f"expected [batch, 1], got {a.value.shape}")

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 import ehf
 from ehf.errors import DomainError, ShapeError
-from ehf.hedging_engine import (DensePolicy, GRUPolicy, check_mask, combine_mask,
-                                entropy_risk, episode_loss_node, episode_results,
-                                evaluate_policy, tape_entropy_risk, trade_frequency)
-from ehf.neural_core import Tape
+from ehf.hedging_engine import (DensePolicy, GRUPolicy, _dense_inputs,
+                                _masked_adjoint, _masked_rollout, check_mask,
+                                combine_mask, entropy_risk, episode_loss_node,
+                                episode_results, evaluate_policy, tape_entropy_risk,
+                                trade_frequency)
+from ehf.neural_core import Tape, grad_check
+import full_rollout
 from per_op_tape import PerOpTape, tape_gru
 from per_op_tape import entropy_risk as per_op_entropy_risk
 
@@ -290,8 +293,11 @@ def _per_op_deltas(tape, policy, prices, mask, labels):
     """Reference: the policy's rollout recorded op by op, one node per day.
 
     Dense days run the dense net: every day of a DensePolicy, the first
-    window-1 days of a GRUPolicy (its fb_ blocks). The GRU's later days run
-    tape_gru cells over the window of log prices, then the sigmoid head.
+    window-1 days of a GRUPolicy (its fb_ blocks). As in the package, a
+    dense day on which only some rows trade runs the net on those rows
+    alone, gathered, and puts 0.0 at the others; a day on which none does
+    runs no net. The GRU's later days run tape_gru cells over the window of
+    log prices, then the sigmoid head.
     """
     cfg = policy.config
     n, n_steps = mask.shape
@@ -306,22 +312,31 @@ def _per_op_deltas(tape, policy, prices, mask, labels):
     nodes = []
     for t in range(n_steps):
         if t < n_dense:
-            cols = [tape.const(logp[:, t]), tape.const(np.full(n, t / n_steps)), prev]
+            rows = slice(None) if mask[:, t].all() else np.flatnonzero(mask[:, t])
+            if type(rows) is not slice and not len(rows):
+                nodes.append(prev)  # every row holds its delta
+                continue
+            day_prev = prev if type(rows) is slice else tape.take_rows(prev, rows)
+            cols = [tape.const(logp[rows, t]),
+                    tape.const(np.full(len(day_prev.value), t / n_steps)), day_prev]
             if cfg.use_change:
-                cols.append(tape.const(change[:, t]))
+                cols.append(tape.const(change[rows, t]))
             if cfg.use_label:
-                cols.append(tape.const(labels[:, t]))
+                cols.append(tape.const(labels[rows, t]))
             x = tape.hstack(cols)
             h1 = tape.relu(tape.add_row(tape.matmul(x, prm[pre + "w1"]), prm[pre + "b1"]))
             x = tape.relu(tape.add_row(tape.matmul(h1, prm[pre + "w2"]), prm[pre + "b2"]))
             w_out, b_out = prm[pre + "w3"], prm[pre + "b3"]
         else:
+            rows = slice(None)
             x = tape.const(logp[:, t - cfg.window + 1: t + 1])
             for i in range(cfg.gru_layers):
                 gates = (prm[f"l{i + 1}_{k}"] for k in ("wz", "bz", "wr", "br", "wh", "bh"))
                 states[i] = x = tape_gru(tape, x, states[i], *gates)
             w_out, b_out = prm["head_w"], prm["head_b"]
         raw = tape.squeeze_col(tape.sigmoid(tape.add_row(tape.matmul(x, w_out), b_out)))
+        if type(rows) is not slice:
+            raw = tape.put_rows(raw, rows, n)
         prev = tape.where(mask[:, t], raw, prev)
         nodes.append(prev)
     return nodes
@@ -423,6 +438,140 @@ def test_gru_hstack_and_fused_loss_match_per_op_tape(gbm_small, contract, window
     assert set(errors) == {k for k in policy.params
                            if window > 1 or not k.startswith("fb_")}
     assert max(errors.values()) <= 1e-12, errors
+
+
+# ---------------------------------------------------------------------------
+# dense days on their trading rows against the full-row oracle
+# ---------------------------------------------------------------------------
+
+def _deltas_and_gradients(policy, prices, mask, contract, cost):
+    """The policy's deltas, and the tape gradients of the entropic objective."""
+    tape = Tape()
+    loss = episode_loss_node(tape, policy, prices, mask, contract, cost)
+    return policy.deltas(prices, mask), tape.backward(tape_entropy_risk(tape, loss, 0.5))
+
+
+@st.composite
+def _row_masks(draw, n, n_steps):
+    """Masks whose days are drawn one by one: no row, one row, some rows or
+    every row trades (day 0 always every row); or, as often as not, every
+    row trades every day."""
+    if draw(st.booleans()):
+        return np.ones((n, n_steps), dtype=bool)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(("none", "one", "some", "all")),
+                          min_size=n_steps - 1, max_size=n_steps - 1))
+    mask = np.zeros((n, n_steps), dtype=bool)
+    for t, kind in enumerate(["all"] + kinds):
+        k = {"none": 0, "one": 1, "some": int(rng.integers(2, n)), "all": n}[kind]
+        mask[rng.choice(n, k, replace=False), t] = True
+    return mask
+
+
+_ORACLE_POLICIES = {
+    "dense": (DensePolicy, ehf.PolicyConfig(arch="dense", hidden=12)),
+    "gru-window3": (GRUPolicy, ehf.PolicyConfig(arch="gru", hidden=8, gru_hidden=6,
+                                                window=3)),
+    "gru-window5": (GRUPolicy, ehf.PolicyConfig(arch="gru", hidden=8, gru_hidden=6,
+                                                window=5)),
+}
+
+
+@given(st.sampled_from(sorted(_ORACLE_POLICIES)), _row_masks(16, 30))
+@settings(max_examples=60, deadline=None)
+def test_trading_rows_match_the_full_row_oracle(gbm_small, name, mask):
+    """Deltas and gradients of the row-gathered carry equal the full-row
+    oracle's bit for bit when every dense day trades on every row (the same
+    code and gemm shapes run), and are within 1e-14 relative otherwise."""
+    cls, cfg = _ORACLE_POLICIES[name]
+    policy = _jittered(cls, cfg, seed=24)
+    prices, cost = gbm_small.prices[:16], ehf.CostModel(0.02)
+    contract = ehf.ContractSpec(strike=100.0, maturity_steps=30)
+    deltas, grads = _deltas_and_gradients(policy, prices, mask, contract, cost)
+    with full_rollout.full_rows():
+        ref_deltas, ref = _deltas_and_gradients(policy, prices, mask, contract, cost)
+    n_dense = 30 if cls is DensePolicy else cfg.window - 1
+    exact = mask[:, :n_dense].all()
+    assert grads.keys() == ref.keys()
+    for key, value, ref_value in [("deltas", deltas, ref_deltas)] + [
+            (k, grads[k], ref[k]) for k in ref]:
+        if exact or not np.any(ref_value):
+            assert np.array_equal(value, ref_value), (name, key)
+        else:
+            assert np.max(np.abs(value - ref_value)) <= 1e-14 * np.max(
+                np.abs(ref_value)), (name, key)
+
+
+def test_no_row_day_over_a_nan_sig_buffer(gbm_small):
+    """A dense day on which no row trades runs no net and writes 0.0 to its
+    row of sig, so a rollout over a NaN-filled sig buffer still gives finite
+    gradients, equal to the full-row oracle's."""
+    cfg = ehf.PolicyConfig(arch="dense", hidden=12)
+    policy = _jittered(DensePolicy, cfg, seed=25)
+    prices = gbm_small.prices[:16]
+    mask = np.ones((16, 30), dtype=bool)
+    mask[:, [5, 17]] = False
+    _, xs = _dense_inputs(cfg, policy.s0, prices, None, 30)
+    g = np.random.default_rng(7).standard_normal(mask.shape)
+    walks = []
+    for rollout, adjoint in ((_masked_rollout, _masked_adjoint),
+                             (full_rollout.masked_rollout, full_rollout.masked_adjoint)):
+        cache = {}
+        deltas = rollout(policy.params, "", xs.copy(), np.full((30, 16), np.nan),
+                         mask, cache)
+        walks.append((deltas, *adjoint(g, mask, policy.params, "", cache)))
+    (deltas, ga, grads), (ref_deltas, ref_ga, ref) = walks
+    assert np.array_equal(deltas, ref_deltas)
+    assert np.array_equal(ga, ref_ga)
+    assert grads.keys() == ref.keys()
+    for k in ref:
+        assert np.all(np.isfinite(grads[k])), k
+        assert np.array_equal(grads[k], ref[k]), k
+
+
+@pytest.mark.parametrize("arch,tol", [("dense", 1e-5), ("gru", 1e-4)])
+def test_grad_check_over_no_one_and_some_row_days(arch, tol):
+    """Finite differences agree with the adjoint, at `ehf gradcheck`'s
+    tolerances, on an episode whose dense days trade on no row, one row and
+    half the rows (the GRU's window 5 puts days 0-3 on its dense fallback)."""
+    paths = ehf.simulate_gbm(ehf.GBMParams(mu=0.0, sigma=0.3),
+                             ehf.SimConfig(n_paths=8, seed=404, n_steps=6))
+    contract, cost = ehf.ContractSpec(100.0, 6), ehf.CostModel(0.02)
+    mask = np.ones((8, 6), dtype=bool)
+    mask[:, 1] = False
+    mask[1:, 2] = False
+    mask[::2, 3] = False
+    cfg = ehf.PolicyConfig(arch=arch, hidden=6, window=5)
+    policy = (DensePolicy if arch == "dense" else GRUPolicy).init(cfg, seed=7)
+    jitter = np.random.default_rng(99)
+    policy.params = {k: v + 0.05 * jitter.standard_normal(v.shape)
+                     for k, v in policy.params.items()}
+
+    def objective(params):
+        policy.params = params
+        tape = Tape()
+        loss = episode_loss_node(tape, policy, paths.prices, mask, contract, cost)
+        risk = tape_entropy_risk(tape, loss, 0.5)
+        return risk.value, tape.backward(risk)
+
+    report = grad_check(objective, policy.params)
+    assert report.ok(tol), report.per_block
+
+
+def test_training_with_a_one_path_last_batch(heston_small, contract):
+    """With n_train = batch_size + 1 each epoch ends on a batch of one path,
+    whose frozen days are dense days on which no row trades."""
+    paths = _pathset(heston_small.prices[:10])
+    mask = ehf.compute_trade_mask(paths, 0.02)
+    assert not mask[:9].all()
+    cfg = ehf.TrainConfig(epochs=3, batch_size=8, val_fraction=0.1, seed=3)
+    policy, log = ehf.train_policy(paths, contract, ehf.CostModel(0.02),
+                                   ehf.RiskConfig(0.5),
+                                   ehf.PolicyConfig(arch="dense", hidden=8), mask, cfg)
+    assert len(log.train_objective) == len(log.val_objective) == 3
+    assert np.all(np.isfinite(log.train_objective))
+    for k, v in policy.params.items():
+        assert np.all(np.isfinite(v)), k
 
 
 def test_policy_label_feature_changes_output(gbm_small):
