@@ -18,13 +18,12 @@ from .frontier import (SweepConfig, compare_configs, format_comparison_table,
                        summarize_range, sweep_alpha, sweep_baseline,
                        write_comparison_csv, write_frontier_csv)
 from .hedging_engine import (BSMPolicy, CostModel, PolicyConfig, RiskConfig,
-                             TrainConfig, compute_trade_mask, episode_loss_node,
-                             load_policy, make_policy, save_policy,
-                             tape_entropy_risk, trade_mask, train_policy)
+                             TrainConfig, compute_trade_mask, load_policy,
+                             make_policy, save_policy, trade_mask, train_policy)
 from .market_sim import (GBMParams, HestonParams, HIGH_VOL, LOW_VOL, PathSet,
                          SimConfig, load_pathset, save_pathset, simulate_gbm,
                          simulate_heston, split_pathset)
-from .neural_core import AdamState, Node, Tape, adam_step, fan_uniform, grad_check
+from .neural_core import AdamState, adam_step, fan_uniform, grad_check
 from .signal_forest import (Forest, ForestConfig, classification_report,
                             feature_table, fit_forest, label_matrix,
                             load_forecast, save_forecast, save_forest,

@@ -534,28 +534,11 @@ def cmd_report(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .hedging_engine import episode_loss_node, make_policy, tape_entropy_risk
-    from .neural_core import Tape, grad_check
+    from .hedging_engine import batch_objective, make_policy
+    from .neural_core import grad_check
 
     _apply_overrides(load_config(args.config), args)  # checked, though not read
     failures = []
-
-    # linear model, quadratic loss: reverse-mode is exact up to rounding
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(6, 3))
-    w0 = {"w": rng.normal(size=(1, 3))}
-
-    def lin_quad(params):
-        tape = Tape()
-        w = tape.param("w", params["w"])
-        out = x @ w.value.T
-        loss = tape.record(0.5 * float(np.sum(out * out)), (w,), lambda g: (g * out.T @ x,))
-        return loss.value, tape.backward(loss)
-
-    report = grad_check(lin_quad, w0)
-    print(f"linear/quadratic: max rel error {report.max_rel_error:.3e} (tol 1e-9)")
-    if not report.ok(1e-9):
-        failures.append("linear")
 
     # both policy architectures through a short masked episode
     sim = SimConfig(n_paths=8, seed=404, n_steps=6)
@@ -578,10 +561,7 @@ def cmd_gradcheck(args) -> int:
 
         def episode(params, policy=policy):
             policy.params = params
-            tape = Tape()
-            loss = episode_loss_node(tape, policy, paths.prices, mask, contract, cost)
-            risk = tape_entropy_risk(tape, loss, 0.5)
-            return risk.value, tape.backward(risk)
+            return batch_objective(policy, paths.prices, mask, contract, cost, 0.5)
 
         report = grad_check(episode, policy.params)
         print(f"{arch}: max rel error {report.max_rel_error:.3e} (tol {tol:g})")

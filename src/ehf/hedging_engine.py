@@ -232,20 +232,20 @@ def entropy_risk(losses: np.ndarray, risk: RiskConfig) -> float:
     return (m + math.log(float(np.mean(np.exp(a - m))))) / lam
 
 
-def tape_entropy_risk(tape: Tape, loss_node: nc.Node, risk_aversion: float) -> nc.Node:
-    """Entropic risk as one recorded scalar node (same max-shift as entropy_risk).
+def tape_entropy_risk(tape: Tape, losses: np.ndarray, risk_aversion: float) -> float:
+    """Record the entropic risk of losses [n] (same max-shift as entropy_risk).
 
     With a = -lambda L and e = exp(a - max a), d rho / d L = -e / sum(e).
     Value and gradient repeat the operations of an op-by-op recording in the
     same order (a + -m, not a - m), so they match it bit for bit.
     """
     inv = 1.0 / risk_aversion
-    a = loss_node.value * -risk_aversion
+    a = losses * -risk_aversion
     m = float(np.max(a))
     e = np.exp(a + -m)
     mean = float(np.mean(e))
-    return tape.record((np.log(mean) + m) * inv, (loss_node,), lambda g: (
-        np.full_like(e, g * inv / mean / e.size) * e * -risk_aversion,))
+    return tape.record((np.log(mean) + m) * inv, lambda g: (
+        np.full_like(e, g * inv / mean / e.size) * e * -risk_aversion))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +458,8 @@ class BSMPolicy(_Policy):
 
 class _NeuralPolicy(_Policy):
     """A trainable policy: config, parameter blocks and S0. A subclass gives
-    _unmasked and _adjoint(g, mask, params, cache), the blocks' gradients."""
+    _unmasked and _adjoint(g, mask, params, cache), the blocks' gradients in
+    params order."""
 
     def __init__(self, config: PolicyConfig, params: dict[str, np.ndarray],
                  s0: float = 100.0):
@@ -473,21 +474,6 @@ class _NeuralPolicy(_Policy):
         params = {name: fan_uniform(rng, *shape) if len(shape) == 2 else np.zeros(shape)
                   for name, shape in param_shapes(config)}
         return cls(config, params, s0)
-
-    def tape_deltas(self, tape: Tape, prices: np.ndarray, mask: np.ndarray,
-                    labels=None) -> nc.Node:
-        """Record the whole rollout as one [n, n_steps] node whose vjp is the
-        policy's hand-written adjoint."""
-        cache = {}
-        value = self.remasker(prices, labels, cache)(mask)
-        p = dict(self.params)
-
-        def vjp(g):
-            grads = self._adjoint(g, mask, p, cache)
-            return [grads[k] for k in p]
-
-        return tape.record(value, [tape.param(k, v) for k, v in p.items()], vjp)
-
 
 class DensePolicy(_NeuralPolicy):
     """Two-hidden-layer feedforward delta generator with sigmoid output in [0,1].
@@ -527,15 +513,15 @@ class GRUPolicy(_NeuralPolicy):
         outputs (the cells read no mask and no delta)."""
         n_fb = min(self.config.window - 1, prices.shape[1] - 1)
         logp, xs = _dense_inputs(self.config, self.s0, prices, labels, n_fb)
-        steps = None if cache is None else cache.setdefault("gru", [])
-        return "fb_", xs, self._recurrent_rows(logp, n_fb, steps)
+        return "fb_", xs, self._recurrent_rows(logp, n_fb, cache)
 
-    def _recurrent_rows(self, logp, n_fb, steps=None):
+    def _recurrent_rows(self, logp, n_fb, cache=None):
         """sig [n_steps, n] whose rows t >= n_fb hold the head output of day t;
         the stacked cells read only windows of logp [n, n_steps + 1], never a
-        mask or a delta. Rows t < n_fb are left to the fallback days. steps,
-        if given, receives each GRU day's (cells, top state) for _adjoint."""
+        mask or a delta. Rows t < n_fb are left to the fallback days. A cache
+        receives each GRU day's (cells, top state) for _adjoint, as "gru"."""
         cfg, p = self.config, self.params
+        steps = None if cache is None else []
         sig = np.empty((logp.shape[1] - 1, len(logp)))
         states = [np.zeros((len(logp), cfg.gru_hidden))] * cfg.gru_layers
         for t in range(n_fb, len(sig)):
@@ -548,6 +534,8 @@ class GRUPolicy(_NeuralPolicy):
             sig[t] = nc.sigmoid(x @ p["head_w"].T + p["head_b"])[:, 0]
             if steps is not None:
                 steps.append((saved, x))
+        if cache is not None:
+            cache["gru"] = steps
         return sig
 
     def _adjoint(self, g, mask, p, cache):
@@ -555,7 +543,7 @@ class GRUPolicy(_NeuralPolicy):
         days, fed by their head gradients (the cells read no carried delta)."""
         ga, grads = _masked_adjoint(g, mask, p, "fb_", cache)
         ga = ga[len(cache["dense"]):]
-        grads.update((k, np.zeros_like(v)) for k, v in p.items() if k not in grads)
+        grads = {k: grads[k] if k in grads else np.zeros_like(v) for k, v in p.items()}
         dstate = [0.0] * self.config.gru_layers
         for t in reversed(range(len(ga))):
             saved, top = cache["gru"][t]
@@ -582,19 +570,42 @@ def make_policy(config: PolicyConfig, seed: int, s0: float = 100.0):
 
 def episode_loss_node(tape: Tape, policy, prices: np.ndarray, mask: np.ndarray,
                       contract: ContractSpec, cost: CostModel,
-                      labels=None) -> nc.Node:
-    """Record the per-path termination loss of a batch as one [n]-shaped node.
+                      labels=None, cache=None) -> np.ndarray:
+    """Record the rollout, whose vjp is the policy's hand-written adjoint
+    reading what it keeps in cache (see batch_objective) or a new dict, then
+    the per-path termination loss [n] of the batch, episode_results(...).loss.
 
-    The value is episode_results(...).loss. With cash_t = (D_t - D_{t-1}) S_t,
+    With cash_t = (D_t - D_{t-1}) S_t,
     dL/dD_t = (S_{t+1} - S_t) - c sign(cash_t) S_t + c sign(cash_{t+1}) S_{t+1},
     the last term absent on the final day; sign(0) = 0, a zero subgradient.
     """
-    delta_node = policy.tape_deltas(tape, prices, mask, labels=labels)
-    loss, buy_sell = _loss_and_cash(prices, delta_node.value, contract, cost)
+    cache, p = {} if cache is None else cache, dict(policy.params)
+    deltas = tape.record(policy.remasker(prices, labels, cache)(mask),
+                         lambda g: policy._adjoint(g, mask, p, cache))
+    loss, buy_sell = _loss_and_cash(prices, deltas, contract, cost)
     sgn = np.sign(buy_sell)
     dloss = np.diff(prices, axis=1) - cost.rate * sgn * prices[:, :-1]
     dloss[:, :-1] += cost.rate * sgn[:, 1:] * prices[:, 1:-1]
-    return tape.record(loss, (delta_node,), lambda g: (g[:, None] * dloss,))
+    return tape.record(loss, lambda g: g[:, None] * dloss)
+
+
+def batch_objective(policy, prices: np.ndarray, mask: np.ndarray,
+                    contract: ContractSpec, cost: CostModel, risk_aversion: float,
+                    labels=None, cache=None) -> tuple[float, dict[str, np.ndarray]]:
+    """The entropic risk of the batch's termination losses under policy, and
+    its gradient in each of policy.params: the one Tape in the package,
+    recorded as rollout, loss, risk and composed back in reverse.
+
+    A loop over batches passes them all one cache dict: a batch's rollout
+    state (4 MB at 256 dense paths) then replaces the last one's only once
+    built, and is not handed back to the OS and faulted in at every batch.
+    """
+    # perfbench/tracer.py times each step by rebinding its module-level name
+    tape = Tape()
+    loss = episode_loss_node(tape, policy, prices, mask, contract, cost,
+                             labels=labels, cache=cache)
+    objective = tape_entropy_risk(tape, loss, risk_aversion)
+    return objective, tape.backward()
 
 
 @dataclass
@@ -659,6 +670,7 @@ def train_policy(train_paths: PathSet, contract: ContractSpec, cost: CostModel,
     log = TrainingLog()
     best_val = math.inf
     best_params = {k: v.copy() for k, v in policy.params.items()}
+    cache = {}
 
     def validation_objective() -> float:
         if n_val == 0:
@@ -675,17 +687,14 @@ def train_policy(train_paths: PathSet, contract: ContractSpec, cost: CostModel,
         batch_objectives = []
         for start in range(0, n_train, train_cfg.batch_size):
             idx = order[start:start + train_cfg.batch_size]
-            tape = Tape()
-            loss_node = episode_loss_node(
-                tape, policy, prices[idx], mask[idx], contract, cost,
-                labels=None if lab is None else lab[idx])
-            objective = tape_entropy_risk(tape, loss_node, risk.risk_aversion)
-            require_finite(objective.value, f"training objective (epoch {epoch})")
-            grads = tape.backward(objective)
+            objective, grads = batch_objective(
+                policy, prices[idx], mask[idx], contract, cost, risk.risk_aversion,
+                labels=None if lab is None else lab[idx], cache=cache)
+            require_finite(objective, f"training objective (epoch {epoch})")
             for name, g in grads.items():
                 require_finite(g, f"gradient of {name} (epoch {epoch})")
             adam_step(policy.params, grads, adam)
-            batch_objectives.append(objective.value)
+            batch_objectives.append(objective)
         val = validation_objective()
         log.train_objective.append(float(np.mean(batch_objectives)))
         log.val_objective.append(val)

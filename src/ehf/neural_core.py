@@ -1,12 +1,13 @@
-"""Minimal reverse-mode differentiation kernel for hedging episodes.
+"""The training tape: the chain of one batch's adjoints, plus Adam.
 
-A Tape records the forward pass of one mini-batch episode as a few nodes,
-each a larger computation with a hand-derived vector-Jacobian product
-recorded through ``Tape.record``: the policy rollout over all days, the
-termination loss and the risk objective. ``Tape.backward`` replays them in
-reverse for exact parameter gradients, all in float64. It is deliberately
-not a general autodiff framework; the adjoints themselves, backpropagation
-through time included, live with the computations they differentiate.
+A Tape records a mini-batch episode as the chain of steps it always is: the
+policy rollout, the termination loss and the risk objective, each appended
+by ``Tape.record`` as its hand-derived vector-Jacobian product.
+``Tape.backward`` composes them in reverse, from the objective down to the
+policy's parameter gradients in float64: the adjoint method of Giles &
+Glasserman ("Smoking adjoints", Risk 2006). The adjoints themselves,
+backpropagation through time included, live with the computations they
+differentiate.
 
 Also here: the logistic function, fan-based initialization, Adam and
 finite-difference gradient checking.
@@ -32,66 +33,27 @@ def sigmoid(x):
 # recording tape
 # ---------------------------------------------------------------------------
 
-class Node:
-    """One recorded value; vjp maps the upstream gradient to parent gradients."""
-
-    __slots__ = ("value", "parents", "vjp", "requires")
-
-    def __init__(self, value, parents=(), vjp=None, requires=False):
-        self.value = value
-        self.parents = parents
-        self.vjp = vjp
-        self.requires = requires
-
-
 class Tape:
-    """Append-only record of a forward pass; nodes are stored in evaluation order."""
+    """The vjps of one forward pass in evaluation order; each maps the gradient
+    at its step's output to that at its input, the previous step's output."""
 
     def __init__(self):
-        self._nodes: list[Node] = []
-        self._params: dict[str, Node] = {}
+        self._nodes: list = []   # one vjp per step; perfbench/tracer.py counts them
 
-    # -- leaves ----------------------------------------------------------
-    def param(self, name: str, value: np.ndarray) -> Node:
-        if name in self._params:
-            return self._params[name]
-        node = Node(value, requires=True)
-        self._params[name] = node
-        return node
+    def record(self, value, vjp):
+        """Append the vjp of the step that produced value; returns value."""
+        self._nodes.append(vjp)
+        return value
 
-    def record(self, value, parents, vjp) -> Node:
-        """Append a node; vjp(g) returns one gradient per parent, in order."""
-        node = Node(value, tuple(parents), vjp, True)
-        self._nodes.append(node)
-        return node
-
-    # -- reverse pass ------------------------------------------------------
-    def backward(self, root: Node) -> dict[str, np.ndarray]:
-        """Accumulate d(root)/d(param) for every parameter touched by the recording."""
+    def backward(self):
+        """Feed d(last value)/d(last value) = 1 through the vjps in reverse;
+        returns what the first one returns."""
         if not self._nodes:
             raise StateError("backward called before any forward pass was recorded")
-        if root is not self._nodes[-1] and root not in self._params.values():
-            # roots must come from this tape; scanning is O(n) but only on error paths
-            if all(root is not n for n in self._nodes):
-                raise StateError("backward root was not recorded on this tape")
-        grads: dict[int, np.ndarray | float] = {id(root): np.float64(1.0)}
-        for node in reversed(self._nodes):
-            g = grads.pop(id(node), None)
-            if g is None or node.vjp is None:
-                continue
-            for parent, pg in zip(node.parents, node.vjp(g)):
-                if not parent.requires:
-                    continue
-                key = id(parent)
-                if key in grads:
-                    grads[key] = grads[key] + pg
-                else:
-                    grads[key] = pg
-        out = {}
-        for name, node in self._params.items():
-            g = grads.get(id(node))
-            out[name] = np.zeros_like(node.value) if g is None else np.asarray(g)
-        return out
+        g = np.float64(1.0)
+        for vjp in reversed(self._nodes):
+            g = vjp(g)
+        return g
 
 
 # ---------------------------------------------------------------------------

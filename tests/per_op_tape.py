@@ -1,20 +1,83 @@
-"""Op-by-op recording tape: the independent oracle for the fused tape nodes.
+"""Op-by-op recording tape: the independent oracle for the fused training steps.
 
 The package records a policy rollout, the termination loss and the entropic
-risk each as one node with a hand-written vector-Jacobian product. Tests
-rebuild the same computations from the elementwise primitives here, each
-recorded with its own textbook vjp, and require the fused values and
-gradients to match.
+risk each as one step of a chain with a hand-written vector-Jacobian
+product. Tests rebuild the same computations from the elementwise
+primitives here, each recorded with its own textbook vjp on a general
+reverse-mode tape (a graph of nodes with named parameter leaves), and
+require the fused values and gradients to match.
 """
 
 import numpy as np
 
-from ehf.errors import ShapeError
-from ehf.neural_core import Node, Tape, sigmoid
+from ehf.errors import ShapeError, StateError
+from ehf.neural_core import sigmoid
 
 
-class PerOpTape(Tape):
-    """A Tape with constant leaves and one recorded node per primitive."""
+class Node:
+    """One recorded value; vjp maps the upstream gradient to parent gradients."""
+
+    __slots__ = ("value", "parents", "vjp", "requires")
+
+    def __init__(self, value, parents=(), vjp=None, requires=False):
+        self.value = value
+        self.parents = parents
+        self.vjp = vjp
+        self.requires = requires
+
+
+class DagTape:
+    """Append-only record of a forward pass; nodes are stored in evaluation order."""
+
+    def __init__(self):
+        self._nodes: list[Node] = []
+        self._params: dict[str, Node] = {}
+
+    # -- leaves ----------------------------------------------------------
+    def param(self, name: str, value: np.ndarray) -> Node:
+        if name in self._params:
+            return self._params[name]
+        node = Node(value, requires=True)
+        self._params[name] = node
+        return node
+
+    def record(self, value, parents, vjp) -> Node:
+        """Append a node; vjp(g) returns one gradient per parent, in order."""
+        node = Node(value, tuple(parents), vjp, True)
+        self._nodes.append(node)
+        return node
+
+    # -- reverse pass ------------------------------------------------------
+    def backward(self, root: Node) -> dict[str, np.ndarray]:
+        """Accumulate d(root)/d(param) for every parameter touched by the recording."""
+        if not self._nodes:
+            raise StateError("backward called before any forward pass was recorded")
+        if root is not self._nodes[-1] and root not in self._params.values():
+            # roots must come from this tape; scanning is O(n) but only on error paths
+            if all(root is not n for n in self._nodes):
+                raise StateError("backward root was not recorded on this tape")
+        grads: dict[int, np.ndarray | float] = {id(root): np.float64(1.0)}
+        for node in reversed(self._nodes):
+            g = grads.pop(id(node), None)
+            if g is None or node.vjp is None:
+                continue
+            for parent, pg in zip(node.parents, node.vjp(g)):
+                if not parent.requires:
+                    continue
+                key = id(parent)
+                if key in grads:
+                    grads[key] = grads[key] + pg
+                else:
+                    grads[key] = pg
+        out = {}
+        for name, node in self._params.items():
+            g = grads.get(id(node))
+            out[name] = np.zeros_like(node.value) if g is None else np.asarray(g)
+        return out
+
+
+class PerOpTape(DagTape):
+    """A DagTape with constant leaves and one recorded node per primitive."""
 
     def const(self, value) -> Node:
         return Node(np.asarray(value, dtype=np.float64))

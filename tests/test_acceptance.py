@@ -16,9 +16,9 @@ import ehf
 from ehf import market_sim
 from ehf.analytics_bsm import bs_call_price, bs_delta
 from ehf.frontier import FrontierPoint
-from ehf.hedging_engine import (DensePolicy, GRUPolicy, entropy_risk, episode_loss_node,
-                                episode_results, tape_entropy_risk, trade_frequency)
-from ehf.neural_core import Tape, grad_check
+from ehf.hedging_engine import (DensePolicy, GRUPolicy, batch_objective, entropy_risk,
+                                episode_results, trade_frequency)
+from ehf.neural_core import grad_check
 from ehf.signal_forest import label_extrema, label_matrix, predict_labels
 
 # ---------------------------------------------------------------------------
@@ -315,11 +315,7 @@ def _gradient_checks():
 
         def objective(params, policy=policy):
             policy.params = params
-            tape = Tape()
-            loss = episode_loss_node(tape, policy, paths.prices, mask,
-                                     contract, cost)
-            risk = tape_entropy_risk(tape, loss, 0.5)
-            return risk.value, tape.backward(risk)
+            return batch_objective(policy, paths.prices, mask, contract, cost, 0.5)
 
         report = grad_check(objective, policy.params)
         assert report.ok(tol), f"{arch}: {report.max_rel_error:.3e} > {tol}"

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import ehf
 from ehf.errors import DomainError, ShapeError
 from ehf.hedging_engine import (DensePolicy, GRUPolicy, _dense_inputs,
-                                _masked_adjoint, _masked_rollout, check_mask,
-                                combine_mask, entropy_risk, episode_loss_node,
-                                episode_results, evaluate_policy, tape_entropy_risk,
-                                trade_frequency)
+                                _masked_adjoint, _masked_rollout, batch_objective,
+                                check_mask, combine_mask, entropy_risk,
+                                episode_loss_node, episode_results, evaluate_policy,
+                                tape_entropy_risk, trade_frequency)
 from ehf.neural_core import Tape, grad_check
 import full_rollout
 from per_op_tape import PerOpTape, tape_gru
@@ -143,19 +143,19 @@ def test_entropy_risk_survives_extreme_losses():
 def test_tape_entropy_risk_matches_plain():
     rng = np.random.default_rng(6)
     losses = rng.normal(-10, 3, size=64)
+    # a chain whose first step hands the losses' gradient back as {"l": ...}
     tape = Tape()
-    node = tape.param("l", losses)
-    risk_node = tape_entropy_risk(tape, node, 0.5)
-    assert risk_node.value == pytest.approx(
+    risk = tape_entropy_risk(tape, tape.record(losses, lambda g: {"l": g}), 0.5)
+    assert risk == pytest.approx(
         entropy_risk(losses, ehf.RiskConfig(0.5)), abs=1e-12)
     # gradient: d rho / d L_i = -softmax(-lambda L)_i
-    grads = tape.backward(risk_node)
+    grads = tape.backward()
     w = np.exp(-0.5 * losses - np.max(-0.5 * losses))
     assert np.allclose(grads["l"], -w / w.sum(), atol=1e-12)
     # the fused node repeats the per-op recording's arithmetic exactly
     tape = PerOpTape()
     ref = per_op_entropy_risk(tape, tape.param("l", losses), 0.5)
-    assert risk_node.value == ref.value
+    assert risk == ref.value
     assert np.array_equal(grads["l"], tape.backward(ref)["l"])
 
 
@@ -273,20 +273,32 @@ def test_remasker_gives_the_deltas_of_every_mask(gbm_small, contract):
             deltas_at(np.zeros_like(masks[0]))
 
 
+class _KeepingTape(Tape):
+    """A Tape that also keeps each recorded value."""
+
+    def __init__(self):
+        super().__init__()
+        self.values = []
+
+    def record(self, value, vjp):
+        self.values.append(value)
+        return super().record(value, vjp)
+
+
 def test_plain_and_tape_forwards_agree(gbm_small, contract):
-    """The recorded rollout is one [n, n_steps] node holding the plain deltas
-    bit for bit, and the recorded loss is episode_results' loss."""
+    """Recording a batch takes two steps: the rollout, which holds the plain
+    deltas bit for bit, and the loss, which is episode_results' loss."""
     cost = ehf.CostModel(0.02)
     mask = ehf.compute_trade_mask(gbm_small, 0.01)
     for arch, cls in (("dense", DensePolicy), ("gru", GRUPolicy)):
         policy = cls.init(ehf.PolicyConfig(arch=arch), seed=5)
         plain = policy.deltas(gbm_small.prices, mask)
-        taped = policy.tape_deltas(Tape(), gbm_small.prices, mask)
-        assert np.array_equal(plain, taped.value), arch
-        node = episode_loss_node(Tape(), policy, gbm_small.prices, mask,
-                                 contract, cost)
+        tape = _KeepingTape()
+        loss = episode_loss_node(tape, policy, gbm_small.prices, mask, contract, cost)
+        assert len(tape._nodes) == len(tape.values) == 2, arch
+        assert np.array_equal(plain, tape.values[0]), arch
         res = episode_results(gbm_small.prices, plain, contract, cost)
-        assert np.array_equal(node.value, res.loss), arch
+        assert np.array_equal(loss, res.loss), arch
 
 
 def _per_op_deltas(tape, policy, prices, mask, labels):
@@ -367,10 +379,8 @@ def _fused_vs_per_op(policy, prices, mask, labels, contract, cost):
     through the per-op reference, whose deltas must equal the policy's bit
     for bit; returns the worst relative error of each block the rollout
     reaches (the others must get an exactly zero gradient from both)."""
-    tape = Tape()
-    loss = episode_loss_node(tape, policy, prices, mask, contract, cost,
-                             labels=labels)
-    fused = tape.backward(tape_entropy_risk(tape, loss, 0.5))
+    _, fused = batch_objective(policy, prices, mask, contract, cost, 0.5,
+                               labels=labels)
     tape = PerOpTape()
     days = _per_op_deltas(tape, policy, prices, mask, labels)
     assert np.array_equal(np.column_stack([d.value for d in days]),
@@ -446,9 +456,8 @@ def test_gru_hstack_and_fused_loss_match_per_op_tape(gbm_small, contract, window
 
 def _deltas_and_gradients(policy, prices, mask, contract, cost):
     """The policy's deltas, and the tape gradients of the entropic objective."""
-    tape = Tape()
-    loss = episode_loss_node(tape, policy, prices, mask, contract, cost)
-    return policy.deltas(prices, mask), tape.backward(tape_entropy_risk(tape, loss, 0.5))
+    return (policy.deltas(prices, mask),
+            batch_objective(policy, prices, mask, contract, cost, 0.5)[1])
 
 
 @st.composite
@@ -549,13 +558,29 @@ def test_grad_check_over_no_one_and_some_row_days(arch, tol):
 
     def objective(params):
         policy.params = params
-        tape = Tape()
-        loss = episode_loss_node(tape, policy, paths.prices, mask, contract, cost)
-        risk = tape_entropy_risk(tape, loss, 0.5)
-        return risk.value, tape.backward(risk)
+        return batch_objective(policy, paths.prices, mask, contract, cost, 0.5)
 
     report = grad_check(objective, policy.params)
     assert report.ok(tol), report.per_block
+
+
+@pytest.mark.parametrize("arch", ["dense", "gru"])
+def test_a_cache_shared_by_batches_keeps_each_batch_apart(gbm_small, contract, arch):
+    """train_policy hands all its batches one cache. Each batch's objective
+    and gradients (in params order) equal those of a fresh cache, though the
+    cache still holds the previous, larger batch's rollout."""
+    policy = (DensePolicy if arch == "dense" else GRUPolicy).init(
+        ehf.PolicyConfig(arch=arch, hidden=8), seed=4)
+    cost, cache = ehf.CostModel(0.02), {}
+    for alpha, rows in ((0.0, slice(0, 16)), (0.01, slice(16, 24))):
+        prices = gbm_small.prices[rows]
+        mask = ehf.compute_trade_mask(gbm_small, alpha)[rows]
+        fresh = batch_objective(policy, prices, mask, contract, cost, 0.5)
+        shared = batch_objective(policy, prices, mask, contract, cost, 0.5, cache=cache)
+        assert shared[0] == fresh[0]
+        assert list(shared[1]) == list(fresh[1]) == list(policy.params)
+        for name, g in fresh[1].items():
+            assert np.array_equal(shared[1][name], g), name
 
 
 def test_training_with_a_one_path_last_batch(heston_small, contract):

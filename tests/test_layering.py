@@ -1,6 +1,7 @@
 """Each `ehf` module imports only the modules below it in one fixed order,
 imports nothing but numpy and the standard library from outside the package,
-and the package exports only what some reader uses.
+the package exports only what some reader uses, and one module builds the
+training tape.
 
 The order runs from the error types up to the command line. An import that
 goes up the order, at module level or inside a function, makes a cycle
@@ -139,3 +140,30 @@ def test_every_export_has_a_reader():
                       and issubclass(getattr(ehf, name), ehf.EHFError))
               and name not in dotted and name not in read]
     assert not unread, f"ehf exports {unread}, which no reader uses"
+
+
+def _names_tape(path: pathlib.Path) -> bool:
+    """Whether a module imports `Tape` or uses the name, bare or as an
+    attribute; defining the class does not count."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and any(
+                alias.name == "Tape" for alias in node.names):
+            return True
+        if (isinstance(node, ast.Name) and node.id == "Tape") or (
+                isinstance(node, ast.Attribute) and node.attr == "Tape"):
+            return True
+    return False
+
+
+def test_only_hedging_engine_names_the_tape(tmp_path):
+    """`hedging_engine.batch_objective` records a batch's steps in their one
+    order; no other module may import or build a `Tape`."""
+    probe = tmp_path / "probe.py"
+    for text, names in (("class Tape:\n    pass\n", False),
+                        ("from .neural_core import Tape as T\n", True),
+                        ("from . import neural_core as nc\nnc.Tape()\n", True),
+                        ("def f(tape: Tape):\n    pass\n", True)):
+        probe.write_text(text)
+        assert _names_tape(probe) == names, text
+    naming = [m for m in ("__init__", *ORDER) if _names_tape(SRC / f"{m}.py")]
+    assert naming == ["hedging_engine"]

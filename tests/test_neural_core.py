@@ -1,5 +1,5 @@
-"""The logistic function, one GRU step, the reverse-mode tape and its per-op
-oracle, and Adam."""
+"""The logistic function, one GRU step, the training tape's chain, the
+general per-op oracle tape, and Adam."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from ehf.errors import NumericError, ShapeError, StateError
 from ehf.hedging_engine import _gru_cell
 from ehf.neural_core import (AdamState, GradCheckReport, Tape, adam_step, fan_uniform,
                              grad_check, require_finite, sigmoid)
-from per_op_tape import PerOpTape
+from per_op_tape import DagTape, PerOpTape
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +93,41 @@ def test_gru_batch_consistency():
 
 
 # ---------------------------------------------------------------------------
-# tape: the per-op oracle's recorded ops against hand gradients and finite
-# differences, and the backward pass they share with the package
+# the training tape: a chain of vjps composed in reverse
+# ---------------------------------------------------------------------------
+
+def test_chain_backward_before_any_record_raises():
+    with pytest.raises(StateError):
+        Tape().backward()
+
+
+def test_chain_composes_recorded_vjps_in_reverse():
+    """The last recorded vjp gets 1.0, and each earlier one gets what the vjp
+    recorded after it returned; backward returns what the first returns."""
+    tape, calls = Tape(), []
+
+    def scale(name, factor):
+        def vjp(g):
+            calls.append((name, g))
+            return g * factor
+        return vjp
+
+    for name, factor in (("first", 2.0), ("second", 3.0), ("third", 5.0)):
+        assert tape.record(name, scale(name, factor)) == name
+    assert tape.backward() == 30.0
+    assert calls == [("third", 1.0), ("second", 5.0), ("first", 15.0)]
+
+
+def test_chain_holds_one_node_per_record():
+    tape = Tape()
+    for i in range(3):
+        assert tape.record(i, lambda g: g) == i
+        assert len(tape._nodes) == i + 1
+
+
+# ---------------------------------------------------------------------------
+# the per-op oracle: its recorded ops against hand gradients and finite
+# differences, and its general backward pass over a graph of nodes
 # ---------------------------------------------------------------------------
 
 def test_tape_linear_map_exact_gradient():
@@ -211,7 +244,7 @@ def test_backward_rejects_foreign_root():
 
 
 def test_backward_requires_recorded_graph():
-    tape = Tape()
+    tape = DagTape()
     a = tape.param("a", np.ones(3))
     with pytest.raises(StateError):
         tape.backward(a)
@@ -230,7 +263,7 @@ def test_const_subgraphs_not_recorded():
 
 
 def test_param_memoization_returns_same_node():
-    tape = Tape()
+    tape = DagTape()
     a1 = tape.param("a", np.ones(2))
     a2 = tape.param("a", np.ones(2))
     assert a1 is a2
