@@ -18,7 +18,7 @@ import numpy as np
 from .errors import IntegrityError
 
 # kind -> (magic, version)
-FORMATS = {"checkpoint": (b"EHFM", 1), "paths": (b"EHFP", 2), "forest": (b"EHFF", 1),
+FORMATS = {"checkpoint": (b"EHFM", 1), "paths": (b"EHFP", 3), "forest": (b"EHFF", 1),
            "forecast": (b"EHFL", 1)}
 
 

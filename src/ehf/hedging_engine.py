@@ -181,7 +181,6 @@ class HedgeEpisodeResult:
     total_cost: np.ndarray   # [n] accumulated transaction cost
     buy_sell: np.ndarray     # [n, n_steps] signed cash traded per day
     costs: np.ndarray        # [n, n_steps] cost per day
-    deltas: np.ndarray       # [n, n_steps]
 
 
 def _loss_and_cash(prices: np.ndarray, deltas: np.ndarray, contract: ContractSpec,
@@ -213,7 +212,6 @@ def episode_results(prices: np.ndarray, deltas: np.ndarray,
         total_cost=costs.sum(axis=1),
         buy_sell=buy_sell,
         costs=costs,
-        deltas=deltas,
     )
 
 

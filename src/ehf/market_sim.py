@@ -90,23 +90,18 @@ class SimConfig:
 
 @dataclass
 class PathSet:
-    """Simulated daily prices (and, for Heston, variances) for many trajectories.
+    """Simulated daily prices for many trajectories.
 
     ``prices`` has shape [n_paths, n_steps + 1] with column 0 equal to s0.
     Arrays are frozen after construction; a PathSet is safe to share read-only.
     """
 
     prices: np.ndarray
-    variances: np.ndarray | None
     s0: float
-    seed: int
     path_ids: np.ndarray
 
     def __post_init__(self):
         self.prices = np.ascontiguousarray(self.prices, dtype=np.float64)
-        if self.variances is not None:
-            self.variances = np.ascontiguousarray(self.variances, dtype=np.float64)
-            self.variances.setflags(write=False)
         self.path_ids = np.ascontiguousarray(self.path_ids, dtype=np.int64)
         self.prices.setflags(write=False)
         self.path_ids.setflags(write=False)
@@ -121,9 +116,7 @@ class PathSet:
 
     def take(self, start: int, stop: int) -> "PathSet":
         """Row slice [start, stop) keeping global path ids."""
-        var = None if self.variances is None else self.variances[start:stop]
-        return PathSet(self.prices[start:stop], var, self.s0, self.seed,
-                       self.path_ids[start:stop])
+        return PathSet(self.prices[start:stop], self.s0, self.path_ids[start:stop])
 
 
 def split_pathset(paths: PathSet, n_train: int, n_test: int) -> tuple[PathSet, PathSet]:
@@ -168,7 +161,7 @@ def simulate_gbm(params: GBMParams, cfg: SimConfig,
     prices = np.empty((len(ids), cfg.n_steps + 1))
     prices[:, 0] = cfg.s0
     prices[:, 1:] = np.exp(log_prices)
-    return PathSet(prices, None, cfg.s0, cfg.seed, ids)
+    return PathSet(prices, cfg.s0, ids)
 
 
 def simulate_heston(params: HestonParams, cfg: SimConfig,
@@ -176,48 +169,38 @@ def simulate_heston(params: HestonParams, cfg: SimConfig,
     """Full-truncation Euler for the variance, log-Euler for the price.
 
     The raw variance state may go negative; drift, diffusion and the price leg
-    all use v+ = max(v, 0), and only the truncated variance is stored.
+    all use v+ = max(v, 0).
     """
     ids = _resolve_range(cfg, path_range)
-    n = len(ids)
     z = _substream_normals(cfg.seed, ids, cfg.n_steps)
     z1 = z[:, :, 0]
     z2 = params.rho * z1 + np.sqrt(1.0 - params.rho ** 2) * z[:, :, 1]
 
-    prices = np.empty((n, cfg.n_steps + 1))
-    v_raw = np.empty((n, cfg.n_steps + 1))
+    prices = np.empty((len(ids), cfg.n_steps + 1))
     prices[:, 0] = cfg.s0
-    v_raw[:, 0] = params.v0
+    v_raw = np.full(len(ids), float(params.v0))
     sqrt_dt = np.sqrt(cfg.dt)
     for t in range(cfg.n_steps):
-        v_plus = np.maximum(v_raw[:, t], 0.0)
+        v_plus = np.maximum(v_raw, 0.0)
         vol = np.sqrt(v_plus)
         prices[:, t + 1] = prices[:, t] * np.exp(
             (params.mu - 0.5 * v_plus) * cfg.dt + vol * sqrt_dt * z1[:, t])
-        v_raw[:, t + 1] = v_raw[:, t] + params.kappa * (params.theta - v_plus) * cfg.dt \
+        v_raw = v_raw + params.kappa * (params.theta - v_plus) * cfg.dt \
             + params.sigma_v * vol * sqrt_dt * z2[:, t]
-    variances = np.maximum(v_raw, 0.0)
-    return PathSet(prices, variances, cfg.s0, cfg.seed, ids)
+    return PathSet(prices, cfg.s0, ids)
 
 
 def save_pathset(paths: PathSet, filename) -> None:
-    """Write the path set as a container: prices, and variances if simulated."""
-    blocks = {"prices": paths.prices}
-    if paths.variances is not None:
-        blocks["variances"] = paths.variances
-    container.save(filename, "paths", blocks,
-                   {"s0": float(paths.s0), "seed": int(paths.seed)})
+    """Write the path set as a container: one prices block and s0."""
+    container.save(filename, "paths", {"prices": paths.prices}, {"s0": float(paths.s0)})
 
 
 def load_pathset(filename) -> PathSet:
     _, meta, blocks = container.load(filename, "paths")
     try:
-        prices, variances = blocks.pop("prices"), blocks.pop("variances", None)
-        if (blocks or prices.ndim != 2 or prices.shape[1] < 2
-                or (variances is not None and variances.shape != prices.shape)):
-            raise ValueError("blocks are not prices [paths, days] and optional "
-                             "variances of the same shape")
-        return PathSet(prices, variances, float(meta["s0"]), int(meta["seed"]),
-                       np.arange(len(prices), dtype=np.int64))
+        prices = blocks.pop("prices")
+        if blocks or prices.ndim != 2 or prices.shape[1] < 2:
+            raise ValueError("blocks are not one prices block [paths, days]")
+        return PathSet(prices, float(meta["s0"]), np.arange(len(prices), dtype=np.int64))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IntegrityError(f"{filename}: not a path set ({exc!r})") from exc

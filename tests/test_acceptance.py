@@ -369,7 +369,7 @@ def _forest_baseline(desk):
     # i.i.d. log-prices revert hard, so a big up-move today predicts a peak
     rng = np.random.default_rng(314)
     prices = 100.0 * np.exp(rng.normal(0.0, 0.06, size=(3000, 31)))
-    market = ehf.PathSet(prices, None, 100.0, 314, np.arange(3000))
+    market = ehf.PathSet(prices, 100.0, np.arange(3000))
     tr, te = ehf.split_pathset(market, 2000, 1000)
     strict = ehf.prepare_signal(tr, te, beta=0.05,
                                 forest_cfg=ehf.ForestConfig(seed=7))
@@ -406,8 +406,7 @@ def _determinism(desk):
     tr = ehf.simulate_heston(ehf.HIGH_VOL, ehf.SimConfig(n_paths=48, seed=77))
     te = ehf.simulate_heston(ehf.HIGH_VOL, ehf.SimConfig(n_paths=48, seed=78),
                              )
-    te = ehf.PathSet(te.prices, te.variances, te.s0, te.seed,
-                     te.path_ids + 48)  # disjoint ids
+    te = ehf.PathSet(te.prices, te.s0, te.path_ids + 48)  # disjoint ids
     swp = ehf.SweepConfig(alphas=(0.0, 0.05), cost_rate=0.02, seed=5)
     pcfg = ehf.PolicyConfig(hidden=8)
     one = ehf.sweep_alpha(swp, tr, te, CONTRACT, pcfg, tcfg)

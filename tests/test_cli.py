@@ -442,6 +442,29 @@ def test_trailing_bytes_in_pathset_exits_3(workdir, tmp_path, capsys):
     assert "trailing bytes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["label", "train", "sweep"])
+def test_pathset_of_the_v2_layout_exits_3(workdir, tmp_path, capsys, command):
+    """EHFP v2 (prices, variances and a seed in the meta) under a record that
+    matches it: refused by its version, not read and not a traceback."""
+    ini, _ = workdir
+    clone = tmp_path / "v2"
+    assert main(["simulate", "--config", str(ini), "--out", str(clone)]) == 0
+    prices = ehf.load_pathset(clone / "paths.ehfp").prices
+    container.save(clone / "paths.ehfp", "paths",
+                   {"prices": prices, "variances": np.full_like(prices, 0.8)},
+                   {"s0": 100.0, "seed": 31415})
+    raw = bytearray((clone / "paths.ehfp").read_bytes())
+    raw[4:8] = (2).to_bytes(4, "little")
+    (clone / "paths.ehfp").write_bytes(bytes(raw))
+    record = json.loads((clone / "paths.manifest.json").read_text())
+    del record["sha256"]
+    _write_record(clone / "paths.ehfp", record)
+    capsys.readouterr()
+    assert main([command, "--config", str(ini), "--out", str(clone)]) == 3
+    err = capsys.readouterr().err
+    assert "version 2" in err and "Traceback" not in err
+
+
 _GOOD_ROW = ["high_vol", "dense", "0", "0.02", "0.5", "0.0", "-12.5", "1.0",
              "30.0", "60", "fast", "3"]
 
@@ -627,7 +650,7 @@ def test_stored_forecast_refuses_path_ids_it_does_not_hold(tmp_path, capsys):
     paths, digests = cli._load_paths(cfg)
     gate, _ = cli._gate(cfg, digests)
     assert np.array_equal(gate(paths), ehf.load_forecast(out / "forecast.ehfl"))
-    beyond = ehf.PathSet(paths.prices[:2], None, 100.0, 0, np.array([219, 220]))
+    beyond = ehf.PathSet(paths.prices[:2], 100.0, np.array([219, 220]))
     with pytest.raises(ehf.IntegrityError, match="path ids 0 to 219, not 219 to 220"):
         gate(beyond)
     capsys.readouterr()

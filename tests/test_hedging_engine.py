@@ -20,7 +20,7 @@ from per_op_tape import entropy_risk as per_op_entropy_risk
 
 def _pathset(prices, s0=100.0):
     prices = np.asarray(prices, dtype=np.float64)
-    return ehf.PathSet(prices, None, s0, 0, np.arange(prices.shape[0]))
+    return ehf.PathSet(prices, s0, np.arange(prices.shape[0]))
 
 
 # ---------------------------------------------------------------------------

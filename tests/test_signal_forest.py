@@ -16,7 +16,7 @@ from tree_oracle import best_split, forest_trees
 
 def _pathset(prices, s0=100.0):
     prices = np.asarray(prices, dtype=np.float64)
-    return ehf.PathSet(prices, None, s0, 0, np.arange(prices.shape[0]))
+    return ehf.PathSet(prices, s0, np.arange(prices.shape[0]))
 
 
 # ---------------------------------------------------------------------------

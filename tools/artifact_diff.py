@@ -11,7 +11,8 @@ line gives its path and:
   other cells that differ;
 * a container file (.ehfm checkpoints, .ehfp paths, .ehff forests, .ehfl
   labels, told apart by their magic) - the same over all blocks, matched by
-  name, and the blocks whose names or shapes differ;
+  name, and the blocks whose names or shapes differ, of files of any version
+  (both versions when they differ);
 * a JSON manifest - its top-level keys whose values differ;
 * anything else - only that it differs.
 
@@ -26,7 +27,9 @@ import csv
 import itertools
 import json
 import pathlib
+import struct
 import sys
+from unittest import mock
 
 import numpy as np
 
@@ -73,15 +76,26 @@ def _csv_line(file_a: pathlib.Path, file_b: pathlib.Path) -> str:
     return f"max abs {gap:.3g}  max rel {rel:.3g}  other cells differing {other}"
 
 
+def _load_any_version(file: pathlib.Path, kind: str) -> tuple[int, tuple]:
+    """(version, container.load's result) of a file of `kind` in whatever
+    version its header names; container.load itself reads only this
+    checkout's version, so it is asked for the file's own."""
+    version = struct.unpack_from("<I", file.read_bytes(), 4)[0]
+    with mock.patch.dict(container.FORMATS, {kind: (container.FORMATS[kind][0], version)}):
+        return version, container.load(file, kind)
+
+
 def _container_line(file_a: pathlib.Path, file_b: pathlib.Path, kind: str) -> str:
-    (tag_a, meta_a, blocks_a), (tag_b, meta_b, blocks_b) = (
-        container.load(f, kind) for f in (file_a, file_b))
+    (version_a, (tag_a, meta_a, blocks_a)), (version_b, (tag_b, meta_b, blocks_b)) = (
+        _load_any_version(f, kind) for f in (file_a, file_b))
     same = sorted(k for k in blocks_a.keys() & blocks_b.keys()
                   if blocks_a[k].shape == blocks_b[k].shape)
     gap, rel = _differences(
         np.concatenate([blocks_a[k].ravel() for k in same] or [np.zeros(0)]),
         np.concatenate([blocks_b[k].ravel() for k in same] or [np.zeros(0)]))
     line = f"max abs {gap:.3g}  max rel {rel:.3g} over {len(same)} blocks"
+    if version_a != version_b:
+        line += f"  versions {version_a} and {version_b}"
     unmatched = sorted((blocks_a.keys() | blocks_b.keys()) - set(same))
     if unmatched:
         line += f"  unmatched blocks {unmatched}"
