@@ -133,10 +133,14 @@ def prepare_signal(train_paths: PathSet, test_paths: PathSet, beta: float,
 # ---------------------------------------------------------------------------
 
 def _check_disjoint(train_paths: PathSet, test_paths: PathSet) -> None:
-    overlap = np.intersect1d(train_paths.path_ids, test_paths.path_ids)
-    if overlap.size:
-        raise StateError(
-            f"train/test path ids overlap ({overlap.size} shared, e.g. {overlap[0]})")
+    """Raise StateError naming how many distinct ids the splits share and the
+    smallest. np.isin over the (small-range) ids, unlike np.intersect1d,
+    leaves numpy.ma unimported: np.unique imports it."""
+    ids = train_paths.path_ids
+    shared = np.sort(ids[np.isin(ids, test_paths.path_ids)])
+    if shared.size:
+        raise StateError(f"train/test path ids overlap "
+                         f"({np.count_nonzero(np.diff(shared)) + 1} shared, e.g. {shared[0]})")
 
 
 def _points(sweep: SweepConfig, arch: str, rf: bool, mode: str, policy,

@@ -300,6 +300,23 @@ def _dense_inputs(cfg: PolicyConfig, s0: float, prices: np.ndarray, labels,
     return logp, xs
 
 
+def _slab(ws: dict, key: str, days: int, n: int, width: int) -> np.ndarray:
+    """ws[key], a [>= days, >= n, width] workspace whose day d holds a batch
+    in rows :n; it is allocated again only for more days or rows."""
+    slab = ws.get(key)
+    if slab is None or slab.shape[0] < days or slab.shape[1] < n or slab.shape[2] != width:
+        ws.pop(key, None)
+        slab = ws[key] = np.empty((days, n, width))
+    return slab
+
+
+def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out <- max(x w' + b, 0), the products and sums of np.maximum(x @ w.T + b, 0.0)."""
+    np.matmul(x, w.T, out=out)
+    out += b
+    return np.maximum(out, 0.0, out=out)
+
+
 def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
                     mask: np.ndarray, cache: dict | None) -> np.ndarray:
     """Deltas [n, n_steps] of the masked carry prev <- where(mask[:, t], sig[t], prev).
@@ -310,39 +327,41 @@ def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
     rows of sig[t]. The carry would discard a frozen row's output, so such
     rows skip the net and get 0.0 in sig[t]: no dense day leaves a stale or
     NaN entry (sig may come from np.empty) in _masked_adjoint's slope
-    sig * (1 - sig) * mask. A day on which every row trades runs the whole
-    batch as views of xs[t] and prev; a day on which none does runs no net.
-    The later rows of sig [n_steps, n] arrive filled and are only read. A
-    cache receives sig and each dense day's (rows, x, h1, h2), or None for a
-    day without a trading row, for _masked_adjoint.
+    sig * (1 - sig) * mask. A day on which none trades runs no net.
+    The later rows of sig [n_steps, n] arrive filled and are only read.
+    A dense day with k trading rows writes its x, h1 and h2 to rows :k of
+    that day's slabs "x", "h1" and "h2" [days, rows, width]. A cache keeps
+    the slabs from call to call, with sig and each dense day's trading rows
+    (a slice on a day every row trades, None on one none does) as "rows",
+    for _masked_adjoint; without one, a one-day slab serves each day.
     """
     w1, b1, w2, b2, w3, b3 = (p.get(prefix + k) for k in _DENSE)
     n, n_steps = mask.shape
     n_trading = mask[:, :len(xs)].sum(axis=0).tolist()
+    ws, held = ({}, 1) if cache is None else (cache, len(xs))
+    slabs = [_slab(ws, key, held, n, width) for key, width in
+             (("x", xs.shape[2]), ("h1", len(w1)), ("h2", len(w2)))] if len(xs) else ()
     days = []
     prev = np.zeros(n)
     out = np.empty((n, n_steps))
     for t in range(n_steps):
         if t < len(xs):
-            day = None
-            if n_trading[t] == n:
-                rows = slice(None)
-            else:
-                rows = np.flatnonzero(mask[:, t])
+            k = n_trading[t]
+            rows = slice(None) if k == n else np.flatnonzero(mask[:, t])
+            if k < n:
                 sig[t] = 0.0
-            if n_trading[t]:
-                x = xs[t][rows]
+            if k:
+                x, h1, h2 = (slab[t if cache is not None else 0, :k] for slab in slabs)
+                x[...] = xs[t][rows]
                 x[:, 2] = prev[rows]
-                h1 = np.maximum(x @ w1.T + b1, 0.0)
-                h2 = np.maximum(h1 @ w2.T + b2, 0.0)
+                _relu_layer(x, w1, b1, h1)
+                _relu_layer(h1, w2, b2, h2)
                 sig[t][rows] = nc.sigmoid(h2 @ w3.T + b3)[:, 0]
-                day = (rows, x, h1, h2)
-            if cache is not None:
-                days.append(day)
+            days.append(rows if k else None)
         prev = np.where(mask[:, t], sig[t], prev)
         out[:, t] = prev
     if cache is not None:
-        cache.update(sig=sig, dense=days)
+        cache.update(sig=sig, rows=days)
     return out
 
 
@@ -359,7 +378,7 @@ def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
     later days feed their own adjoint, and the dense blocks' gradients.
     """
     w1_prev, w2, w3 = p[prefix + "w1"][:, 2], p[prefix + "w2"], p[prefix + "w3"][0]
-    sig, days = cache["sig"], cache["dense"]
+    sig, days = cache["sig"], cache["rows"]
     ga3 = sig * (1.0 - sig) * mask.T  # sigmoid slope, zero on frozen days
     frozen = ~mask
     gw1, gw2, gw3 = (np.zeros_like(p[prefix + k]) for k in ("w1", "w2", "w3"))
@@ -370,8 +389,9 @@ def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
         ga3[t] *= day
         carry = day * frozen[:, t]
         if t < len(days) and days[t] is not None:
-            rows, x, h1, h2 = days[t]
+            rows = days[t]
             ga = ga3[t][rows]
+            x, h1, h2 = (cache[key][t, :len(ga)] for key in ("x", "h1", "h2"))
             ga2 = np.multiply.outer(ga, w3) * (h2 > 0)
             ga1 = (ga2 @ w2) * (h1 > 0)
             carry[rows] += ga1 @ w1_prev
@@ -385,26 +405,51 @@ def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
     return ga3, dict(zip((prefix + k for k in _DENSE), blocks))
 
 
-def _gru_cell(x, h, wz, bz, wr, br, wh, bh):
+# what one GRU cell keeps for its adjoint, and its rows per batch row: [x, h]
+# [n, in + hidden], the z gate stacked over the r gate [2n, hidden], [x, r h]
+# and the candidate state
+_CELL = ("xh", "zr", "xrh", "cand")
+_CELL_ROWS = (1, 2, 1, 1)
+
+
+def _cell_views(slabs, d: int, n: int) -> list:
+    """Day d's arrays, for a batch of n rows, of one GRU layer's _CELL slabs."""
+    return [slab[d, :k * n] for slab, k in zip(slabs, _CELL_ROWS)]
+
+
+def _gru_cell(x, h, wz, bz, wr, br, wh, bh, saved=None):
     """One GRU step (Cho et al. 2014) on a batch: x [n, in], h [n, hidden].
 
     Returns h' = (1 - z) h + z tanh([x, r h] wh' + bh), with z, r the sigmoid
-    gates of [x, h], and what _gru_cell_adjoint reads.
+    gates of [x, h], and what _gru_cell_adjoint reads, in _CELL order: the
+    arrays of saved, written in place, or new ones.
     """
-    xh = np.concatenate([x, h], axis=1)
-    z = nc.sigmoid(xh @ wz.T + bz)
-    r = nc.sigmoid(xh @ wr.T + br)
-    xrh = np.concatenate([x, r * h], axis=1)
-    cand = np.tanh(xrh @ wh.T + bh)
-    return (1.0 - z) * h + z * cand, (xh, z, r, xrh, cand)
+    n, nx, nh = len(x), x.shape[1], h.shape[1]
+    xh, zr, xrh, cand = saved if saved is not None else (
+        np.empty(shape) for shape in ((n, nx + nh), (2 * n, nh), (n, nx + nh), (n, nh)))
+    xh[:, :nx] = x
+    xh[:, nx:] = h
+    z, r = zr[:n], zr[n:]
+    np.matmul(xh, wz.T, out=z)
+    np.matmul(xh, wr.T, out=r)
+    z += bz
+    r += br
+    nc.sigmoid(zr, out=zr)
+    xrh[:, :nx] = x
+    np.multiply(r, h, out=xrh[:, nx:])
+    np.matmul(xrh, wh.T, out=cand)
+    cand += bh
+    np.tanh(cand, out=cand)
+    return (1.0 - z) * h + z * cand, (xh, zr, xrh, cand)
 
 
-def _gru_cell_adjoint(dh_new, saved, wz, wr, wh):
-    """Gradients of one _gru_cell step at dh_new = d/dh': (d/dx, d/dh, and
-    the gate blocks in _GATES order)."""
-    xh, z, r, xrh, cand = saved
-    nx = xh.shape[1] - z.shape[1]
-    h = xh[:, nx:]
+def _gru_cell_adjoint(dh_new, saved, wz, wr, wh, input_grad=True):
+    """Gradients of one _gru_cell step at dh_new = d/dh': (d/dx, or None
+    without input_grad, d/dh, and the gate blocks in _GATES order)."""
+    xh, zr, xrh, cand = saved
+    n, nh = cand.shape
+    nx = xh.shape[1] - nh
+    z, r, h = zr[:n], zr[n:], xh[:, nx:]
     gz = dh_new * (cand - h) * z * (1.0 - z)
     gc = dh_new * z * (1.0 - cand * cand)
     dxrh = gc @ wh
@@ -414,7 +459,7 @@ def _gru_cell_adjoint(dh_new, saved, wz, wr, wh):
     dh = dh_new * (1.0 - z) + grh * r + dxh[:, nx:]
     blocks = (gz.T @ xh, gz.sum(axis=0), gr.T @ xh, gr.sum(axis=0),
               gc.T @ xrh, gc.sum(axis=0))
-    return dxh[:, :nx] + dxrh[:, :nx], dh, blocks
+    return dxh[:, :nx] + dxrh[:, :nx] if input_grad else None, dh, blocks
 
 
 class _Policy:
@@ -516,41 +561,50 @@ class GRUPolicy(_NeuralPolicy):
     def _recurrent_rows(self, logp, n_fb, cache=None):
         """sig [n_steps, n] whose rows t >= n_fb hold the head output of day t;
         the stacked cells read only windows of logp [n, n_steps + 1], never a
-        mask or a delta. Rows t < n_fb are left to the fallback days. A cache
-        receives each GRU day's (cells, top state) for _adjoint, as "gru"."""
+        mask or a delta. Rows t < n_fb are left to the fallback days. Each
+        cell writes what _gru_cell keeps to its day's _cell_views of the slabs
+        f"l{layer}_{name}" for each name of _CELL, and the top layer's state
+        to rows :n of "top". A cache keeps the slabs for _adjoint; without one, a one-day
+        slab serves each day."""
         cfg, p = self.config, self.params
-        steps = None if cache is None else []
-        sig = np.empty((logp.shape[1] - 1, len(logp)))
-        states = [np.zeros((len(logp), cfg.gru_hidden))] * cfg.gru_layers
+        n, nh = len(logp), cfg.gru_hidden
+        sig = np.empty((logp.shape[1] - 1, n))
+        ws, held = ({}, 1) if cache is None else (cache, len(sig) - n_fb)
+        cells = [[_slab(ws, f"l{i + 1}_{name}", held, k * n, width) for name, k, width
+                  in zip(_CELL, _CELL_ROWS, (nx + nh, nh, nx + nh, nh))]
+                 for i, nx in enumerate([cfg.window] + [nh] * (cfg.gru_layers - 1))]
+        top = _slab(ws, "top", held, n, nh)
+        states = [np.zeros((n, nh))] * cfg.gru_layers
         for t in range(n_fb, len(sig)):
-            x, saved = logp[:, t - cfg.window + 1: t + 1], []
-            for i in range(cfg.gru_layers):
-                states[i], cell = _gru_cell(x, states[i],
-                                            *(p[f"l{i + 1}_{k}"] for k in _GATES))
-                x = states[i]
-                saved.append(cell)
+            d = 0 if cache is None else t - n_fb
+            x = logp[:, t - cfg.window + 1: t + 1]
+            for i, slabs in enumerate(cells):
+                states[i] = x = _gru_cell(x, states[i],
+                                          *(p[f"l{i + 1}_{k}"] for k in _GATES),
+                                          _cell_views(slabs, d, n))[0]
+            top[d, :n] = x
             sig[t] = nc.sigmoid(x @ p["head_w"].T + p["head_b"])[:, 0]
-            if steps is not None:
-                steps.append((saved, x))
-        if cache is not None:
-            cache["gru"] = steps
         return sig
 
     def _adjoint(self, g, mask, p, cache):
         """The masked walk, then backpropagation through time over the GRU
-        days, fed by their head gradients (the cells read no carried delta)."""
+        days, fed by their head gradients (the cells read no carried delta;
+        the first layer's input, a window of log prices, gets no gradient)."""
         ga, grads = _masked_adjoint(g, mask, p, "fb_", cache)
-        ga = ga[len(cache["dense"]):]
+        ga = ga[len(cache["rows"]):]
         grads = {k: grads[k] if k in grads else np.zeros_like(v) for k, v in p.items()}
+        n, top = len(g), cache["top"]
+        cells = [[cache[f"l{i + 1}_{name}"] for name in _CELL]
+                 for i in range(self.config.gru_layers)]
         dstate = [0.0] * self.config.gru_layers
         for t in reversed(range(len(ga))):
-            saved, top = cache["gru"][t]
-            grads["head_w"] += ga[t] @ top
+            grads["head_w"] += ga[t] @ top[t, :n]
             dx = np.multiply.outer(ga[t], p["head_w"][0])
-            for i in reversed(range(len(saved))):
+            for i in reversed(range(len(cells))):
                 names = [f"l{i + 1}_{k}" for k in _GATES]
                 dx, dstate[i], blocks = _gru_cell_adjoint(
-                    dx + dstate[i], saved[i], *(p[k] for k in names[::2]))
+                    dx + dstate[i], _cell_views(cells[i], t, n),
+                    *(p[k] for k in names[::2]), input_grad=i > 0)
                 for name, block in zip(names, blocks):
                     grads[name] += block
         grads["head_b"] = ga.sum().reshape(1)
@@ -594,9 +648,11 @@ def batch_objective(policy, prices: np.ndarray, mask: np.ndarray,
     its gradient in each of policy.params: the one Tape in the package,
     recorded as rollout, loss, risk and composed back in reverse.
 
-    A loop over batches passes them all one cache dict: a batch's rollout
-    state (4 MB at 256 dense paths) then replaces the last one's only once
-    built, and is not handed back to the OS and faulted in at every batch.
+    A loop over batches passes them all one cache dict. Its slabs hold one
+    batch's rollout state (about 4 MB dense and 8 MB GRU at 256 paths),
+    allocated by the first batch or a larger one, and each batch writes its
+    state over the last one's in place: the state is held once, and is not
+    handed back to the OS and faulted in at every batch.
     """
     # perfbench/tracer.py times each step by rebinding its module-level name
     tape = Tape()

@@ -22,11 +22,12 @@ import numpy as np
 from .errors import NumericError, ShapeError, StateError
 
 
-def sigmoid(x):
-    """Logistic function; exp(-|x|) keeps it overflow-free at large |x|."""
+def sigmoid(x, out=None):
+    """Logistic function; exp(-|x|) keeps it overflow-free at large |x|. out
+    (x itself, say) receives the values if given."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 # ---------------------------------------------------------------------------

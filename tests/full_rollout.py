@@ -5,7 +5,9 @@ trade each day, and `_masked_adjoint` walks back over those rows alone.
 Here every dense day runs the net and its adjoint on the whole batch, and
 the mask throws the frozen rows' outputs away afterwards. `full_rows()`
 swaps these into the package, so a policy's deltas and tape gradients can be
-taken both ways and compared.
+taken both ways and compared. The cache takes the package's layout, which
+`GRUPolicy._adjoint` reads too: sig, each dense day's rows (here every row)
+and its x, h1 and h2 in rows :n of the day's slabs "x", "h1" and "h2".
 """
 
 import contextlib
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from ehf import hedging_engine
-from ehf.hedging_engine import _DENSE
+from ehf.hedging_engine import _DENSE, _slab
 from ehf.neural_core import sigmoid
 
 
@@ -25,11 +27,11 @@ def masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
     Days t < len(xs) run the dense net (blocks prefix + w1 ... b3 of p) on
     every row of xs[t] with the previous delta filled in, and write its
     output to sig[t]; the later rows of sig [n_steps, n] arrive filled and
-    are only read. A cache receives sig and each dense day's (x, h1, h2).
+    are only read. A cache receives sig, and each dense day's x, h1 and h2
+    as day t of the slabs "x", "h1" and "h2".
     """
     w1, b1, w2, b2, w3, b3 = (p.get(prefix + k) for k in _DENSE)
     n, n_steps = mask.shape
-    days = []
     prev = np.zeros(n)
     out = np.empty((n, n_steps))
     for t in range(n_steps):
@@ -40,11 +42,12 @@ def masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
             h2 = np.maximum(h1 @ w2.T + b2, 0.0)
             sig[t] = sigmoid(h2 @ w3.T + b3)[:, 0]
             if cache is not None:
-                days.append((x, h1, h2))
+                for key, value in (("x", x), ("h1", h1), ("h2", h2)):
+                    _slab(cache, key, len(xs), n, value.shape[1])[t, :n] = value
         prev = np.where(mask[:, t], sig[t], prev)
         out[:, t] = prev
     if cache is not None:
-        cache.update(sig=sig, dense=days)
+        cache.update(sig=sig, rows=[slice(None)] * len(xs))
     return out
 
 
@@ -54,7 +57,7 @@ def masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
     the gradient at every day's sigmoid input [n_steps, n] and the dense
     blocks' gradients, each dense day's vjp taken over the whole batch."""
     w1_prev, w2, w3 = p[prefix + "w1"][:, 2], p[prefix + "w2"], p[prefix + "w3"][0]
-    sig, days = cache["sig"], cache["dense"]
+    sig, n_dense = cache["sig"], len(cache["rows"])
     ga3 = sig * (1.0 - sig) * mask.T  # sigmoid slope, zero on frozen days
     frozen = ~mask
     gw1, gw2, gw3 = (np.zeros_like(p[prefix + k]) for k in ("w1", "w2", "w3"))
@@ -64,8 +67,8 @@ def masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
         day = g[:, t] + carry
         ga3[t] *= day
         carry = day * frozen[:, t]
-        if t < len(days):
-            x, h1, h2 = days[t]
+        if t < n_dense:
+            x, h1, h2 = (cache[key][t, :len(g)] for key in ("x", "h1", "h2"))
             ga2 = np.multiply.outer(ga3[t], w3) * (h2 > 0)
             ga1 = (ga2 @ w2) * (h1 > 0)
             carry = carry + ga1 @ w1_prev
@@ -75,7 +78,7 @@ def masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
             gpre1 += ga1
             gpre2 += ga2
     blocks = (gw1, gpre1.sum(axis=0), gw2, gpre2.sum(axis=0), gw3,
-              ga3[:len(days)].sum().reshape(1))
+              ga3[:n_dense].sum().reshape(1))
     return ga3, dict(zip((prefix + k for k in _DENSE), blocks))
 
 

@@ -2,6 +2,9 @@
 
 import multiprocessing
 import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -203,6 +206,35 @@ def test_sweep_rejects_overlapping_splits(tiny_split, contract):
     with pytest.raises(StateError):
         ehf.sweep_alpha(sweep, train, train.take(0, 16), contract,
                         TINY_POLICY, TINY_TRAIN)
+
+
+def _ids(*ids):
+    return ehf.PathSet(np.full((len(ids), 2), 100.0), 100.0, np.array(ids))
+
+
+def test_overlapping_splits_count_each_shared_id_once():
+    """As np.intersect1d did: an id repeated inside one split is one shared id."""
+    with pytest.raises(StateError, match=r"\(2 shared, e\.g\. 5\)"):
+        frontier._check_disjoint(_ids(9, 5, 5, 7, 3), _ids(11, 9, 5, 9))
+    frontier._check_disjoint(_ids(1, 1, 2), _ids(3, 4, 4))
+
+
+def test_the_disjoint_check_leaves_numpy_ma_unimported():
+    """np.unique, under np.intersect1d, imports numpy.ma (about 15 ms) on its
+    first call; nothing else a pipeline runs needs it."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(pathlib.Path(ehf.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH"))))}
+    probe = ("import sys, numpy as np, ehf; from ehf import frontier\n"
+             "ids = lambda a, b: ehf.PathSet(np.full((b - a, 2), 1.0), 1.0, np.arange(a, b))\n"
+             "frontier._check_disjoint(ids(0, 600), ids(600, 900))\n"
+             "try:\n    frontier._check_disjoint(ids(0, 600), ids(590, 900))\n"
+             "except ehf.StateError as exc:\n    print(exc)\n"
+             "print('numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.splitlines() == [
+        "train/test path ids overlap (10 shared, e.g. 590)", "False"]
 
 
 def test_sweep_fast_needs_policy_or_training_paths(tiny_split, contract):

@@ -1,5 +1,7 @@
 """Episode accounting, the entropic objective, trade masks, and training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -568,11 +570,13 @@ def test_grad_check_over_no_one_and_some_row_days(arch, tol):
 def test_a_cache_shared_by_batches_keeps_each_batch_apart(gbm_small, contract, arch):
     """train_policy hands all its batches one cache. Each batch's objective
     and gradients (in params order) equal those of a fresh cache, though the
-    cache still holds the previous, larger batch's rollout."""
+    cache still holds the previous batch's rollout: larger, then smaller (its
+    slabs' first rows serve), then larger than any before (they grow)."""
     policy = (DensePolicy if arch == "dense" else GRUPolicy).init(
         ehf.PolicyConfig(arch=arch, hidden=8), seed=4)
     cost, cache = ehf.CostModel(0.02), {}
-    for alpha, rows in ((0.0, slice(0, 16)), (0.01, slice(16, 24))):
+    for alpha, rows in ((0.0, slice(0, 16)), (0.01, slice(16, 24)),
+                        (0.02, slice(24, 64))):
         prices = gbm_small.prices[rows]
         mask = ehf.compute_trade_mask(gbm_small, alpha)[rows]
         fresh = batch_objective(policy, prices, mask, contract, cost, 0.5)
@@ -581,6 +585,33 @@ def test_a_cache_shared_by_batches_keeps_each_batch_apart(gbm_small, contract, a
         assert list(shared[1]) == list(fresh[1]) == list(policy.params)
         for name, g in fresh[1].items():
             assert np.array_equal(shared[1][name], g), name
+
+
+@pytest.mark.parametrize("arch", ["dense", "gru"])
+def test_a_training_holds_one_rollout_state(heston_small, contract, arch):
+    """A batch's rollout state (about 4 MB dense, 8 MB GRU at 256 paths) is
+    written over the last one's in the slabs of the shared cache: a second
+    batch of the same size allocates at most a quarter of what the first
+    left in the cache, though that is still held. numpy reports its
+    allocations to tracemalloc."""
+    policy = (DensePolicy if arch == "dense" else GRUPolicy).init(
+        ehf.PolicyConfig(arch=arch), seed=4)
+    mask = ehf.compute_trade_mask(heston_small, 0.01)
+    args = (policy, heston_small.prices, mask, contract, ehf.CostModel(0.02), 0.5)
+    cache = {}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        batch_objective(*args, cache=cache)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        batch_objective(*args, cache=cache)
+        rise = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert kept > (3e6 if arch == "dense" else 7e6)
+    assert rise <= kept / 4, (rise, kept)
 
 
 def test_training_with_a_one_path_last_batch(heston_small, contract):
