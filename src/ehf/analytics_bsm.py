@@ -1,9 +1,9 @@
-"""Closed-form European call pricing and delta, and per-day BSM delta matrices.
+"""Closed-form European call delta, and per-day BSM delta matrices.
 
 All hedging accounting in this package runs at zero financing rate, so the
 cash-account leg of a replicating portfolio drops out; the delta matrix the
-baseline policy reads is taken at zero rate, while the pricing functions
-still accept an explicit rate.
+baseline policy reads is taken at zero rate, while bs_delta still accepts an
+explicit rate.
 """
 
 from __future__ import annotations
@@ -57,17 +57,6 @@ def _d1(spot, strike: float, rate: float, vol: float, tau: float, delta: bool = 
     d1 = None if tau == 0 or vol == 0 else \
         (np.log(spot / strike) + (rate + 0.5 * vol ** 2) * tau) / (vol * np.sqrt(tau))
     return spot, strike * np.exp(-rate * tau), d1
-
-
-def bs_call_price(spot, strike: float, rate: float, vol: float, tau: float):
-    """Black-Scholes-Merton call value; the forward intrinsic value at
-    tau = 0 or vol = 0."""
-    spot, discounted, d1 = _d1(spot, strike, rate, vol, tau)
-    if d1 is None:
-        value = np.maximum(spot - discounted, 0.0)
-    else:
-        value = spot * norm_cdf(d1) - discounted * norm_cdf(d1 - vol * np.sqrt(tau))
-    return value if value.ndim else float(value)
 
 
 def bs_delta(spot, strike: float, rate: float, vol: float, tau: float):

@@ -14,6 +14,7 @@ import configparser
 import csv
 import glob
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -31,10 +32,11 @@ from .frontier import (SWEEP_MODES, SweepConfig, check_alpha_grid,
                        prepare_signal, read_frontier_csv, sweep_alpha,
                        sweep_baseline, write_comparison_csv, write_frontier_csv)
 from .hedging_engine import (CostModel, PolicyConfig, RiskConfig, TrainConfig,
-                             compute_trade_mask, load_policy, save_policy,
-                             trade_mask, train_policy)
+                             batch_objective, compute_trade_mask, load_policy,
+                             make_policy, save_policy, trade_mask, train_policy)
 from .market_sim import (GBMParams, HestonParams, PathSet, SimConfig,
                          load_pathset, save_pathset, split_pathset)
+from .neural_core import GradCheckReport, grad_check
 from .signal_forest import (ForestConfig, label_matrix, load_forecast,
                             save_forecast, save_forest, write_label_csv)
 
@@ -434,24 +436,21 @@ def cmd_train(args) -> int:
     gate, digests = _gate(cfg, digests)
     labels = gate(train_paths) if gate is not None else None
     mask = trade_mask(train_paths, cfg.alphas[0], labels)
-    for cost_rate in cfg.cost_rates:
-        for lam in cfg.risk_aversions:
-            policy, log = train_policy(
-                train_paths, contract, CostModel(cost_rate), RiskConfig(lam),
-                cfg.policy, mask, cfg.train, labels=labels)
-            stem = _stem(cfg, "policy", cost_rate, lam)
-            save_policy(stem + ".ehfm", policy)
-            _write_record(stem + ".ehfm",
-                          _made_from(cfg, "policy", digests, cost_rate, lam))
-            with open(stem + "_log.csv", "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["epoch", "train_objective", "val_objective"])
-                for e, (tr, va) in enumerate(zip(log.train_objective,
-                                                 log.val_objective)):
-                    writer.writerow([e, repr(tr), repr(va)])
-            print(f"trained {cfg.policy.arch} (cost {cost_rate:g}, lambda {lam:g}): "
-                  f"val objective {log.val_objective[-1]:.4f} "
-                  f"(best epoch {log.best_epoch}) -> {stem}.ehfm")
+    for cost_rate, lam in itertools.product(cfg.cost_rates, cfg.risk_aversions):
+        policy, log = train_policy(
+            train_paths, contract, CostModel(cost_rate), RiskConfig(lam),
+            cfg.policy, mask, cfg.train, labels=labels)
+        stem = _stem(cfg, "policy", cost_rate, lam)
+        save_policy(stem + ".ehfm", policy)
+        _write_record(stem + ".ehfm", _made_from(cfg, "policy", digests, cost_rate, lam))
+        with open(stem + "_log.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["epoch", "train_objective", "val_objective"])
+            for e, (tr, va) in enumerate(zip(log.train_objective, log.val_objective)):
+                writer.writerow([e, repr(tr), repr(va)])
+        print(f"trained {cfg.policy.arch} (cost {cost_rate:g}, lambda {lam:g}): "
+              f"val objective {log.val_objective[-1]:.4f} "
+              f"(best epoch {log.best_epoch}) -> {stem}.ehfm")
     return 0
 
 
@@ -462,35 +461,32 @@ def cmd_sweep(args) -> int:
     contract = _contract(cfg)
     _, _, baseline_vol = _scenario(cfg)
     gate, digests = _gate(cfg, digests)
-    for cost_rate in cfg.cost_rates:
-        for lam in cfg.risk_aversions:
-            sweep = SweepConfig(
-                alphas=tuple(cfg.alphas), scenario=cfg.scenario, rf=cfg.rf,
-                cost_rate=cost_rate, risk_aversion=lam, mode=cfg.mode,
-                seed=cfg.train.seed)
-            base_points = sweep_baseline(sweep, test_paths, contract,
-                                         baseline_vol, cfg.dt)
-            base_file = _stem(cfg, "frontier", cost_rate, lam, "bsm") + ".csv"
-            write_frontier_csv(base_file, base_points)
-            _write_record(base_file, _made_from(cfg, "frontier", digests))
-            if cfg.policy.arch == "bsm":
-                print(f"swept closed-form baseline only (cost {cost_rate:g}, "
-                      f"lambda {lam:g})")
-                continue
-            policy = None
-            checkpoint = _stem(cfg, "policy", cost_rate, lam) + ".ehfm"
-            if cfg.mode == "fast" and os.path.exists(checkpoint):
-                _check_record(checkpoint, "policy",
-                              _made_from(cfg, "policy", digests, cost_rate, lam))
-                policy = load_policy(checkpoint)
-            points = sweep_alpha(sweep, train_paths, test_paths, contract,
-                                 cfg.policy, cfg.train, gate=gate, policy=policy,
-                                 jobs=args.jobs)
-            out = _stem(cfg, "frontier", cost_rate, lam) + ".csv"
-            write_frontier_csv(out, points)
-            _write_record(out, _made_from(cfg, "frontier", digests))
-            print(f"swept {len(points)} alphas (cost {cost_rate:g}, lambda "
-                  f"{lam:g}, mode {cfg.mode}) -> {out}")
+    for cost_rate, lam in itertools.product(cfg.cost_rates, cfg.risk_aversions):
+        sweep = SweepConfig(
+            alphas=tuple(cfg.alphas), scenario=cfg.scenario, rf=cfg.rf,
+            cost_rate=cost_rate, risk_aversion=lam, mode=cfg.mode,
+            seed=cfg.train.seed)
+        base_points = sweep_baseline(sweep, test_paths, contract, baseline_vol, cfg.dt)
+        base_file = _stem(cfg, "frontier", cost_rate, lam, "bsm") + ".csv"
+        write_frontier_csv(base_file, base_points)
+        _write_record(base_file, _made_from(cfg, "frontier", digests))
+        if cfg.policy.arch == "bsm":
+            print(f"swept closed-form baseline only (cost {cost_rate:g}, lambda {lam:g})")
+            continue
+        policy = None
+        checkpoint = _stem(cfg, "policy", cost_rate, lam) + ".ehfm"
+        if cfg.mode == "fast" and os.path.exists(checkpoint):
+            _check_record(checkpoint, "policy",
+                          _made_from(cfg, "policy", digests, cost_rate, lam))
+            policy = load_policy(checkpoint)
+        points = sweep_alpha(sweep, train_paths, test_paths, contract,
+                             cfg.policy, cfg.train, gate=gate, policy=policy,
+                             jobs=args.jobs)
+        out = _stem(cfg, "frontier", cost_rate, lam) + ".csv"
+        write_frontier_csv(out, points)
+        _write_record(out, _made_from(cfg, "frontier", digests))
+        print(f"swept {len(points)} alphas (cost {cost_rate:g}, lambda "
+              f"{lam:g}, mode {cfg.mode}) -> {out}")
     return 0
 
 
@@ -533,41 +529,40 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    from .hedging_engine import batch_objective, make_policy
-    from .neural_core import grad_check
+def gradcheck_report(arch: str) -> GradCheckReport:
+    """grad_check of batch_objective's gradients for a hidden-6 policy of arch
+    on 8 GBM paths of 6 days (sigma 0.3), under the alpha-0.005 mask, 2% cost
+    and lambda 0.5: the episode of `ehf gradcheck`, which sets each
+    architecture's tolerance.
 
+    The initial parameters are jittered to a generic point: with zero biases
+    the day-0 feature vector (all zeros) puts relu pre-activations exactly
+    on the kink, where central differences disagree with the subgradient.
+    """
+    paths = market_sim.simulate_gbm(GBMParams(mu=0.0, sigma=0.3),
+                                    SimConfig(n_paths=8, seed=404, n_steps=6))
+    contract, cost = ContractSpec(strike=100.0, maturity_steps=6), CostModel(0.02)
+    mask = compute_trade_mask(paths, 0.005)
+    policy = make_policy(PolicyConfig(arch=arch, hidden=6), seed=7)
+    jitter = np.random.default_rng(99)
+    params = {k: v + 0.05 * jitter.standard_normal(v.shape)
+              for k, v in policy.params.items()}
+
+    def objective(params):
+        policy.params = params
+        return batch_objective(policy, paths.prices, mask, contract, cost, 0.5)
+
+    return grad_check(objective, params)
+
+
+def cmd_gradcheck(args) -> int:
     _apply_overrides(load_config(args.config), args)  # checked, though not read
     failures = []
-
-    # both policy architectures through a short masked episode
-    sim = SimConfig(n_paths=8, seed=404, n_steps=6)
-    paths = market_sim.simulate_gbm(GBMParams(mu=0.0, sigma=0.3), sim)
-    contract = ContractSpec(strike=100.0, maturity_steps=6)
-    mask = compute_trade_mask(paths, 0.005)
-    cost = CostModel(0.02)
-
     for arch, tol in (("dense", 1e-5), ("gru", 1e-4)):
-        pol_cfg = PolicyConfig(arch=arch, hidden=6)
-        policy = make_policy(pol_cfg, seed=7)
-        # Check at a generic parameter point: with zero biases the day-0
-        # feature vector (all zeros) puts relu pre-activations exactly on the
-        # kink, where central differences disagree with the subgradient.
-        jitter = np.random.default_rng(99)
-        policy.params = {
-            k: v + 0.05 * jitter.standard_normal(v.shape)
-            for k, v in policy.params.items()
-        }
-
-        def episode(params, policy=policy):
-            policy.params = params
-            return batch_objective(policy, paths.prices, mask, contract, cost, 0.5)
-
-        report = grad_check(episode, policy.params)
+        report = gradcheck_report(arch)
         print(f"{arch}: max rel error {report.max_rel_error:.3e} (tol {tol:g})")
         if not report.ok(tol):
             failures.append(arch)
-
     if failures:
         print(f"gradient check FAILED for: {', '.join(failures)}")
         return 1

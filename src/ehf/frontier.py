@@ -14,7 +14,6 @@ import contextlib
 import csv
 import ctypes
 import glob
-import multiprocessing
 import os
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ from .hedging_engine import (BSMPolicy, CostModel, PolicyConfig, RiskConfig,
 from .market_sim import PathSet
 from .signal_forest import (Forest, ForestConfig, _day_rows,
                             classification_report, feature_table, fit_forest,
-                            label_matrix, predict_labels)
+                            label_matrix, predict_labels, vote_labels)
 
 FRONTIER_COLUMNS = ("scenario", "policy", "rf", "cost_rate", "lambda", "alpha",
                     "mean_loss", "std_loss", "avg_trades", "n_test_paths",
@@ -118,10 +117,8 @@ def prepare_signal(train_paths: PathSet, test_paths: PathSet, beta: float,
         sel = np.sort(rng.choice(len(X), size=fit_rows, replace=False))
     forest = fit_forest(X[sel], y[sel], forest_cfg)
     votes, votes_test = predict_labels(forest, X), predict_labels(forest, X_test)
-    forecast = np.ones((train_paths.n_paths + test_paths.n_paths, train_paths.n_steps),
-                       dtype=np.int8)
-    rows = _day_rows(forecast)
-    rows[:] = np.concatenate([votes, votes_test]).reshape(rows.shape)
+    forecast = vote_labels(np.concatenate([votes, votes_test]),
+                           train_paths.n_paths + test_paths.n_paths, train_paths.n_steps)
     return SignalArtifacts(forest=forest,
                            train_report=classification_report(votes, y),
                            test_report=classification_report(votes_test, y_test),
@@ -313,10 +310,12 @@ def _strided_map(fn, items, jobs: int) -> list:
     pool terminates the workers, so an error in share 0 surfaces at once.
     A worker's error surfaces as soon as the caller looks: before each item
     of share 0, then while it waits for the other shares. Without fork, or
-    with one share, everything runs here.
+    with one share, everything runs here. Only a pool imports multiprocessing.
     """
     global _worker_share
     n = min(jobs, len(items), _usable_cores())
+    if n > 1:
+        import multiprocessing
     if n < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(x) for x in items]
     out = [None] * len(items)

@@ -158,34 +158,23 @@ def trade_mask(paths: PathSet, alpha: float, labels=None) -> np.ndarray:
     return mask if labels is None else combine_mask(mask, labels)
 
 
-def trade_frequency(paths: PathSet, alpha: float) -> float:
-    """Average number of daily moves per path exceeding alpha.
-
-    This is the frequency statistic of the threshold filter itself, counted
-    over all n_steps daily returns of each path (at alpha = 0 it is exactly
-    n_steps); it deliberately excludes the forced day-0 rebalance of the mask.
-    """
-    return float(np.mean(np.sum(_moves_over(paths.prices, alpha), axis=1)))
-
-
 # ---------------------------------------------------------------------------
 # episode accounting
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HedgeEpisodeResult:
-    """Per-path episode outcomes plus per-day trade detail."""
+    """Per-path episode outcomes."""
 
     loss: np.ndarray         # [n] termination loss (currency; more negative = worse)
     trade_counts: np.ndarray  # [n] days with a nonzero position change
     total_cost: np.ndarray   # [n] accumulated transaction cost
-    buy_sell: np.ndarray     # [n, n_steps] signed cash traded per day
-    costs: np.ndarray        # [n, n_steps] cost per day
 
 
 def _loss_and_cash(prices: np.ndarray, deltas: np.ndarray, contract: ContractSpec,
-                   cost: CostModel) -> tuple[np.ndarray, np.ndarray]:
-    """(termination loss [n], signed cash traded per day [n, n_steps]) of a batch."""
+                   cost: CostModel) -> tuple[np.ndarray, ...]:
+    """(termination loss [n], signed cash traded per day [n, n_steps], total
+    cost [n], position change per day [n, n_steps]) of a batch."""
     prices = np.asarray(prices, dtype=np.float64)
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.ndim != 2 or prices.shape != (deltas.shape[0], deltas.shape[1] + 1):
@@ -194,25 +183,20 @@ def _loss_and_cash(prices: np.ndarray, deltas: np.ndarray, contract: ContractSpe
     if contract.maturity_steps != deltas.shape[1]:
         raise ShapeError(
             f"contract maturity {contract.maturity_steps} != {deltas.shape[1]} hedge days")
-    buy_sell = np.diff(deltas, axis=1, prepend=0.0) * prices[:, :-1]
+    steps = np.diff(deltas, axis=1, prepend=0.0)
+    buy_sell = steps * prices[:, :-1]
+    total_cost = (cost.rate * np.abs(buy_sell)).sum(axis=1)
     pnl = np.sum(deltas * np.diff(prices, axis=1), axis=1)
     payoff = np.maximum(prices[:, -1] - contract.strike, 0.0)
-    return pnl - (cost.rate * np.abs(buy_sell)).sum(axis=1) - payoff, buy_sell
+    return pnl - total_cost - payoff, buy_sell, total_cost, steps
 
 
 def episode_results(prices: np.ndarray, deltas: np.ndarray,
                     contract: ContractSpec, cost: CostModel) -> HedgeEpisodeResult:
     """Vectorized termination-loss accounting for a batch of paths."""
-    loss, buy_sell = _loss_and_cash(prices, deltas, contract, cost)
-    deltas = np.asarray(deltas, dtype=np.float64)
-    costs = cost.rate * np.abs(buy_sell)
-    return HedgeEpisodeResult(
-        loss=loss,
-        trade_counts=np.count_nonzero(np.diff(deltas, axis=1, prepend=0.0), axis=1),
-        total_cost=costs.sum(axis=1),
-        buy_sell=buy_sell,
-        costs=costs,
-    )
+    loss, _, total_cost, steps = _loss_and_cash(prices, deltas, contract, cost)
+    return HedgeEpisodeResult(loss=loss, trade_counts=np.count_nonzero(steps, axis=1),
+                              total_cost=total_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +618,7 @@ def episode_loss_node(tape: Tape, policy, prices: np.ndarray, mask: np.ndarray,
     cache, p = {} if cache is None else cache, dict(policy.params)
     deltas = tape.record(policy.remasker(prices, labels, cache)(mask),
                          lambda g: policy._adjoint(g, mask, p, cache))
-    loss, buy_sell = _loss_and_cash(prices, deltas, contract, cost)
+    loss, buy_sell, *_ = _loss_and_cash(prices, deltas, contract, cost)
     sgn = np.sign(buy_sell)
     dloss = np.diff(prices, axis=1) - cost.rate * sgn * prices[:, :-1]
     dloss[:, :-1] += cost.rate * sgn[:, 1:] * prices[:, 1:-1]
@@ -675,28 +659,28 @@ class EvalSummary:
     std_loss: float
     avg_trades: float
     n_paths: int
-    result: HedgeEpisodeResult
 
 
 def evaluate_policy(paths: PathSet, policy, mask: np.ndarray,
                     contract: ContractSpec, cost: CostModel,
                     labels=None) -> EvalSummary:
-    """Pure evaluation pass: per-path losses and their summary statistics."""
+    """Pure evaluation pass: the summary statistics of the per-path losses.
+    No command calls it; like DensePolicy.deltas, it is kept so that
+    perfbench/tracer.py can wrap and time a policy's evaluation."""
     return evaluate_deltas(paths, policy.deltas(paths.prices, mask, labels=labels),
                            contract, cost)
 
 
 def evaluate_deltas(paths: PathSet, deltas: np.ndarray, contract: ContractSpec,
                     cost: CostModel) -> EvalSummary:
-    """Per-path losses of the deltas [n, n_steps] held on paths, and their
-    summary statistics."""
+    """The summary statistics of the per-path losses of the deltas
+    [n, n_steps] held on paths."""
     res = episode_results(paths.prices, deltas, contract, cost)
     return EvalSummary(
         mean_loss=float(np.mean(res.loss)),
         std_loss=float(np.std(res.loss)),
         avg_trades=float(np.mean(res.trade_counts)),
         n_paths=paths.n_paths,
-        result=res,
     )
 
 

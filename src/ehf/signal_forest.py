@@ -47,20 +47,11 @@ def _extrema_labels(s: np.ndarray, beta: float) -> np.ndarray:
     return labels
 
 
-def label_extrema(path: np.ndarray, beta: float) -> np.ndarray:
-    """Per-day {0,1} labels for one path of at least 3 prices: 0 on a day
-    that spikes by more than beta against both neighbors (_extrema_labels)."""
-    s = np.asarray(path, dtype=np.float64)
-    if s.ndim != 1 or len(s) < 3:
-        raise DomainError(f"need at least 3 prices to label, got shape {s.shape}")
-    return _extrema_labels(s, beta)
-
-
 def label_matrix(paths: PathSet, beta: float) -> np.ndarray:
     """Ground-truth labels for every hedge day: [n_paths, n_steps] in {0,1}.
 
-    The rule of label_extrema on every row, less the final price's label (it
-    has no tomorrow and is not a decision day anyway).
+    The rule of _extrema_labels on every row, less the final price's label
+    (it has no tomorrow and is not a decision day anyway).
     """
     return _extrema_labels(paths.prices, beta)[:, : paths.n_steps]
 
@@ -371,11 +362,12 @@ def predict_labels(forest: Forest, X: np.ndarray) -> np.ndarray:
     return (2 * votes >= len(forest.trees)).astype(np.int8)
 
 
-def predict_label_matrix(forest: Forest, paths: PathSet) -> np.ndarray:
-    """[n_paths, n_steps] forecast labels; days 0-1 forced to 1 (no history)."""
-    labels = np.ones((paths.n_paths, paths.n_steps), dtype=np.int8)
+def vote_labels(votes: np.ndarray, n_paths: int, n_steps: int) -> np.ndarray:
+    """[n_paths, n_steps] forecast labels: the votes on feature_table's rows
+    on days 2 .. n_steps - 1, and 1 on days 0-1 (no history)."""
+    labels = np.ones((n_paths, n_steps), dtype=np.int8)
     rows = _day_rows(labels)
-    rows[:] = predict_labels(forest, feature_table(paths)).reshape(rows.shape)
+    rows[:] = votes.reshape(rows.shape)
     return labels
 
 

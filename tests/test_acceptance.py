@@ -14,12 +14,12 @@ import pytest
 
 import ehf
 from ehf import market_sim
-from ehf.analytics_bsm import bs_call_price, bs_delta
+from ehf.analytics_bsm import bs_delta
 from ehf.frontier import FrontierPoint
-from ehf.hedging_engine import (DensePolicy, GRUPolicy, batch_objective, entropy_risk,
-                                episode_results, trade_frequency)
-from ehf.neural_core import grad_check
-from ehf.signal_forest import label_extrema, label_matrix, predict_labels
+from ehf.cli import gradcheck_report
+from ehf.hedging_engine import _loss_and_cash, entropy_risk, episode_results
+from ehf.signal_forest import label_matrix, predict_labels
+from reference import bs_call_price, label_extrema, trade_frequency
 
 # ---------------------------------------------------------------------------
 # shared desk-scale assets
@@ -160,28 +160,31 @@ CASH_QUANTIZATION = 1.1e-2
 
 
 def _replay(table, rate):
+    """(cash leg, cost cells, episode_results' total cost) of the table's
+    prices and deltas; a day's cost is rate * |its cash leg|."""
     prices = np.array([[row[1] for row in table] + [100.0]])  # dummy final mark
     deltas = np.array([[row[2] for row in table]])
-    res = episode_results(prices, deltas,
-                              ehf.ContractSpec(100.0, len(table)),
-                              ehf.CostModel(rate))
-    return res.buy_sell[0], res.costs[0]
+    contract, cost = ehf.ContractSpec(100.0, len(table)), ehf.CostModel(rate)
+    cash = _loss_and_cash(prices, deltas, contract, cost)[1][0]
+    total = episode_results(prices, deltas, contract, cost).total_cost[0]
+    return cash, rate * np.abs(cash), total
 
 
 def test_c2_cost_accounting_replay(record):
-    worst_cash, worst_cost, worst_quote = 0.0, 0.0, 0.0
+    worst_cash, worst_cost, worst_quote, worst_total = 0.0, 0.0, 0.0, 0.0
     for table, rate in ((TABLE_A, 0.05), (TABLE_B, 0.02)):
-        cash, costs = _replay(table, rate)
+        cash, costs, total = _replay(table, rate)
+        worst_total = max(worst_total, abs(total - costs.sum()))
         for (day, _, _, cash_ref, cost_ref), c, k in zip(table, cash, costs):
             worst_cash = max(worst_cash, abs(c - cash_ref))
             worst_cost = max(worst_cost, abs(k - cost_ref))
             worst_quote = max(worst_quote, abs(cost_ref - rate * abs(cash_ref)))
     # frozen days replay as exact zeros, bit for bit
-    cash_b, costs_b = _replay(TABLE_B, 0.02)
+    cash_b, costs_b, _ = _replay(TABLE_B, 0.02)
     frozen_exact = (cash_b[3] == 0.0 and costs_b[3] == 0.0
                     and cash_b[8] == 0.0 and costs_b[8] == 0.0)
     ok = (worst_cost <= 1e-3 and worst_quote <= 1e-3
-          and worst_cash <= CASH_QUANTIZATION and frozen_exact)
+          and worst_cash <= CASH_QUANTIZATION and frozen_exact and worst_total <= 1e-12)
     record(2, ok,
            f"cost cells replay to {worst_cost:.1e} (<=1e-3), quoted "
            f"cost/cash consistency {worst_quote:.1e} (<=1e-3); cash legs "
@@ -192,6 +195,7 @@ def test_c2_cost_accounting_replay(record):
     assert worst_quote <= 1e-3, f"quoted cost vs rate*|cash| off by {worst_quote}"
     assert worst_cash <= CASH_QUANTIZATION, f"cash replay off by {worst_cash}"
     assert frozen_exact
+    assert worst_total <= 1e-12, f"total cost off the sum of its days by {worst_total}"
 
 
 # ---------------------------------------------------------------------------
@@ -301,23 +305,8 @@ def _pareto_brute_force(rng):
 
 
 def _gradient_checks():
-    sim = ehf.SimConfig(n_paths=8, seed=404, n_steps=6)
-    paths = ehf.simulate_gbm(ehf.GBMParams(mu=0.0, sigma=0.3), sim)
-    mask = ehf.compute_trade_mask(paths, 0.005)
-    cost = ehf.CostModel(0.02)
-    contract = ehf.ContractSpec(100.0, 6)
     for arch, tol in (("dense", 1e-5), ("gru", 1e-4)):
-        cfg = ehf.PolicyConfig(arch=arch, hidden=6)
-        policy = (DensePolicy if arch == "dense" else GRUPolicy).init(cfg, seed=7)
-        jitter = np.random.default_rng(99)
-        policy.params = {k: v + 0.05 * jitter.standard_normal(v.shape)
-                         for k, v in policy.params.items()}
-
-        def objective(params, policy=policy):
-            policy.params = params
-            return batch_objective(policy, paths.prices, mask, contract, cost, 0.5)
-
-        report = grad_check(objective, policy.params)
+        report = gradcheck_report(arch)
         assert report.ok(tol), f"{arch}: {report.max_rel_error:.3e} > {tol}"
 
 

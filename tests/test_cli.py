@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +19,8 @@ from ehf import cli, container
 from ehf.cli import (RunConfig, _made_from, _parse_alpha_grid, _parse_number,
                      _scenario, _write_record, load_config, main)
 from ehf.hedging_engine import DensePolicy
-from ehf.signal_forest import load_forest, predict_label_matrix
+from ehf.signal_forest import load_forest
+from reference import predict_label_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -827,8 +831,10 @@ def test_paths_simulated_under_another_config_exit_3(tmp_path, capsys, changes,
 
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "dense" in out and "gru" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "dense: max rel error 2.076e-07 (tol 1e-05)",
+        "gru: max rel error 7.164e-07 (tol 0.0001)",
+        "gradient check passed for all architectures"]
 
 
 @pytest.mark.parametrize("text,args", [
@@ -855,6 +861,29 @@ def test_seed_override_changes_artifacts(workdir, tmp_path, capsys):
     pb = ehf.load_pathset(b / "paths.ehfp")
     assert not np.array_equal(pa.prices, pb.prices)
     capsys.readouterr()
+
+
+def test_a_pipeline_without_a_pool_leaves_multiprocessing_unimported(tmp_path):
+    """Only a retrain sweep's pool forks; the import alone costs a process
+    about 0.7 MB and several ms, so the five commands of a fast pipeline,
+    the sweep at --jobs 2 included, run without it."""
+    ini = tmp_path / "tiny.ini"
+    ini.write_text(TINY_INI)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    probe = ("import contextlib, io, sys\n"
+             "from ehf.cli import main\n"
+             "for cmd, jobs in (('simulate', 1), ('label', 1), ('train', 1),"
+             " ('sweep', 2), ('report', 1)):\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = main([cmd, '--config', sys.argv[1], '--out', sys.argv[2],"
+             " '--jobs', str(jobs)])\n"
+             "    print(cmd, code)\n"
+             "print('multiprocessing' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", probe, str(ini), str(tmp_path / "out")],
+                         env=env, check=True, capture_output=True, text=True)
+    assert run.stdout.splitlines() == [
+        "simulate 0", "label 0", "train 0", "sweep 0", "report 0", "False"]
 
 
 def test_unknown_subcommand_rejected():

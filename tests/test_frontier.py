@@ -15,8 +15,8 @@ from ehf import frontier, hedging_engine
 from ehf.errors import (ConfigurationError, DomainError, IntegrityError,
                         NumericError, StateError)
 from ehf.frontier import FrontierPoint
-from ehf.hedging_engine import DensePolicy, combine_mask, evaluate_policy
-from ehf.signal_forest import predict_label_matrix
+from ehf.hedging_engine import DensePolicy, combine_mask, episode_results, evaluate_policy
+from reference import predict_label_matrix
 
 
 def _point(mean, std, alpha=0.0, trades=10.0, **kw):
@@ -260,8 +260,8 @@ def test_sweep_cost_rates_scale_costs_linearly(tiny_split, contract):
                            policy=policy)
     for a, p2, p5 in zip(alphas, pts2, pts5):
         mask = ehf.compute_trade_mask(test, a)
-        res2 = evaluate_policy(test, policy, mask, contract,
-                                   ehf.CostModel(0.02)).result
+        res2 = episode_results(test.prices, policy.deltas(test.prices, mask), contract,
+                               ehf.CostModel(0.02))
         mean_cost2 = res2.total_cost.mean()
         assert p5.mean_loss == pytest.approx(p2.mean_loss - 1.5 * mean_cost2,
                                              abs=1e-9)

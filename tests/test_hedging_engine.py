@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 import ehf
 from ehf.errors import DomainError, ShapeError
 from ehf.hedging_engine import (DensePolicy, GRUPolicy, _dense_inputs,
-                                _masked_adjoint, _masked_rollout, batch_objective,
-                                check_mask, combine_mask, entropy_risk,
+                                _loss_and_cash, _masked_adjoint, _masked_rollout,
+                                batch_objective, check_mask, combine_mask, entropy_risk,
                                 episode_loss_node, episode_results, evaluate_policy,
-                                tape_entropy_risk, trade_frequency)
+                                tape_entropy_risk)
 from ehf.neural_core import Tape, grad_check
 import full_rollout
 from per_op_tape import PerOpTape, tape_gru
@@ -23,6 +23,12 @@ from per_op_tape import entropy_risk as per_op_entropy_risk
 def _pathset(prices, s0=100.0):
     prices = np.asarray(prices, dtype=np.float64)
     return ehf.PathSet(prices, s0, np.arange(prices.shape[0]))
+
+
+def _cash_and_costs(prices, deltas, contract, cost):
+    """The signed cash traded and the cost (rate * |cash|) of each day."""
+    cash = _loss_and_cash(prices, deltas, contract, cost)[1]
+    return cash, cost.rate * np.abs(cash)
 
 
 # ---------------------------------------------------------------------------
@@ -35,8 +41,9 @@ def test_episode_hand_computed():
     deltas = np.array([[0.5, 0.6, 0.4]])
     contract = ehf.ContractSpec(strike=100.0, maturity_steps=3)
     res = episode_results(prices, deltas, contract, ehf.CostModel(0.01))
-    assert np.allclose(res.buy_sell, [[50.0, 11.0, -21.0]])
-    assert np.allclose(res.costs, [[0.50, 0.11, 0.21]])
+    cash, costs = _cash_and_costs(prices, deltas, contract, ehf.CostModel(0.01))
+    assert np.allclose(cash, [[50.0, 11.0, -21.0]])
+    assert np.allclose(costs, [[0.50, 0.11, 0.21]])
     assert res.total_cost[0] == pytest.approx(0.82)
     assert res.trade_counts[0] == 3
     # pnl: 0.5*10 - 0.6*5 + 0.4*10 = 6; loss = 6 - 0.82 - 15
@@ -68,7 +75,9 @@ def test_cost_scales_linearly_in_rate():
     lo = episode_results(prices, deltas, contract, ehf.CostModel(0.02))
     hi = episode_results(prices, deltas, contract, ehf.CostModel(0.05))
     # identical up to one rounding: 0.05 = 2.5 * 0.02 only to the last ulp
-    assert np.allclose(hi.costs, 2.5 * lo.costs, rtol=5e-16, atol=0)
+    lo_costs = _cash_and_costs(prices, deltas, contract, ehf.CostModel(0.02))[1]
+    hi_costs = _cash_and_costs(prices, deltas, contract, ehf.CostModel(0.05))[1]
+    assert np.allclose(hi_costs, 2.5 * lo_costs, rtol=5e-16, atol=0)
     assert np.allclose(hi.total_cost, 2.5 * lo.total_cost, rtol=1e-16 * 30, atol=0)
 
 
@@ -215,24 +224,6 @@ def test_combine_mask_keeps_day0():
     labels = np.array([[0, 0, 1]])
     combined = combine_mask(mask, labels)
     assert combined.tolist() == [[True, False, True]]
-
-
-def test_trade_frequency_hand_oracle():
-    # moves: 2%, ~0.49%, ~1.46%; alpha = 1% admits two of the three
-    paths = _pathset([[100.0, 102.0, 102.5, 101.0]])
-    assert trade_frequency(paths, 0.01) == pytest.approx(2.0)
-    assert trade_frequency(paths, 0.0) == pytest.approx(3.0)
-    assert trade_frequency(paths, 0.05) == 0.0
-
-
-def test_trade_frequency_counts_all_days_not_mask(heston_small):
-    """The frequency statistic covers every daily return; the mask also
-    forces day 0, so at large alpha they must diverge."""
-    freq = trade_frequency(heston_small, 0.5)
-    mask = ehf.compute_trade_mask(heston_small, 0.5)
-    per_path = float(np.mean(np.sum(mask, axis=1)))
-    assert freq < 0.05
-    assert per_path >= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -707,11 +698,14 @@ def test_masked_days_cost_exactly_zero(gbm_small, contract):
     policy = DensePolicy.init(ehf.PolicyConfig(arch="dense"), seed=4)
     mask = ehf.compute_trade_mask(gbm_small, 0.04)
     deltas = policy.deltas(gbm_small.prices, mask)
-    res = episode_results(gbm_small.prices, deltas, contract,
-                              ehf.CostModel(0.05))
+    cash, costs = _cash_and_costs(gbm_small.prices, deltas, contract,
+                                  ehf.CostModel(0.05))
     frozen = ~mask
-    assert np.all(res.costs[frozen] == 0.0)
-    assert np.all(res.buy_sell[frozen] == 0.0)
+    assert np.all(costs[frozen] == 0.0)
+    assert np.all(cash[frozen] == 0.0)
+    res = episode_results(gbm_small.prices, deltas, contract, ehf.CostModel(0.05))
+    np.testing.assert_array_equal(res.total_cost, costs.sum(axis=1))
+    np.testing.assert_array_equal(res.trade_counts, np.count_nonzero(cash, axis=1))
 
 
 def test_config_validation():

@@ -1,6 +1,7 @@
 """Each `ehf` module imports only the modules below it in one fixed order,
 imports nothing but numpy and the standard library from outside the package,
-the package exports only what some reader uses, and one module builds the
+the package exports only what some reader uses, holds only functions and
+classes that something outside the tests reaches, and one module builds the
 training tape.
 
 The order runs from the error types up to the command line. An import that
@@ -9,6 +10,7 @@ possible; a function-local import is how such a cycle usually hides.
 """
 
 import ast
+import collections
 import os
 import pathlib
 import re
@@ -167,3 +169,61 @@ def test_only_hedging_engine_names_the_tape(tmp_path):
         assert _names_tape(probe) == names, text
     naming = [m for m in ("__init__", *ORDER) if _names_tape(SRC / f"{m}.py")]
     assert naming == ["hedging_engine"]
+
+
+def _names_in(tree, strings=False) -> collections.Counter:
+    """How often a tree names each identifier: bare, as an attribute or as an
+    imported alias; with strings, also as a dotted part of a string constant,
+    as in the tracer's ("module", "Class.method") targets."""
+    found = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.rpartition(".")[2]] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(node.value.split("."))
+    return found
+
+
+def _unreached(src: pathlib.Path, readers: list, readme: str) -> list:
+    """module.name of each top-level function and class of the package at
+    src that nothing names: no code of the package outside its own
+    definition, no reader (a file whose identifiers and strings count) and
+    not the README text as `ehf.<module>.<name>`."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in src.glob("*.py")}
+    in_src = sum((_names_in(tree) for tree in trees.values()), collections.Counter())
+    outside = set().union(*(_names_in(ast.parse(p.read_text()), strings=True)
+                            for p in readers))
+    in_readme = {".".join(m) for m in re.findall(r"\behf\.(\w+)\.(\w+)", readme)}
+    return [f"{module}.{node.name}"
+            for module, tree in sorted(trees.items()) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and in_src[node.name] == _names_in(node)[node.name]
+            and node.name not in outside and f"{module}.{node.name}" not in in_readme]
+
+
+def test_every_function_and_class_has_a_caller_outside_tests():
+    """Each top-level function and class of `ehf` is named by other package
+    code, by the benchmark (its tracer's targets included), by `tools/`, or
+    by the README as `ehf.<module>.<name>`. What only tests call lives in
+    `tests/`, as their reference code."""
+    readers = sorted((ROOT / "perfbench").rglob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+    readers = [p for p in readers if "tests" not in p.relative_to(ROOT).parts]
+    unreached = _unreached(SRC, readers, (ROOT / "README.md").read_text())
+    assert not unreached, f"only tests reach {unreached}"
+
+
+def test_the_caller_check_counts_code_readers_and_the_readme(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "m.py").write_text("def used():\n    pass\n\n"
+                              "def loops(n):\n    return loops(n - 1)\n\n"
+                              "class Traced:\n    def run(self):\n        return used()\n\n"
+                              "def documented():\n    pass\n")
+    reader = tmp_path / "bench.py"
+    reader.write_text('TARGETS = (("m", "Traced.run"),)\n')
+    assert _unreached(src, [reader], "call `ehf.m.documented`") == ["m.loops"]
+    assert _unreached(src, [], "") == ["m.loops", "m.Traced", "m.documented"]

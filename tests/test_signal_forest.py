@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import ehf
 from ehf import container, signal_forest
 from ehf.errors import ConfigurationError, DomainError, IntegrityError, ShapeError
-from ehf.signal_forest import (DecisionTree, Forest, label_extrema, load_forest,
-                               predict_label_matrix, predict_labels)
+from ehf.signal_forest import DecisionTree, Forest, load_forest, predict_labels
 from node_walk import forest_predict, tree_predict
+from reference import label_extrema, predict_label_matrix
 from tree_oracle import best_split, forest_trees
 
 
@@ -22,61 +22,6 @@ def _pathset(prices, s0=100.0):
 # ---------------------------------------------------------------------------
 # labeling
 # ---------------------------------------------------------------------------
-
-def test_monotone_path_all_ones():
-    path = np.linspace(100, 130, 12)
-    assert np.all(label_extrema(path, 0.05) == 1)
-
-
-def test_symmetric_vee_marks_bottom():
-    labels = label_extrema(np.array([100.0, 90.0, 100.0]), 0.05)
-    assert labels.tolist() == [1, 0, 1]
-
-
-def test_spike_marks_peak():
-    # 7% up then 7% above tomorrow: significant local max
-    labels = label_extrema(np.array([100.0, 107.0, 100.0, 101.0]), 0.05)
-    assert labels.tolist() == [1, 0, 1, 1]
-
-
-def test_shallow_extremum_not_marked():
-    # turning point exists but both moves are under 5%
-    labels = label_extrema(np.array([100.0, 103.0, 100.0]), 0.05)
-    assert labels.tolist() == [1, 1, 1]
-
-
-def test_ends_always_one():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        path = 100 * np.exp(np.cumsum(rng.normal(0, 0.1, size=10)))
-        labels = label_extrema(path, 0.0)
-        assert labels[0] == 1 and labels[-1] == 1
-
-
-def test_label_uses_only_adjacent_days():
-    rng = np.random.default_rng(1)
-    path = 100 * np.exp(np.cumsum(rng.normal(0, 0.08, size=12)))
-    base = label_extrema(path, 0.05)
-    for t in range(3, 9):
-        bumped = path.copy()
-        bumped[t + 2:] *= 1.8        # violent move, but beyond the window
-        bumped[: t - 1] *= 0.6
-        assert label_extrema(bumped, 0.05)[t] == base[t]
-
-
-def test_labels_scale_invariant():
-    rng = np.random.default_rng(2)
-    path = 100 * np.exp(np.cumsum(rng.normal(0, 0.07, size=15)))
-    assert np.array_equal(label_extrema(path, 0.05),
-                          label_extrema(3.7 * path, 0.05))
-
-
-def test_label_guards():
-    with pytest.raises(DomainError):
-        label_extrema(np.array([100.0, 101.0]), 0.05)
-    with pytest.raises(DomainError):
-        label_extrema(np.array([100.0, 101.0, 102.0]), -0.1)
-
 
 def test_label_matrix_matches_per_path(heston_small):
     mat = ehf.label_matrix(heston_small, 0.05)
@@ -411,18 +356,6 @@ def test_classification_report_oracles():
                 (t == truth_label) & (p == vote))
     with pytest.raises(DomainError):
         ehf.classification_report(np.array([0, 2]), np.array([0, 1]))
-
-
-def test_predict_label_matrix_forces_early_days(heston_small):
-    X, truth = ehf.feature_table(heston_small), _truth_rows(heston_small)
-    forest = ehf.fit_forest(X[:4000], truth[:4000], ehf.ForestConfig(n_trees=5, seed=2))
-    predicted = predict_label_matrix(forest, heston_small)
-    assert predicted.shape == (256, 30)
-    assert np.all(predicted[:, :2] == 1)
-    # days 2 .. 29 hold the votes on feature_table's rows, in its order
-    votes = predict_labels(forest, X)
-    assert 0 < np.count_nonzero(votes == 0) < len(votes)
-    np.testing.assert_array_equal(predicted[:, 2:].ravel(), votes)
 
 
 def test_forest_roundtrip(tmp_path, heston_small):
