@@ -39,29 +39,27 @@ def norm_cdf(x):
     return 0.5 * _erfc(-np.asarray(x, dtype=np.float64) * np.sqrt(0.5))
 
 
-def _d1(spot, strike: float, rate: float, vol: float, tau: float, delta: bool = False):
+def _d1(spot, strike: float, rate: float, vol: float, tau: float):
     """(spot as float64, the discounted strike, d1) once the arguments check
-    out; d1 is None at vol = 0 or tau = 0, where the value degenerates. A
-    delta needs tau > 0: it is a step at expiry."""
+    out; d1 is None at vol = 0, where the value degenerates. tau must be
+    > 0: a delta is a step at expiry."""
     if np.any(np.asarray(spot) <= 0):
         raise DomainError("spot must be > 0")
     if strike <= 0:
         raise DomainError("strike must be > 0")
-    if delta and tau <= 0:
+    if tau <= 0:
         raise DomainError(f"tau must be > 0 for delta, got {tau}")
     if vol < 0:
         raise DomainError(f"vol must be >= 0, got {vol}")
-    if tau < 0:
-        raise DomainError(f"tau must be >= 0, got {tau}")
     spot = np.asarray(spot, dtype=np.float64)
-    d1 = None if tau == 0 or vol == 0 else \
+    d1 = None if vol == 0 else \
         (np.log(spot / strike) + (rate + 0.5 * vol ** 2) * tau) / (vol * np.sqrt(tau))
     return spot, strike * np.exp(-rate * tau), d1
 
 
 def bs_delta(spot, strike: float, rate: float, vol: float, tau: float):
     """Call delta N(d1); tau must be strictly positive."""
-    spot, discounted, d1 = _d1(spot, strike, rate, vol, tau, delta=True)
+    spot, discounted, d1 = _d1(spot, strike, rate, vol, tau)
     value = (spot > discounted).astype(np.float64) if d1 is None else norm_cdf(d1)
     return value if value.ndim else float(value)
 

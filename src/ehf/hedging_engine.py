@@ -301,91 +301,165 @@ def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) ->
     return np.maximum(out, 0.0, out=out)
 
 
+def _trade_ranks(mask: np.ndarray, whole: bool):
+    """The trading cells of mask [n, days] (day 0 trades on every row) by
+    trade rank, (ranks, at, pm): a path's k-th trade reads only its
+    (k-1)-th trade's delta.
+
+    ranks[k] = (sel, b, e) holds every path's k-th trade, rows ascending:
+    sel picks their rows of an [n] array (a slice if every row), b:e their
+    cell positions. If every day trades on every row or on none (whole),
+    rank k is a whole day t, at and pm are None, and positions index a
+    flattened [days, n] array: b:e = t*n : t*n + n. Otherwise positions run
+    rank by rank; at maps them to that index, and pm to the cell's index
+    among the trading cells taken path by path.
+    """
+    n, n_days = mask.shape
+    if whole:
+        return [(slice(None), t * n, t * n + n)
+                for t in np.flatnonzero(mask[:1].any(axis=0)).tolist()], None, None
+    # each path's trading days first, in order, then n_days
+    days = np.sort(np.where(mask, np.arange(n_days), n_days), axis=1)
+    count = mask.sum(axis=1)
+    ranked = np.arange(count.max())[:, None] < count  # [rank, path]
+    rank, rows = np.nonzero(ranked)
+    edges = [0] + np.cumsum(ranked.sum(axis=1)).tolist()
+    return [(slice(None) if e - b == n else rows[b:e], b, e) for b, e in zip(edges, edges[1:])], \
+        np.take(days, rows * n_days + rank) * n + rows, (np.cumsum(count) - count)[rows] + rank
+
+
+def _frozen_sums(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """For each trading cell of mask [n, days] (day 0 trades on every row),
+    taken path by path, the sum of g [n, days] over the frozen days after it
+    up to the path's next trade or last day; 0.0 where there are none."""
+    return np.add.reduceat(np.where(mask, 0.0, g).ravel(), np.flatnonzero(mask))
+
+
 def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
                     mask: np.ndarray, cache: dict | None) -> np.ndarray:
     """Deltas [n, n_steps] of the masked carry prev <- where(mask[:, t], sig[t], prev).
 
     Days t < len(xs) run the dense net (blocks prefix + w1 ... b3 of p; p
-    may be empty without such days) on the rows of xs[t] that trade that
-    day, with the previous delta filled in, and write its outputs to those
-    rows of sig[t]. The carry would discard a frozen row's output, so such
-    rows skip the net and get 0.0 in sig[t]: no dense day leaves a stale or
-    NaN entry (sig may come from np.empty) in _masked_adjoint's slope
-    sig * (1 - sig) * mask. A day on which none trades runs no net.
-    The later rows of sig [n_steps, n] arrive filled and are only read.
-    A dense day with k trading rows writes its x, h1 and h2 to rows :k of
-    that day's slabs "x", "h1" and "h2" [days, rows, width]. A cache keeps
-    the slabs from call to call, with sig and each dense day's trading rows
-    (a slice on a day every row trades, None on one none does) as "rows",
-    for _masked_adjoint; without one, a one-day slab serves each day.
+    may be empty without such days) on their trading cells, with the
+    previous delta filled in, and write its outputs to those cells of sig
+    (C-contiguous [n_steps, n]); frozen cells skip it and hold 0.0, so no
+    stale or NaN entry of an np.empty sig reaches _masked_adjoint's slope
+    sig * (1 - sig) * mask. The later rows of sig arrive filled. The net
+    runs once per trade rank (_trade_ranks), over every path's k-th trading
+    cell gathered from xs; each day then takes its last trade's entry of
+    sig, by one gather. Byte-stable, the bits of a day-by-day carry: every
+    output where each dense day trades on every row or none (the ranks are
+    those days), and every output of a GRU with window <= 3 (rank 1 is day
+    1's trading rows) or of the closed-form policy (no dense days). Under
+    other masks a dense output depends on the rank grouping at about 1e-15
+    relative: OpenBLAS gives a product over one set of rows other last bits
+    than over another.
+    Rank k with m cells writes their x, h1 and h2 to rows :m of slab day k
+    of "x", "h1" and "h2" [days, rows, width]. A cache keeps the slabs from
+    call to call, with sig, the number of dense days and what _trade_ranks
+    gives, for _masked_adjoint; without one, a one-day slab serves each rank.
     """
     w1, b1, w2, b2, w3, b3 = (p.get(prefix + k) for k in _DENSE)
     n, n_steps = mask.shape
-    n_trading = mask[:, :len(xs)].sum(axis=0).tolist()
-    ws, held = ({}, 1) if cache is None else (cache, len(xs))
-    slabs = [_slab(ws, key, held, n, width) for key, width in
-             (("x", xs.shape[2]), ("h1", len(w1)), ("h2", len(w2)))] if len(xs) else ()
-    days = []
-    prev = np.zeros(n)
-    out = np.empty((n, n_steps))
-    for t in range(n_steps):
-        if t < len(xs):
-            k = n_trading[t]
-            rows = slice(None) if k == n else np.flatnonzero(mask[:, t])
-            if k < n:
-                sig[t] = 0.0
-            if k:
-                x, h1, h2 = (slab[t if cache is not None else 0, :k] for slab in slabs)
-                x[...] = xs[t][rows]
-                x[:, 2] = prev[rows]
-                _relu_layer(x, w1, b1, h1)
-                _relu_layer(h1, w2, b2, h2)
-                sig[t][rows] = nc.sigmoid(h2 @ w3.T + b3)[:, 0]
-            days.append(rows if k else None)
-        prev = np.where(mask[:, t], sig[t], prev)
-        out[:, t] = prev
+    n_dense = len(xs)
+    n_trading = mask.sum(axis=0)
+    whole_days = (n_trading == 0) | (n_trading == n)  # every row trades, or none
+    ranks, at, pm = _trade_ranks(mask[:, :n_dense], bool(whole_days[:n_dense].all()))
+    if n_dense:
+        ws, held = ({}, 1) if cache is None else (cache, n_dense)
+        slabs = [_slab(ws, key, held, n, width) for key, width in
+                 (("x", xs.shape[2]), ("h1", len(w1)), ("h2", len(w2)))]
+        flat_xs = xs.reshape(-1, xs.shape[2])
+    flat_sig = sig.reshape(-1)
+    sig[:n_dense] = 0.0
+    out = flat_sig if at is None else np.empty(len(at))  # by cell position
+    last = np.zeros(n)  # each path's delta after its latest trade so far
+    for k, (sel, b, e) in enumerate(ranks):
+        x, h1, h2 = (slab[k if cache is not None else 0, :e - b] for slab in slabs)
+        if at is None:
+            x[...] = flat_xs[b:e]
+        else:
+            flat_xs.take(at[b:e], axis=0, out=x)
+        x[:, 2] = last[sel]
+        _relu_layer(x, w1, b1, h1)
+        _relu_layer(h1, w2, b2, h2)
+        last[sel] = out[b:e] = nc.sigmoid(h2 @ w3.T + b3)[:, 0]
+    if at is not None:
+        flat_sig[at] = out
     if cache is not None:
-        cache.update(sig=sig, rows=days)
-    return out
+        cache.update(sig=sig, dense_days=n_dense, ranks=(ranks, at, pm))
+    # each trading cell's entry of sig, held until the path's next trade
+    if whole_days.all():
+        held_day = np.maximum.accumulate(np.where(n_trading > 0, np.arange(n_steps), 0))
+        return sig[held_day].T.copy()
+    cells = np.flatnonzero(mask)
+    rows = cells // n_steps
+    days_held = np.empty_like(cells)  # from each trading cell to the next
+    days_held[:-1] = cells[1:]
+    days_held[-1:] = mask.size
+    days_held -= cells
+    return flat_sig[(cells - rows * n_steps) * n + rows].repeat(days_held).reshape(n, n_steps)
 
 
 def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
                     cache: dict) -> tuple[np.ndarray, dict]:
-    """Reverse walk of _masked_rollout over the days for upstream gradient g.
+    """Reverse walk of _masked_rollout for upstream gradient g.
 
-    The masked where splits each day's gradient: trade days send it into the
-    sigmoid, frozen days on to the carried previous delta. On dense days the
-    net's gradient at its prev-delta input (column 2 of w1) joins the carry
-    of the rows the net ran on; sig holds 0.0 at a dense day's frozen rows,
-    so their slope is an exact zero.
+    A trading cell's sigmoid gets the sum of g over the days its delta is
+    held, plus, if the path's next trade is a dense one, the net's gradient
+    at that trade's prev-delta input (column 2 of w1). The days after the
+    dense days are walked back one by one, then the trade ranks in reverse.
+    If each dense day trades on every row or none, a rank's frozen days
+    fold into the carry as in a day-by-day walk, g[t] + (g[t + 1] + ...
+    (g[t'] + carry)); otherwise as g[t] + (their sum (_frozen_sums) +
+    carry), the same where at most one frozen day follows. So the gradients
+    are byte-stable where _masked_rollout's outputs are, and otherwise
+    depend on the rank grouping at about 1e-15 relative. sig holds 0.0 at
+    frozen dense cells, so their slope is an exact zero.
     Returns the gradient at every day's sigmoid input [n_steps, n], whose
     later days feed their own adjoint, and the dense blocks' gradients.
     """
     w1_prev, w2, w3 = p[prefix + "w1"][:, 2], p[prefix + "w2"], p[prefix + "w3"][0]
-    sig, days = cache["sig"], cache["rows"]
+    sig, n_dense, (ranks, at, pm) = (cache[k] for k in ("sig", "dense_days", "ranks"))
+    n, n_steps = mask.shape
     ga3 = sig * (1.0 - sig) * mask.T  # sigmoid slope, zero on frozen days
     frozen = ~mask
     gw1, gw2, gw3 = (np.zeros_like(p[prefix + k]) for k in ("w1", "w2", "w3"))
-    gpre1, gpre2 = np.zeros((2, len(g), len(w2)))
-    carry = np.zeros(len(g))
-    for t in reversed(range(mask.shape[1])):
+    gpre1, gpre2 = np.zeros((2, n, len(w2)))
+    carry = np.zeros(n)
+    for t in reversed(range(n_dense, n_steps)):
         day = g[:, t] + carry
         ga3[t] *= day
         carry = day * frozen[:, t]
-        if t < len(days) and days[t] is not None:
-            rows = days[t]
-            ga = ga3[t][rows]
-            x, h1, h2 = (cache[key][t, :len(ga)] for key in ("x", "h1", "h2"))
-            ga2 = np.multiply.outer(ga, w3) * (h2 > 0)
-            ga1 = (ga2 @ w2) * (h1 > 0)
-            carry[rows] += ga1 @ w1_prev
-            gw1 += ga1.T @ x
-            gw2 += ga2.T @ h1
-            gw3 += ga @ h2
-            gpre1[rows] += ga1
-            gpre2[rows] += ga2
+    # at each cell position: the slope, scaled in place into the gradient at
+    # the sigmoid input, and g
+    slope, g_cells = ga3.reshape(-1), g[:, :n_dense].T.ravel()
+    if at is not None:
+        tails = _frozen_sums(g[:, :n_dense], mask[:, :n_dense])[pm]
+        slope, g_cells = slope[at], g_cells[at]
+    for k in reversed(range(len(ranks))):
+        sel, b, e = ranks[k]
+        ga = slope[b:e]
+        if at is None:
+            end = ranks[k + 1][1] // n if k + 1 < len(ranks) else n_dense
+            for t in reversed(range(b // n + 1, end)):
+                carry = g[:, t] + carry
+            ga *= g_cells[b:e] + carry
+        else:
+            ga *= g_cells[b:e] + (tails[b:e] + carry[sel])
+        x, h1, h2 = (cache[key][k, :e - b] for key in ("x", "h1", "h2"))
+        ga2 = np.multiply.outer(ga, w3) * (h2 > 0)
+        ga1 = (ga2 @ w2) * (h1 > 0)
+        carry[sel] = ga1 @ w1_prev
+        gw1 += ga1.T @ x
+        gw2 += ga2.T @ h1
+        gw3 += ga @ h2
+        gpre1[sel] += ga1
+        gpre2[sel] += ga2
+    if at is not None:
+        ga3.reshape(-1)[at] = slope
     blocks = (gw1, gpre1.sum(axis=0), gw2, gpre2.sum(axis=0), gw3,
-              ga3[:len(days)].sum().reshape(1))
+              ga3[:n_dense].sum().reshape(1))
     return ga3, dict(zip((prefix + k for k in _DENSE), blocks))
 
 
@@ -401,16 +475,15 @@ def _cell_views(slabs, d: int, n: int) -> list:
     return [slab[d, :k * n] for slab, k in zip(slabs, _CELL_ROWS)]
 
 
-def _gru_cell(x, h, wz, bz, wr, br, wh, bh, saved=None):
+def _gru_cell(x, h, wz, bz, wr, br, wh, bh, saved):
     """One GRU step (Cho et al. 2014) on a batch: x [n, in], h [n, hidden].
 
     Returns h' = (1 - z) h + z tanh([x, r h] wh' + bh), with z, r the sigmoid
-    gates of [x, h], and what _gru_cell_adjoint reads, in _CELL order: the
-    arrays of saved, written in place, or new ones.
+    gates of [x, h], and saved, the arrays in _CELL order that
+    _gru_cell_adjoint reads, written in place.
     """
-    n, nx, nh = len(x), x.shape[1], h.shape[1]
-    xh, zr, xrh, cand = saved if saved is not None else (
-        np.empty(shape) for shape in ((n, nx + nh), (2 * n, nh), (n, nx + nh), (n, nh)))
+    n, nx = len(x), x.shape[1]
+    xh, zr, xrh, cand = saved
     xh[:, :nx] = x
     xh[:, nx:] = h
     z, r = zr[:n], zr[n:]
@@ -538,9 +611,13 @@ class GRUPolicy(_NeuralPolicy):
     def _unmasked(self, prices, labels, cache):
         """The first window-1 days' dense features, and the later days' GRU
         outputs (the cells read no mask and no delta)."""
-        n_fb = min(self.config.window - 1, prices.shape[1] - 1)
+        n_fb = self._fallback_days(prices.shape[1] - 1)
         logp, xs = _dense_inputs(self.config, self.s0, prices, labels, n_fb)
         return "fb_", xs, self._recurrent_rows(logp, n_fb, cache)
+
+    def _fallback_days(self, n_steps: int) -> int:
+        """How many of n_steps days run the dense fallback: window - 1 at most."""
+        return min(self.config.window - 1, n_steps)
 
     def _recurrent_rows(self, logp, n_fb, cache=None):
         """sig [n_steps, n] whose rows t >= n_fb hold the head output of day t;
@@ -575,7 +652,7 @@ class GRUPolicy(_NeuralPolicy):
         days, fed by their head gradients (the cells read no carried delta;
         the first layer's input, a window of log prices, gets no gradient)."""
         ga, grads = _masked_adjoint(g, mask, p, "fb_", cache)
-        ga = ga[len(cache["rows"]):]
+        ga = ga[self._fallback_days(len(ga)):]
         grads = {k: grads[k] if k in grads else np.zeros_like(v) for k, v in p.items()}
         n, top = len(g), cache["top"]
         cells = [[cache[f"l{i + 1}_{name}"] for name in _CELL]

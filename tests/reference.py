@@ -27,8 +27,11 @@ def trade_frequency(paths, alpha: float) -> float:
 
 
 def bs_call_price(spot, strike: float, rate: float, vol: float, tau: float):
-    """Black-Scholes-Merton call value; the forward intrinsic value at
-    tau = 0 or vol = 0."""
+    """Black-Scholes-Merton call value; the intrinsic value at tau = 0, where
+    the delta's d1 is not defined, and the forward intrinsic value at vol = 0."""
+    if tau == 0:
+        value = np.maximum(np.asarray(spot, dtype=np.float64) - strike, 0.0)
+        return value if value.ndim else float(value)
     spot, discounted, d1 = _d1(spot, strike, rate, vol, tau)
     if d1 is None:
         value = np.maximum(spot - discounted, 0.0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ehf
-from ehf import market_sim
+from ehf import frontier, market_sim
 from ehf.analytics_bsm import bs_delta
 from ehf.frontier import FrontierPoint
 from ehf.cli import gradcheck_report
@@ -55,16 +55,28 @@ def signal(desk):
 
 @pytest.fixture(scope="module")
 def frontiers(desk):
-    """All frontier sweeps the directional criteria share (9 trainings)."""
+    """All frontier sweeps the directional criteria share (9 trainings).
+
+    The sweeps are independent, so they are dealt over the usable cores by
+    the pool a retrain sweep uses; each trains from its own seeds, so the
+    points do not depend on how many processes run them."""
     train, test = desk
     oracle = lambda paths: label_matrix(paths, 0.05)  # realised extremum labels
-    f = {}
-    for cost in COSTS:
-        f[("dense", cost, 0.5)] = _sweep(train, test, cost)
-        f[("rf", cost, 0.5)] = _sweep(train, test, cost, rf=True, gate=oracle)
-    f[("gru", 0.02, 0.5)] = _sweep(train, test, 0.02, arch="gru")
-    for lam in (0.2, 0.7):
-        f[("dense", 0.05, lam)] = _sweep(train, test, 0.05, lam=lam)
+    # dealt k::n; with two shares, the GRU sweep (about three dense ones)
+    # and three dense sweeps make the second, the rest the first
+    rf, gru = dict(rf=True, gate=oracle), dict(arch="gru")
+    sweeps = {("rf", 0.02, 0.5): dict(cost=0.02, **rf),
+              ("gru", 0.02, 0.5): dict(cost=0.02, **gru),
+              ("rf", 0.03, 0.5): dict(cost=0.03, **rf),
+              ("dense", 0.02, 0.5): dict(cost=0.02),
+              ("rf", 0.05, 0.5): dict(cost=0.05, **rf),
+              ("dense", 0.03, 0.5): dict(cost=0.03),
+              ("dense", 0.05, 0.5): dict(cost=0.05),
+              ("dense", 0.05, 0.2): dict(cost=0.05, lam=0.2),
+              ("dense", 0.05, 0.7): dict(cost=0.05, lam=0.7)}
+    f = dict(zip(sweeps, frontier._strided_map(
+        lambda kwargs: _sweep(train, test, **kwargs), list(sweeps.values()),
+        frontier._usable_cores())))
     f[("bsm", 0.05, 0.5)] = ehf.sweep_baseline(
         ehf.SweepConfig(alphas=ALPHAS, cost_rate=0.05, risk_aversion=0.5,
                         mode="fast", seed=7),

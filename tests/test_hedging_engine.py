@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehf
+from ehf import hedging_engine
 from ehf.errors import DomainError, ShapeError
 from ehf.hedging_engine import (DensePolicy, GRUPolicy, _dense_inputs,
                                 _loss_and_cash, _masked_adjoint, _masked_rollout,
@@ -298,10 +299,12 @@ def _per_op_deltas(tape, policy, prices, mask, labels):
     """Reference: the policy's rollout recorded op by op, one node per day.
 
     Dense days run the dense net: every day of a DensePolicy, the first
-    window-1 days of a GRUPolicy (its fb_ blocks). As in the package, a
-    dense day on which only some rows trade runs the net on those rows
-    alone, gathered, and puts 0.0 at the others; a day on which none does
-    runs no net. The GRU's later days run tape_gru cells over the window of
+    window-1 days of a GRUPolicy (its fb_ blocks). As in the package, the
+    net runs once per trade rank k, over the k-th trading day among the
+    dense days of every path that has one (rows ascending, gathered), with
+    the delta of that path's previous trade filled in; a dense day's
+    trading rows then take their rank's output, and its frozen rows hold
+    their delta. The GRU's later days run tape_gru cells over the window of
     log prices, then the sigmoid head.
     """
     cfg = policy.config
@@ -312,36 +315,40 @@ def _per_op_deltas(tape, policy, prices, mask, labels):
     prm = {k: tape.param(k, v) for k, v in policy.params.items()}
     gru = policy.arch == "gru"
     pre, n_dense = ("fb_", min(cfg.window - 1, n_steps)) if gru else ("", n_steps)
+    # rank[p, t]: how many trades path p made on dense days before t, if it trades at t
+    rank = np.where(mask[:, :n_dense], np.cumsum(mask[:, :n_dense], axis=1) - 1, -1)
+    last = tape.const(np.zeros(n))  # each path's delta after its latest rank
+    outputs = []  # per rank: its outputs at its rows, 0.0 at the others [n]
+    for k in range(rank.max() + 1 if n_dense else 0):
+        rows, days = np.nonzero(rank == k)
+        cols = [tape.const(logp[rows, days]), tape.const(days / n_steps),
+                tape.take_rows(last, rows)]
+        if cfg.use_change:
+            cols.append(tape.const(change[rows, days]))
+        if cfg.use_label:
+            cols.append(tape.const(labels[rows, days]))
+        x = tape.hstack(cols)
+        h1 = tape.relu(tape.add_row(tape.matmul(x, prm[pre + "w1"]), prm[pre + "b1"]))
+        h2 = tape.relu(tape.add_row(tape.matmul(h1, prm[pre + "w2"]), prm[pre + "b2"]))
+        raw = tape.squeeze_col(tape.sigmoid(tape.add_row(
+            tape.matmul(h2, prm[pre + "w3"]), prm[pre + "b3"])))
+        outputs.append(tape.put_rows(raw, rows, n))
+        last = tape.where(np.isin(np.arange(n), rows), outputs[-1], last)
     states = [tape.const(np.zeros((n, cfg.gru_hidden)))] * cfg.gru_layers
     prev = tape.const(np.zeros(n))
     nodes = []
     for t in range(n_steps):
         if t < n_dense:
-            rows = slice(None) if mask[:, t].all() else np.flatnonzero(mask[:, t])
-            if type(rows) is not slice and not len(rows):
-                nodes.append(prev)  # every row holds its delta
-                continue
-            day_prev = prev if type(rows) is slice else tape.take_rows(prev, rows)
-            cols = [tape.const(logp[rows, t]),
-                    tape.const(np.full(len(day_prev.value), t / n_steps)), day_prev]
-            if cfg.use_change:
-                cols.append(tape.const(change[rows, t]))
-            if cfg.use_label:
-                cols.append(tape.const(labels[rows, t]))
-            x = tape.hstack(cols)
-            h1 = tape.relu(tape.add_row(tape.matmul(x, prm[pre + "w1"]), prm[pre + "b1"]))
-            x = tape.relu(tape.add_row(tape.matmul(h1, prm[pre + "w2"]), prm[pre + "b2"]))
-            w_out, b_out = prm[pre + "w3"], prm[pre + "b3"]
+            raw = tape.const(np.zeros(n))
+            for k in np.unique(rank[:, t][mask[:, t]]):
+                raw = tape.where(rank[:, t] == k, outputs[k], raw)
         else:
-            rows = slice(None)
             x = tape.const(logp[:, t - cfg.window + 1: t + 1])
             for i in range(cfg.gru_layers):
                 gates = (prm[f"l{i + 1}_{k}"] for k in ("wz", "bz", "wr", "br", "wh", "bh"))
                 states[i] = x = tape_gru(tape, x, states[i], *gates)
-            w_out, b_out = prm["head_w"], prm["head_b"]
-        raw = tape.squeeze_col(tape.sigmoid(tape.add_row(tape.matmul(x, w_out), b_out)))
-        if type(rows) is not slice:
-            raw = tape.put_rows(raw, rows, n)
+            raw = tape.squeeze_col(tape.sigmoid(tape.add_row(
+                tape.matmul(x, prm["head_w"]), prm["head_b"])))
         prev = tape.where(mask[:, t], raw, prev)
         nodes.append(prev)
     return nodes
@@ -502,6 +509,33 @@ def test_trading_rows_match_the_full_row_oracle(gbm_small, name, mask):
         else:
             assert np.max(np.abs(value - ref_value)) <= 1e-14 * np.max(
                 np.abs(ref_value)), (name, key)
+
+
+def test_the_dense_net_runs_once_per_trade_rank(gbm_small, contract, monkeypatch):
+    """Every path trades on day 0 and on one later day of its own (path p on
+    day 1 + p), so 17 days have a trading row but there are two trade
+    ranks: one rollout plus its adjoint evaluates the dense net twice (two
+    hidden layers each), and its deltas and gradients still match the
+    full-row oracle."""
+    policy = _jittered(DensePolicy, ehf.PolicyConfig(arch="dense", hidden=12), seed=26)
+    prices, cost = gbm_small.prices[:16], ehf.CostModel(0.02)
+    mask = np.zeros((16, 30), dtype=bool)
+    mask[:, 0] = True
+    mask[np.arange(16), 1 + np.arange(16)] = True
+    layer, calls = hedging_engine._relu_layer, []
+
+    def counting(*args):
+        calls.append(1)
+        return layer(*args)
+
+    monkeypatch.setattr(hedging_engine, "_relu_layer", counting)
+    deltas, grads = _deltas_and_gradients(policy, prices, mask, contract, cost)
+    assert len(calls) == 2 * 2 * 2  # deltas(), then the recorded rollout
+    monkeypatch.undo()
+    with full_rollout.full_rows():
+        ref_deltas, ref = _deltas_and_gradients(policy, prices, mask, contract, cost)
+    for value, ref_value in [(deltas, ref_deltas)] + [(grads[k], ref[k]) for k in ref]:
+        assert np.max(np.abs(value - ref_value)) <= 1e-14 * np.max(np.abs(ref_value))
 
 
 def test_no_row_day_over_a_nan_sig_buffer(gbm_small):

@@ -6,7 +6,7 @@ import pytest
 
 import ehf
 from ehf.errors import NumericError, ShapeError, StateError
-from ehf.hedging_engine import _gru_cell
+from ehf.hedging_engine import _CELL_ROWS, _gru_cell
 from ehf.neural_core import (AdamState, GradCheckReport, Tape, adam_step, fan_uniform,
                              grad_check, require_finite, sigmoid)
 from per_op_tape import DagTape, PerOpTape
@@ -54,7 +54,10 @@ def _random_gru(rng, hidden, inp):
 
 def _gru_step(weights, x, h):
     """One step of the policy's GRU cell; x [batch, inp], h [batch, hidden]."""
-    return _gru_cell(x, h, *weights)[0]
+    n, width = len(x), x.shape[1] + h.shape[1]
+    saved = [np.empty((k * n, w)) for k, w in
+             zip(_CELL_ROWS, (width, h.shape[1], width, h.shape[1]))]
+    return _gru_cell(x, h, *weights, saved)[0]
 
 
 def test_gru_forward_matches_scalar_reference():
