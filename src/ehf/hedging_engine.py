@@ -301,31 +301,29 @@ def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) ->
     return np.maximum(out, 0.0, out=out)
 
 
-def _trade_ranks(mask: np.ndarray, whole: bool):
+def _trade_ranks(mask: np.ndarray):
     """The trading cells of mask [n, days] (day 0 trades on every row) by
     trade rank, (ranks, at, pm): a path's k-th trade reads only its
     (k-1)-th trade's delta.
 
     ranks[k] = (sel, b, e) holds every path's k-th trade, rows ascending:
     sel picks their rows of an [n] array (a slice if every row), b:e their
-    cell positions. If every day trades on every row or on none (whole),
-    rank k is a whole day t, at and pm are None, and positions index a
-    flattened [days, n] array: b:e = t*n : t*n + n. Otherwise positions run
-    rank by rank; at maps them to that index, and pm to the cell's index
-    among the trading cells taken path by path.
+    cell positions, which run rank by rank. at maps a position to the
+    cell's index in a flattened [days, n] array, and pm to its index among
+    the trading cells taken path by path. Where each day trades on every
+    row or none, rank k is the k-th trading day's rows.
     """
     n, n_days = mask.shape
-    if whole:
-        return [(slice(None), t * n, t * n + n)
-                for t in np.flatnonzero(mask[:1].any(axis=0)).tolist()], None, None
-    # each path's trading days first, in order, then n_days
-    days = np.sort(np.where(mask, np.arange(n_days), n_days), axis=1)
     count = mask.sum(axis=1)
-    ranked = np.arange(count.max())[:, None] < count  # [rank, path]
-    rank, rows = np.nonzero(ranked)
+    ranked = np.arange(count.max(initial=0))[:, None] < count  # [rank, path]
+    slot = np.flatnonzero(ranked)  # rank * n + row, position by position
+    rank = slot // n
+    rows = slot - rank * n
+    pm = (np.cumsum(count) - count)[rows] + rank
     edges = [0] + np.cumsum(ranked.sum(axis=1)).tolist()
+    # flatnonzero(mask)[pm] = row * n_days + day, turned into day * n + row
     return [(slice(None) if e - b == n else rows[b:e], b, e) for b, e in zip(edges, edges[1:])], \
-        np.take(days, rows * n_days + rank) * n + rows, (np.cumsum(count) - count)[rows] + rank
+        (np.flatnonzero(mask)[pm] - rows * n_days) * n + rows, pm
 
 
 def _frozen_sums(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -346,14 +344,14 @@ def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
     stale or NaN entry of an np.empty sig reaches _masked_adjoint's slope
     sig * (1 - sig) * mask. The later rows of sig arrive filled. The net
     runs once per trade rank (_trade_ranks), over every path's k-th trading
-    cell gathered from xs; each day then takes its last trade's entry of
-    sig, by one gather. Byte-stable, the bits of a day-by-day carry: every
-    output where each dense day trades on every row or none (the ranks are
-    those days), and every output of a GRU with window <= 3 (rank 1 is day
-    1's trading rows) or of the closed-form policy (no dense days). Under
-    other masks a dense output depends on the rank grouping at about 1e-15
-    relative: OpenBLAS gives a product over one set of rows other last bits
-    than over another.
+    cell gathered from xs; each trading cell's entry of sig is then held
+    until the path's next trade, by one gather. Byte-stable, the bits of a
+    day-by-day carry: the deltas where each dense day trades on every row or
+    none (each rank is one such day's rows, in order), and every output of
+    a GRU with window <= 3 (rank 1 is day 1's trading rows) or of the
+    closed-form policy (no dense days). Under other masks a dense output
+    depends on the rank grouping at about 1e-15 relative: OpenBLAS gives a
+    product over one set of rows other last bits than over another.
     Rank k with m cells writes their x, h1 and h2 to rows :m of slab day k
     of "x", "h1" and "h2" [days, rows, width]. A cache keeps the slabs from
     call to call, with sig, the number of dense days and what _trade_ranks
@@ -362,9 +360,7 @@ def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
     w1, b1, w2, b2, w3, b3 = (p.get(prefix + k) for k in _DENSE)
     n, n_steps = mask.shape
     n_dense = len(xs)
-    n_trading = mask.sum(axis=0)
-    whole_days = (n_trading == 0) | (n_trading == n)  # every row trades, or none
-    ranks, at, pm = _trade_ranks(mask[:, :n_dense], bool(whole_days[:n_dense].all()))
+    ranks, at, pm = _trade_ranks(mask[:, :n_dense])
     if n_dense:
         ws, held = ({}, 1) if cache is None else (cache, n_dense)
         slabs = [_slab(ws, key, held, n, width) for key, width in
@@ -372,33 +368,22 @@ def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
         flat_xs = xs.reshape(-1, xs.shape[2])
     flat_sig = sig.reshape(-1)
     sig[:n_dense] = 0.0
-    out = flat_sig if at is None else np.empty(len(at))  # by cell position
+    out = np.empty(len(at))  # by cell position
     last = np.zeros(n)  # each path's delta after its latest trade so far
     for k, (sel, b, e) in enumerate(ranks):
         x, h1, h2 = (slab[k if cache is not None else 0, :e - b] for slab in slabs)
-        if at is None:
-            x[...] = flat_xs[b:e]
-        else:
-            flat_xs.take(at[b:e], axis=0, out=x)
+        flat_xs.take(at[b:e], axis=0, out=x, mode="clip")  # unbuffered; at is in range
         x[:, 2] = last[sel]
         _relu_layer(x, w1, b1, h1)
         _relu_layer(h1, w2, b2, h2)
         last[sel] = out[b:e] = nc.sigmoid(h2 @ w3.T + b3)[:, 0]
-    if at is not None:
-        flat_sig[at] = out
+    flat_sig[at] = out
     if cache is not None:
         cache.update(sig=sig, dense_days=n_dense, ranks=(ranks, at, pm))
     # each trading cell's entry of sig, held until the path's next trade
-    if whole_days.all():
-        held_day = np.maximum.accumulate(np.where(n_trading > 0, np.arange(n_steps), 0))
-        return sig[held_day].T.copy()
     cells = np.flatnonzero(mask)
-    rows = cells // n_steps
-    days_held = np.empty_like(cells)  # from each trading cell to the next
-    days_held[:-1] = cells[1:]
-    days_held[-1:] = mask.size
-    days_held -= cells
-    return flat_sig[(cells - rows * n_steps) * n + rows].repeat(days_held).reshape(n, n_steps)
+    days_held = np.diff(np.append(cells, mask.size))  # from each trading cell to the next
+    return sig.T.ravel()[cells].repeat(days_held).reshape(n, n_steps)
 
 
 def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
@@ -408,14 +393,15 @@ def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
     A trading cell's sigmoid gets the sum of g over the days its delta is
     held, plus, if the path's next trade is a dense one, the net's gradient
     at that trade's prev-delta input (column 2 of w1). The days after the
-    dense days are walked back one by one, then the trade ranks in reverse.
-    If each dense day trades on every row or none, a rank's frozen days
-    fold into the carry as in a day-by-day walk, g[t] + (g[t + 1] + ...
-    (g[t'] + carry)); otherwise as g[t] + (their sum (_frozen_sums) +
-    carry), the same where at most one frozen day follows. So the gradients
-    are byte-stable where _masked_rollout's outputs are, and otherwise
-    depend on the rank grouping at about 1e-15 relative. sig holds 0.0 at
-    frozen dense cells, so their slope is an exact zero.
+    dense days are walked back one by one, then the trade ranks in reverse,
+    each cell taking g[t] + (the sum of g over its frozen days
+    (_frozen_sums) + carry). Where at most one frozen day follows, that is a
+    day-by-day walk's g[t] + (g[t + 1] + carry), so the gradients are
+    byte-stable where _masked_rollout's outputs are, unless two or more
+    frozen dense days follow a trade (the grouping of the sum moves them by
+    about 1e-16 relative); under other masks they depend on the rank
+    grouping at about 1e-15 relative. sig holds 0.0 at frozen dense cells,
+    so their slope is an exact zero.
     Returns the gradient at every day's sigmoid input [n_steps, n], whose
     later days feed their own adjoint, and the dense blocks' gradients.
     """
@@ -433,31 +419,24 @@ def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
         carry = day * frozen[:, t]
     # at each cell position: the slope, scaled in place into the gradient at
     # the sigmoid input, and g
-    slope, g_cells = ga3.reshape(-1), g[:, :n_dense].T.ravel()
-    if at is not None:
-        tails = _frozen_sums(g[:, :n_dense], mask[:, :n_dense])[pm]
-        slope, g_cells = slope[at], g_cells[at]
+    slope, g_cells = ga3.reshape(-1)[at], g[:, :n_dense].T.ravel()[at]
+    tails = _frozen_sums(g[:, :n_dense], mask[:, :n_dense])[pm]
     for k in reversed(range(len(ranks))):
         sel, b, e = ranks[k]
         ga = slope[b:e]
-        if at is None:
-            end = ranks[k + 1][1] // n if k + 1 < len(ranks) else n_dense
-            for t in reversed(range(b // n + 1, end)):
-                carry = g[:, t] + carry
-            ga *= g_cells[b:e] + carry
-        else:
-            ga *= g_cells[b:e] + (tails[b:e] + carry[sel])
+        ga *= g_cells[b:e] + (tails[b:e] + carry[sel])
         x, h1, h2 = (cache[key][k, :e - b] for key in ("x", "h1", "h2"))
-        ga2 = np.multiply.outer(ga, w3) * (h2 > 0)
-        ga1 = (ga2 @ w2) * (h1 > 0)
+        ga2 = np.multiply.outer(ga, w3)
+        ga2 *= h2 > 0
+        ga1 = ga2 @ w2
+        ga1 *= h1 > 0
         carry[sel] = ga1 @ w1_prev
         gw1 += ga1.T @ x
         gw2 += ga2.T @ h1
         gw3 += ga @ h2
         gpre1[sel] += ga1
         gpre2[sel] += ga2
-    if at is not None:
-        ga3.reshape(-1)[at] = slope
+    ga3.reshape(-1)[at] = slope
     blocks = (gw1, gpre1.sum(axis=0), gw2, gpre2.sum(axis=0), gw3,
               ga3[:n_dense].sum().reshape(1))
     return ga3, dict(zip((prefix + k for k in _DENSE), blocks))

@@ -1,13 +1,15 @@
-"""Full-row masked carry: the independent oracle for the package's row-gathered one.
+"""Full-row masked carry: the independent oracle for the package's per-rank one.
 
-`hedging_engine._masked_rollout` runs the dense net only on the rows that
-trade each day, and `_masked_adjoint` walks back over those rows alone.
-Here every dense day runs the net and its adjoint on the whole batch, and
-the mask throws the frozen rows' outputs away afterwards. `full_rows()`
-swaps these into the package, so a policy's deltas and tape gradients can be
-taken both ways and compared. The cache takes the package's layout, which
-`GRUPolicy._adjoint` reads too: sig, each dense day's rows (here every row)
-and its x, h1 and h2 in rows :n of the day's slabs "x", "h1" and "h2".
+`hedging_engine._masked_rollout` runs the dense net once per trade rank,
+over every path's k-th trading cell, and `_masked_adjoint` walks back over
+those ranks alone. Here every dense day runs the net and its adjoint on the
+whole batch, and the mask throws the frozen rows' outputs away afterwards.
+`full_rows()` swaps these into the package, so a policy's deltas and tape
+gradients can be taken both ways and compared. The cache keeps this
+module's own layout, which only its masked_adjoint reads: sig, each dense
+day's rows (here every row) and its x, h1 and h2 in rows :n of the day's
+slabs "x", "h1" and "h2". A GRU's cells write their own slabs to the same
+cache, and `GRUPolicy._adjoint` reads those after the masked walk.
 """
 
 import contextlib
