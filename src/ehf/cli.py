@@ -387,8 +387,7 @@ def _stem(cfg: RunConfig, kind: str, cost_rate: float, lam: float, arch=None) ->
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_simulate(cfg: RunConfig, args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     params, simulate, _ = _scenario(cfg)
     paths = simulate(params, _sim_config(cfg))
@@ -400,8 +399,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_label(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_label(cfg: RunConfig, args) -> int:
     paths, digests = _load_paths(cfg)
     train_paths, test_paths = split_pathset(paths, cfg.n_train, cfg.n_test)
     signal = prepare_signal(train_paths, test_paths, cfg.beta, cfg.forest,
@@ -428,8 +426,7 @@ def cmd_label(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_train(cfg: RunConfig, args) -> int:
     paths, digests = _load_paths(cfg)
     train_paths, _ = split_pathset(paths, cfg.n_train, cfg.n_test)
     contract = _contract(cfg)
@@ -454,8 +451,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_sweep(cfg: RunConfig, args) -> int:
     paths, digests = _load_paths(cfg)
     train_paths, test_paths = split_pathset(paths, cfg.n_train, cfg.n_test)
     contract = _contract(cfg)
@@ -490,8 +486,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_report(cfg: RunConfig, args) -> int:
     files = sorted(glob.glob(os.path.join(cfg.out_dir, "frontier_*.csv")))
     if not files:
         raise ResolutionError(f"no frontier CSVs under {cfg.out_dir}")
@@ -555,8 +550,7 @@ def gradcheck_report(arch: str) -> GradCheckReport:
     return grad_check(objective, params)
 
 
-def cmd_gradcheck(args) -> int:
-    _apply_overrides(load_config(args.config), args)  # checked, though not read
+def cmd_gradcheck(cfg: RunConfig, args) -> int:
     failures = []
     for arch, tol in (("dense", 1e-5), ("gru", 1e-4)):
         report = gradcheck_report(arch)
@@ -609,7 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # every command, gradcheck too, checks the whole config before any work
+        return args.func(_apply_overrides(load_config(args.config), args), args)
     except (ConfigurationError, DomainError, ShapeError, StateError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,14 +15,14 @@ import csv
 import ctypes
 import glob
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analytics_bsm import ContractSpec
 from .errors import ConfigurationError, DomainError, IntegrityError, StateError
 from .hedging_engine import (BSMPolicy, CostModel, PolicyConfig, RiskConfig,
-                             TrainConfig, evaluate_deltas, trade_mask,
+                             TrainConfig, episode_results, trade_mask,
                              train_policy)
 from .market_sim import PathSet
 from .signal_forest import (Forest, ForestConfig, _day_rows,
@@ -140,24 +140,25 @@ def _check_disjoint(train_paths: PathSet, test_paths: PathSet) -> None:
                          f"({np.count_nonzero(np.diff(shared)) + 1} shared, e.g. {shared[0]})")
 
 
-def _points(sweep: SweepConfig, arch: str, rf: bool, mode: str, policy,
-            test_paths: PathSet, contract: ContractSpec, labels,
-            alphas) -> list[FrontierPoint]:
-    """One FrontierPoint per alpha of policy's deltas on test_paths under the
-    alpha mask (ANDed with labels, if any). The policy's remasker does the
-    work no mask reads once, for all the alphas."""
+def _points(sweep: SweepConfig, policy, test_paths: PathSet, contract: ContractSpec,
+            labels, alphas) -> list[FrontierPoint]:
+    """One FrontierPoint per alpha: the mean and std of the per-path losses of
+    policy's deltas on test_paths under the alpha mask (ANDed with labels, if
+    any) and their mean trade count, tagged policy.arch and the sweep's rf and
+    mode. The policy's remasker does the work no mask reads once for all alphas."""
     cost = CostModel(sweep.cost_rate)
     deltas_at = policy.remasker(test_paths.prices, labels=labels)
     points = []
     for alpha in alphas:
-        summary = evaluate_deltas(
-            test_paths, deltas_at(trade_mask(test_paths, alpha, labels)), contract, cost)
+        res = episode_results(test_paths.prices,
+                              deltas_at(trade_mask(test_paths, alpha, labels)),
+                              contract, cost)
         points.append(FrontierPoint(
-            scenario=sweep.scenario, policy=arch, rf=rf, cost_rate=sweep.cost_rate,
-            risk_aversion=sweep.risk_aversion, alpha=alpha,
-            mean_loss=summary.mean_loss, std_loss=summary.std_loss,
-            avg_trades=summary.avg_trades, n_test_paths=summary.n_paths, mode=mode,
-            seed=sweep.seed))
+            scenario=sweep.scenario, policy=policy.arch, rf=sweep.rf,
+            cost_rate=sweep.cost_rate, risk_aversion=sweep.risk_aversion, alpha=alpha,
+            mean_loss=float(np.mean(res.loss)), std_loss=float(np.std(res.loss)),
+            avg_trades=float(np.mean(res.trade_counts)),
+            n_test_paths=test_paths.n_paths, mode=sweep.mode, seed=sweep.seed))
     return points
 
 
@@ -173,7 +174,7 @@ def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: Pat
     mode tag. rf sweeps need gate, a function from a PathSet to its
     [n, n_steps] gate labels; it sees the training paths only if the sweep
     trains. A retrain sweep spreads its alphas over up to `jobs` processes
-    (see _strided_map); every alpha trains from the same seeds, so the
+    (see _dealt_map); every alpha trains from the same seeds, so the
     points do not depend on jobs. A fast sweep's alphas are too cheap to pay
     for a process and always run here.
     """
@@ -201,19 +202,16 @@ def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: Pat
             trade_mask(train_paths, alpha, train_labels), train_cfg,
             labels=train_labels)[0]
 
-    def points_of(policy, alphas) -> list[FrontierPoint]:
-        return _points(sweep, policy_cfg.arch, sweep.rf, sweep.mode, policy,
-                       test_paths, contract, test_labels, alphas)
-
     # each evaluation's per-path arrays are dropped once its point is built,
     # before retrain mode trains the next policy
     if retrain:
-        points = _strided_map(lambda alpha: points_of(trained_at(alpha), (alpha,))[0],
-                              sweep.alphas, jobs)
+        points = _dealt_map(lambda alpha: _points(sweep, trained_at(alpha), test_paths,
+                                                  contract, test_labels, (alpha,))[0],
+                            sweep.alphas, jobs)
     else:
         if policy is None:
             policy = trained_at(sweep.alphas[0])
-        points = points_of(policy, sweep.alphas)
+        points = _points(sweep, policy, test_paths, contract, test_labels, sweep.alphas)
     _assert_trades_monotone(points)
     return points
 
@@ -221,7 +219,7 @@ def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: Pat
 def sweep_baseline(sweep: SweepConfig, test_paths: PathSet, contract: ContractSpec,
                    vol: float, dt: float) -> list[FrontierPoint]:
     """Closed-form-delta frontier on the same grid (no training, no gate)."""
-    points = _points(sweep, "bsm", False, "fast", BSMPolicy(contract, vol, dt),
+    points = _points(replace(sweep, rf=False, mode="fast"), BSMPolicy(contract, vol, dt),
                      test_paths, contract, None, sweep.alphas)
     _assert_trades_monotone(points)
     return points
@@ -283,7 +281,7 @@ def _one_blas_thread():
         put(before)
 
 
-# A pool worker's share of a _strided_map call: k -> the results of share k.
+# A pool worker's share of a _dealt_map call: k -> the results of share k.
 # Set in the calling process just before the pool forks, cleared after it.
 _worker_share = None
 
@@ -299,9 +297,12 @@ def _reraise_failed(shares) -> None:
             share.get()
 
 
-def _strided_map(fn, items, jobs: int) -> list:
-    """[fn(x) for x in items], dealt in strided shares items[k::n] over
-    n = min(jobs, len(items), usable cores) processes.
+def _dealt_map(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items], in input order, with the items dealt back and
+    forth over n = min(jobs, len(items), usable cores) processes: share k
+    holds items k, 2n-1-k, 2n+k, 4n-1-k, ... (0, 3, 4, 7 and 1, 2, 5, 6 for
+    8 items on 2). Where cost falls along the items, as a retrain sweep's
+    trainings do as alpha grows, this evens the shares more than items[k::n].
 
     The calling process computes share 0 itself, and forked pool workers the
     others. A forked worker inherits fn and all it reads (paths, masks, gate
@@ -319,18 +320,21 @@ def _strided_map(fn, items, jobs: int) -> list:
     if n < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(x) for x in items]
     out = [None] * len(items)
-    _worker_share = lambda k: [fn(x) for x in items[k::n]]
+    dealt = [[i for i in range(len(items)) if k in (i % (2 * n), 2 * n - 1 - i % (2 * n))]
+             for k in range(n)]
+    _worker_share = lambda k: [fn(items[i]) for i in dealt[k]]
     try:
         with _one_blas_thread(), multiprocessing.get_context("fork").Pool(n - 1) as pool:
             shares = [pool.apply_async(_run_share, (k,)) for k in range(1, n)]
-            for i in range(0, len(items), n):
+            for i in dealt[0]:
                 _reraise_failed(shares)
                 out[i] = fn(items[i])
             while waiting := [share for share in shares if not share.ready()]:
                 _reraise_failed(shares)
                 waiting[0].wait(0.05)
             for k, share in enumerate(shares, start=1):
-                out[k::n] = share.get()
+                for i, result in zip(dealt[k], share.get()):
+                    out[i] = result
     finally:
         _worker_share = None
     return out

@@ -709,35 +709,14 @@ class TrainingLog:
     best_epoch: int = -1
 
 
-@dataclass(frozen=True)
-class EvalSummary:
-    mean_loss: float
-    std_loss: float
-    avg_trades: float
-    n_paths: int
-
-
 def evaluate_policy(paths: PathSet, policy, mask: np.ndarray,
                     contract: ContractSpec, cost: CostModel,
-                    labels=None) -> EvalSummary:
-    """Pure evaluation pass: the summary statistics of the per-path losses.
-    No command calls it; like DensePolicy.deltas, it is kept so that
-    perfbench/tracer.py can wrap and time a policy's evaluation."""
-    return evaluate_deltas(paths, policy.deltas(paths.prices, mask, labels=labels),
+                    labels=None) -> HedgeEpisodeResult:
+    """Pure evaluation pass: the per-path results of policy's deltas on paths
+    under mask. No command calls it; like DensePolicy.deltas, it is kept so
+    that perfbench/tracer.py can wrap and time a policy's evaluation."""
+    return episode_results(paths.prices, policy.deltas(paths.prices, mask, labels=labels),
                            contract, cost)
-
-
-def evaluate_deltas(paths: PathSet, deltas: np.ndarray, contract: ContractSpec,
-                    cost: CostModel) -> EvalSummary:
-    """The summary statistics of the per-path losses of the deltas
-    [n, n_steps] held on paths."""
-    res = episode_results(paths.prices, deltas, contract, cost)
-    return EvalSummary(
-        mean_loss=float(np.mean(res.loss)),
-        std_loss=float(np.std(res.loss)),
-        avg_trades=float(np.mean(res.trade_counts)),
-        n_paths=paths.n_paths,
-    )
 
 
 def train_policy(train_paths: PathSet, contract: ContractSpec, cost: CostModel,

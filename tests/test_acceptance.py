@@ -62,8 +62,8 @@ def frontiers(desk):
     points do not depend on how many processes run them."""
     train, test = desk
     oracle = lambda paths: label_matrix(paths, 0.05)  # realised extremum labels
-    # dealt k::n; with two shares, the GRU sweep (about three dense ones)
-    # and three dense sweeps make the second, the rest the first
+    # dealt back and forth; with two shares, the GRU sweep (about three dense
+    # ones) and three dense sweeps make the second, the rest the first
     rf, gru = dict(rf=True, gate=oracle), dict(arch="gru")
     sweeps = {("rf", 0.02, 0.5): dict(cost=0.02, **rf),
               ("gru", 0.02, 0.5): dict(cost=0.02, **gru),
@@ -74,7 +74,7 @@ def frontiers(desk):
               ("dense", 0.05, 0.5): dict(cost=0.05),
               ("dense", 0.05, 0.2): dict(cost=0.05, lam=0.2),
               ("dense", 0.05, 0.7): dict(cost=0.05, lam=0.7)}
-    f = dict(zip(sweeps, frontier._strided_map(
+    f = dict(zip(sweeps, frontier._dealt_map(
         lambda kwargs: _sweep(train, test, **kwargs), list(sweeps.values()),
         frontier._usable_cores())))
     f[("bsm", 0.05, 0.5)] = ehf.sweep_baseline(

@@ -267,12 +267,16 @@ def test_bad_scenario_exits_2(tmp_path, capsys):
     assert "scenario" in capsys.readouterr().err
 
 
-def test_unknown_config_key_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["simulate", "label", "train", "sweep",
+                                     "report", "gradcheck"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, command):
+    """Every command checks the whole config before any work."""
     ini = tmp_path / "typo.ini"
     ini.write_text("[simulation]\nscenario = high_vol\n")  # wrong section
-    code = main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")])
+    code = main([command, "--config", str(ini), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_default_section_is_an_unknown_section(tmp_path, capsys):

@@ -367,7 +367,7 @@ def test_retrain_pool_gives_the_serial_points(tiny_split, serial_retrain,
                                               monkeypatch, jobs, n_alphas):
     """Every alpha trains from the same seeds, so the points of a pooled sweep
     equal the serial ones, in grid order (4 alphas over 3 processes: shares
-    of 2, 1 and 1)."""
+    of 1, 1 and 2)."""
     monkeypatch.setattr(frontier, "_usable_cores", lambda: 16)
     pooled = _retrain(tiny_split, RETRAIN_ALPHAS[:n_alphas], jobs)
     assert pooled == serial_retrain[:n_alphas]
@@ -450,7 +450,7 @@ def test_retrain_pool_raises_a_worker_error_between_the_callers_alphas(
 
 
 
-def test_strided_map_raises_a_later_workers_error_while_an_earlier_one_runs(
+def test_dealt_map_raises_a_later_workers_error_while_an_earlier_one_runs(
         monkeypatch):
     """With the caller's share done, share 2's error surfaces while share 1
     still runs (the shares used to be awaited in order)."""
@@ -465,9 +465,17 @@ def test_strided_map_raises_a_later_workers_error_while_an_earlier_one_runs(
 
     start = time.monotonic()
     with pytest.raises(NumericError, match="NaN"):
-        frontier._strided_map(item, [0, 1, 2], jobs=3)
+        frontier._dealt_map(item, [0, 1, 2], jobs=3)
     assert time.monotonic() - start < 10
     assert multiprocessing.active_children() == []
+
+
+def test_dealt_map_deals_back_and_forth_and_keeps_input_order(monkeypatch):
+    """8 items on 2 processes: the caller computes items 0, 3, 4 and 7."""
+    monkeypatch.setattr(frontier, "_usable_cores", lambda: 2)
+    out = frontier._dealt_map(lambda k: (k, os.getpid()), list(range(8)), jobs=2)
+    assert [k for k, _ in out] == list(range(8))
+    assert [k for k, pid in out if pid == os.getpid()] == [0, 3, 4, 7]
 
 # ---------------------------------------------------------------------------
 # fast sweeps: the work no mask reads runs once per sweep
@@ -477,15 +485,17 @@ FAST_ALPHAS = (0.0, 0.01, 0.02, 0.04)
 
 
 def _per_alpha(test, policy, contract, labels=None):
-    """(mean, std, avg trades) of evaluate_policy at each alpha: the reference."""
+    """(mean, std, avg trades) of evaluate_policy's per-path results at each
+    alpha: the reference."""
     out = []
     for alpha in FAST_ALPHAS:
         mask = ehf.compute_trade_mask(test, alpha)
         if labels is not None:
             mask = combine_mask(mask, labels)
-        s = evaluate_policy(test, policy, mask, contract, ehf.CostModel(0.02),
-                                labels=labels)
-        out.append((s.mean_loss, s.std_loss, s.avg_trades))
+        res = evaluate_policy(test, policy, mask, contract, ehf.CostModel(0.02),
+                              labels=labels)
+        out.append((float(np.mean(res.loss)), float(np.std(res.loss)),
+                    float(np.mean(res.trade_counts))))
     return out
 
 
@@ -558,3 +568,60 @@ def test_gru_fast_sweep_runs_the_recurrent_stack_once(tiny_split, contract,
     monkeypatch.setattr(hedging_engine, "_gru_cell", counting)
     _fast_sweep(test, policy, contract, cfg)
     assert len(calls) == layers * (test.n_steps - window + 1)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations: runs that must agree exactly
+# ---------------------------------------------------------------------------
+
+SCALE_ALPHAS = (0.0, 0.02, 0.08)
+
+
+@pytest.fixture(scope="module")
+def scaled_splits():
+    """{s0: (train, test)} of the same 300 Heston paths at s0 = 100 and 200."""
+    paths = {s0: ehf.simulate_heston(ehf.HIGH_VOL,
+                                     ehf.SimConfig(n_paths=300, seed=12345, s0=s0))
+             for s0 in (100.0, 200.0)}
+    assert np.array_equal(paths[200.0].prices, 2 * paths[100.0].prices)
+    return {s0: ehf.split_pathset(p, 200, 100) for s0, p in paths.items()}
+
+
+def _assert_doubled(points):
+    """Each point's mean and std loss exactly 2x at s0 = 200, its trades equal."""
+    for base, scaled in zip(points[100.0], points[200.0], strict=True):
+        assert scaled.mean_loss == 2 * base.mean_loss
+        assert scaled.std_loss == 2 * base.std_loss
+        assert scaled.avg_trades == base.avg_trades
+
+
+@pytest.mark.parametrize("arch,use_label", [("dense", False), ("gru", False),
+                                            ("dense", True)],
+                         ids=["dense", "gru", "dense-oracle-label"])
+def test_doubling_every_price_doubles_the_losses_and_keeps_the_trades(
+        scaled_splits, arch, use_label):
+    """s0 and strike times 2 scale every float operation of simulation, masks,
+    rollouts and loss accounting exactly. Training is not scale-exact (Adam's
+    epsilon does not scale), so one policy trained at s0 = 100 sweeps both
+    test sets, the second as a copy that reads s0 = 200."""
+    gate = (lambda p: ehf.label_matrix(p, 0.02)) if use_label else None
+    cfg = ehf.PolicyConfig(arch=arch, hidden=8, gru_hidden=4, use_label=use_label)
+    train = scaled_splits[100.0][0]
+    train_labels = gate(train) if gate else None
+    policy = ehf.train_policy(
+        train, ehf.ContractSpec(100.0, 30), ehf.CostModel(0.02), ehf.RiskConfig(0.5),
+        cfg, ehf.trade_mask(train, 0.0, train_labels), TINY_TRAIN,
+        labels=train_labels)[0]
+    policies = {100.0: policy, 200.0: type(policy)(cfg, policy.params, 200.0)}
+    sweep = ehf.SweepConfig(alphas=SCALE_ALPHAS, rf=gate is not None, cost_rate=0.02)
+    _assert_doubled({s0: ehf.sweep_alpha(sweep, None, test, ehf.ContractSpec(s0, 30),
+                                         cfg, TINY_TRAIN, gate=gate, policy=policies[s0])
+                     for s0, (_, test) in scaled_splits.items()})
+
+
+def test_doubling_every_price_doubles_the_baseline_losses(scaled_splits):
+    sweep = ehf.SweepConfig(alphas=SCALE_ALPHAS, cost_rate=0.02)
+    vol = float(np.sqrt(ehf.HIGH_VOL.theta))
+    _assert_doubled({s0: ehf.sweep_baseline(sweep, test, ehf.ContractSpec(s0, 30),
+                                            vol=vol, dt=1 / 365)
+                     for s0, (_, test) in scaled_splits.items()})

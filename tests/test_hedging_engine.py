@@ -703,10 +703,10 @@ def test_evaluate_policy_is_pure(gbm_small, contract):
     mask = ehf.compute_trade_mask(gbm_small, 0.02)
     a = evaluate_policy(gbm_small, policy, mask, contract, ehf.CostModel(0.02))
     b = evaluate_policy(gbm_small, policy, mask, contract, ehf.CostModel(0.02))
-    assert a.mean_loss == b.mean_loss
-    assert a.std_loss == b.std_loss
-    assert a.avg_trades == b.avg_trades
-    assert a.n_paths == 64
+    assert np.array_equal(a.loss, b.loss)
+    assert np.array_equal(a.total_cost, b.total_cost)
+    assert np.array_equal(a.trade_counts, b.trade_counts)
+    assert len(a.loss) == 64
 
 
 def test_training_reduces_objective(heston_small, contract):
