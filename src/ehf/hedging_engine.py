@@ -235,7 +235,6 @@ def tape_entropy_risk(tape: Tape, losses: np.ndarray, risk_aversion: float) -> f
 # ---------------------------------------------------------------------------
 
 _DENSE = ("w1", "b1", "w2", "b2", "w3", "b3")
-_GATES = ("wz", "bz", "wr", "br", "wh", "bh")
 
 
 def param_shapes(config: PolicyConfig):
@@ -262,14 +261,15 @@ def param_shapes(config: PolicyConfig):
 
 def _dense_inputs(cfg: PolicyConfig, s0: float, prices: np.ndarray, labels,
                   n_days: int) -> tuple[np.ndarray, np.ndarray]:
-    """log(S_t/S0) for every price column, and the dense net's features of
-    each day t < n_days as xs[t] [n, n_features]: log(S_t/S0), t/T, the
-    previous delta (column 2, the rollout's to fill in), and optionally the
-    one-day relative change and the classifier label. None reads a mask."""
+    """log(S_t/S0) for every price column, day-major [n_steps + 1, n], and the
+    dense net's features of each day t < n_days as xs[t] [n, n_features]:
+    log(S_t/S0), t/T, the previous delta (column 2, the rollout's to fill
+    in), and optionally the one-day relative change and the classifier
+    label. None reads a mask."""
     n, n_steps = prices.shape[0], prices.shape[1] - 1
-    logp = np.log(prices / s0)
+    logp = np.log(np.divide(prices.T, s0, order="C"))
     xs = np.empty((n_days, n, cfg.n_features))
-    xs[:, :, 0] = logp[:, :n_days].T
+    xs[:, :, 0] = logp[:n_days]
     xs[:, :, 1] = (np.arange(n_days) / n_steps)[:, None]
     if cfg.use_change:
         xs[1:, :, 3] = _daily_moves(prices[:, :n_days]).T
@@ -284,13 +284,15 @@ def _dense_inputs(cfg: PolicyConfig, s0: float, prices: np.ndarray, labels,
     return logp, xs
 
 
-def _slab(ws: dict, key: str, days: int, n: int, width: int) -> np.ndarray:
-    """ws[key], a [>= days, >= n, width] workspace whose day d holds a batch
-    in rows :n; it is allocated again only for more days or rows."""
-    slab = ws.get(key)
-    if slab is None or slab.shape[0] < days or slab.shape[1] < n or slab.shape[2] != width:
-        ws.pop(key, None)
-        slab = ws[key] = np.empty((days, n, width))
+def _slab(ws: dict, key: str, shape: tuple) -> np.ndarray:
+    """ws[key] as a C-contiguous array of shape: a view of the first entries
+    of one flat workspace, which is allocated again only for a larger shape."""
+    size = math.prod(shape)
+    flat = ws.pop(key).base if key in ws else None
+    if flat is None or flat.size < size:
+        del flat   # the old workspace goes before the new one comes
+        flat = np.empty(size)
+    ws[key] = slab = flat[:size].reshape(shape)
     return slab
 
 
@@ -301,10 +303,10 @@ def _relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) ->
     return np.maximum(out, 0.0, out=out)
 
 
-def _trade_ranks(mask: np.ndarray):
-    """The trading cells of mask [n, days] (day 0 trades on every row) by
-    trade rank, (ranks, at, pm): a path's k-th trade reads only its
-    (k-1)-th trade's delta.
+def _trade_ranks(mask: np.ndarray, cells: np.ndarray):
+    """The trading cells of mask [n, days] (day 0 trades on every row), given
+    as cells = np.flatnonzero(mask), by trade rank, (ranks, at, pm): a
+    path's k-th trade reads only its (k-1)-th trade's delta.
 
     ranks[k] = (sel, b, e) holds every path's k-th trade, rows ascending:
     sel picks their rows of an [n] array (a slice if every row), b:e their
@@ -321,16 +323,17 @@ def _trade_ranks(mask: np.ndarray):
     rows = slot - rank * n
     pm = (np.cumsum(count) - count)[rows] + rank
     edges = [0] + np.cumsum(ranked.sum(axis=1)).tolist()
-    # flatnonzero(mask)[pm] = row * n_days + day, turned into day * n + row
+    # cells[pm] = row * n_days + day, turned into day * n + row
     return [(slice(None) if e - b == n else rows[b:e], b, e) for b, e in zip(edges, edges[1:])], \
-        (np.flatnonzero(mask)[pm] - rows * n_days) * n + rows, pm
+        (cells[pm] - rows * n_days) * n + rows, pm
 
 
-def _frozen_sums(g: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _frozen_sums(g: np.ndarray, mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """For each trading cell of mask [n, days] (day 0 trades on every row),
-    taken path by path, the sum of g [n, days] over the frozen days after it
-    up to the path's next trade or last day; 0.0 where there are none."""
-    return np.add.reduceat(np.where(mask, 0.0, g).ravel(), np.flatnonzero(mask))
+    taken path by path (cells = np.flatnonzero(mask)), the sum of g [n, days]
+    over the frozen days after it up to the path's next trade or last day;
+    0.0 where there are none."""
+    return np.add.reduceat(np.where(mask, 0.0, g).ravel(), cells)
 
 
 def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
@@ -353,17 +356,22 @@ def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
     depends on the rank grouping at about 1e-15 relative: OpenBLAS gives a
     product over one set of rows other last bits than over another.
     Rank k with m cells writes their x, h1 and h2 to rows :m of slab day k
-    of "x", "h1" and "h2" [days, rows, width]. A cache keeps the slabs from
-    call to call, with sig, the number of dense days and what _trade_ranks
-    gives, for _masked_adjoint; without one, a one-day slab serves each rank.
+    of "x", "h1" and "h2" [days, n, width]. A cache keeps the slabs from
+    call to call, with sig, the number of dense days, the trading cells of
+    the dense days and what _trade_ranks gives, for _masked_adjoint; without
+    one, a one-day slab serves each rank. Each mask's trading cells are
+    found once: those of the dense days are all of them where every day is
+    dense.
     """
     w1, b1, w2, b2, w3, b3 = (p.get(prefix + k) for k in _DENSE)
     n, n_steps = mask.shape
     n_dense = len(xs)
-    ranks, at, pm = _trade_ranks(mask[:, :n_dense])
+    cells = np.flatnonzero(mask)
+    dense_cells = cells if n_dense == n_steps else np.flatnonzero(mask[:, :n_dense])
+    ranks, at, pm = _trade_ranks(mask[:, :n_dense], dense_cells)
     if n_dense:
         ws, held = ({}, 1) if cache is None else (cache, n_dense)
-        slabs = [_slab(ws, key, held, n, width) for key, width in
+        slabs = [_slab(ws, key, (held, n, width)) for key, width in
                  (("x", xs.shape[2]), ("h1", len(w1)), ("h2", len(w2)))]
         flat_xs = xs.reshape(-1, xs.shape[2])
     flat_sig = sig.reshape(-1)
@@ -379,9 +387,8 @@ def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
         last[sel] = out[b:e] = nc.sigmoid(h2 @ w3.T + b3)[:, 0]
     flat_sig[at] = out
     if cache is not None:
-        cache.update(sig=sig, dense_days=n_dense, ranks=(ranks, at, pm))
+        cache.update(sig=sig, dense_days=n_dense, cells=dense_cells, ranks=(ranks, at, pm))
     # each trading cell's entry of sig, held until the path's next trade
-    cells = np.flatnonzero(mask)
     days_held = np.diff(np.append(cells, mask.size))  # from each trading cell to the next
     return sig.T.ravel()[cells].repeat(days_held).reshape(n, n_steps)
 
@@ -406,7 +413,8 @@ def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
     later days feed their own adjoint, and the dense blocks' gradients.
     """
     w1_prev, w2, w3 = p[prefix + "w1"][:, 2], p[prefix + "w2"], p[prefix + "w3"][0]
-    sig, n_dense, (ranks, at, pm) = (cache[k] for k in ("sig", "dense_days", "ranks"))
+    sig, n_dense, cells, (ranks, at, pm) = (
+        cache[k] for k in ("sig", "dense_days", "cells", "ranks"))
     n, n_steps = mask.shape
     ga3 = sig * (1.0 - sig) * mask.T  # sigmoid slope, zero on frozen days
     frozen = ~mask
@@ -420,7 +428,7 @@ def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
     # at each cell position: the slope, scaled in place into the gradient at
     # the sigmoid input, and g
     slope, g_cells = ga3.reshape(-1)[at], g[:, :n_dense].T.ravel()[at]
-    tails = _frozen_sums(g[:, :n_dense], mask[:, :n_dense])[pm]
+    tails = _frozen_sums(g[:, :n_dense], mask[:, :n_dense], cells)[pm]
     for k in reversed(range(len(ranks))):
         sel, b, e = ranks[k]
         ga = slope[b:e]
@@ -442,60 +450,84 @@ def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
     return ga3, dict(zip((prefix + k for k in _DENSE), blocks))
 
 
-# what one GRU cell keeps for its adjoint, and its rows per batch row: [x, h]
-# [n, in + hidden], the z gate stacked over the r gate [2n, hidden], [x, r h]
-# and the candidate state
-_CELL = ("xh", "zr", "xrh", "cand")
-_CELL_ROWS = (1, 2, 1, 1)
+# one GRU layer's slabs, path-minor, day by day: its z, r and candidate gates
+# stacked as [3 hidden, n] (z and r after their sigmoid, the candidate after
+# its tanh; the reverse walk writes their gradients over them), r h, and its
+# state, whose slab holds the zero state before the first day; their rows per
+# day, in units of hidden
+_CELL = ("gates", "rh", "state")
+_CELL_ROWS = (3, 1, 1)
 
 
-def _cell_views(slabs, d: int, n: int) -> list:
-    """Day d's arrays, for a batch of n rows, of one GRU layer's _CELL slabs."""
-    return [slab[d, :k * n] for slab, k in zip(slabs, _CELL_ROWS)]
+def _cell_views(ws: dict, layer: int, days: int, n: int, hidden: int) -> list:
+    """Layer's _CELL slabs f"l{layer}_{name}" of ws for days days of an
+    n-path batch, [days, rows, n] each (the state one day more)."""
+    return [_slab(ws, f"l{layer}_{name}", (days + (name == "state"), k * hidden, n))
+            for name, k in zip(_CELL, _CELL_ROWS)]
 
 
-def _gru_cell(x, h, wz, bz, wr, br, wh, bh, saved):
-    """One GRU step (Cho et al. 2014) on a batch: x [n, in], h [n, hidden].
+def _gru_blocks(p: dict, layer: int, n: int = 1) -> tuple:
+    """Layer's gate blocks of p regrouped for path-minor cells: the z, r and
+    candidate input weights stacked [3 hidden, in], their biases [3 hidden, n]
+    (each repeated over n columns, so that a cell of n paths adds them
+    without broadcasting), the z|r state weights [2 hidden, hidden] and the
+    candidate's [hidden, hidden]."""
+    w = [p[f"l{layer}_w{gate}"] for gate in "zrh"]
+    nx = w[0].shape[1] - len(w[0])
+    b = np.concatenate([p[f"l{layer}_b{gate}"] for gate in "zrh"])
+    return (np.concatenate([wg[:, :nx] for wg in w]), np.repeat(b[:, None], n, axis=1),
+            np.concatenate([wg[:, nx:] for wg in w[:2]]), w[2][:, nx:])
 
-    Returns h' = (1 - z) h + z tanh([x, r h] wh' + bh), with z, r the sigmoid
-    gates of [x, h], and saved, the arrays in _CELL order that
-    _gru_cell_adjoint reads, written in place.
+
+def _gru_cell(x, h, blocks, gates, rh, h_new):
+    """One GRU step (Cho et al. 2014) on a batch, path-minor: x [in, n], h
+    [hidden, n], blocks from _gru_blocks.
+
+    Writes z, r and c = tanh(wx_c x + b_c + u_h (r h)) to gates [3 hidden, n]
+    (z, r the sigmoid gates of wx x + b + u_zr h), r h to rh, and h' =
+    h + z (c - h) to h_new, which it returns.
     """
-    n, nx = len(x), x.shape[1]
-    xh, zr, xrh, cand = saved
-    xh[:, :nx] = x
-    xh[:, nx:] = h
-    z, r = zr[:n], zr[n:]
-    np.matmul(xh, wz.T, out=z)
-    np.matmul(xh, wr.T, out=r)
-    z += bz
-    r += br
+    wx, b, u_zr, u_h = blocks
+    nh = len(h)
+    np.matmul(wx, x, out=gates)
+    gates += b
+    zr, c = gates[:2 * nh], gates[2 * nh:]
+    zr += u_zr @ h
     nc.sigmoid(zr, out=zr)
-    xrh[:, :nx] = x
-    np.multiply(r, h, out=xrh[:, nx:])
-    np.matmul(xrh, wh.T, out=cand)
-    cand += bh
-    np.tanh(cand, out=cand)
-    return (1.0 - z) * h + z * cand, (xh, zr, xrh, cand)
+    np.multiply(zr[nh:], h, out=rh)
+    c += u_h @ rh
+    np.tanh(c, out=c)
+    np.subtract(c, h, out=h_new)
+    h_new *= zr[:nh]
+    h_new += h
+    return h_new
 
 
-def _gru_cell_adjoint(dh_new, saved, wz, wr, wh, input_grad=True):
-    """Gradients of one _gru_cell step at dh_new = d/dh': (d/dx, or None
-    without input_grad, d/dh, and the gate blocks in _GATES order)."""
-    xh, zr, xrh, cand = saved
-    n, nh = cand.shape
-    nx = xh.shape[1] - nh
-    z, r, h = zr[:n], zr[n:], xh[:, nx:]
-    gz = dh_new * (cand - h) * z * (1.0 - z)
-    gc = dh_new * z * (1.0 - cand * cand)
-    dxrh = gc @ wh
-    grh = dxrh[:, nx:]
-    gr = grh * h * r * (1.0 - r)
-    dxh = gz @ wz + gr @ wr
-    dh = dh_new * (1.0 - z) + grh * r + dxh[:, nx:]
-    blocks = (gz.T @ xh, gz.sum(axis=0), gr.T @ xh, gr.sum(axis=0),
-              gc.T @ xrh, gc.sum(axis=0))
-    return dxh[:, :nx] + dxrh[:, :nx] if input_grad else None, dh, blocks
+def _gru_cell_adjoint(dh_new, gates, h, blocks, input_grad=True):
+    """Reverse of one _gru_cell step at dh_new = d/dh' (which it may
+    overwrite), h its input state: writes the gradients at the z, r and
+    candidate pre-activations over gates, and returns (d/dx, or None without
+    input_grad, d/dh)."""
+    wx, _, u_zr, u_h = blocks
+    nh = len(h)
+    z, r, c = gates[:nh], gates[nh:2 * nh], gates[2 * nh:]
+    a = dh_new * z
+    dh = np.subtract(dh_new, a, out=dh_new)   # dh' (1 - z)
+    t = c - h
+    t *= a
+    np.multiply(c, c, out=c)
+    np.subtract(1.0, c, out=c)
+    c *= a                                    # candidate: dh' z (1 - c^2)
+    np.subtract(1.0, z, out=a)
+    np.multiply(t, a, out=z)                  # z: dh' (c - h) z (1 - z)
+    drh = u_h.T @ c
+    np.multiply(drh, r, out=t)
+    dh += t
+    np.subtract(1.0, r, out=a)
+    np.multiply(t, a, out=r)
+    r *= h                                    # r: d(r h) h r (1 - r)
+    dh += u_zr.T @ gates[:2 * nh]
+    return wx.T @ gates if input_grad else None, dh
 
 
 class _Policy:
@@ -600,54 +632,77 @@ class GRUPolicy(_NeuralPolicy):
 
     def _recurrent_rows(self, logp, n_fb, cache=None):
         """sig [n_steps, n] whose rows t >= n_fb hold the head output of day t;
-        the stacked cells read only windows of logp [n, n_steps + 1], never a
-        mask or a delta. Rows t < n_fb are left to the fallback days. Each
-        cell writes what _gru_cell keeps to its day's _cell_views of the slabs
-        f"l{layer}_{name}" for each name of _CELL, and the top layer's state
-        to rows :n of "top". A cache keeps the slabs for _adjoint; without one, a one-day
-        slab serves each day."""
+        the stacked cells read only windows of logp [n_steps + 1, n], never a
+        mask or a delta. Rows t < n_fb are left to the fallback days. The
+        cells run day by day, every layer of a day before the next day, on
+        path-minor [rows, n] arrays; each writes its day's gates, r h and
+        state to its layer's _cell_views slabs. The head's products go to
+        their rows of sig day by day, and its bias and sigmoid run once over
+        all days. A cache keeps the slabs, and logp as "logp", for _adjoint;
+        without one, a one-day slab (two for the state, the day's input and
+        output) serves each day."""
         cfg, p = self.config, self.params
-        n, nh = len(logp), cfg.gru_hidden
-        sig = np.empty((logp.shape[1] - 1, n))
+        n, nh, w = logp.shape[1], cfg.gru_hidden, cfg.window
+        sig = np.empty((len(logp) - 1, n))
         ws, held = ({}, 1) if cache is None else (cache, len(sig) - n_fb)
-        cells = [[_slab(ws, f"l{i + 1}_{name}", held, k * n, width) for name, k, width
-                  in zip(_CELL, _CELL_ROWS, (nx + nh, nh, nx + nh, nh))]
-                 for i, nx in enumerate([cfg.window] + [nh] * (cfg.gru_layers - 1))]
-        top = _slab(ws, "top", held, n, nh)
-        states = [np.zeros((n, nh))] * cfg.gru_layers
+        layers = [(_gru_blocks(p, i, n), _cell_views(ws, i, held, n, nh))
+                  for i in range(1, cfg.gru_layers + 1)]
+        for _, (_, _, state) in layers:
+            state[0] = 0.0
         for t in range(n_fb, len(sig)):
-            d = 0 if cache is None else t - n_fb
-            x = logp[:, t - cfg.window + 1: t + 1]
-            for i, slabs in enumerate(cells):
-                states[i] = x = _gru_cell(x, states[i],
-                                          *(p[f"l{i + 1}_{k}"] for k in _GATES),
-                                          _cell_views(slabs, d, n))[0]
-            top[d, :n] = x
-            sig[t] = nc.sigmoid(x @ p["head_w"].T + p["head_b"])[:, 0]
+            d = t - n_fb
+            x = logp[t - w + 1: t + 1]
+            for blocks, (gates, rh, state) in layers:
+                x = _gru_cell(x, state[d % len(state)], blocks, gates[d % held],
+                              rh[d % held], state[(d + 1) % len(state)])
+            np.matmul(p["head_w"], x, out=sig[t:t + 1])
+        sig[n_fb:] += p["head_b"]
+        nc.sigmoid(sig[n_fb:], out=sig[n_fb:])
+        if cache is not None:
+            cache["logp"] = logp
         return sig
 
     def _adjoint(self, g, mask, p, cache):
         """The masked walk, then backpropagation through time over the GRU
         days, fed by their head gradients (the cells read no carried delta;
-        the first layer's input, a window of log prices, gets no gradient)."""
+        the first layer's input, a window of log prices, gets no gradient).
+        The walk keeps each day's gate gradients in its slabs, and every
+        weight and bias gradient is formed from them after it."""
+        cfg = self.config
         ga, grads = _masked_adjoint(g, mask, p, "fb_", cache)
         ga = ga[self._fallback_days(len(ga)):]
         grads = {k: grads[k] if k in grads else np.zeros_like(v) for k, v in p.items()}
-        n, top = len(g), cache["top"]
-        cells = [[cache[f"l{i + 1}_{name}"] for name in _CELL]
-                 for i in range(self.config.gru_layers)]
-        dstate = [0.0] * self.config.gru_layers
-        for t in reversed(range(len(ga))):
-            grads["head_w"] += ga[t] @ top[t, :n]
-            dx = np.multiply.outer(ga[t], p["head_w"][0])
-            for i in reversed(range(len(cells))):
-                names = [f"l{i + 1}_{k}" for k in _GATES]
-                dx, dstate[i], blocks = _gru_cell_adjoint(
-                    dx + dstate[i], _cell_views(cells[i], t, n),
-                    *(p[k] for k in names[::2]), input_grad=i > 0)
-                for name, block in zip(names, blocks):
-                    grads[name] += block
+        (n_days, n), nh = ga.shape, cfg.gru_hidden
+        blocks = [_gru_blocks(p, i) for i in range(1, cfg.gru_layers + 1)]
+        slabs = [_cell_views(cache, i, n_days, n, nh) for i in range(1, cfg.gru_layers + 1)]
+        top = slabs[-1][2][1:]
+        grads["head_w"] = np.matmul(top, ga[:, :, None]).sum(axis=0).T
         grads["head_b"] = ga.sum().reshape(1)
+        if not n_days:   # (a window longer than the episode has no GRU day)
+            return grads
+        dtop, dstate = p["head_w"].T * ga[:, None, :], [0.0] * len(slabs)
+        for d in reversed(range(n_days)):
+            dx = dtop[d]
+            for i in reversed(range(len(slabs))):
+                gates, _, state = slabs[i]
+                dx += dstate[i]
+                dx, dstate[i] = _gru_cell_adjoint(dx, gates[d], state[d], blocks[i],
+                                                  input_grad=i > 0)
+        # the first layer reads windows of log prices, each later one the
+        # states of the layer below
+        inputs = [np.lib.stride_tricks.sliding_window_view(
+            cache["logp"], cfg.window, axis=0)[:n_days]] + \
+            [state[1:].transpose(0, 2, 1) for _, _, state in slabs[:-1]]
+        for i, ((gates, rh, state), x) in enumerate(zip(slabs, inputs), start=1):
+            g_x = np.matmul(gates, x).sum(axis=0)
+            g_h = np.concatenate((np.matmul(gates[:, :2 * nh], state[:-1].transpose(0, 2, 1)),
+                                  np.matmul(gates[:, 2 * nh:], rh.transpose(0, 2, 1))),
+                                 axis=1).sum(axis=0)
+            g_b = gates.sum(axis=(0, 2))
+            for j, gate in enumerate("zrh"):
+                rows = slice(j * nh, (j + 1) * nh)
+                grads[f"l{i}_w{gate}"] = np.concatenate((g_x[rows], g_h[rows]), axis=1)
+                grads[f"l{i}_b{gate}"] = g_b[rows]
         return grads
 
 
@@ -689,7 +744,7 @@ def batch_objective(policy, prices: np.ndarray, mask: np.ndarray,
     recorded as rollout, loss, risk and composed back in reverse.
 
     A loop over batches passes them all one cache dict. Its slabs hold one
-    batch's rollout state (about 4 MB dense and 8 MB GRU at 256 paths),
+    batch's rollout state (about 4 MB dense and 6 MB GRU at 256 paths),
     allocated by the first batch or a larger one, and each batch writes its
     state over the last one's in place: the state is held once, and is not
     handed back to the OS and faulted in at every batch.

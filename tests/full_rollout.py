@@ -45,7 +45,7 @@ def masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
             sig[t] = sigmoid(h2 @ w3.T + b3)[:, 0]
             if cache is not None:
                 for key, value in (("x", x), ("h1", h1), ("h2", h2)):
-                    _slab(cache, key, len(xs), n, value.shape[1])[t, :n] = value
+                    _slab(cache, key, (len(xs), n, value.shape[1]))[t] = value
         prev = np.where(mask[:, t], sig[t], prev)
         out[:, t] = prev
     if cache is not None:

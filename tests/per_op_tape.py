@@ -103,6 +103,11 @@ class PerOpTape(DagTape):
 
         return self.record(value, (x, w), vjp)
 
+    def mm(self, a: Node, b: Node) -> Node:
+        """The plain product a @ b."""
+        av, bv = a.value, b.value
+        return self.record(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g))
+
     def add_row(self, x: Node, b: Node) -> Node:
         value = x.value + b.value
 
@@ -110,6 +115,11 @@ class PerOpTape(DagTape):
             return g, g.sum(axis=0) if g.ndim > b.value.ndim else g
 
         return self.record(value, (x, b), vjp)
+
+    def add_col(self, x: Node, b: Node) -> Node:
+        """x [k, batch] plus b [k] down each column."""
+        return self.record(x.value + b.value[:, None], (x, b),
+                           lambda g: (g, g.sum(axis=1)))
 
     def add(self, a: Node, b: Node) -> Node:
         return self.record(a.value + b.value, (a, b), lambda g: (g, g))
@@ -126,10 +136,6 @@ class PerOpTape(DagTape):
 
     def add_const(self, a: Node, c) -> Node:
         return self.record(a.value + c, (a,), lambda g: (g,))
-
-    def rsub_const(self, c, a: Node) -> Node:
-        """c - a for constant c."""
-        return self.record(c - a.value, (a,), lambda g: (-g,))
 
     def abs(self, a: Node) -> Node:
         # subgradient convention sign(0) = 0
@@ -173,6 +179,22 @@ class PerOpTape(DagTape):
 
         return self.record(value, tuple(parts), vjp)
 
+    def vstack(self, parts: list[Node]) -> Node:
+        """Concatenate nodes along their first axis."""
+        offsets = np.cumsum([0] + [len(p.value) for p in parts])
+        return self.record(np.concatenate([p.value for p in parts]), tuple(parts),
+                           lambda g: tuple(g[a:b] for a, b in zip(offsets, offsets[1:])))
+
+    def part(self, a: Node, key) -> Node:
+        """The view a[key] for a basic index key: a slice of rows or columns,
+        or one row."""
+        def vjp(g):
+            out = np.zeros_like(a.value)
+            out[key] = g
+            return (out,)
+
+        return self.record(a.value[key], (a,), vjp)
+
     def take_rows(self, a: Node, rows: np.ndarray) -> Node:
         """a[rows] for an index array rows without repeats."""
         def vjp(g):
@@ -209,12 +231,17 @@ class PerOpTape(DagTape):
 
 def tape_gru(tape: PerOpTape, x: Node, h: Node, w_z: Node, b_z: Node,
              w_r: Node, b_r: Node, w_h: Node, b_h: Node) -> Node:
-    xh = tape.hstack([x, h])
-    z = tape.sigmoid(tape.add_row(tape.matmul(xh, w_z), b_z))
-    r = tape.sigmoid(tape.add_row(tape.matmul(xh, w_r), b_r))
-    xrh = tape.hstack([x, tape.mul(r, h)])
-    h_cand = tape.tanh(tape.add_row(tape.matmul(xrh, w_h), b_h))
-    return tape.add(tape.mul(tape.rsub_const(1.0, z), h), tape.mul(z, h_cand))
+    """One path-minor GRU step on x [in, batch] and h [hidden, batch], with
+    the package's regrouped gate blocks and its order of operations."""
+    nx, nh = len(x.value), len(h.value)
+    wx = tape.vstack([tape.part(w, np.s_[:, :nx]) for w in (w_z, w_r, w_h)])
+    u_zr = tape.vstack([tape.part(w, np.s_[:, nx:]) for w in (w_z, w_r)])
+    pre = tape.add_col(tape.mm(wx, x), tape.vstack([b_z, b_r, b_h]))
+    zr = tape.sigmoid(tape.add(tape.part(pre, np.s_[:2 * nh]), tape.mm(u_zr, h)))
+    rh = tape.mul(tape.part(zr, np.s_[nh:]), h)
+    c = tape.tanh(tape.add(tape.part(pre, np.s_[2 * nh:]),
+                           tape.mm(tape.part(w_h, np.s_[:, nx:]), rh)))
+    return tape.add(h, tape.mul(tape.part(zr, np.s_[:nh]), tape.sub(c, h)))
 
 
 def entropy_risk(tape: PerOpTape, loss_node: Node, risk_aversion: float) -> Node:

@@ -304,8 +304,8 @@ def _per_op_deltas(tape, policy, prices, mask, labels):
     dense days of every path that has one (rows ascending, gathered), with
     the delta of that path's previous trade filled in; a dense day's
     trading rows then take their rank's output, and its frozen rows hold
-    their delta. The GRU's later days run tape_gru cells over the window of
-    log prices, then the sigmoid head.
+    their delta. The GRU's later days run path-minor tape_gru cells over the
+    window of log prices, then the sigmoid head.
     """
     cfg = policy.config
     n, n_steps = mask.shape
@@ -334,7 +334,8 @@ def _per_op_deltas(tape, policy, prices, mask, labels):
             tape.matmul(h2, prm[pre + "w3"]), prm[pre + "b3"])))
         outputs.append(tape.put_rows(raw, rows, n))
         last = tape.where(np.isin(np.arange(n), rows), outputs[-1], last)
-    states = [tape.const(np.zeros((n, cfg.gru_hidden)))] * cfg.gru_layers
+    logp_days = np.ascontiguousarray(logp.T)  # the cells run path-minor
+    states = [tape.const(np.zeros((cfg.gru_hidden, n)))] * cfg.gru_layers
     prev = tape.const(np.zeros(n))
     nodes = []
     for t in range(n_steps):
@@ -343,12 +344,12 @@ def _per_op_deltas(tape, policy, prices, mask, labels):
             for k in np.unique(rank[:, t][mask[:, t]]):
                 raw = tape.where(rank[:, t] == k, outputs[k], raw)
         else:
-            x = tape.const(logp[:, t - cfg.window + 1: t + 1])
+            x = tape.const(logp_days[t - cfg.window + 1: t + 1])
             for i in range(cfg.gru_layers):
                 gates = (prm[f"l{i + 1}_{k}"] for k in ("wz", "bz", "wr", "br", "wh", "bh"))
                 states[i] = x = tape_gru(tape, x, states[i], *gates)
-            raw = tape.squeeze_col(tape.sigmoid(tape.add_row(
-                tape.matmul(x, prm["head_w"]), prm["head_b"])))
+            raw = tape.part(tape.sigmoid(tape.add_col(
+                tape.mm(prm["head_w"], x), prm["head_b"])), 0)
         prev = tape.where(mask[:, t], raw, prev)
         nodes.append(prev)
     return nodes
@@ -634,13 +635,17 @@ def test_a_cache_shared_by_batches_keeps_each_batch_apart(gbm_small, contract, a
 
 @pytest.mark.parametrize("arch", ["dense", "gru"])
 def test_a_training_holds_one_rollout_state(heston_small, contract, arch):
-    """A batch's rollout state (about 4 MB dense, 8 MB GRU at 256 paths) is
+    """A batch's rollout state (about 4 MB dense, 6 MB GRU at 256 paths) is
     written over the last one's in the slabs of the shared cache: a second
     batch of the same size allocates at most a quarter of what the first
     left in the cache, though that is still held. numpy reports its
-    allocations to tracemalloc."""
-    policy = (DensePolicy if arch == "dense" else GRUPolicy).init(
-        ehf.PolicyConfig(arch=arch), seed=4)
+    allocations to tracemalloc. The GRU's state is at least its cells'
+    slabs: per layer and GRU day the gates [3 hidden, n], r h and the state,
+    and the zero state before the first day."""
+    cfg = ehf.PolicyConfig(arch=arch)
+    policy = (DensePolicy if arch == "dense" else GRUPolicy).init(cfg, seed=4)
+    gru_days = heston_small.n_steps - (cfg.window - 1)
+    cells = cfg.gru_layers * (5 * gru_days + 1) * cfg.gru_hidden * heston_small.n_paths * 8
     mask = ehf.compute_trade_mask(heston_small, 0.01)
     args = (policy, heston_small.prices, mask, contract, ehf.CostModel(0.02), 0.5)
     cache = {}
@@ -655,8 +660,33 @@ def test_a_training_holds_one_rollout_state(heston_small, contract, arch):
         rise = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert kept > (3e6 if arch == "dense" else 7e6)
+    assert kept > (3e6 if arch == "dense" else cells)
     assert rise <= kept / 4, (rise, kept)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("n_steps", [30, 90])
+def test_a_gru_evaluation_holds_one_day_of_cell_state(layers, n_steps):
+    """Without a cache, a GRU's deltas on 2,000 paths allocate at most a few
+    times its inputs and outputs, plus twice one day's buffers per layer
+    (the gates [3 hidden, n], r h, the state in and out, and the biases
+    spread over the batch): no evaluation holds every day's gates, whatever
+    n_steps."""
+    paths = ehf.simulate_heston(ehf.HIGH_VOL, ehf.SimConfig(
+        n_paths=2000, seed=5, n_steps=n_steps))
+    cfg = ehf.PolicyConfig(arch="gru", gru_layers=layers)
+    policy = GRUPolicy.init(cfg, seed=1)
+    mask = ehf.compute_trade_mask(paths, 0.01)
+    day = 9 * cfg.gru_hidden * paths.n_paths * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        deltas = policy.deltas(paths.prices, mask)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    io = paths.prices.nbytes + mask.nbytes + deltas.nbytes
+    assert peak <= 3 * io + 2 * layers * day, (peak, io, day)
 
 
 def test_training_with_a_one_path_last_batch(heston_small, contract):

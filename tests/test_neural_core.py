@@ -6,7 +6,7 @@ import pytest
 
 import ehf
 from ehf.errors import NumericError, ShapeError, StateError
-from ehf.hedging_engine import _CELL_ROWS, _gru_cell
+from ehf.hedging_engine import _CELL_ROWS, _gru_blocks, _gru_cell
 from ehf.neural_core import (AdamState, GradCheckReport, Tape, adam_step, fan_uniform,
                              grad_check, require_finite, sigmoid)
 from per_op_tape import DagTape, PerOpTape
@@ -53,11 +53,13 @@ def _random_gru(rng, hidden, inp):
 
 
 def _gru_step(weights, x, h):
-    """One step of the policy's GRU cell; x [batch, inp], h [batch, hidden]."""
-    n, width = len(x), x.shape[1] + h.shape[1]
-    saved = [np.empty((k * n, w)) for k, w in
-             zip(_CELL_ROWS, (width, h.shape[1], width, h.shape[1]))]
-    return _gru_cell(x, h, *weights, saved)[0]
+    """One step of the policy's path-minor GRU cell, its gate blocks
+    regrouped from weights; x [batch, inp], h [batch, hidden] in and out."""
+    blocks = _gru_blocks(dict(zip(("l1_wz", "l1_bz", "l1_wr", "l1_br", "l1_wh", "l1_bh"),
+                                  weights)), 1)
+    gates, rh, h_new = (np.empty((k * h.shape[1], len(h))) for k in _CELL_ROWS)
+    return _gru_cell(np.ascontiguousarray(x.T), np.ascontiguousarray(h.T), blocks,
+                     gates, rh, h_new).T
 
 
 def test_gru_forward_matches_scalar_reference():

@@ -9,7 +9,7 @@ import ehf
 from ehf import container, signal_forest
 from ehf.errors import ConfigurationError, DomainError, IntegrityError, ShapeError
 from ehf.signal_forest import DecisionTree, Forest, load_forest, predict_labels
-from node_walk import forest_predict, tree_predict
+from node_walk import compile_forest, forest_predict, tree_predict
 from reference import label_extrema, predict_label_matrix
 from tree_oracle import best_split, forest_trees
 
@@ -233,9 +233,24 @@ def _probe(forest, rng, n=300):
     return rng.choice(pool, size=(n, forest.n_features))
 
 
+def _assert_tables_equal_walk(forest):
+    """The forest's lookup tables and maps equal, byte for byte and dtype for
+    dtype, those that walking each tree node by node fills. The thresholds'
+    union is equal in value: where trees split at both 0.0 and -0.0 it holds
+    one of them, and the two sorts may keep either; no search tells them apart."""
+    (union, compiled), (ref_union, ref_compiled) = forest._tables, compile_forest(
+        forest.trees, forest.n_features)
+    for u, ref in zip(union, ref_union, strict=True):
+        assert u.dtype == ref.dtype and np.array_equal(u, ref)
+    for (maps, table), (ref_maps, ref_table) in zip(compiled, ref_compiled, strict=True):
+        for a, b in [(table, ref_table)] + list(zip(maps, ref_maps, strict=True)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _assert_tables_match_walk(forest, X):
-    """Each tree's table vote (as a one-tree forest) and the forest's
-    majority vote equal the node walk's."""
+    """The forest's tables are those of the node walk; each tree's table vote
+    (as a one-tree forest) and the forest's majority vote equal the walk's."""
+    _assert_tables_equal_walk(forest)
     for tree in forest.trees:
         single = Forest((tree,), ehf.ForestConfig(n_trees=1), forest.n_features)
         np.testing.assert_array_equal(predict_labels(single, X), tree_predict(tree, X))
@@ -265,6 +280,19 @@ def test_tables_vote_as_the_node_walk(tmp_path, n_features, n_rows, distinct,
     _assert_tables_match_walk(loaded, probe)
     np.testing.assert_array_equal(predict_labels(loaded, probe),
                                   predict_labels(forest, probe))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_trees=st.integers(1, 50), max_depth=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tables_equal_the_node_walks(n_trees, max_depth, seed):
+    """Forests of 1 to 50 trees, 1 to 12 deep, on two noisy features: the
+    depth-by-depth tables equal the node-by-node walk's byte for byte."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(600, 2))
+    y = (X[:, 0] * X[:, 1] + 0.5 * rng.normal(size=600) > 0).astype(np.int8)
+    _assert_tables_equal_walk(ehf.fit_forest(X, y, ehf.ForestConfig(
+        n_trees=n_trees, max_depth=max_depth, min_leaf=2, seed=seed)))
 
 
 @st.composite
