@@ -27,7 +27,7 @@ from . import market_sim
 from .analytics_bsm import ContractSpec
 from .errors import (ConfigurationError, DomainError, IntegrityError,
                      NumericError, ResolutionError, ShapeError, StateError)
-from .frontier import (SWEEP_MODES, SweepConfig, check_alpha_grid,
+from .frontier import (SWEEP_MODES, SweepConfig, by_setting, check_alpha_grid,
                        compare_configs, format_comparison_table, pareto_filter,
                        prepare_signal, read_frontier_csv, sweep_alpha,
                        sweep_baseline, write_comparison_csv, write_frontier_csv)
@@ -452,19 +452,26 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
+    """Every (cost rate, lambda) setting is scored on the same test paths, so
+    what only those paths fix is built once: their gate labels and the
+    closed-form baseline's deltas (sweep_baseline runs them once for all
+    settings)."""
     paths, digests = _load_paths(cfg)
     train_paths, test_paths = split_pathset(paths, cfg.n_train, cfg.n_test)
     contract = _contract(cfg)
     _, _, baseline_vol = _scenario(cfg)
     gate, digests = _gate(cfg, digests)
-    for cost_rate, lam in itertools.product(cfg.cost_rates, cfg.risk_aversions):
-        sweep = SweepConfig(
-            alphas=tuple(cfg.alphas), scenario=cfg.scenario, rf=cfg.rf,
-            cost_rate=cost_rate, risk_aversion=lam, mode=cfg.mode,
-            seed=cfg.train.seed)
-        base_points = sweep_baseline(sweep, test_paths, contract, baseline_vol, cfg.dt)
+    settings = [SweepConfig(alphas=tuple(cfg.alphas), scenario=cfg.scenario, rf=cfg.rf,
+                            cost_rate=cost_rate, risk_aversion=lam, mode=cfg.mode,
+                            seed=cfg.train.seed)
+                for cost_rate, lam in itertools.product(cfg.cost_rates, cfg.risk_aversions)]
+    test_labels = None if gate is None or cfg.policy.arch == "bsm" else gate(test_paths)
+    base_points = by_setting(
+        sweep_baseline(settings, test_paths, contract, baseline_vol, cfg.dt), settings)
+    for sweep, base in zip(settings, base_points):
+        cost_rate, lam = sweep.cost_rate, sweep.risk_aversion
         base_file = _stem(cfg, "frontier", cost_rate, lam, "bsm") + ".csv"
-        write_frontier_csv(base_file, base_points)
+        write_frontier_csv(base_file, base)
         _write_record(base_file, _made_from(cfg, "frontier", digests))
         if cfg.policy.arch == "bsm":
             print(f"swept closed-form baseline only (cost {cost_rate:g}, lambda {lam:g})")
@@ -477,7 +484,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             policy = load_policy(checkpoint)
         points = sweep_alpha(sweep, train_paths, test_paths, contract,
                              cfg.policy, cfg.train, gate=gate, policy=policy,
-                             jobs=args.jobs)
+                             jobs=args.jobs, test_labels=test_labels)
         out = _stem(cfg, "frontier", cost_rate, lam) + ".csv"
         write_frontier_csv(out, points)
         _write_record(out, _made_from(cfg, "frontier", digests))

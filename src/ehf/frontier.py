@@ -22,8 +22,8 @@ import numpy as np
 from .analytics_bsm import ContractSpec
 from .errors import ConfigurationError, DomainError, IntegrityError, StateError
 from .hedging_engine import (BSMPolicy, CostModel, PolicyConfig, RiskConfig,
-                             TrainConfig, episode_results, trade_mask,
-                             train_policy)
+                             TrainConfig, combine_mask, episode_results, move_table,
+                             table_mask, trade_mask, train_policy)
 from .market_sim import PathSet
 from .signal_forest import (Forest, ForestConfig, _day_rows,
                             classification_report, feature_table, fit_forest,
@@ -140,32 +140,38 @@ def _check_disjoint(train_paths: PathSet, test_paths: PathSet) -> None:
                          f"({np.count_nonzero(np.diff(shared)) + 1} shared, e.g. {shared[0]})")
 
 
-def _points(sweep: SweepConfig, policy, test_paths: PathSet, contract: ContractSpec,
-            labels, alphas) -> list[FrontierPoint]:
-    """One FrontierPoint per alpha: the mean and std of the per-path losses of
-    policy's deltas on test_paths under the alpha mask (ANDed with labels, if
-    any) and their mean trade count, tagged policy.arch and the sweep's rf and
-    mode. The policy's remasker does the work no mask reads once for all alphas."""
-    cost = CostModel(sweep.cost_rate)
+def _points(sweeps, policy, test_paths: PathSet, contract: ContractSpec, labels,
+            alphas, moves) -> list[list[FrontierPoint]]:
+    """Each setting's FrontierPoints, one per alpha: the mean and std of the
+    per-path losses of policy's deltas on test_paths under the alpha mask
+    (ANDed with labels, if any) at the setting's cost rate, and their mean
+    trade count, tagged policy.arch and the setting's other values. The
+    policy's remasker does the work no mask reads once for all alphas; each
+    alpha's mask is built from moves, the paths' move_table (as
+    trade_mask builds it from the paths), and its deltas are scored once
+    per distinct cost rate."""
     deltas_at = policy.remasker(test_paths.prices, labels=labels)
-    points = []
+    scores = {sweep.cost_rate: [] for sweep in sweeps}
     for alpha in alphas:
-        res = episode_results(test_paths.prices,
-                              deltas_at(trade_mask(test_paths, alpha, labels)),
-                              contract, cost)
-        points.append(FrontierPoint(
-            scenario=sweep.scenario, policy=policy.arch, rf=sweep.rf,
-            cost_rate=sweep.cost_rate, risk_aversion=sweep.risk_aversion, alpha=alpha,
-            mean_loss=float(np.mean(res.loss)), std_loss=float(np.std(res.loss)),
-            avg_trades=float(np.mean(res.trade_counts)),
-            n_test_paths=test_paths.n_paths, mode=sweep.mode, seed=sweep.seed))
-    return points
+        mask = table_mask(moves, alpha)
+        deltas = deltas_at(mask if labels is None else combine_mask(mask, labels))
+        for rate, rows in scores.items():
+            res = episode_results(test_paths.prices, deltas, contract, CostModel(rate))
+            rows.append((float(np.mean(res.loss)), float(np.std(res.loss)),
+                         float(np.mean(res.trade_counts))))
+    return [[FrontierPoint(
+        scenario=sweep.scenario, policy=policy.arch, rf=sweep.rf,
+        cost_rate=sweep.cost_rate, risk_aversion=sweep.risk_aversion, alpha=alpha,
+        mean_loss=mean, std_loss=std, avg_trades=trades,
+        n_test_paths=test_paths.n_paths, mode=sweep.mode, seed=sweep.seed)
+        for alpha, (mean, std, trades) in zip(alphas, scores[sweep.cost_rate])]
+        for sweep in sweeps]
 
 
 def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: PathSet,
                 contract: ContractSpec, policy_cfg: PolicyConfig,
                 train_cfg: TrainConfig, gate=None, policy=None,
-                jobs: int = 1) -> list[FrontierPoint]:
+                jobs: int = 1, test_labels=None) -> list[FrontierPoint]:
     """One FrontierPoint per alpha, evaluated on the held-out test paths.
 
     mode="retrain" trains a fresh policy per alpha; mode="fast" re-masks a
@@ -176,7 +182,10 @@ def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: Pat
     trains. A retrain sweep spreads its alphas over up to `jobs` processes
     (see _dealt_map); every alpha trains from the same seeds, so the
     points do not depend on jobs. A fast sweep's alphas are too cheap to pay
-    for a process and always run here.
+    for a process and always run here. A caller that sweeps several
+    settings on one test set may pass test_labels, gate(test_paths), which
+    none of them changes (read by rf sweeps only; built here if not given).
+    Every alpha's test mask is built from one move table of the test paths.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -194,7 +203,11 @@ def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: Pat
     cost = CostModel(sweep.cost_rate)
     risk = RiskConfig(sweep.risk_aversion)
     train_labels = gate(train_paths) if sweep.rf and trains else None
-    test_labels = gate(test_paths) if sweep.rf else None
+    if not sweep.rf:
+        test_labels = None
+    elif test_labels is None:
+        test_labels = gate(test_paths)
+    moves = move_table(test_paths.prices)
 
     def trained_at(alpha: float):
         return train_policy(
@@ -203,26 +216,47 @@ def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: Pat
             labels=train_labels)[0]
 
     # each evaluation's per-path arrays are dropped once its point is built,
-    # before retrain mode trains the next policy
+    # before retrain mode trains the next policy; forked workers inherit moves
     if retrain:
-        points = _dealt_map(lambda alpha: _points(sweep, trained_at(alpha), test_paths,
-                                                  contract, test_labels, (alpha,))[0],
+        points = _dealt_map(lambda alpha: _points([sweep], trained_at(alpha), test_paths,
+                                                  contract, test_labels, (alpha,),
+                                                  moves)[0][0],
                             sweep.alphas, jobs)
     else:
         if policy is None:
             policy = trained_at(sweep.alphas[0])
-        points = _points(sweep, policy, test_paths, contract, test_labels, sweep.alphas)
+        [points] = _points([sweep], policy, test_paths, contract, test_labels,
+                           sweep.alphas, moves)
     _assert_trades_monotone(points)
     return points
 
 
-def sweep_baseline(sweep: SweepConfig, test_paths: PathSet, contract: ContractSpec,
+def sweep_baseline(sweeps, test_paths: PathSet, contract: ContractSpec,
                    vol: float, dt: float) -> list[FrontierPoint]:
-    """Closed-form-delta frontier on the same grid (no training, no gate)."""
-    points = _points(replace(sweep, rf=False, mode="fast"), BSMPolicy(contract, vol, dt),
-                     test_paths, contract, None, sweep.alphas)
-    _assert_trades_monotone(points)
+    """Closed-form-delta frontiers (no training, no gate) of a sequence of
+    sweep settings on one alpha grid, all in one list: each setting's points
+    in turn, in settings order (one entry per point, as sweep_alpha gives;
+    by_setting cuts it per setting). The closed-form carry runs once per
+    alpha, and its deltas are scored once per distinct cost rate; the risk
+    aversion only tags the points."""
+    sweeps = [replace(sweep, rf=False, mode="fast") for sweep in sweeps]
+    if not sweeps:
+        raise ConfigurationError("a baseline sweep needs at least one setting")
+    alphas = sweeps[0].alphas
+    if any(sweep.alphas != alphas for sweep in sweeps):
+        raise ConfigurationError("the baseline's settings must share one alpha grid")
+    points = []
+    for setting_points in _points(sweeps, BSMPolicy(contract, vol, dt), test_paths,
+                                  contract, None, alphas, move_table(test_paths.prices)):
+        _assert_trades_monotone(setting_points)
+        points += setting_points
     return points
+
+
+def by_setting(points: list[FrontierPoint], sweeps) -> list[list[FrontierPoint]]:
+    """sweep_baseline's list of points over sweeps, cut into each setting's."""
+    n = len(points) // len(sweeps)
+    return [points[i * n:(i + 1) * n] for i in range(len(sweeps))]
 
 
 def _assert_trades_monotone(points: list[FrontierPoint]) -> None:

@@ -115,21 +115,27 @@ def _daily_moves(prices: np.ndarray) -> np.ndarray:
     return prices[:, 1:] / prices[:, :-1] - 1.0
 
 
-def _moves_over(prices: np.ndarray, alpha: float) -> np.ndarray:
-    """Whether each one-day relative move |S_t/S_{t-1} - 1| exceeds alpha:
-    [n, width - 1] for [n, width] prices."""
+def move_table(prices: np.ndarray) -> np.ndarray:
+    """All that a trade mask reads of [n, n_steps + 1] prices: the absolute
+    one-day relative moves |S_t/S_{t-1} - 1| into days 1 .. n_steps - 1,
+    [n, n_steps - 1]. A sweep builds it once and each alpha's mask from it."""
+    return np.abs(_daily_moves(prices[:, :-1]))
+
+
+def table_mask(moves: np.ndarray, alpha: float) -> np.ndarray:
+    """Boolean [n, width + 1] for a move table [n, width]: True on day 0 and
+    whenever the move into day t exceeds alpha."""
     if alpha < 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
-    return np.abs(_daily_moves(prices)) > alpha
+    mask = np.empty((len(moves), moves.shape[1] + 1), dtype=bool)
+    mask[:, 0] = True
+    np.greater(moves, alpha, out=mask[:, 1:])
+    return mask
 
 
 def compute_trade_mask(paths: PathSet, alpha: float) -> np.ndarray:
-    """Boolean [n_paths, n_steps]; True on day 0 and whenever the move into
-    day t exceeds alpha (_moves_over)."""
-    mask = np.empty((paths.n_paths, paths.n_steps), dtype=bool)
-    mask[:, 0] = True
-    mask[:, 1:] = _moves_over(paths.prices, alpha)[:, :-1]
-    return mask
+    """Boolean [n_paths, n_steps]: the table_mask of the paths' move_table."""
+    return table_mask(move_table(paths.prices), alpha)
 
 
 def check_mask(mask: np.ndarray, n_paths: int, n_steps: int) -> np.ndarray:
@@ -361,7 +367,9 @@ def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
     the dense days and what _trade_ranks gives, for _masked_adjoint; without
     one, a one-day slab serves each rank. Each mask's trading cells are
     found once: those of the dense days are all of them where every day is
-    dense.
+    dense. The biases are spread over the batch once per call, as
+    _gru_blocks does, and the head's sigmoid writes into rows allocated
+    once, so that a rank allocates little.
     """
     w1, b1, w2, b2, w3, b3 = (p.get(prefix + k) for k in _DENSE)
     n, n_steps = mask.shape
@@ -369,22 +377,27 @@ def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
     cells = np.flatnonzero(mask)
     dense_cells = cells if n_dense == n_steps else np.flatnonzero(mask[:, :n_dense])
     ranks, at, pm = _trade_ranks(mask[:, :n_dense], dense_cells)
-    if n_dense:
-        ws, held = ({}, 1) if cache is None else (cache, n_dense)
-        slabs = [_slab(ws, key, (held, n, width)) for key, width in
-                 (("x", xs.shape[2]), ("h1", len(w1)), ("h2", len(w2)))]
-        flat_xs = xs.reshape(-1, xs.shape[2])
     flat_sig = sig.reshape(-1)
     sig[:n_dense] = 0.0
     out = np.empty(len(at))  # by cell position
-    last = np.zeros(n)  # each path's delta after its latest trade so far
+    if ranks:
+        ws, held = ({}, 1) if cache is None else (cache, n_dense)
+        x_slab, h1_slab, h2_slab = (_slab(ws, key, (held, n, width)) for key, width in
+                                    (("x", xs.shape[2]), ("h1", len(w1)), ("h2", len(w2))))
+        flat_xs = xs.reshape(-1, xs.shape[2])
+        b1, b2 = (np.repeat(b[None], n, axis=0) for b in (b1, b2))
+        head, work = np.empty((2, n, 1))
+        last = np.zeros(n)  # each path's delta after its latest trade so far
     for k, (sel, b, e) in enumerate(ranks):
-        x, h1, h2 = (slab[k if cache is not None else 0, :e - b] for slab in slabs)
+        m, slot = e - b, k if cache is not None else 0
+        x, h1, h2, z = x_slab[slot, :m], h1_slab[slot, :m], h2_slab[slot, :m], head[:m]
         flat_xs.take(at[b:e], axis=0, out=x, mode="clip")  # unbuffered; at is in range
         x[:, 2] = last[sel]
-        _relu_layer(x, w1, b1, h1)
-        _relu_layer(h1, w2, b2, h2)
-        last[sel] = out[b:e] = nc.sigmoid(h2 @ w3.T + b3)[:, 0]
+        _relu_layer(x, w1, b1[:m], h1)
+        _relu_layer(h1, w2, b2[:m], h2)
+        np.matmul(h2, w3.T, out=z)
+        z += b3
+        last[sel] = out[b:e] = nc.sigmoid(z, out=z, work=work[:m])[:, 0]
     flat_sig[at] = out
     if cache is not None:
         cache.update(sig=sig, dense_days=n_dense, cells=dense_cells, ranks=(ranks, at, pm))
@@ -410,7 +423,9 @@ def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
     grouping at about 1e-15 relative. sig holds 0.0 at frozen dense cells,
     so their slope is an exact zero.
     Returns the gradient at every day's sigmoid input [n_steps, n], whose
-    later days feed their own adjoint, and the dense blocks' gradients.
+    later days feed their own adjoint, and the dense blocks' gradients. The
+    head's weights are spread over the batch once per call, so that its
+    outer product with a rank's gradients is a plain multiply.
     """
     w1_prev, w2, w3 = p[prefix + "w1"][:, 2], p[prefix + "w2"], p[prefix + "w3"][0]
     sig, n_dense, cells, (ranks, at, pm) = (
@@ -429,14 +444,19 @@ def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
     # the sigmoid input, and g
     slope, g_cells = ga3.reshape(-1)[at], g[:, :n_dense].T.ravel()[at]
     tails = _frozen_sums(g[:, :n_dense], mask[:, :n_dense], cells)[pm]
+    if ranks:   # (a GRU of window 1 has no dense day, and so no slab)
+        x_slab, h1_slab, h2_slab = (cache[key] for key in ("x", "h1", "h2"))
+        w3_rows = np.repeat(w3[None], n, axis=0)
+        buf2, buf1 = np.empty((2, n, len(w2)))
     for k in reversed(range(len(ranks))):
         sel, b, e = ranks[k]
+        m = e - b
         ga = slope[b:e]
         ga *= g_cells[b:e] + (tails[b:e] + carry[sel])
-        x, h1, h2 = (cache[key][k, :e - b] for key in ("x", "h1", "h2"))
-        ga2 = np.multiply.outer(ga, w3)
+        x, h1, h2 = x_slab[k, :m], h1_slab[k, :m], h2_slab[k, :m]
+        ga2 = np.multiply(ga[:, None], w3_rows[:m], out=buf2[:m])
         ga2 *= h2 > 0
-        ga1 = ga2 @ w2
+        ga1 = np.matmul(ga2, w2, out=buf1[:m])
         ga1 *= h1 > 0
         carry[sel] = ga1 @ w1_prev
         gw1 += ga1.T @ x

@@ -22,12 +22,14 @@ import numpy as np
 from .errors import NumericError, ShapeError, StateError
 
 
-def sigmoid(x, out=None):
+def sigmoid(x, out=None, work=None):
     """Logistic function; exp(-|x|) keeps it overflow-free at large |x|. out
-    (x itself, say) receives the values if given."""
+    (x itself, say) receives the values if given, and work, an array of x's
+    shape, holds exp(-|x|) and then 1 + exp(-|x|) (else one is allocated)."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
+    e = np.abs(x, out=np.empty_like(x) if work is None else work)
+    np.exp(np.negative(e, out=e), out=e)
+    return np.divide(np.where(x >= 0, 1.0, e), np.add(1.0, e, out=e), out=out)
 
 
 # ---------------------------------------------------------------------------

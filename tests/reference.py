@@ -12,7 +12,7 @@ import numpy as np
 
 from ehf.analytics_bsm import _d1, norm_cdf
 from ehf.errors import DomainError
-from ehf.hedging_engine import _moves_over
+from ehf.hedging_engine import _daily_moves, table_mask
 from ehf.signal_forest import _extrema_labels, feature_table, predict_labels, vote_labels
 
 
@@ -23,7 +23,8 @@ def trade_frequency(paths, alpha: float) -> float:
     over all n_steps daily returns of each path (at alpha = 0 it is exactly
     n_steps); it deliberately excludes the forced day-0 rebalance of the mask.
     """
-    return float(np.mean(np.sum(_moves_over(paths.prices, alpha), axis=1)))
+    moves = np.abs(_daily_moves(paths.prices))   # every day's move, the last one too
+    return float(np.mean(np.sum(table_mask(moves, alpha)[:, 1:], axis=1)))
 
 
 def bs_call_price(spot, strike: float, rate: float, vol: float, tau: float):

@@ -78,8 +78,8 @@ def frontiers(desk):
         lambda kwargs: _sweep(train, test, **kwargs), list(sweeps.values()),
         frontier._usable_cores())))
     f[("bsm", 0.05, 0.5)] = ehf.sweep_baseline(
-        ehf.SweepConfig(alphas=ALPHAS, cost_rate=0.05, risk_aversion=0.5,
-                        mode="fast", seed=7),
+        [ehf.SweepConfig(alphas=ALPHAS, cost_rate=0.05, risk_aversion=0.5,
+                         mode="fast", seed=7)],
         test, CONTRACT, vol=math.sqrt(0.8), dt=1.0 / 365.0)
     return f
 

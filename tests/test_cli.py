@@ -539,6 +539,48 @@ def test_jobs_flag_is_accepted_and_changes_no_artifact(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("mode,rf", [("fast", "false"), ("fast", "true"),
+                                     ("retrain", "false")],
+                         ids=["fast", "fast-oracle-gate", "retrain"])
+def test_one_sweep_over_four_settings_writes_what_four_one_setting_sweeps_do(
+        tmp_path, capsys, mode, rf):
+    """The settings of one `ehf sweep` share its gate labels and closed-form
+    deltas: its frontiers and their records are byte-identical to
+    those of one config per (cost rate, lambda), run one after the other in
+    the same output dir, and it prints their lines in the same order."""
+    text = TINY_INI.replace("rf = false", f"rf = {rf}").replace("mode = fast",
+                                                                f"mode = {mode}")
+    settings = [(rate, lam) for rate in ("0.02", "0.05") for lam in ("0.2", "0.7")]
+    combined = tmp_path / "combined.ini"
+    combined.write_text(text.replace("cost_rates = 0.02", "cost_rates = 0.02, 0.05")
+                        .replace("risk_aversions = 0.5", "risk_aversions = 0.2, 0.7"))
+    out = tmp_path / "out"
+    for cmd in ("simulate", "train") if mode == "fast" else ("simulate",):
+        assert _run(combined, out, cmd) == 0, cmd
+    capsys.readouterr()
+
+    def sweep(ini):
+        assert _run(ini, out, "sweep") == 0
+        frontiers = {f.name: f.read_bytes() for f in sorted(out.glob("frontier_*"))}
+        for name in frontiers:
+            os.remove(out / name)
+        return frontiers, capsys.readouterr().out
+
+    shared, shared_lines = sweep(combined)
+    alone, alone_lines = {}, ""
+    for rate, lam in settings:
+        ini = tmp_path / f"c{rate}_l{lam}.ini"
+        ini.write_text(text.replace("cost_rates = 0.02", f"cost_rates = {rate}")
+                       .replace("risk_aversions = 0.5", f"risk_aversions = {lam}"))
+        frontiers, lines = sweep(ini)
+        alone.update(frontiers)
+        alone_lines += lines
+    assert len(shared) == 4 * 2 * 2   # per setting: baseline and policy, CSV and record
+    assert shared == alone
+    assert shared_lines == alone_lines
+    assert len(shared_lines.splitlines()) == 4
+
+
 # ---------------------------------------------------------------------------
 # the forest gate: label fits the forest, train and sweep read it
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,7 +271,7 @@ def test_sweep_cost_rates_scale_costs_linearly(tiny_split, contract):
 def test_sweep_baseline_covers_grid(tiny_split, contract):
     _, test = tiny_split
     sweep = ehf.SweepConfig(alphas=(0.0, 0.02, 0.06), cost_rate=0.05)
-    pts = ehf.sweep_baseline(sweep, test, contract, vol=np.sqrt(0.8), dt=1 / 365)
+    pts = ehf.sweep_baseline([sweep], test, contract, vol=np.sqrt(0.8), dt=1 / 365)
     assert len(pts) == 3
     assert all(p.policy == "bsm" for p in pts)
     assert pts[0].avg_trades >= pts[-1].avg_trades
@@ -547,9 +548,83 @@ def test_dense_fast_sweep_gives_the_per_alpha_points(tiny_split, contract, rf,
 def test_baseline_sweep_gives_the_per_alpha_points(tiny_split, contract):
     _, test = tiny_split
     sweep = ehf.SweepConfig(alphas=FAST_ALPHAS, cost_rate=0.02)
-    points = ehf.sweep_baseline(sweep, test, contract, vol=0.9, dt=1 / 365)
+    points = ehf.sweep_baseline([sweep], test, contract, vol=0.9, dt=1 / 365)
     assert [(p.mean_loss, p.std_loss, p.avg_trades) for p in points] == \
         _per_alpha(test, ehf.BSMPolicy(contract, 0.9, 1 / 365), contract)
+
+
+# ---------------------------------------------------------------------------
+# settings that share one test set: gate labels built once, one closed-form
+# carry per alpha for every setting, masks from one move table per sweep
+# ---------------------------------------------------------------------------
+
+def _setting(cost_rate, lam, **kw):
+    return ehf.SweepConfig(alphas=FAST_ALPHAS, cost_rate=cost_rate,
+                           risk_aversion=lam, seed=3, **kw)
+
+
+def test_one_baseline_call_gives_each_setting_its_one_setting_points(tiny_split,
+                                                                     contract):
+    _, test = tiny_split
+    settings = [_setting(rate, lam) for rate in (0.02, 0.05) for lam in (0.2, 0.7)]
+    shared = frontier.by_setting(
+        ehf.sweep_baseline(settings, test, contract, vol=0.9, dt=1 / 365), settings)
+    assert shared == [ehf.sweep_baseline([s], test, contract, vol=0.9, dt=1 / 365)
+                      for s in settings]
+    for low, high in (shared[:2], shared[2:]):   # one cost rate's two lambdas
+        assert [replace(p, risk_aversion=0.7) for p in low] == high
+        assert {p.risk_aversion for p in low} == {0.2}
+
+
+def test_a_baseline_over_two_grids_is_refused(tiny_split, contract):
+    _, test = tiny_split
+    other = replace(_setting(0.05, 0.5), alphas=(0.0, 0.1))
+    with pytest.raises(ConfigurationError, match="one alpha grid"):
+        ehf.sweep_baseline([_setting(0.02, 0.5), other], test, contract,
+                           vol=0.9, dt=1 / 365)
+    with pytest.raises(ConfigurationError, match="at least one"):
+        ehf.sweep_baseline([], test, contract, vol=0.9, dt=1 / 365)
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["plain", "oracle-gate"])
+def test_a_dense_fast_sweep_on_shared_labels_gives_the_per_alpha_points(
+        tiny_split, contract, gated):
+    """Masks built from one move table, with gate labels the caller built
+    once, give bit for bit the points of masks built per alpha from the
+    paths."""
+    _, test = tiny_split
+    cfg = ehf.PolicyConfig(arch="dense", hidden=6)
+    policy = _jittered(ehf.make_policy(cfg, seed=4), seed=4)
+    labels = ehf.label_matrix(test, 0.01) if gated else None
+    points = ehf.sweep_alpha(_setting(0.02, 0.5, rf=gated), None, test, contract, cfg,
+                             TINY_TRAIN, gate=lambda paths: pytest.fail("gate called"),
+                             policy=policy, test_labels=labels)
+    assert [(p.mean_loss, p.std_loss, p.avg_trades) for p in points] == \
+        _per_alpha(test, policy, contract, labels)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_retrain_sweep_on_one_move_table_gives_the_per_alpha_points(
+        tiny_split, contract, monkeypatch, jobs):
+    """A retrain sweep's evaluations read the sweep's one move table (a
+    forked worker inherits it) and equal a training and an evaluation per
+    alpha whose masks are built from the paths."""
+    monkeypatch.setattr(frontier, "_usable_cores", lambda: 2)
+    train, test = tiny_split
+    alphas = RETRAIN_ALPHAS[:3]
+    sweep = ehf.SweepConfig(alphas=alphas, cost_rate=0.02, mode="retrain", seed=5)
+    points = ehf.sweep_alpha(sweep, train, test, contract, TINY_POLICY, TINY_TRAIN,
+                             jobs=jobs)
+    expected = []
+    for alpha in alphas:
+        policy, _ = ehf.train_policy(train, contract, ehf.CostModel(0.02),
+                                     ehf.RiskConfig(0.5), TINY_POLICY,
+                                     ehf.compute_trade_mask(train, alpha), TINY_TRAIN)
+        res = evaluate_policy(test, policy, ehf.compute_trade_mask(test, alpha),
+                              contract, ehf.CostModel(0.02))
+        expected.append((float(np.mean(res.loss)), float(np.std(res.loss)),
+                         float(np.mean(res.trade_counts))))
+    assert [(p.mean_loss, p.std_loss, p.avg_trades) for p in points] == expected
 
 
 @pytest.mark.parametrize("window,layers", [(1, 1), (3, 2), (5, 2)])
@@ -622,6 +697,6 @@ def test_doubling_every_price_doubles_the_losses_and_keeps_the_trades(
 def test_doubling_every_price_doubles_the_baseline_losses(scaled_splits):
     sweep = ehf.SweepConfig(alphas=SCALE_ALPHAS, cost_rate=0.02)
     vol = float(np.sqrt(ehf.HIGH_VOL.theta))
-    _assert_doubled({s0: ehf.sweep_baseline(sweep, test, ehf.ContractSpec(s0, 30),
+    _assert_doubled({s0: ehf.sweep_baseline([sweep], test, ehf.ContractSpec(s0, 30),
                                             vol=vol, dt=1 / 365)
                      for s0, (_, test) in scaled_splits.items()})

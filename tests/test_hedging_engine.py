@@ -17,6 +17,7 @@ from ehf.hedging_engine import (DensePolicy, GRUPolicy, _dense_inputs,
                                 tape_entropy_risk)
 from ehf.neural_core import Tape, grad_check
 import full_rollout
+import rank_walk
 from per_op_tape import PerOpTape, tape_gru
 from per_op_tape import entropy_risk as per_op_entropy_risk
 
@@ -480,6 +481,8 @@ def _row_masks(draw, n, n_steps):
 
 _ORACLE_POLICIES = {
     "dense": (DensePolicy, ehf.PolicyConfig(arch="dense", hidden=12)),
+    "gru-window1": (GRUPolicy, ehf.PolicyConfig(arch="gru", hidden=8, gru_hidden=6,
+                                                window=1)),
     "gru-window3": (GRUPolicy, ehf.PolicyConfig(arch="gru", hidden=8, gru_hidden=6,
                                                 window=3)),
     "gru-window5": (GRUPolicy, ehf.PolicyConfig(arch="gru", hidden=8, gru_hidden=6,
@@ -510,6 +513,27 @@ def test_trading_rows_match_the_full_row_oracle(gbm_small, name, mask):
         else:
             assert np.max(np.abs(value - ref_value)) <= 1e-14 * np.max(
                 np.abs(ref_value)), (name, key)
+
+
+@given(st.sampled_from(sorted(_ORACLE_POLICIES)), _row_masks(16, 30))
+@settings(max_examples=80, deadline=None)
+def test_the_lean_rank_step_matches_the_plain_rank_walk(gbm_small, name, mask):
+    """The package's trade-rank step, with its buffers laid out ahead of the
+    loop, runs the plain walk's float operations in the same order: equal
+    deltas and every gradient block equal, bit for bit, whether a day trades
+    on no row, one row, some rows or every row (a GRU of window 1 has no
+    dense day at all)."""
+    cls, cfg = _ORACLE_POLICIES[name]
+    policy = _jittered(cls, cfg, seed=27)
+    prices, cost = gbm_small.prices[:16], ehf.CostModel(0.02)
+    contract = ehf.ContractSpec(strike=100.0, maturity_steps=30)
+    deltas, grads = _deltas_and_gradients(policy, prices, mask, contract, cost)
+    with rank_walk.rank_walk():
+        ref_deltas, ref = _deltas_and_gradients(policy, prices, mask, contract, cost)
+    assert grads.keys() == ref.keys()
+    for key, value, ref_value in [("deltas", deltas, ref_deltas)] + [
+            (k, grads[k], ref[k]) for k in ref]:
+        assert np.array_equal(value, ref_value), (name, key)
 
 
 def test_the_dense_net_runs_once_per_trade_rank(gbm_small, contract, monkeypatch):

@@ -1,16 +1,20 @@
-"""Time one training batch, dense against GRU, interleaved in one process.
+"""Time one training batch, dense against GRU, and one fast sweep's
+evaluation, interleaved in one process.
 
     python tools/batch_timing.py
 
 A batch is one `batch_objective` plus one `adam_step` on 256 Heston paths
 of 30 days, with the default dense and GRU policy configs and a cache
 shared by all of a case's batches, as `train_policy` runs them. The four
-cases (each architecture under alpha 0, where every cell trades, and under
-alpha 0.02, a partial mask) take turns, batch by batch, for ROUNDS rounds
-after WARMUP untimed ones, so a slow phase of the host hits every case
-alike. It imports `ehf` from the `src/` next to it and prints, per case,
-the median and quartiles of a batch in ms, then the GRU/dense ratio of the
-medians under each mask.
+batch cases (each architecture under alpha 0, where every cell trades, and
+under alpha 0.02, a partial mask) and the sweep case take turns, one call
+each, for ROUNDS rounds after WARMUP untimed ones, so a slow phase of the
+host hits every case alike. The sweep case is what `ehf sweep` evaluates
+on the benchmark's `desk` test set: on 250 paths over the 21-alpha desk
+grid, the closed-form baseline for three cost rates and a fast sweep of
+one dense policy. It imports `ehf` from the `src/` next to
+it and prints, per case, the median and quartiles of a call in ms, then
+the GRU/dense ratio of the batch medians under each mask.
 """
 
 from __future__ import annotations
@@ -23,17 +27,23 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 import ehf  # noqa: E402
 from ehf.hedging_engine import batch_objective, make_policy  # noqa: E402
 from ehf.neural_core import AdamState, adam_step  # noqa: E402
 
 N_PATHS = 256
 ALPHAS = (0.0, 0.02)
+N_TEST = 250
+DESK_ALPHAS = tuple(np.linspace(0.0, 0.2, 21))
+COST_RATES = (0.02, 0.03, 0.05)
 WARMUP, ROUNDS = 20, 200
 
 
 def cases():
-    """(name, one batch) for each architecture and alpha."""
+    """(name, one batch) for each architecture and alpha, then (name, one sweep
+    evaluation)."""
     paths = ehf.simulate_heston(ehf.HIGH_VOL, ehf.SimConfig(n_paths=N_PATHS, seed=1))
     contract, cost = ehf.ContractSpec(100.0, paths.n_steps), ehf.CostModel(0.02)
     for arch in ("dense", "gru"):
@@ -48,15 +58,33 @@ def cases():
                 adam_step(policy.params, grads, adam)
 
             yield f"{arch}@{alpha}", batch
+    yield "sweep", sweep_case()
+
+
+def sweep_case():
+    """One fast sweep's evaluation as `ehf sweep` runs it on a desk test set."""
+    test = ehf.simulate_heston(ehf.HIGH_VOL, ehf.SimConfig(n_paths=N_TEST, seed=2))
+    contract = ehf.ContractSpec(100.0, test.n_steps)
+    settings = [ehf.SweepConfig(alphas=DESK_ALPHAS, cost_rate=rate) for rate in COST_RATES]
+    policy_cfg, train_cfg = ehf.PolicyConfig(), ehf.TrainConfig()
+    policy = make_policy(policy_cfg, seed=0)
+    vol = float(np.sqrt(ehf.HIGH_VOL.theta))
+
+    def sweep():
+        ehf.sweep_baseline(settings, test, contract, vol, 1 / 365)
+        ehf.sweep_alpha(settings[0], None, test, contract, policy_cfg, train_cfg,
+                        policy=policy)
+
+    return sweep
 
 
 def main() -> int:
     runs = dict(cases())
     times = {name: [] for name in runs}
     for r in range(WARMUP + ROUNDS):
-        for name, batch in runs.items():
+        for name, call in runs.items():
             start = time.perf_counter()
-            batch()
+            call()
             if r >= WARMUP:
                 times[name].append(1e3 * (time.perf_counter() - start))
     print(f"{'case':<12} {'median_ms':>10} {'q1_ms':>8} {'q3_ms':>8}")
