@@ -27,9 +27,9 @@ from . import market_sim
 from .analytics_bsm import ContractSpec
 from .errors import (ConfigurationError, DomainError, IntegrityError,
                      NumericError, ResolutionError, ShapeError, StateError)
-from .frontier import (SWEEP_MODES, SweepConfig, by_setting, check_alpha_grid,
-                       compare_configs, format_comparison_table, pareto_filter,
-                       prepare_signal, read_frontier_csv, sweep_alpha,
+from .frontier import (SWEEP_MODES, SweepConfig, _dealt_map, by_setting,
+                       check_alpha_grid, compare_configs, format_comparison_table,
+                       pareto_filter, prepare_signal, read_frontier_csv, sweep_alpha,
                        sweep_baseline, write_comparison_csv, write_frontier_csv)
 from .hedging_engine import (CostModel, PolicyConfig, RiskConfig, TrainConfig,
                              batch_objective, compute_trade_mask, load_policy,
@@ -427,16 +427,20 @@ def cmd_label(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
+    """One training per (cost rate, lambda) setting, dealt over up to
+    --jobs processes (frontier._dealt_map); every file and line is written
+    here, in grid order, as --jobs 1 writes them."""
     paths, digests = _load_paths(cfg)
     train_paths, _ = split_pathset(paths, cfg.n_train, cfg.n_test)
     contract = _contract(cfg)
     gate, digests = _gate(cfg, digests)
     labels = gate(train_paths) if gate is not None else None
     mask = trade_mask(train_paths, cfg.alphas[0], labels)
-    for cost_rate, lam in itertools.product(cfg.cost_rates, cfg.risk_aversions):
-        policy, log = train_policy(
-            train_paths, contract, CostModel(cost_rate), RiskConfig(lam),
-            cfg.policy, mask, cfg.train, labels=labels)
+    settings = list(itertools.product(cfg.cost_rates, cfg.risk_aversions))
+    trained = _dealt_map(lambda setting: train_policy(
+        train_paths, contract, CostModel(setting[0]), RiskConfig(setting[1]),
+        cfg.policy, mask, cfg.train, labels=labels), settings, args.jobs)
+    for (cost_rate, lam), (policy, log) in zip(settings, trained):
         stem = _stem(cfg, "policy", cost_rate, lam)
         save_policy(stem + ".ehfm", policy)
         _write_record(stem + ".ehfm", _made_from(cfg, "policy", digests, cost_rate, lam))
@@ -453,9 +457,10 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     """Every (cost rate, lambda) setting is scored on the same test paths, so
-    what only those paths fix is built once: their gate labels and the
+    what only those paths fix is built once: their gate labels, the
     closed-form baseline's deltas (sweep_baseline runs them once for all
-    settings)."""
+    settings) and, in fast mode, each alpha's mask and carry schedule
+    (sweep_alpha walks the grid once for every setting's policy)."""
     paths, digests = _load_paths(cfg)
     train_paths, test_paths = split_pathset(paths, cfg.n_train, cfg.n_test)
     contract = _contract(cfg)
@@ -475,20 +480,27 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         _write_record(base_file, _made_from(cfg, "frontier", digests))
         if cfg.policy.arch == "bsm":
             print(f"swept closed-form baseline only (cost {cost_rate:g}, lambda {lam:g})")
-            continue
-        policy = None
+    if cfg.policy.arch == "bsm":
+        return 0
+    policies = []
+    for sweep in settings:
+        cost_rate, lam = sweep.cost_rate, sweep.risk_aversion
         checkpoint = _stem(cfg, "policy", cost_rate, lam) + ".ehfm"
+        policy = None
         if cfg.mode == "fast" and os.path.exists(checkpoint):
             _check_record(checkpoint, "policy",
                           _made_from(cfg, "policy", digests, cost_rate, lam))
             policy = load_policy(checkpoint)
-        points = sweep_alpha(sweep, train_paths, test_paths, contract,
-                             cfg.policy, cfg.train, gate=gate, policy=policy,
-                             jobs=args.jobs, test_labels=test_labels)
+        policies.append(policy)
+    points = by_setting(sweep_alpha(settings, train_paths, test_paths, contract,
+                                    cfg.policy, cfg.train, gate=gate, policies=policies,
+                                    jobs=args.jobs, test_labels=test_labels), settings)
+    for sweep, setting_points in zip(settings, points):
+        cost_rate, lam = sweep.cost_rate, sweep.risk_aversion
         out = _stem(cfg, "frontier", cost_rate, lam) + ".csv"
-        write_frontier_csv(out, points)
+        write_frontier_csv(out, setting_points)
         _write_record(out, _made_from(cfg, "frontier", digests))
-        print(f"swept {len(points)} alphas (cost {cost_rate:g}, lambda "
+        print(f"swept {len(setting_points)} alphas (cost {cost_rate:g}, lambda "
               f"{lam:g}, mode {cfg.mode}) -> {out}")
     return 0
 
@@ -598,8 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="processes for a retrain sweep, this one included "
-                            "(at most the usable cores); other commands ignore it")
+                       help="processes for `train` (one setting each) and for a "
+                            "retrain sweep, this one included (at most the usable "
+                            "cores); other commands ignore it")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seeds")
         p.add_argument("--out", default=None, help="override the output directory")

@@ -22,8 +22,9 @@ import numpy as np
 from .analytics_bsm import ContractSpec
 from .errors import ConfigurationError, DomainError, IntegrityError, StateError
 from .hedging_engine import (BSMPolicy, CostModel, PolicyConfig, RiskConfig,
-                             TrainConfig, combine_mask, episode_results, move_table,
-                             table_mask, trade_mask, train_policy)
+                             TrainConfig, combine_mask, costed_results, hedge_terms,
+                             move_table, price_terms, table_mask, trade_mask,
+                             train_policy)
 from .market_sim import PathSet
 from .signal_forest import (Forest, ForestConfig, _day_rows,
                             classification_report, feature_table, fit_forest,
@@ -140,121 +141,163 @@ def _check_disjoint(train_paths: PathSet, test_paths: PathSet) -> None:
                          f"({np.count_nonzero(np.diff(shared)) + 1} shared, e.g. {shared[0]})")
 
 
-def _points(sweeps, policy, test_paths: PathSet, contract: ContractSpec, labels,
-            alphas, moves) -> list[list[FrontierPoint]]:
+def _points(sweeps, policies, test_paths: PathSet, labels, alphas, moves,
+            terms) -> list[list[FrontierPoint]]:
     """Each setting's FrontierPoints, one per alpha: the mean and std of the
-    per-path losses of policy's deltas on test_paths under the alpha mask
-    (ANDed with labels, if any) at the setting's cost rate, and their mean
-    trade count, tagged policy.arch and the setting's other values. The
-    policy's remasker does the work no mask reads once for all alphas; each
-    alpha's mask is built from moves, the paths' move_table (as
-    trade_mask builds it from the paths), and its deltas are scored once
-    per distinct cost rate."""
-    deltas_at = policy.remasker(test_paths.prices, labels=labels)
-    scores = {sweep.cost_rate: [] for sweep in sweeps}
+    per-path losses of its policy's deltas on test_paths under the alpha
+    mask (ANDed with labels, if any) at the setting's cost rate, and their
+    mean trade count, tagged policy.arch and the setting's other values.
+    policies holds one policy per setting; a policy may serve several.
+
+    The grid is walked once for all of them. moves and terms, the test
+    paths' move_table and price_terms, are built once per sweep. Each
+    policy's remasker does the work no mask reads once, and the policies
+    share what of it reads no parameter. Each alpha builds one mask and one
+    carry schedule for every policy; each distinct policy's deltas give
+    one hedge_terms, scored once per distinct cost rate of its settings."""
+    walks = {}   # id(policy) -> (its remasker, {cost: [(mean, std, trades) per alpha]})
+    shared = {}
+    for sweep, policy in zip(sweeps, policies):
+        if id(policy) not in walks:
+            walks[id(policy)] = policy.remasker(test_paths.prices, labels, shared=shared), {}
+        walks[id(policy)][1][CostModel(sweep.cost_rate)] = []
     for alpha in alphas:
         mask = table_mask(moves, alpha)
-        deltas = deltas_at(mask if labels is None else combine_mask(mask, labels))
-        for rate, rows in scores.items():
-            res = episode_results(test_paths.prices, deltas, contract, CostModel(rate))
-            rows.append((float(np.mean(res.loss)), float(np.std(res.loss)),
-                         float(np.mean(res.trade_counts))))
+        if labels is not None:
+            mask = combine_mask(mask, labels)
+        schedules = {}
+        for deltas_at, scores in walks.values():
+            _score(terms, hedge_terms(terms, deltas_at(mask, schedules)), scores)
     return [[FrontierPoint(
         scenario=sweep.scenario, policy=policy.arch, rf=sweep.rf,
         cost_rate=sweep.cost_rate, risk_aversion=sweep.risk_aversion, alpha=alpha,
         mean_loss=mean, std_loss=std, avg_trades=trades,
         n_test_paths=test_paths.n_paths, mode=sweep.mode, seed=sweep.seed)
-        for alpha, (mean, std, trades) in zip(alphas, scores[sweep.cost_rate])]
-        for sweep in sweeps]
+        for alpha, (mean, std, trades) in zip(
+            alphas, walks[id(policy)][1][CostModel(sweep.cost_rate)])]
+        for sweep, policy in zip(sweeps, policies)]
 
 
-def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: PathSet,
+def _score(terms, hedge, scores: dict) -> None:
+    """Append to each cost's rows the (mean loss, loss std, mean trade
+    count) of hedge; a policy's hedge terms go before the next policy's
+    carry runs."""
+    for cost, rows in scores.items():
+        res = costed_results(terms, hedge, cost)
+        rows.append((float(np.mean(res.loss)), float(np.std(res.loss)),
+                     float(np.mean(res.trade_counts))))
+
+
+def _one_grid(sweeps, what: str) -> tuple[float, ...]:
+    """The alpha grid that every one of the sweep settings shares."""
+    if not sweeps:
+        raise ConfigurationError(f"{what} needs at least one setting")
+    alphas = sweeps[0].alphas
+    if any(sweep.alphas != alphas for sweep in sweeps):
+        raise ConfigurationError(f"{what}'s settings must share one alpha grid")
+    return alphas
+
+
+def _settings_points(points: list[list[FrontierPoint]]) -> list[FrontierPoint]:
+    """Each setting's points checked for trades that fall along alpha, all in
+    one list, in settings order."""
+    for setting_points in points:
+        _assert_trades_monotone(setting_points)
+    return [point for setting_points in points for point in setting_points]
+
+
+def sweep_alpha(sweeps, train_paths: PathSet | None, test_paths: PathSet,
                 contract: ContractSpec, policy_cfg: PolicyConfig,
-                train_cfg: TrainConfig, gate=None, policy=None,
+                train_cfg: TrainConfig, gate=None, policies=None,
                 jobs: int = 1, test_labels=None) -> list[FrontierPoint]:
-    """One FrontierPoint per alpha, evaluated on the held-out test paths.
+    """One FrontierPoint per alpha for each of a sequence of sweep settings,
+    which share one alpha grid, rf flag and mode, evaluated on the held-out
+    test paths: all in one list, each setting's points in turn (by_setting
+    cuts it per setting).
 
-    mode="retrain" trains a fresh policy per alpha; mode="fast" re-masks a
-    single policy — either the one passed in or one trained here at the
-    densest mask (the grid's smallest alpha). Every emitted point carries the
-    mode tag. rf sweeps need gate, a function from a PathSet to its
-    [n, n_steps] gate labels; it sees the training paths only if the sweep
-    trains. A retrain sweep spreads its alphas over up to `jobs` processes
-    (see _dealt_map); every alpha trains from the same seeds, so the
-    points do not depend on jobs. A fast sweep's alphas are too cheap to pay
-    for a process and always run here. A caller that sweeps several
-    settings on one test set may pass test_labels, gate(test_paths), which
-    none of them changes (read by rf sweeps only; built here if not given).
+    mode="retrain" trains a fresh policy per setting and alpha; mode="fast"
+    re-masks one policy per setting, the one policies holds for it or, if
+    that is None (or policies is), one trained here at the densest mask
+    (the grid's smallest alpha). Every emitted point carries the mode tag.
+    rf sweeps need gate, a function from a PathSet to its [n, n_steps] gate
+    labels; it sees the training paths only if the sweep trains. A retrain
+    sweep spreads its (setting, alpha) trainings over up to `jobs`
+    processes (see _dealt_map); every training starts from the same seeds,
+    so the points do not depend on jobs. A fast sweep's alphas are too
+    cheap to pay for a process and always run here, all settings' policies
+    in one walk of the grid (_points). A caller may pass test_labels,
+    gate(test_paths) (read by rf sweeps only; built here if not given).
     Every alpha's test mask is built from one move table of the test paths.
     """
+    alphas = _one_grid(sweeps, "a sweep")
+    rf, mode = sweeps[0].rf, sweeps[0].mode
+    if any((sweep.rf, sweep.mode) != (rf, mode) for sweep in sweeps):
+        raise ConfigurationError("a sweep's settings must share one rf flag and mode")
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    policies = [None] * len(sweeps) if policies is None else list(policies)
+    if len(policies) != len(sweeps):
+        raise ConfigurationError(f"{len(policies)} policies for {len(sweeps)} settings")
+    retrain = mode == "retrain"
+    trains = retrain or None in policies
     if train_paths is not None:
         _check_disjoint(train_paths, test_paths)
-    elif sweep.mode == "retrain":
+    elif retrain:
         raise ConfigurationError("retrain mode needs training paths")
-    elif policy is None:
+    elif trains:
         raise ConfigurationError(
             "fast mode needs either a trained policy or training paths")
-    if sweep.rf and gate is None:
+    if rf and gate is None:
         raise ConfigurationError("an rf sweep needs gate labels")
-    retrain = sweep.mode == "retrain"
-    trains = retrain or policy is None
-    cost = CostModel(sweep.cost_rate)
-    risk = RiskConfig(sweep.risk_aversion)
-    train_labels = gate(train_paths) if sweep.rf and trains else None
-    if not sweep.rf:
+    train_labels = gate(train_paths) if rf and trains else None
+    if not rf:
         test_labels = None
     elif test_labels is None:
         test_labels = gate(test_paths)
-    moves = move_table(test_paths.prices)
+    moves, terms = move_table(test_paths.prices), price_terms(test_paths.prices, contract)
 
-    def trained_at(alpha: float):
+    def trained_at(sweep: SweepConfig, alpha: float):
         return train_policy(
-            train_paths, contract, cost, risk, policy_cfg,
+            train_paths, contract, CostModel(sweep.cost_rate),
+            RiskConfig(sweep.risk_aversion), policy_cfg,
             trade_mask(train_paths, alpha, train_labels), train_cfg,
             labels=train_labels)[0]
 
     # each evaluation's per-path arrays are dropped once its point is built,
     # before retrain mode trains the next policy; forked workers inherit moves
     if retrain:
-        points = _dealt_map(lambda alpha: _points([sweep], trained_at(alpha), test_paths,
-                                                  contract, test_labels, (alpha,),
-                                                  moves)[0][0],
-                            sweep.alphas, jobs)
-    else:
-        if policy is None:
-            policy = trained_at(sweep.alphas[0])
-        [points] = _points([sweep], policy, test_paths, contract, test_labels,
-                           sweep.alphas, moves)
-    _assert_trades_monotone(points)
-    return points
+        def retrained(item):
+            sweep, alpha = item
+            return _points([sweep], [trained_at(sweep, alpha)], test_paths, test_labels,
+                           (alpha,), moves, terms)[0][0]
+
+        points = _dealt_map(retrained, [(sweep, alpha) for sweep in sweeps
+                                        for alpha in alphas], jobs)
+        return _settings_points(by_setting(points, sweeps))
+    policies = [trained_at(sweep, alphas[0]) if policy is None else policy
+                for sweep, policy in zip(sweeps, policies)]
+    return _settings_points(_points(sweeps, policies, test_paths, test_labels, alphas,
+                                    moves, terms))
 
 
 def sweep_baseline(sweeps, test_paths: PathSet, contract: ContractSpec,
                    vol: float, dt: float) -> list[FrontierPoint]:
     """Closed-form-delta frontiers (no training, no gate) of a sequence of
     sweep settings on one alpha grid, all in one list: each setting's points
-    in turn, in settings order (one entry per point, as sweep_alpha gives;
-    by_setting cuts it per setting). The closed-form carry runs once per
-    alpha, and its deltas are scored once per distinct cost rate; the risk
-    aversion only tags the points."""
+    in turn, in settings order (as sweep_alpha gives them). The closed-form
+    carry runs once per alpha for every setting, and its deltas are scored
+    once per distinct cost rate; the risk aversion only tags the points."""
+    alphas = _one_grid(sweeps, "a baseline sweep")
     sweeps = [replace(sweep, rf=False, mode="fast") for sweep in sweeps]
-    if not sweeps:
-        raise ConfigurationError("a baseline sweep needs at least one setting")
-    alphas = sweeps[0].alphas
-    if any(sweep.alphas != alphas for sweep in sweeps):
-        raise ConfigurationError("the baseline's settings must share one alpha grid")
-    points = []
-    for setting_points in _points(sweeps, BSMPolicy(contract, vol, dt), test_paths,
-                                  contract, None, alphas, move_table(test_paths.prices)):
-        _assert_trades_monotone(setting_points)
-        points += setting_points
-    return points
+    policy = BSMPolicy(contract, vol, dt)
+    return _settings_points(_points(sweeps, [policy] * len(sweeps), test_paths, None,
+                                    alphas, move_table(test_paths.prices),
+                                    price_terms(test_paths.prices, contract)))
 
 
 def by_setting(points: list[FrontierPoint], sweeps) -> list[list[FrontierPoint]]:
-    """sweep_baseline's list of points over sweeps, cut into each setting's."""
+    """sweep_alpha's or sweep_baseline's list of points over sweeps, cut
+    into each setting's."""
     n = len(points) // len(sweeps)
     return [points[i * n:(i + 1) * n] for i in range(len(sweeps))]
 

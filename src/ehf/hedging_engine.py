@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,32 +178,67 @@ class HedgeEpisodeResult:
     total_cost: np.ndarray   # [n] accumulated transaction cost
 
 
-def _loss_and_cash(prices: np.ndarray, deltas: np.ndarray, contract: ContractSpec,
-                   cost: CostModel) -> tuple[np.ndarray, ...]:
-    """(termination loss [n], signed cash traded per day [n, n_steps], total
-    cost [n], position change per day [n, n_steps]) of a batch."""
+@dataclass(frozen=True)
+class PriceTerms:
+    """What an episode's loss reads of the prices [n, n_steps + 1] alone."""
+
+    moves: np.ndarray   # [n, n_steps] S_{t+1} - S_t
+    entry: np.ndarray   # [n, n_steps] S_t, the price each day trades at
+    payoff: np.ndarray  # [n] max(S_T - K, 0)
+
+
+@dataclass(frozen=True)
+class HedgeTerms:
+    """What an episode's loss reads of the deltas [n, n_steps] at no cost rate."""
+
+    cash: np.ndarray          # [n, n_steps] signed cash traded, (D_t - D_{t-1}) S_t
+    abs_cash: np.ndarray      # [n, n_steps] |cash|
+    pnl: np.ndarray           # [n] sum_t D_t (S_{t+1} - S_t)
+    trade_counts: np.ndarray  # [n] days with a nonzero position change
+
+
+def price_terms(prices: np.ndarray, contract: ContractSpec) -> PriceTerms:
+    """The prices' part of every loss on them, built once for any deltas."""
     prices = np.asarray(prices, dtype=np.float64)
+    if prices.ndim != 2 or contract.maturity_steps != prices.shape[1] - 1:
+        raise ShapeError(f"contract maturity {contract.maturity_steps} does not fit "
+                         f"prices {prices.shape}")
+    return PriceTerms(moves=np.diff(prices, axis=1), entry=prices[:, :-1],
+                      payoff=np.maximum(prices[:, -1] - contract.strike, 0.0))
+
+
+def hedge_terms(terms: PriceTerms, deltas: np.ndarray) -> HedgeTerms:
+    """The deltas' part of every loss on the prices of terms, built once for
+    any cost rate. A day's position change D_t - D_{t-1} (D_{-1} = 0) is
+    the bits of np.diff(deltas, axis=1, prepend=0.0)."""
     deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.ndim != 2 or prices.shape != (deltas.shape[0], deltas.shape[1] + 1):
-        raise ShapeError(
-            f"prices {prices.shape} incompatible with deltas {deltas.shape}")
-    if contract.maturity_steps != deltas.shape[1]:
-        raise ShapeError(
-            f"contract maturity {contract.maturity_steps} != {deltas.shape[1]} hedge days")
-    steps = np.diff(deltas, axis=1, prepend=0.0)
-    buy_sell = steps * prices[:, :-1]
-    total_cost = (cost.rate * np.abs(buy_sell)).sum(axis=1)
-    pnl = np.sum(deltas * np.diff(prices, axis=1), axis=1)
-    payoff = np.maximum(prices[:, -1] - contract.strike, 0.0)
-    return pnl - total_cost - payoff, buy_sell, total_cost, steps
+    if deltas.shape != terms.moves.shape:
+        raise ShapeError(f"deltas {deltas.shape} do not fit prices of "
+                         f"{terms.moves.shape[0]} paths and {terms.moves.shape[1]} days")
+    steps = np.empty_like(deltas)
+    steps[:, 0] = deltas[:, 0]
+    np.subtract(deltas[:, 1:], deltas[:, :-1], out=steps[:, 1:])
+    trade_counts = np.count_nonzero(steps, axis=1)
+    cash = np.multiply(steps, terms.entry, out=steps)
+    return HedgeTerms(cash=cash, abs_cash=np.abs(cash),
+                      pnl=np.sum(deltas * terms.moves, axis=1), trade_counts=trade_counts)
+
+
+def costed_results(terms: PriceTerms, hedge: HedgeTerms,
+                   cost: CostModel) -> HedgeEpisodeResult:
+    """The per-path results of hedge at cost's rate: only the cost sum and
+    the loss's two subtractions depend on it."""
+    total_cost = (cost.rate * hedge.abs_cash).sum(axis=1)
+    return HedgeEpisodeResult(loss=hedge.pnl - total_cost - terms.payoff,
+                              trade_counts=hedge.trade_counts, total_cost=total_cost)
 
 
 def episode_results(prices: np.ndarray, deltas: np.ndarray,
                     contract: ContractSpec, cost: CostModel) -> HedgeEpisodeResult:
-    """Vectorized termination-loss accounting for a batch of paths."""
-    loss, _, total_cost, steps = _loss_and_cash(prices, deltas, contract, cost)
-    return HedgeEpisodeResult(loss=loss, trade_counts=np.count_nonzero(steps, axis=1),
-                              total_cost=total_cost)
+    """Vectorized termination-loss accounting for a batch of paths: the
+    prices' part, the deltas' part and the cost rate's, in turn."""
+    terms = price_terms(prices, contract)
+    return costed_results(terms, hedge_terms(terms, deltas), cost)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +370,32 @@ def _trade_ranks(mask: np.ndarray, cells: np.ndarray):
         (cells[pm] - rows * n_days) * n + rows, pm
 
 
+class CarrySchedule(NamedTuple):
+    """What the masked carry reads of a mask [n, n_steps] whose first
+    n_dense days run the dense net: the trading cells (np.flatnonzero of
+    the mask), each one's hold length (the days to the path's next trading
+    cell or the episode's end), the dense days' trading cells, and what
+    _trade_ranks gives of those; pm, which only _masked_adjoint reads, is
+    kept for a schedule built for the adjoint, else None. Policies with as
+    many dense days share it."""
+
+    cells: np.ndarray
+    days_held: np.ndarray
+    dense_cells: np.ndarray
+    ranks: list
+    at: np.ndarray
+    pm: np.ndarray | None
+
+
+def carry_schedule(mask: np.ndarray, n_dense: int, adjoint: bool = False) -> CarrySchedule:
+    """The CarrySchedule of mask when its first n_dense days run the dense net."""
+    cells = np.flatnonzero(mask)
+    dense_cells = cells if n_dense == mask.shape[1] else np.flatnonzero(mask[:, :n_dense])
+    ranks, at, pm = _trade_ranks(mask[:, :n_dense], dense_cells)
+    return CarrySchedule(cells, np.diff(np.append(cells, mask.size)), dense_cells,
+                         ranks, at, pm if adjoint else None)
+
+
 def _frozen_sums(g: np.ndarray, mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """For each trading cell of mask [n, days] (day 0 trades on every row),
     taken path by path (cells = np.flatnonzero(mask)), the sum of g [n, days]
@@ -343,7 +405,8 @@ def _frozen_sums(g: np.ndarray, mask: np.ndarray, cells: np.ndarray) -> np.ndarr
 
 
 def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
-                    mask: np.ndarray, cache: dict | None) -> np.ndarray:
+                    mask: np.ndarray, cache: dict | None, schedule: CarrySchedule,
+                    day0: list | None = None) -> np.ndarray:
     """Deltas [n, n_steps] of the masked carry prev <- where(mask[:, t], sig[t], prev).
 
     Days t < len(xs) run the dense net (blocks prefix + w1 ... b3 of p; p
@@ -352,31 +415,29 @@ def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
     (C-contiguous [n_steps, n]); frozen cells skip it and hold 0.0, so no
     stale or NaN entry of an np.empty sig reaches _masked_adjoint's slope
     sig * (1 - sig) * mask. The later rows of sig arrive filled. The net
-    runs once per trade rank (_trade_ranks), over every path's k-th trading
-    cell gathered from xs; each trading cell's entry of sig is then held
-    until the path's next trade, by one gather. Byte-stable, the bits of a
-    day-by-day carry: the deltas where each dense day trades on every row or
-    none (each rank is one such day's rows, in order), and every output of
-    a GRU with window <= 3 (rank 1 is day 1's trading rows) or of the
-    closed-form policy (no dense days). Under other masks a dense output
-    depends on the rank grouping at about 1e-15 relative: OpenBLAS gives a
-    product over one set of rows other last bits than over another.
-    Rank k with m cells writes their x, h1 and h2 to rows :m of slab day k
-    of "x", "h1" and "h2" [days, n, width]. A cache keeps the slabs from
-    call to call, with sig, the number of dense days, the trading cells of
-    the dense days and what _trade_ranks gives, for _masked_adjoint; without
-    one, a one-day slab serves each rank. Each mask's trading cells are
-    found once: those of the dense days are all of them where every day is
-    dense. The biases are spread over the batch once per call, as
-    _gru_blocks does, and the head's sigmoid writes into rows allocated
-    once, so that a rank allocates little.
+    runs once per trade rank of mask's carry_schedule, over every path's
+    k-th trading cell gathered from xs; each trading cell's entry of sig is
+    then held until the path's next trade, by one gather. Byte-stable, the
+    bits of a day-by-day carry: the deltas where each dense day trades on
+    every row or none (each rank is one such day's rows, in order), and
+    every output of a GRU with window <= 3 (rank 1 is day 1's trading rows)
+    or of the closed-form policy (no dense days). Under other masks a dense
+    output depends on the rank grouping at about 1e-15 relative: OpenBLAS
+    gives a product over one set of rows other last bits than over another.
+    Rank 0 is day 0 on every row, with a zero previous delta, under every
+    mask: a list day0 keeps its outputs from the first call that runs it
+    and gives them to the later ones. Rank k with m cells writes their x, h1
+    and h2 to rows :m of slab day k of "x", "h1" and "h2" [days, n, width].
+    A cache keeps the slabs from call to call, with sig, the number of
+    dense days and the schedule, for _masked_adjoint; without one, a
+    one-day slab serves each rank. The biases are spread over the batch
+    once per call, as _gru_blocks does, and the head's sigmoid writes into
+    rows allocated once, so that a rank allocates little.
     """
     w1, b1, w2, b2, w3, b3 = (p.get(prefix + k) for k in _DENSE)
     n, n_steps = mask.shape
     n_dense = len(xs)
-    cells = np.flatnonzero(mask)
-    dense_cells = cells if n_dense == n_steps else np.flatnonzero(mask[:, :n_dense])
-    ranks, at, pm = _trade_ranks(mask[:, :n_dense], dense_cells)
+    ranks, at = schedule.ranks, schedule.at
     flat_sig = sig.reshape(-1)
     sig[:n_dense] = 0.0
     out = np.empty(len(at))  # by cell position
@@ -389,6 +450,9 @@ def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
         head, work = np.empty((2, n, 1))
         last = np.zeros(n)  # each path's delta after its latest trade so far
     for k, (sel, b, e) in enumerate(ranks):
+        if k == 0 and day0:
+            last[:] = out[:e] = day0[0]
+            continue
         m, slot = e - b, k if cache is not None else 0
         x, h1, h2, z = x_slab[slot, :m], h1_slab[slot, :m], h2_slab[slot, :m], head[:m]
         flat_xs.take(at[b:e], axis=0, out=x, mode="clip")  # unbuffered; at is in range
@@ -398,12 +462,13 @@ def _masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
         np.matmul(h2, w3.T, out=z)
         z += b3
         last[sel] = out[b:e] = nc.sigmoid(z, out=z, work=work[:m])[:, 0]
+        if k == 0 and day0 is not None:
+            day0.append(out[:e].copy())
     flat_sig[at] = out
     if cache is not None:
-        cache.update(sig=sig, dense_days=n_dense, cells=dense_cells, ranks=(ranks, at, pm))
+        cache.update(sig=sig, dense_days=n_dense, schedule=schedule)
     # each trading cell's entry of sig, held until the path's next trade
-    days_held = np.diff(np.append(cells, mask.size))  # from each trading cell to the next
-    return sig.T.ravel()[cells].repeat(days_held).reshape(n, n_steps)
+    return sig.T.ravel()[schedule.cells].repeat(schedule.days_held).reshape(n, n_steps)
 
 
 def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
@@ -428,8 +493,8 @@ def _masked_adjoint(g: np.ndarray, mask: np.ndarray, p: dict, prefix: str,
     outer product with a rank's gradients is a plain multiply.
     """
     w1_prev, w2, w3 = p[prefix + "w1"][:, 2], p[prefix + "w2"], p[prefix + "w3"][0]
-    sig, n_dense, cells, (ranks, at, pm) = (
-        cache[k] for k in ("sig", "dense_days", "cells", "ranks"))
+    sig, n_dense, (_, _, cells, ranks, at, pm) = (
+        cache[k] for k in ("sig", "dense_days", "schedule"))
     n, n_steps = mask.shape
     ga3 = sig * (1.0 - sig) * mask.T  # sigmoid slope, zero on frozen days
     frozen = ~mask
@@ -553,21 +618,42 @@ def _gru_cell_adjoint(dh_new, gates, h, blocks, input_grad=True):
 class _Policy:
     """A delta policy: every delta it gives comes out of the one masked carry,
     _masked_rollout. A subclass gives only the carry's inputs that read no
-    mask, _unmasked(prices, labels, cache) -> (prefix, xs, sig): the
+    mask, _unmasked(prices, labels, cache, shared) -> (prefix, xs, sig): the
     features xs of the days that run the dense net (blocks prefix + w1 ...
     b3 of params), and sig [n_steps, n], whose later rows hold the other
-    days' targets."""
+    days' targets; what of them reads no parameter it may keep in, or take
+    from, the dict shared."""
 
     def deltas(self, prices: np.ndarray, mask: np.ndarray, labels=None) -> np.ndarray:
         return self.remasker(prices, labels)(mask)
 
-    def remasker(self, prices: np.ndarray, labels=None, cache: dict | None = None):
-        """mask -> the deltas [n, n_steps] held on prices under mask. The work
-        no mask reads is done once, here; each mask runs only the carry. A
-        cache receives what the policy's _adjoint reads."""
-        prefix, xs, sig = self._unmasked(prices, labels, cache)
-        return lambda mask: _masked_rollout(
-            self.params, prefix, xs, sig, check_mask(mask, *sig.shape[::-1]), cache)
+    def remasker(self, prices: np.ndarray, labels=None, cache: dict | None = None,
+                 shared: dict | None = None):
+        """(mask, schedules=None) -> the deltas [n, n_steps] held on prices
+        under mask. The work no mask reads is done once, here; each mask
+        runs only the carry, and without a cache the dense net's day 0 runs
+        for the first mask only. A cache receives what the policy's _adjoint
+        reads. The remaskers of policies of one config and S0 on the same
+        prices and labels may share a dict shared: the first puts what reads
+        no parameter there (the dense features, and a dense policy's output
+        rows), and the others use it. The calls of several remaskers with
+        one mask may share a dict schedules: its carry_schedule for each
+        number of dense days (and use: a cache's adjoint reads more of it)
+        is built once."""
+        shared = {} if shared is None else shared
+        prefix, xs, sig = self._unmasked(prices, labels, cache, shared)
+        day0 = [] if cache is None else None
+        kind = len(xs), cache is not None
+
+        def deltas_at(mask: np.ndarray, schedules: dict | None = None) -> np.ndarray:
+            check_mask(mask, *sig.shape[::-1])
+            schedules = {} if schedules is None else schedules
+            if kind not in schedules:
+                schedules[kind] = carry_schedule(mask, *kind)
+            return _masked_rollout(self.params, prefix, xs, sig, mask, cache,
+                                   schedules[kind], day0)
+
+        return deltas_at
 
 
 class BSMPolicy(_Policy):
@@ -581,7 +667,7 @@ class BSMPolicy(_Policy):
         self.dt = dt
         self.params = {}
 
-    def _unmasked(self, prices, labels, cache):
+    def _unmasked(self, prices, labels, cache, shared):
         """No dense days; every day's target is bs_delta(S_t, tau_t)."""
         targets = bsm_delta_matrix(prices, self.contract, self.vol, self.dt)
         return "", (), np.ascontiguousarray(targets.T)
@@ -618,10 +704,13 @@ class DensePolicy(_NeuralPolicy):
     # can be wrapped and timed apart (perfbench/tracer.py)
     deltas = _Policy.deltas
 
-    def _unmasked(self, prices, labels, cache):
+    def _unmasked(self, prices, labels, cache, shared):
         """Every day runs the net; its features, and rows for its outputs."""
-        _, xs = _dense_inputs(self.config, self.s0, prices, labels, prices.shape[1] - 1)
-        return "", xs, np.empty(xs.shape[:2])
+        key = (self.config, self.s0)
+        if key not in shared:
+            _, xs = _dense_inputs(self.config, self.s0, prices, labels, prices.shape[1] - 1)
+            shared[key] = "", xs, np.empty(xs.shape[:2])
+        return shared[key]
 
     def _adjoint(self, g, mask, p, cache):
         return _masked_adjoint(g, mask, p, "", cache)[1]
@@ -639,11 +728,14 @@ class GRUPolicy(_NeuralPolicy):
     arch = "gru"
     deltas = _Policy.deltas   # bound here for the same reason as DensePolicy's
 
-    def _unmasked(self, prices, labels, cache):
+    def _unmasked(self, prices, labels, cache, shared):
         """The first window-1 days' dense features, and the later days' GRU
         outputs (the cells read no mask and no delta)."""
         n_fb = self._fallback_days(prices.shape[1] - 1)
-        logp, xs = _dense_inputs(self.config, self.s0, prices, labels, n_fb)
+        key = (self.config, self.s0)
+        if key not in shared:
+            shared[key] = _dense_inputs(self.config, self.s0, prices, labels, n_fb)
+        logp, xs = shared[key]
         return "fb_", xs, self._recurrent_rows(logp, n_fb, cache)
 
     def _fallback_days(self, n_steps: int) -> int:
@@ -749,11 +841,12 @@ def episode_loss_node(tape: Tape, policy, prices: np.ndarray, mask: np.ndarray,
     cache, p = {} if cache is None else cache, dict(policy.params)
     deltas = tape.record(policy.remasker(prices, labels, cache)(mask),
                          lambda g: policy._adjoint(g, mask, p, cache))
-    loss, buy_sell, *_ = _loss_and_cash(prices, deltas, contract, cost)
-    sgn = np.sign(buy_sell)
-    dloss = np.diff(prices, axis=1) - cost.rate * sgn * prices[:, :-1]
-    dloss[:, :-1] += cost.rate * sgn[:, 1:] * prices[:, 1:-1]
-    return tape.record(loss, lambda g: g[:, None] * dloss)
+    terms = price_terms(prices, contract)
+    hedge = hedge_terms(terms, deltas)
+    sgn = np.sign(hedge.cash)
+    dloss = terms.moves - cost.rate * sgn * terms.entry
+    dloss[:, :-1] += cost.rate * sgn[:, 1:] * terms.entry[:, 1:]
+    return tape.record(costed_results(terms, hedge, cost).loss, lambda g: g[:, None] * dloss)
 
 
 def batch_objective(policy, prices: np.ndarray, mask: np.ndarray,

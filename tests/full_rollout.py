@@ -23,14 +23,16 @@ from ehf.neural_core import sigmoid
 
 
 def masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
-                   mask: np.ndarray, cache: dict | None) -> np.ndarray:
+                   mask: np.ndarray, cache: dict | None, schedule=None,
+                   day0=None) -> np.ndarray:
     """Deltas [n, n_steps] of the masked carry prev <- where(mask[:, t], sig[t], prev).
 
     Days t < len(xs) run the dense net (blocks prefix + w1 ... b3 of p) on
     every row of xs[t] with the previous delta filled in, and write its
     output to sig[t]; the later rows of sig [n_steps, n] arrive filled and
     are only read. A cache receives sig, and each dense day's x, h1 and h2
-    as day t of the slabs "x", "h1" and "h2".
+    as day t of the slabs "x", "h1" and "h2". The package's carry schedule
+    and day-0 outputs are not read: every day runs on every call.
     """
     w1, b1, w2, b2, w3, b3 = (p.get(prefix + k) for k in _DENSE)
     n, n_steps = mask.shape

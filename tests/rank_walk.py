@@ -7,7 +7,7 @@ into preallocated rows, and a rank that holds every row added straight into
 the prev-delta sums. Here is the same walk with the per-rank temporaries
 numpy allocates by itself, one call at a time. `rank_walk()` swaps these
 into the package, so that tests can require equal deltas and gradients bit
-for bit: both run the same float operations in the same order. The cache
+for bit: both run the same float operations in the same order. The slab
 layout is the package's, which the GRU's adjoint also reads.
 """
 
@@ -28,10 +28,13 @@ def sigmoid(x):
 
 
 def masked_rollout(p: dict, prefix: str, xs: np.ndarray, sig: np.ndarray,
-                   mask: np.ndarray, cache: dict | None) -> np.ndarray:
+                   mask: np.ndarray, cache: dict | None, schedule=None,
+                   day0=None) -> np.ndarray:
     """hedging_engine._masked_rollout as a plain loop: the deltas [n,
     n_steps] of the masked carry, the dense net run once per trade rank on
-    per-rank temporaries, and the same cache entries."""
+    per-rank temporaries, and the same cache entries. It builds its own
+    ranks from mask and runs rank 0 on every call, so the package's
+    schedule and day-0 outputs are not read."""
     w1, b1, w2, b2, w3, b3 = (p.get(prefix + k) for k in _DENSE)
     n, n_steps = mask.shape
     n_dense = len(xs)

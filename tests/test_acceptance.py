@@ -17,7 +17,7 @@ from ehf import frontier, market_sim
 from ehf.analytics_bsm import bs_delta
 from ehf.frontier import FrontierPoint
 from ehf.cli import gradcheck_report
-from ehf.hedging_engine import _loss_and_cash, entropy_risk, episode_results
+from ehf.hedging_engine import entropy_risk, episode_results, hedge_terms, price_terms
 from ehf.signal_forest import label_matrix, predict_labels
 from reference import bs_call_price, label_extrema, trade_frequency
 
@@ -34,7 +34,7 @@ COSTS = (0.02, 0.03, 0.05)
 def _sweep(train, test, cost, lam=0.5, rf=False, gate=None, arch="dense"):
     sweep = ehf.SweepConfig(alphas=ALPHAS, cost_rate=cost, risk_aversion=lam,
                             mode="fast", seed=7, rf=rf)
-    return ehf.sweep_alpha(sweep, train, test, CONTRACT,
+    return ehf.sweep_alpha([sweep], train, test, CONTRACT,
                            ehf.PolicyConfig(arch=arch), TRAIN_CFG, gate=gate)
 
 
@@ -177,7 +177,7 @@ def _replay(table, rate):
     prices = np.array([[row[1] for row in table] + [100.0]])  # dummy final mark
     deltas = np.array([[row[2] for row in table]])
     contract, cost = ehf.ContractSpec(100.0, len(table)), ehf.CostModel(rate)
-    cash = _loss_and_cash(prices, deltas, contract, cost)[1][0]
+    cash = hedge_terms(price_terms(prices, contract), deltas).cash[0]
     total = episode_results(prices, deltas, contract, cost).total_cost[0]
     return cash, rate * np.abs(cash), total
 
@@ -410,8 +410,8 @@ def _determinism(desk):
     te = ehf.PathSet(te.prices, te.s0, te.path_ids + 48)  # disjoint ids
     swp = ehf.SweepConfig(alphas=(0.0, 0.05), cost_rate=0.02, seed=5)
     pcfg = ehf.PolicyConfig(hidden=8)
-    one = ehf.sweep_alpha(swp, tr, te, CONTRACT, pcfg, tcfg)
-    two = ehf.sweep_alpha(swp, tr, te, CONTRACT, pcfg, tcfg)
+    one = ehf.sweep_alpha([swp], tr, te, CONTRACT, pcfg, tcfg)
+    two = ehf.sweep_alpha([swp], tr, te, CONTRACT, pcfg, tcfg)
     assert one == two
 
 

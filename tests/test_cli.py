@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import ehf
-from ehf import cli, container
+from ehf import cli, container, frontier
 from ehf.cli import (RunConfig, _made_from, _parse_alpha_grid, _parse_number,
                      _scenario, _write_record, load_config, main)
 from ehf.hedging_engine import DensePolicy
@@ -539,23 +539,29 @@ def test_jobs_flag_is_accepted_and_changes_no_artifact(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("mode,rf", [("fast", "false"), ("fast", "true"),
-                                     ("retrain", "false")],
-                         ids=["fast", "fast-oracle-gate", "retrain"])
+@pytest.mark.parametrize("mode,rf,forecast_gru", [
+    ("fast", "false", False), ("fast", "true", False), ("retrain", "false", False),
+    ("fast", "true", True)],
+    ids=["fast", "fast-oracle-gate", "retrain", "fast-forecast-gate-gru"])
 def test_one_sweep_over_four_settings_writes_what_four_one_setting_sweeps_do(
-        tmp_path, capsys, mode, rf):
-    """The settings of one `ehf sweep` share its gate labels and closed-form
-    deltas: its frontiers and their records are byte-identical to
-    those of one config per (cost rate, lambda), run one after the other in
-    the same output dir, and it prints their lines in the same order."""
+        tmp_path, capsys, mode, rf, forecast_gru):
+    """The settings of one `ehf sweep` share its gate labels, closed-form
+    deltas and, in fast mode, each alpha's mask and carry schedule: its
+    frontiers and their records are byte-identical to those of one config
+    per (cost rate, lambda), run one after the other in the same output
+    dir, and it prints their lines in the same order."""
     text = TINY_INI.replace("rf = false", f"rf = {rf}").replace("mode = fast",
                                                                 f"mode = {mode}")
+    if forecast_gru:
+        text = text.replace("arch = dense", "arch = gru").replace(
+            "fit_rows = 1200", "fit_rows = 1200\ngate = forecast")
     settings = [(rate, lam) for rate in ("0.02", "0.05") for lam in ("0.2", "0.7")]
     combined = tmp_path / "combined.ini"
     combined.write_text(text.replace("cost_rates = 0.02", "cost_rates = 0.02, 0.05")
                         .replace("risk_aversions = 0.5", "risk_aversions = 0.2, 0.7"))
     out = tmp_path / "out"
-    for cmd in ("simulate", "train") if mode == "fast" else ("simulate",):
+    steps = ("simulate", "label" if forecast_gru else None, "train" if mode == "fast" else None)
+    for cmd in filter(None, steps):
         assert _run(combined, out, cmd) == 0, cmd
     capsys.readouterr()
 
@@ -579,6 +585,28 @@ def test_one_sweep_over_four_settings_writes_what_four_one_setting_sweeps_do(
     assert shared == alone
     assert shared_lines == alone_lines
     assert len(shared_lines.splitlines()) == 4
+
+
+def test_train_over_two_jobs_writes_what_one_job_does(tmp_path, capsys, monkeypatch):
+    """`train --jobs 2` deals the four settings of a 2 x 2 grid over two
+    processes (on any host: the usable cores are taken to be 2), and the
+    caller writes every checkpoint, record and log and prints every line
+    in grid order: the files and stdout of --jobs 1, byte for byte."""
+    monkeypatch.setattr(frontier, "_usable_cores", lambda: 2)
+    ini = _ini(tmp_path, TINY_INI.replace("cost_rates = 0.02", "cost_rates = 0.02, 0.05")
+               .replace("risk_aversions = 0.5", "risk_aversions = 0.2, 0.7"))
+    runs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert _run(ini, out, "simulate") == 0
+        capsys.readouterr()
+        assert main(["train", "--config", str(ini), "--out", str(out), "--jobs", jobs]) == 0
+        lines = capsys.readouterr().out.replace(str(out), "OUT")
+        runs[jobs] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}, lines
+    files, lines = runs["1"]
+    assert len([name for name in files if name.endswith(".ehfm")]) == 4
+    assert len(lines.splitlines()) == 4
+    assert runs["2"] == runs["1"]
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +647,7 @@ def test_forecast_pipeline_matches_library_run(tmp_path, capsys, monkeypatch):
     sweep = ehf.SweepConfig(alphas=cfg.alphas, rf=True, cost_rate=0.02,
                             risk_aversion=0.5, seed=cfg.train.seed)
     points = ehf.sweep_alpha(
-        sweep, train, test, ehf.ContractSpec(100.0, 30), cfg.policy, cfg.train,
+        [sweep], train, test, ehf.ContractSpec(100.0, 30), cfg.policy, cfg.train,
         gate=lambda p: predict_label_matrix(signal.forest, p))
     ehf.write_frontier_csv(tmp_path / "library.csv", points)
     assert (out / "frontier_dense_rf_c0.02_l0.5.csv").read_bytes() == \

@@ -193,7 +193,7 @@ def test_sweep_fast_mode_shapes_and_monotone_trades(tiny_split, contract):
     train, test = tiny_split
     sweep = ehf.SweepConfig(alphas=(0.0, 0.02, 0.05, 0.1), cost_rate=0.02,
                             mode="fast", seed=5)
-    pts = ehf.sweep_alpha(sweep, train, test, contract, TINY_POLICY, TINY_TRAIN)
+    pts = ehf.sweep_alpha([sweep], train, test, contract, TINY_POLICY, TINY_TRAIN)
     assert [p.alpha for p in pts] == [0.0, 0.02, 0.05, 0.1]
     trades = [p.avg_trades for p in pts]
     assert np.all(np.diff(trades) <= 1e-9)
@@ -205,7 +205,7 @@ def test_sweep_rejects_overlapping_splits(tiny_split, contract):
     train, _ = tiny_split
     sweep = ehf.SweepConfig(alphas=(0.0, 0.05))
     with pytest.raises(StateError):
-        ehf.sweep_alpha(sweep, train, train.take(0, 16), contract,
+        ehf.sweep_alpha([sweep], train, train.take(0, 16), contract,
                         TINY_POLICY, TINY_TRAIN)
 
 
@@ -242,7 +242,7 @@ def test_sweep_fast_needs_policy_or_training_paths(tiny_split, contract):
     _, test = tiny_split
     sweep = ehf.SweepConfig(alphas=(0.0, 0.05), mode="fast")
     with pytest.raises(ConfigurationError):
-        ehf.sweep_alpha(sweep, None, test, contract, TINY_POLICY, TINY_TRAIN)
+        ehf.sweep_alpha([sweep], None, test, contract, TINY_POLICY, TINY_TRAIN)
 
 
 def test_sweep_cost_rates_scale_costs_linearly(tiny_split, contract):
@@ -253,12 +253,12 @@ def test_sweep_cost_rates_scale_costs_linearly(tiny_split, contract):
                                  ehf.RiskConfig(0.5), TINY_POLICY,
                                  ehf.compute_trade_mask(train, 0.0), TINY_TRAIN)
     alphas = (0.0, 0.03, 0.08)
-    pts2 = ehf.sweep_alpha(ehf.SweepConfig(alphas=alphas, cost_rate=0.02),
+    pts2 = ehf.sweep_alpha([ehf.SweepConfig(alphas=alphas, cost_rate=0.02)],
                            None, test, contract, TINY_POLICY, TINY_TRAIN,
-                           policy=policy)
-    pts5 = ehf.sweep_alpha(ehf.SweepConfig(alphas=alphas, cost_rate=0.05),
+                           policies=[policy])
+    pts5 = ehf.sweep_alpha([ehf.SweepConfig(alphas=alphas, cost_rate=0.05)],
                            None, test, contract, TINY_POLICY, TINY_TRAIN,
-                           policy=policy)
+                           policies=[policy])
     for a, p2, p5 in zip(alphas, pts2, pts5):
         mask = ehf.compute_trade_mask(test, a)
         res2 = episode_results(test.prices, policy.deltas(test.prices, mask), contract,
@@ -283,7 +283,7 @@ def test_retrain_mode_needs_training_paths(tiny_split, contract):
     _, test = tiny_split
     sweep = ehf.SweepConfig(alphas=(0.0, 0.05), mode="retrain")
     with pytest.raises(ConfigurationError):
-        ehf.sweep_alpha(sweep, None, test, contract, TINY_POLICY, TINY_TRAIN)
+        ehf.sweep_alpha([sweep], None, test, contract, TINY_POLICY, TINY_TRAIN)
 
 
 def test_rf_sweep_uses_signal(tiny_split, contract):
@@ -293,12 +293,12 @@ def test_rf_sweep_uses_signal(tiny_split, contract):
                                 fit_rows=1000)
     sweep = ehf.SweepConfig(alphas=(0.0, 0.04), rf=True, cost_rate=0.02, seed=5)
     pts = ehf.sweep_alpha(
-        sweep, train, test, contract, TINY_POLICY, TINY_TRAIN,
+        [sweep], train, test, contract, TINY_POLICY, TINY_TRAIN,
         gate=lambda p: predict_label_matrix(signal.forest, p))
     assert all(p.rf for p in pts)
     # the forest gate can only remove trading days
-    plain = ehf.sweep_alpha(ehf.SweepConfig(alphas=(0.0, 0.04), cost_rate=0.02,
-                                            seed=5),
+    plain = ehf.sweep_alpha([ehf.SweepConfig(alphas=(0.0, 0.04), cost_rate=0.02,
+                                             seed=5)],
                             train, test, contract, TINY_POLICY, TINY_TRAIN)
     for with_rf, without in zip(pts, plain):
         assert with_rf.avg_trades <= without.avg_trades + 1e-9
@@ -320,19 +320,19 @@ def test_rf_sweep_needs_a_gate_and_reads_train_labels_only_to_train(
     train, test = tiny_split
     rf = ehf.SweepConfig(alphas=(0.0, 0.04), rf=True, cost_rate=0.02, seed=5)
     with pytest.raises(ConfigurationError, match="gate"):
-        ehf.sweep_alpha(rf, train, test, contract, TINY_POLICY, TINY_TRAIN)
+        ehf.sweep_alpha([rf], train, test, contract, TINY_POLICY, TINY_TRAIN)
     seen = []
 
     def gate(paths):
         seen.append(paths.n_paths)
         return ehf.label_matrix(paths, 0.05)
 
-    ehf.sweep_alpha(rf, train, test, contract, TINY_POLICY, TINY_TRAIN, gate=gate)
+    ehf.sweep_alpha([rf], train, test, contract, TINY_POLICY, TINY_TRAIN, gate=gate)
     assert sorted(seen) == [32, 64]
     seen.clear()
     policy = DensePolicy.init(TINY_POLICY, seed=1)
-    ehf.sweep_alpha(rf, train, test, contract, TINY_POLICY, TINY_TRAIN, gate=gate,
-                    policy=policy)
+    ehf.sweep_alpha([rf], train, test, contract, TINY_POLICY, TINY_TRAIN, gate=gate,
+                    policies=[policy])
     assert seen == [32]
 
 
@@ -353,7 +353,7 @@ RETRAIN_ALPHAS = (0.0, 0.02, 0.05, 0.1)
 def _retrain(split, alphas, jobs):
     train, test = split
     sweep = ehf.SweepConfig(alphas=alphas, cost_rate=0.02, mode="retrain", seed=5)
-    return ehf.sweep_alpha(sweep, train, test, ehf.ContractSpec(100.0, 30),
+    return ehf.sweep_alpha([sweep], train, test, ehf.ContractSpec(100.0, 30),
                            TINY_POLICY, TINY_TRAIN, jobs=jobs)
 
 
@@ -503,8 +503,8 @@ def _per_alpha(test, policy, contract, labels=None):
 def _fast_sweep(test, policy, contract, policy_cfg, labels=None):
     sweep = ehf.SweepConfig(alphas=FAST_ALPHAS, rf=labels is not None,
                             cost_rate=0.02)
-    points = ehf.sweep_alpha(sweep, None, test, contract, policy_cfg, TINY_TRAIN,
-                             gate=lambda paths: labels, policy=policy)
+    points = ehf.sweep_alpha([sweep], None, test, contract, policy_cfg, TINY_TRAIN,
+                             gate=lambda paths: labels, policies=[policy])
     return [(p.mean_loss, p.std_loss, p.avg_trades) for p in points]
 
 
@@ -586,6 +586,47 @@ def test_a_baseline_over_two_grids_is_refused(tiny_split, contract):
         ehf.sweep_baseline([], test, contract, vol=0.9, dt=1 / 365)
 
 
+@pytest.mark.parametrize("arch,gated", [("dense", False), ("dense", True),
+                                        ("gru", True)],
+                         ids=["dense", "dense-oracle-gate", "gru-oracle-gate"])
+def test_one_fast_sweep_gives_each_setting_its_one_setting_points(tiny_split, contract,
+                                                                  arch, gated):
+    """Four settings walk the grid once, sharing each alpha's mask and carry
+    schedule and their policies' parameter-free inputs, and two of them
+    share a policy: each setting's points are bit for bit those of a
+    one-setting sweep of its policy."""
+    _, test = tiny_split
+    cfg = ehf.PolicyConfig(arch=arch, hidden=6, gru_hidden=4)
+    policies = [_jittered(ehf.make_policy(cfg, seed=k), seed=k) for k in range(3)]
+    policies.append(policies[0])
+    settings = [_setting(rate, lam, rf=gated) for rate in (0.02, 0.05) for lam in (0.2, 0.7)]
+    labels = ehf.label_matrix(test, 0.01) if gated else None
+
+    def sweep(settings, policies):
+        return ehf.sweep_alpha(settings, None, test, contract, cfg, TINY_TRAIN,
+                               gate=lambda paths: labels, policies=policies)
+
+    shared = frontier.by_setting(sweep(settings, policies), settings)
+    assert shared == [sweep([s], [p]) for s, p in zip(settings, policies)]
+    assert [{p.cost_rate for p in points} for points in shared] == [{0.02}] * 2 + [{0.05}] * 2
+
+
+def test_a_sweep_over_unlike_settings_is_refused(tiny_split, contract):
+    train, test = tiny_split
+    policy = DensePolicy.init(TINY_POLICY, seed=1)
+    for other in (replace(_setting(0.05, 0.5), alphas=(0.0, 0.1)),
+                  _setting(0.05, 0.5, rf=True), _setting(0.05, 0.5, mode="retrain")):
+        with pytest.raises(ConfigurationError, match="share one"):
+            ehf.sweep_alpha([_setting(0.02, 0.5), other], train, test, contract,
+                            TINY_POLICY, TINY_TRAIN, gate=lambda paths: None,
+                            policies=[policy, policy])
+    with pytest.raises(ConfigurationError, match="1 policies for 2 settings"):
+        ehf.sweep_alpha([_setting(0.02, 0.5)] * 2, None, test, contract, TINY_POLICY,
+                        TINY_TRAIN, policies=[policy])
+    with pytest.raises(ConfigurationError, match="at least one"):
+        ehf.sweep_alpha([], None, test, contract, TINY_POLICY, TINY_TRAIN)
+
+
 @pytest.mark.parametrize("gated", [False, True], ids=["plain", "oracle-gate"])
 def test_a_dense_fast_sweep_on_shared_labels_gives_the_per_alpha_points(
         tiny_split, contract, gated):
@@ -596,9 +637,9 @@ def test_a_dense_fast_sweep_on_shared_labels_gives_the_per_alpha_points(
     cfg = ehf.PolicyConfig(arch="dense", hidden=6)
     policy = _jittered(ehf.make_policy(cfg, seed=4), seed=4)
     labels = ehf.label_matrix(test, 0.01) if gated else None
-    points = ehf.sweep_alpha(_setting(0.02, 0.5, rf=gated), None, test, contract, cfg,
+    points = ehf.sweep_alpha([_setting(0.02, 0.5, rf=gated)], None, test, contract, cfg,
                              TINY_TRAIN, gate=lambda paths: pytest.fail("gate called"),
-                             policy=policy, test_labels=labels)
+                             policies=[policy], test_labels=labels)
     assert [(p.mean_loss, p.std_loss, p.avg_trades) for p in points] == \
         _per_alpha(test, policy, contract, labels)
 
@@ -613,7 +654,7 @@ def test_a_retrain_sweep_on_one_move_table_gives_the_per_alpha_points(
     train, test = tiny_split
     alphas = RETRAIN_ALPHAS[:3]
     sweep = ehf.SweepConfig(alphas=alphas, cost_rate=0.02, mode="retrain", seed=5)
-    points = ehf.sweep_alpha(sweep, train, test, contract, TINY_POLICY, TINY_TRAIN,
+    points = ehf.sweep_alpha([sweep], train, test, contract, TINY_POLICY, TINY_TRAIN,
                              jobs=jobs)
     expected = []
     for alpha in alphas:
@@ -689,8 +730,8 @@ def test_doubling_every_price_doubles_the_losses_and_keeps_the_trades(
         labels=train_labels)[0]
     policies = {100.0: policy, 200.0: type(policy)(cfg, policy.params, 200.0)}
     sweep = ehf.SweepConfig(alphas=SCALE_ALPHAS, rf=gate is not None, cost_rate=0.02)
-    _assert_doubled({s0: ehf.sweep_alpha(sweep, None, test, ehf.ContractSpec(s0, 30),
-                                         cfg, TINY_TRAIN, gate=gate, policy=policies[s0])
+    _assert_doubled({s0: ehf.sweep_alpha([sweep], None, test, ehf.ContractSpec(s0, 30),
+                                         cfg, TINY_TRAIN, gate=gate, policies=[policies[s0]])
                      for s0, (_, test) in scaled_splits.items()})
 
 

@@ -11,9 +11,10 @@ import ehf
 from ehf import hedging_engine
 from ehf.errors import DomainError, ShapeError
 from ehf.hedging_engine import (DensePolicy, GRUPolicy, _dense_inputs,
-                                _loss_and_cash, _masked_adjoint, _masked_rollout,
-                                batch_objective, check_mask, combine_mask, entropy_risk,
-                                episode_loss_node, episode_results, evaluate_policy,
+                                _masked_adjoint, _masked_rollout, batch_objective,
+                                carry_schedule, check_mask, combine_mask, costed_results,
+                                entropy_risk, episode_loss_node, episode_results,
+                                evaluate_policy, hedge_terms, price_terms,
                                 tape_entropy_risk)
 from ehf.neural_core import Tape, grad_check
 import full_rollout
@@ -29,7 +30,7 @@ def _pathset(prices, s0=100.0):
 
 def _cash_and_costs(prices, deltas, contract, cost):
     """The signed cash traded and the cost (rate * |cash|) of each day."""
-    cash = _loss_and_cash(prices, deltas, contract, cost)[1]
+    cash = hedge_terms(price_terms(prices, contract), deltas).cash
     return cash, cost.rate * np.abs(cash)
 
 
@@ -93,6 +94,55 @@ def test_final_day_carries_no_liquidation_cost():
     # one trade on day 0 (buy 1 @ 100): cost 5; pnl 100; payoff 100
     assert res.trade_counts[0] == 1
     assert res.loss[0] == pytest.approx(100.0 - 5.0 - 100.0)
+
+
+def _one_pass_results(prices, deltas, contract, rate):
+    """(loss, trade counts, total cost) of the accounting as one formula,
+    each term rebuilt per call: the reference for the split one."""
+    steps = np.diff(deltas, axis=1, prepend=0.0)
+    total_cost = (rate * np.abs(steps * prices[:, :-1])).sum(axis=1)
+    pnl = np.sum(deltas * np.diff(prices, axis=1), axis=1)
+    payoff = np.maximum(prices[:, -1] - contract.strike, 0.0)
+    return pnl - total_cost - payoff, np.count_nonzero(steps, axis=1), total_cost
+
+
+@given(st.floats(0.0, 0.06), st.booleans(), st.integers(0, 50))
+@settings(max_examples=30, deadline=None)
+def test_split_accounting_gives_each_rates_results_bit_for_bit(gbm_small, alpha,
+                                                              gated, seed):
+    """The prices' part built once for the closed-form, dense and GRU
+    deltas, the deltas' part once for each, and only the cost per rate:
+    every rate's losses, trade counts and total costs equal episode_results'
+    and the one-pass formula's bit for bit, under masks with and without
+    gate labels."""
+    prices, contract = gbm_small.prices, ehf.ContractSpec(100.0, 30)
+    labels = ehf.label_matrix(gbm_small, 0.005) if gated else None
+    mask = ehf.trade_mask(gbm_small, alpha, labels)
+    terms = price_terms(prices, contract)
+    policies = [ehf.BSMPolicy(contract, 0.2, 1 / 365)] + [
+        _jittered(cls, ehf.PolicyConfig(arch=arch, hidden=6), seed)
+        for arch, cls in (("dense", DensePolicy), ("gru", GRUPolicy))]
+    for policy in policies:
+        deltas = policy.deltas(prices, mask)
+        hedge = hedge_terms(terms, deltas)
+        for rate in (0.0, 0.02, 0.05):
+            split = costed_results(terms, hedge, ehf.CostModel(rate))
+            whole = episode_results(prices, deltas, contract, ehf.CostModel(rate))
+            reference = _one_pass_results(prices, deltas, contract, rate)
+            for name, value, other, ref in zip(
+                    ("loss", "trade_counts", "total_cost"),
+                    (split.loss, split.trade_counts, split.total_cost),
+                    (whole.loss, whole.trade_counts, whole.total_cost), reference):
+                assert np.array_equal(value, other), (policy.arch, rate, name)
+                assert np.array_equal(value, ref), (policy.arch, rate, name)
+
+
+def test_split_accounting_checks_shapes(contract):
+    prices = np.full((2, 31), 100.0)
+    with pytest.raises(ShapeError):
+        price_terms(prices, ehf.ContractSpec(100.0, 29))
+    with pytest.raises(ShapeError):
+        hedge_terms(price_terms(prices, contract), np.zeros((2, 29)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +316,31 @@ def test_remasker_gives_the_deltas_of_every_mask(gbm_small, contract):
                 gbm_small.prices, mask, labels=labels)), policy.arch
         with pytest.raises(DomainError):
             deltas_at(np.zeros_like(masks[0]))
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["plain", "gated"])
+def test_cache_free_remaskers_give_fresh_deltas_at_every_alpha(heston_small, gated):
+    """Two dense policies and a GRU share their remaskers' parameter-free
+    inputs and, for each alpha of the desk grid, one dict of carry
+    schedules; each remasker runs its dense net's day 0 for the first mask
+    only. Every alpha's deltas still equal a fresh policy.deltas bit for
+    bit: the dense policies' on every day, the GRU's on its fallback days
+    and on its recurrent ones."""
+    paths = heston_small.take(0, 96)
+    labels = ehf.label_matrix(paths, 0.01) if gated else None
+    dense_cfg = ehf.PolicyConfig(arch="dense", hidden=8)
+    policies = [_jittered(DensePolicy, dense_cfg, 1), _jittered(DensePolicy, dense_cfg, 2),
+                _jittered(GRUPolicy, ehf.PolicyConfig(arch="gru", hidden=8), 3)]
+    shared = {}
+    walks = [policy.remasker(paths.prices, shared=shared) for policy in policies]
+    assert len(shared) == 2   # the dense policies' one entry, and the GRU's
+    for alpha in np.linspace(0.0, 0.2, 21):
+        mask, schedules = ehf.trade_mask(paths, alpha, labels), {}
+        for policy, deltas_at in zip(policies, walks):
+            assert np.array_equal(deltas_at(mask, schedules),
+                                  policy.deltas(paths.prices, mask)), (policy.arch, alpha)
+        # one for the GRU's fallback days, one for the dense policies' days
+        assert sorted(schedules) == [(2, False), (30, False)]
 
 
 class _KeepingTape(Tape):
@@ -585,7 +660,7 @@ def test_no_row_day_over_a_nan_sig_buffer(gbm_small, frozen_days, exact):
                              (full_rollout.masked_rollout, full_rollout.masked_adjoint)):
         cache = {}
         deltas = rollout(policy.params, "", xs.copy(), np.full((30, 16), np.nan),
-                         mask, cache)
+                         mask, cache, carry_schedule(mask, 30, adjoint=True))
         walks.append((deltas, *adjoint(g, mask, policy.params, "", cache)))
     (deltas, ga, grads), (ref_deltas, ref_ga, ref) = walks
     assert np.array_equal(deltas, ref_deltas)

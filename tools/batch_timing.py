@@ -11,8 +11,9 @@ under alpha 0.02, a partial mask) and the sweep case take turns, one call
 each, for ROUNDS rounds after WARMUP untimed ones, so a slow phase of the
 host hits every case alike. The sweep case is what `ehf sweep` evaluates
 on the benchmark's `desk` test set: on 250 paths over the 21-alpha desk
-grid, the closed-form baseline for three cost rates and a fast sweep of
-one dense policy. It imports `ehf` from the `src/` next to
+grid, the closed-form baseline for three cost rates, then one fast sweep
+of three dense policies, one per cost rate, which walks the grid once for
+all three. It imports `ehf` from the `src/` next to
 it and prints, per case, the median and quartiles of a call in ms, then
 the GRU/dense ratio of the batch medians under each mask.
 """
@@ -62,18 +63,19 @@ def cases():
 
 
 def sweep_case():
-    """One fast sweep's evaluation as `ehf sweep` runs it on a desk test set."""
+    """The evaluation `ehf sweep` runs on a desk test set: the baseline and
+    the policies of its three settings."""
     test = ehf.simulate_heston(ehf.HIGH_VOL, ehf.SimConfig(n_paths=N_TEST, seed=2))
     contract = ehf.ContractSpec(100.0, test.n_steps)
     settings = [ehf.SweepConfig(alphas=DESK_ALPHAS, cost_rate=rate) for rate in COST_RATES]
     policy_cfg, train_cfg = ehf.PolicyConfig(), ehf.TrainConfig()
-    policy = make_policy(policy_cfg, seed=0)
+    policies = [make_policy(policy_cfg, seed=k) for k in range(len(settings))]
     vol = float(np.sqrt(ehf.HIGH_VOL.theta))
 
     def sweep():
         ehf.sweep_baseline(settings, test, contract, vol, 1 / 365)
-        ehf.sweep_alpha(settings[0], None, test, contract, policy_cfg, train_cfg,
-                        policy=policy)
+        ehf.sweep_alpha(settings, None, test, contract, policy_cfg, train_cfg,
+                        policies=policies)
 
     return sweep
 
