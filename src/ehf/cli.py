@@ -27,10 +27,10 @@ from . import market_sim
 from .analytics_bsm import ContractSpec
 from .errors import (ConfigurationError, DomainError, IntegrityError,
                      NumericError, ResolutionError, ShapeError, StateError)
-from .frontier import (SWEEP_MODES, SweepConfig, _dealt_map, by_setting,
-                       check_alpha_grid, compare_configs, format_comparison_table,
-                       pareto_filter, prepare_signal, read_frontier_csv, sweep_alpha,
-                       sweep_baseline, write_comparison_csv, write_frontier_csv)
+from .frontier import (SweepConfig, _dealt_map, by_setting, compare_configs,
+                       format_comparison_table, pareto_filter, prepare_signal,
+                       read_frontier_csv, sweep_alpha, sweep_baseline,
+                       write_comparison_csv, write_frontier_csv)
 from .hedging_engine import (CostModel, PolicyConfig, RiskConfig, TrainConfig,
                              batch_objective, compute_trade_mask, load_policy,
                              make_policy, save_policy, trade_mask, train_policy)
@@ -94,18 +94,16 @@ class RunConfig:
             raise ConfigurationError("n_train and n_test must be positive")
         if self.gate not in _GATE_SOURCES:
             raise ConfigurationError(f"unknown gate source {self.gate!r}")
-        if self.mode not in SWEEP_MODES:
-            raise ConfigurationError(f"unknown sweep mode {self.mode!r}")
-        check_alpha_grid(self.alphas)
+        _sweep(self)         # mode, alpha grid, cost rates and lambdas
+        for key, values in (("cost_rates", self.cost_rates),
+                            ("risk_aversions", self.risk_aversions)):
+            for a, b in itertools.combinations(values, 2):
+                if f"{a:g}" == f"{b:g}":   # as _stem tags a setting's files
+                    raise ConfigurationError(f"{key} {a!r} and {b!r} would write to "
+                                             f"one file: both print as {a:g}")
         if not any(self.alpha_lo <= a <= self.alpha_hi for a in self.alphas):
             raise ConfigurationError(f"no alpha of the grid lies in the report "
                                      f"window [{self.alpha_lo}, {self.alpha_hi}]")
-        if not (self.cost_rates and self.risk_aversions):
-            raise ConfigurationError("cost_rates and risk_aversions must be non-empty")
-        for rate in self.cost_rates:
-            CostModel(rate)
-        for lam in self.risk_aversions:
-            RiskConfig(lam)
         if not (self.beta >= 0 and self.forest_fit_rows >= 0
                 and (self.bsm_vol is None or self.bsm_vol >= 0)):
             raise ConfigurationError("beta, fit_rows and bsm_vol must be >= 0")
@@ -344,6 +342,12 @@ def _sim_config(cfg: RunConfig) -> SimConfig:
                      n_steps=cfg.maturity_steps, dt=cfg.dt)
 
 
+def _sweep(cfg: RunConfig) -> SweepConfig:
+    return SweepConfig(alphas=tuple(cfg.alphas), scenario=cfg.scenario, rf=cfg.rf,
+                       cost_rates=tuple(cfg.cost_rates), mode=cfg.mode,
+                       risk_aversions=tuple(cfg.risk_aversions), seed=cfg.train.seed)
+
+
 def _gate(cfg: RunConfig, digests: dict):
     """(PathSet -> the [n, n_steps] labels an rf sweep freezes trading on
     (0 = freeze), or None without rf; digests plus any forest's).
@@ -436,7 +440,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     gate, digests = _gate(cfg, digests)
     labels = gate(train_paths) if gate is not None else None
     mask = trade_mask(train_paths, cfg.alphas[0], labels)
-    settings = list(itertools.product(cfg.cost_rates, cfg.risk_aversions))
+    settings = _sweep(cfg).settings
     trained = _dealt_map(lambda setting: train_policy(
         train_paths, contract, CostModel(setting[0]), RiskConfig(setting[1]),
         cfg.policy, mask, cfg.train, labels=labels), settings, args.jobs)
@@ -457,24 +461,19 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
     """Every (cost rate, lambda) setting is scored on the same test paths, so
-    what only those paths fix is built once: their gate labels, the
-    closed-form baseline's deltas (sweep_baseline runs them once for all
-    settings) and, in fast mode, each alpha's mask and carry schedule
-    (sweep_alpha walks the grid once for every setting's policy)."""
+    what only those paths fix is built once: their gate labels (sweep_alpha
+    calls the gate once per split), the closed-form baseline's deltas
+    (sweep_baseline runs them once for all settings) and, in fast mode,
+    each alpha's mask and carry schedule (sweep_alpha walks the grid once
+    for every setting's policy)."""
     paths, digests = _load_paths(cfg)
     train_paths, test_paths = split_pathset(paths, cfg.n_train, cfg.n_test)
-    contract = _contract(cfg)
+    contract, sweep = _contract(cfg), _sweep(cfg)
     _, _, baseline_vol = _scenario(cfg)
     gate, digests = _gate(cfg, digests)
-    settings = [SweepConfig(alphas=tuple(cfg.alphas), scenario=cfg.scenario, rf=cfg.rf,
-                            cost_rate=cost_rate, risk_aversion=lam, mode=cfg.mode,
-                            seed=cfg.train.seed)
-                for cost_rate, lam in itertools.product(cfg.cost_rates, cfg.risk_aversions)]
-    test_labels = None if gate is None or cfg.policy.arch == "bsm" else gate(test_paths)
     base_points = by_setting(
-        sweep_baseline(settings, test_paths, contract, baseline_vol, cfg.dt), settings)
-    for sweep, base in zip(settings, base_points):
-        cost_rate, lam = sweep.cost_rate, sweep.risk_aversion
+        sweep_baseline(sweep, test_paths, contract, baseline_vol, cfg.dt), sweep)
+    for (cost_rate, lam), base in zip(sweep.settings, base_points):
         base_file = _stem(cfg, "frontier", cost_rate, lam, "bsm") + ".csv"
         write_frontier_csv(base_file, base)
         _write_record(base_file, _made_from(cfg, "frontier", digests))
@@ -483,8 +482,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     if cfg.policy.arch == "bsm":
         return 0
     policies = []
-    for sweep in settings:
-        cost_rate, lam = sweep.cost_rate, sweep.risk_aversion
+    for cost_rate, lam in sweep.settings:
         checkpoint = _stem(cfg, "policy", cost_rate, lam) + ".ehfm"
         policy = None
         if cfg.mode == "fast" and os.path.exists(checkpoint):
@@ -492,11 +490,10 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                           _made_from(cfg, "policy", digests, cost_rate, lam))
             policy = load_policy(checkpoint)
         policies.append(policy)
-    points = by_setting(sweep_alpha(settings, train_paths, test_paths, contract,
-                                    cfg.policy, cfg.train, gate=gate, policies=policies,
-                                    jobs=args.jobs, test_labels=test_labels), settings)
-    for sweep, setting_points in zip(settings, points):
-        cost_rate, lam = sweep.cost_rate, sweep.risk_aversion
+    points = by_setting(sweep_alpha(sweep, train_paths, test_paths, contract, cfg.policy,
+                                    cfg.train, gate=gate, policies=policies,
+                                    jobs=args.jobs), sweep)
+    for (cost_rate, lam), setting_points in zip(sweep.settings, points):
         out = _stem(cfg, "frontier", cost_rate, lam) + ".csv"
         write_frontier_csv(out, setting_points)
         _write_record(out, _made_from(cfg, "frontier", digests))

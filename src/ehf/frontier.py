@@ -1,8 +1,8 @@
 """Alpha sweeps, Pareto-undominated frontiers, and config-vs-config comparisons.
 
-A sweep evaluates one hedging configuration (scenario, policy, cost rate,
-risk aversion, optional forest gate) across a grid of rebalance thresholds
-alpha, producing one (mean loss, std loss) point per alpha on held-out paths.
+A sweep evaluates one hedging configuration (scenario, policy, optional
+forest gate) at each (cost rate, risk aversion) setting across a grid of rebalance
+thresholds alpha: one (mean loss, std loss) point per alpha on held-out paths.
 The undominated subset of those points is the efficient hedging frontier;
 range summaries and improvement percentages compare configurations the way a
 desk would read them: higher mean (smaller loss) and lower std are better.
@@ -34,19 +34,6 @@ FRONTIER_COLUMNS = ("scenario", "policy", "rf", "cost_rate", "lambda", "alpha",
                     "mean_loss", "std_loss", "avg_trades", "n_test_paths",
                     "mode", "seed")
 
-SWEEP_MODES = ("fast", "retrain")
-
-
-def check_alpha_grid(alphas) -> None:
-    """A sweep grid is non-empty, ascending and within [0, 1]."""
-    if len(alphas) == 0:
-        raise ConfigurationError("alpha grid is empty")
-    arr = np.asarray(alphas, dtype=np.float64)
-    if np.any(np.diff(arr) < 0) or arr[0] < 0 or arr[-1] > 1:
-        raise ConfigurationError(
-            "alpha grid must be ascending and within [0, 1]")
-
-
 @dataclass(frozen=True)
 class FrontierPoint:
     scenario: str
@@ -71,18 +58,37 @@ class FrontierPoint:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """An alpha grid swept at each (cost rate, risk aversion) setting of
+    cost_rates x risk_aversions, under one scenario, rf flag, mode and seed.
+    The grid is non-empty, ascending and within [0, 1]."""
+
     alphas: tuple[float, ...]
     scenario: str = "high_vol"
     rf: bool = False
-    cost_rate: float = 0.05
-    risk_aversion: float = 0.5
+    cost_rates: tuple[float, ...] = (0.05,)
+    risk_aversions: tuple[float, ...] = (0.5,)
     mode: str = "fast"
     seed: int = 0
 
     def __post_init__(self):
-        check_alpha_grid(self.alphas)
-        if self.mode not in SWEEP_MODES:
+        if self.mode not in ("fast", "retrain"):
             raise ConfigurationError(f"unknown sweep mode {self.mode!r}")
+        if len(self.alphas) == 0:
+            raise ConfigurationError("alpha grid is empty")
+        arr = np.asarray(self.alphas, dtype=np.float64)
+        if np.any(np.diff(arr) < 0) or arr[0] < 0 or arr[-1] > 1:
+            raise ConfigurationError("alpha grid must be ascending and within [0, 1]")
+        if not (self.cost_rates and self.risk_aversions):
+            raise ConfigurationError("cost_rates and risk_aversions must be non-empty")
+        for rate in self.cost_rates:
+            CostModel(rate)
+        for lam in self.risk_aversions:
+            RiskConfig(lam)
+
+    @property
+    def settings(self) -> list[tuple[float, float]]:
+        """Each (cost rate, risk aversion), cost-rate-major."""
+        return [(rate, lam) for rate in self.cost_rates for lam in self.risk_aversions]
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +147,13 @@ def _check_disjoint(train_paths: PathSet, test_paths: PathSet) -> None:
                          f"({np.count_nonzero(np.diff(shared)) + 1} shared, e.g. {shared[0]})")
 
 
-def _points(sweeps, policies, test_paths: PathSet, labels, alphas, moves,
-            terms) -> list[list[FrontierPoint]]:
-    """Each setting's FrontierPoints, one per alpha: the mean and std of the
+def _points(sweep: SweepConfig, settings, policies, test_paths: PathSet, labels,
+            alphas, moves, terms) -> list[FrontierPoint]:
+    """Each (cost rate, risk aversion) of settings' FrontierPoints, one per
+    alpha, all in one list, setting by setting: the mean and std of the
     per-path losses of its policy's deltas on test_paths under the alpha
     mask (ANDed with labels, if any) at the setting's cost rate, and their
-    mean trade count, tagged policy.arch and the setting's other values.
+    mean trade count, tagged policy.arch and sweep's other values.
     policies holds one policy per setting; a policy may serve several.
 
     The grid is walked once for all of them. moves and terms, the test
@@ -157,10 +164,10 @@ def _points(sweeps, policies, test_paths: PathSet, labels, alphas, moves,
     one hedge_terms, scored once per distinct cost rate of its settings."""
     walks = {}   # id(policy) -> (its remasker, {cost: [(mean, std, trades) per alpha]})
     shared = {}
-    for sweep, policy in zip(sweeps, policies):
+    for (rate, _), policy in zip(settings, policies):
         if id(policy) not in walks:
             walks[id(policy)] = policy.remasker(test_paths.prices, labels, shared=shared), {}
-        walks[id(policy)][1][CostModel(sweep.cost_rate)] = []
+        walks[id(policy)][1][CostModel(rate)] = []
     for alpha in alphas:
         mask = table_mask(moves, alpha)
         if labels is not None:
@@ -168,14 +175,12 @@ def _points(sweeps, policies, test_paths: PathSet, labels, alphas, moves,
         schedules = {}
         for deltas_at, scores in walks.values():
             _score(terms, hedge_terms(terms, deltas_at(mask, schedules)), scores)
-    return [[FrontierPoint(
-        scenario=sweep.scenario, policy=policy.arch, rf=sweep.rf,
-        cost_rate=sweep.cost_rate, risk_aversion=sweep.risk_aversion, alpha=alpha,
-        mean_loss=mean, std_loss=std, avg_trades=trades,
+    return [FrontierPoint(
+        scenario=sweep.scenario, policy=policy.arch, rf=sweep.rf, cost_rate=rate,
+        risk_aversion=lam, alpha=alpha, mean_loss=mean, std_loss=std, avg_trades=trades,
         n_test_paths=test_paths.n_paths, mode=sweep.mode, seed=sweep.seed)
-        for alpha, (mean, std, trades) in zip(
-            alphas, walks[id(policy)][1][CostModel(sweep.cost_rate)])]
-        for sweep, policy in zip(sweeps, policies)]
+        for (rate, lam), policy in zip(settings, policies)
+        for alpha, (mean, std, trades) in zip(alphas, walks[id(policy)][1][CostModel(rate)])]
 
 
 def _score(terms, hedge, scores: dict) -> None:
@@ -188,57 +193,33 @@ def _score(terms, hedge, scores: dict) -> None:
                      float(np.mean(res.trade_counts))))
 
 
-def _one_grid(sweeps, what: str) -> tuple[float, ...]:
-    """The alpha grid that every one of the sweep settings shares."""
-    if not sweeps:
-        raise ConfigurationError(f"{what} needs at least one setting")
-    alphas = sweeps[0].alphas
-    if any(sweep.alphas != alphas for sweep in sweeps):
-        raise ConfigurationError(f"{what}'s settings must share one alpha grid")
-    return alphas
-
-
-def _settings_points(points: list[list[FrontierPoint]]) -> list[FrontierPoint]:
-    """Each setting's points checked for trades that fall along alpha, all in
-    one list, in settings order."""
-    for setting_points in points:
-        _assert_trades_monotone(setting_points)
-    return [point for setting_points in points for point in setting_points]
-
-
-def sweep_alpha(sweeps, train_paths: PathSet | None, test_paths: PathSet,
+def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: PathSet,
                 contract: ContractSpec, policy_cfg: PolicyConfig,
                 train_cfg: TrainConfig, gate=None, policies=None,
-                jobs: int = 1, test_labels=None) -> list[FrontierPoint]:
-    """One FrontierPoint per alpha for each of a sequence of sweep settings,
-    which share one alpha grid, rf flag and mode, evaluated on the held-out
-    test paths: all in one list, each setting's points in turn (by_setting
-    cuts it per setting).
+                jobs: int = 1) -> list[FrontierPoint]:
+    """One FrontierPoint per alpha for each (cost rate, risk aversion) of
+    sweep.settings, evaluated on the held-out test paths: all in one list,
+    each setting's points in turn (by_setting cuts it per setting).
 
     mode="retrain" trains a fresh policy per setting and alpha; mode="fast"
     re-masks one policy per setting, the one policies holds for it or, if
     that is None (or policies is), one trained here at the densest mask
     (the grid's smallest alpha). Every emitted point carries the mode tag.
     rf sweeps need gate, a function from a PathSet to its [n, n_steps] gate
-    labels; it sees the training paths only if the sweep trains. A retrain
-    sweep spreads its (setting, alpha) trainings over up to `jobs`
-    processes (see _dealt_map); every training starts from the same seeds,
-    so the points do not depend on jobs. A fast sweep's alphas are too
-    cheap to pay for a process and always run here, all settings' policies
-    in one walk of the grid (_points). A caller may pass test_labels,
-    gate(test_paths) (read by rf sweeps only; built here if not given).
-    Every alpha's test mask is built from one move table of the test paths.
+    labels, called once on the test paths and, if the sweep trains, once
+    on the training paths. A retrain sweep spreads its (setting, alpha)
+    trainings over up to `jobs` processes (see _dealt_map); every training
+    starts from the same seeds, so the points do not depend on jobs. A fast
+    sweep's alphas are too cheap to pay for a process and always run here,
+    all settings' policies in one walk of the grid (_points). Every alpha's
+    test mask is built from one move table of the test paths.
     """
-    alphas = _one_grid(sweeps, "a sweep")
-    rf, mode = sweeps[0].rf, sweeps[0].mode
-    if any((sweep.rf, sweep.mode) != (rf, mode) for sweep in sweeps):
-        raise ConfigurationError("a sweep's settings must share one rf flag and mode")
+    settings, alphas, retrain = sweep.settings, sweep.alphas, sweep.mode == "retrain"
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    policies = [None] * len(sweeps) if policies is None else list(policies)
-    if len(policies) != len(sweeps):
-        raise ConfigurationError(f"{len(policies)} policies for {len(sweeps)} settings")
-    retrain = mode == "retrain"
+    policies = [None] * len(settings) if policies is None else list(policies)
+    if len(policies) != len(settings):
+        raise ConfigurationError(f"{len(policies)} policies for {len(settings)} settings")
     trains = retrain or None in policies
     if train_paths is not None:
         _check_disjoint(train_paths, test_paths)
@@ -247,68 +228,67 @@ def sweep_alpha(sweeps, train_paths: PathSet | None, test_paths: PathSet,
     elif trains:
         raise ConfigurationError(
             "fast mode needs either a trained policy or training paths")
-    if rf and gate is None:
+    if sweep.rf and gate is None:
         raise ConfigurationError("an rf sweep needs gate labels")
-    train_labels = gate(train_paths) if rf and trains else None
-    if not rf:
-        test_labels = None
-    elif test_labels is None:
-        test_labels = gate(test_paths)
+    train_labels = gate(train_paths) if sweep.rf and trains else None
+    test_labels = gate(test_paths) if sweep.rf else None
     moves, terms = move_table(test_paths.prices), price_terms(test_paths.prices, contract)
 
-    def trained_at(sweep: SweepConfig, alpha: float):
+    def trained_at(setting, alpha: float):
         return train_policy(
-            train_paths, contract, CostModel(sweep.cost_rate),
-            RiskConfig(sweep.risk_aversion), policy_cfg,
-            trade_mask(train_paths, alpha, train_labels), train_cfg,
+            train_paths, contract, CostModel(setting[0]), RiskConfig(setting[1]),
+            policy_cfg, trade_mask(train_paths, alpha, train_labels), train_cfg,
             labels=train_labels)[0]
 
     # each evaluation's per-path arrays are dropped once its point is built,
     # before retrain mode trains the next policy; forked workers inherit moves
     if retrain:
         def retrained(item):
-            sweep, alpha = item
-            return _points([sweep], [trained_at(sweep, alpha)], test_paths, test_labels,
-                           (alpha,), moves, terms)[0][0]
+            setting, alpha = item
+            return _points(sweep, [setting], [trained_at(setting, alpha)], test_paths,
+                           test_labels, (alpha,), moves, terms)[0]
 
-        points = _dealt_map(retrained, [(sweep, alpha) for sweep in sweeps
+        points = _dealt_map(retrained, [(setting, alpha) for setting in settings
                                         for alpha in alphas], jobs)
-        return _settings_points(by_setting(points, sweeps))
-    policies = [trained_at(sweep, alphas[0]) if policy is None else policy
-                for sweep, policy in zip(sweeps, policies)]
-    return _settings_points(_points(sweeps, policies, test_paths, test_labels, alphas,
-                                    moves, terms))
+    else:
+        policies = [trained_at(setting, alphas[0]) if policy is None else policy
+                    for setting, policy in zip(settings, policies)]
+        points = _points(sweep, settings, policies, test_paths, test_labels, alphas,
+                         moves, terms)
+    return _checked(points, sweep)
 
 
-def sweep_baseline(sweeps, test_paths: PathSet, contract: ContractSpec,
+def sweep_baseline(sweep: SweepConfig, test_paths: PathSet, contract: ContractSpec,
                    vol: float, dt: float) -> list[FrontierPoint]:
-    """Closed-form-delta frontiers (no training, no gate) of a sequence of
-    sweep settings on one alpha grid, all in one list: each setting's points
-    in turn, in settings order (as sweep_alpha gives them). The closed-form
-    carry runs once per alpha for every setting, and its deltas are scored
-    once per distinct cost rate; the risk aversion only tags the points."""
-    alphas = _one_grid(sweeps, "a baseline sweep")
-    sweeps = [replace(sweep, rf=False, mode="fast") for sweep in sweeps]
-    policy = BSMPolicy(contract, vol, dt)
-    return _settings_points(_points(sweeps, [policy] * len(sweeps), test_paths, None,
-                                    alphas, move_table(test_paths.prices),
-                                    price_terms(test_paths.prices, contract)))
+    """Closed-form-delta frontiers (no training, no gate: tagged rf off and
+    mode fast) of each setting of sweep, all in one list, as sweep_alpha
+    gives them. The closed-form carry runs once per alpha for every
+    setting, and its deltas are scored once per distinct cost rate; the
+    risk aversion only tags the points."""
+    settings = sweep.settings
+    return _checked(_points(replace(sweep, rf=False, mode="fast"), settings,
+                            [BSMPolicy(contract, vol, dt)] * len(settings), test_paths,
+                            None, sweep.alphas, move_table(test_paths.prices),
+                            price_terms(test_paths.prices, contract)), sweep)
 
 
-def by_setting(points: list[FrontierPoint], sweeps) -> list[list[FrontierPoint]]:
-    """sweep_alpha's or sweep_baseline's list of points over sweeps, cut
+def by_setting(points: list[FrontierPoint], sweep: SweepConfig) -> list[list[FrontierPoint]]:
+    """sweep_alpha's or sweep_baseline's list of points under sweep, cut
     into each setting's."""
-    n = len(points) // len(sweeps)
-    return [points[i * n:(i + 1) * n] for i in range(len(sweeps))]
+    n = len(sweep.alphas)
+    return [points[i:i + n] for i in range(0, len(points), n)]
 
 
-def _assert_trades_monotone(points: list[FrontierPoint]) -> None:
-    trades = np.array([p.avg_trades for p in points])
-    if np.any(np.diff(trades) > 1e-9):
-        worst = int(np.argmax(np.diff(trades)))
-        raise StateError(
-            f"avg_trades increased along the sweep at alpha index {worst} "
-            f"({trades[worst]:.4f} -> {trades[worst + 1]:.4f})")
+def _checked(points: list[FrontierPoint], sweep: SweepConfig) -> list[FrontierPoint]:
+    """points, once each setting's trades are seen not to rise along alpha."""
+    for setting_points in by_setting(points, sweep):
+        trades = np.array([p.avg_trades for p in setting_points])
+        if np.any(np.diff(trades) > 1e-9):
+            worst = int(np.argmax(np.diff(trades)))
+            raise StateError(
+                f"avg_trades increased along the sweep at alpha index {worst} "
+                f"({trades[worst]:.4f} -> {trades[worst + 1]:.4f})")
+    return points
 
 
 # ---------------------------------------------------------------------------

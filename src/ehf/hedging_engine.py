@@ -375,25 +375,22 @@ class CarrySchedule(NamedTuple):
     n_dense days run the dense net: the trading cells (np.flatnonzero of
     the mask), each one's hold length (the days to the path's next trading
     cell or the episode's end), the dense days' trading cells, and what
-    _trade_ranks gives of those; pm, which only _masked_adjoint reads, is
-    kept for a schedule built for the adjoint, else None. Policies with as
-    many dense days share it."""
+    _trade_ranks gives of those. Policies with as many dense days share it."""
 
     cells: np.ndarray
     days_held: np.ndarray
     dense_cells: np.ndarray
     ranks: list
     at: np.ndarray
-    pm: np.ndarray | None
+    pm: np.ndarray
 
 
-def carry_schedule(mask: np.ndarray, n_dense: int, adjoint: bool = False) -> CarrySchedule:
+def carry_schedule(mask: np.ndarray, n_dense: int) -> CarrySchedule:
     """The CarrySchedule of mask when its first n_dense days run the dense net."""
     cells = np.flatnonzero(mask)
     dense_cells = cells if n_dense == mask.shape[1] else np.flatnonzero(mask[:, :n_dense])
-    ranks, at, pm = _trade_ranks(mask[:, :n_dense], dense_cells)
     return CarrySchedule(cells, np.diff(np.append(cells, mask.size)), dense_cells,
-                         ranks, at, pm if adjoint else None)
+                         *_trade_ranks(mask[:, :n_dense], dense_cells))
 
 
 def _frozen_sums(g: np.ndarray, mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -638,20 +635,19 @@ class _Policy:
         no parameter there (the dense features, and a dense policy's output
         rows), and the others use it. The calls of several remaskers with
         one mask may share a dict schedules: its carry_schedule for each
-        number of dense days (and use: a cache's adjoint reads more of it)
-        is built once."""
+        number of dense days is built once."""
         shared = {} if shared is None else shared
         prefix, xs, sig = self._unmasked(prices, labels, cache, shared)
         day0 = [] if cache is None else None
-        kind = len(xs), cache is not None
+        n_dense = len(xs)
 
         def deltas_at(mask: np.ndarray, schedules: dict | None = None) -> np.ndarray:
             check_mask(mask, *sig.shape[::-1])
             schedules = {} if schedules is None else schedules
-            if kind not in schedules:
-                schedules[kind] = carry_schedule(mask, *kind)
+            if n_dense not in schedules:
+                schedules[n_dense] = carry_schedule(mask, n_dense)
             return _masked_rollout(self.params, prefix, xs, sig, mask, cache,
-                                   schedules[kind], day0)
+                                   schedules[n_dense], day0)
 
         return deltas_at
 

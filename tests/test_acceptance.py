@@ -32,9 +32,9 @@ COSTS = (0.02, 0.03, 0.05)
 
 
 def _sweep(train, test, cost, lam=0.5, rf=False, gate=None, arch="dense"):
-    sweep = ehf.SweepConfig(alphas=ALPHAS, cost_rate=cost, risk_aversion=lam,
+    sweep = ehf.SweepConfig(alphas=ALPHAS, cost_rates=(cost,), risk_aversions=(lam,),
                             mode="fast", seed=7, rf=rf)
-    return ehf.sweep_alpha([sweep], train, test, CONTRACT,
+    return ehf.sweep_alpha(sweep, train, test, CONTRACT,
                            ehf.PolicyConfig(arch=arch), TRAIN_CFG, gate=gate)
 
 
@@ -78,8 +78,8 @@ def frontiers(desk):
         lambda kwargs: _sweep(train, test, **kwargs), list(sweeps.values()),
         frontier._usable_cores())))
     f[("bsm", 0.05, 0.5)] = ehf.sweep_baseline(
-        [ehf.SweepConfig(alphas=ALPHAS, cost_rate=0.05, risk_aversion=0.5,
-                         mode="fast", seed=7)],
+        ehf.SweepConfig(alphas=ALPHAS, cost_rates=(0.05,), risk_aversions=(0.5,),
+                        mode="fast", seed=7),
         test, CONTRACT, vol=math.sqrt(0.8), dt=1.0 / 365.0)
     return f
 
@@ -408,10 +408,10 @@ def _determinism(desk):
     te = ehf.simulate_heston(ehf.HIGH_VOL, ehf.SimConfig(n_paths=48, seed=78),
                              )
     te = ehf.PathSet(te.prices, te.s0, te.path_ids + 48)  # disjoint ids
-    swp = ehf.SweepConfig(alphas=(0.0, 0.05), cost_rate=0.02, seed=5)
+    swp = ehf.SweepConfig(alphas=(0.0, 0.05), cost_rates=(0.02,), seed=5)
     pcfg = ehf.PolicyConfig(hidden=8)
-    one = ehf.sweep_alpha([swp], tr, te, CONTRACT, pcfg, tcfg)
-    two = ehf.sweep_alpha([swp], tr, te, CONTRACT, pcfg, tcfg)
+    one = ehf.sweep_alpha(swp, tr, te, CONTRACT, pcfg, tcfg)
+    two = ehf.sweep_alpha(swp, tr, te, CONTRACT, pcfg, tcfg)
     assert one == two
 
 

@@ -515,6 +515,25 @@ def test_train_checks_alpha_grid_up_front(tmp_path, capsys, grid, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new,clash", [
+    ("cost_rates = 0.02", "cost_rates = 0.05, 0.0500000001",
+     "cost_rates 0.05 and 0.0500000001"),
+    ("cost_rates = 0.02", "cost_rates = 0.02, 0.03, 0.02", "cost_rates 0.02 and 0.02"),
+    ("risk_aversions = 0.5", "risk_aversions = 0.5, 0.50000001",
+     "risk_aversions 0.5 and 0.50000001")],
+    ids=["near-cost-rates", "repeated-cost-rate", "near-lambdas"])
+def test_settings_that_print_alike_exit_2_before_writing(tmp_path, capsys, old, new,
+                                                         clash):
+    """A setting's files are named by {rate:g} and {lambda:g}: two values
+    that print alike would have train write both settings to one checkpoint,
+    which sweep then refuses as trained under the other value."""
+    ini, out = _ini(tmp_path, TINY_INI.replace(old, new)), tmp_path / "out"
+    for cmd in ("simulate", "train", "sweep"):
+        assert _run(ini, out, cmd) == 2, cmd
+        assert clash in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_jobs_flag_is_accepted_and_changes_no_artifact(tmp_path, capsys):
     """Every command takes --jobs (benchmark scripts pass it) and writes the
     same bytes for any value; a retrain sweep with and without the forest
@@ -644,10 +663,10 @@ def test_forecast_pipeline_matches_library_run(tmp_path, capsys, monkeypatch):
     train, test = ehf.split_pathset(paths, cfg.n_train, cfg.n_test)
     signal = ehf.prepare_signal(train, test, cfg.beta, cfg.forest,
                                 fit_rows=cfg.forest_fit_rows)
-    sweep = ehf.SweepConfig(alphas=cfg.alphas, rf=True, cost_rate=0.02,
-                            risk_aversion=0.5, seed=cfg.train.seed)
+    sweep = ehf.SweepConfig(alphas=cfg.alphas, rf=True, cost_rates=(0.02,),
+                            risk_aversions=(0.5,), seed=cfg.train.seed)
     points = ehf.sweep_alpha(
-        [sweep], train, test, ehf.ContractSpec(100.0, 30), cfg.policy, cfg.train,
+        sweep, train, test, ehf.ContractSpec(100.0, 30), cfg.policy, cfg.train,
         gate=lambda p: predict_label_matrix(signal.forest, p))
     ehf.write_frontier_csv(tmp_path / "library.csv", points)
     assert (out / "frontier_dense_rf_c0.02_l0.5.csv").read_bytes() == \

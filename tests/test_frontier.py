@@ -191,9 +191,9 @@ TINY_POLICY = ehf.PolicyConfig(arch="dense", hidden=8)
 
 def test_sweep_fast_mode_shapes_and_monotone_trades(tiny_split, contract):
     train, test = tiny_split
-    sweep = ehf.SweepConfig(alphas=(0.0, 0.02, 0.05, 0.1), cost_rate=0.02,
+    sweep = ehf.SweepConfig(alphas=(0.0, 0.02, 0.05, 0.1), cost_rates=(0.02,),
                             mode="fast", seed=5)
-    pts = ehf.sweep_alpha([sweep], train, test, contract, TINY_POLICY, TINY_TRAIN)
+    pts = ehf.sweep_alpha(sweep, train, test, contract, TINY_POLICY, TINY_TRAIN)
     assert [p.alpha for p in pts] == [0.0, 0.02, 0.05, 0.1]
     trades = [p.avg_trades for p in pts]
     assert np.all(np.diff(trades) <= 1e-9)
@@ -205,7 +205,7 @@ def test_sweep_rejects_overlapping_splits(tiny_split, contract):
     train, _ = tiny_split
     sweep = ehf.SweepConfig(alphas=(0.0, 0.05))
     with pytest.raises(StateError):
-        ehf.sweep_alpha([sweep], train, train.take(0, 16), contract,
+        ehf.sweep_alpha(sweep, train, train.take(0, 16), contract,
                         TINY_POLICY, TINY_TRAIN)
 
 
@@ -242,7 +242,7 @@ def test_sweep_fast_needs_policy_or_training_paths(tiny_split, contract):
     _, test = tiny_split
     sweep = ehf.SweepConfig(alphas=(0.0, 0.05), mode="fast")
     with pytest.raises(ConfigurationError):
-        ehf.sweep_alpha([sweep], None, test, contract, TINY_POLICY, TINY_TRAIN)
+        ehf.sweep_alpha(sweep, None, test, contract, TINY_POLICY, TINY_TRAIN)
 
 
 def test_sweep_cost_rates_scale_costs_linearly(tiny_split, contract):
@@ -253,10 +253,10 @@ def test_sweep_cost_rates_scale_costs_linearly(tiny_split, contract):
                                  ehf.RiskConfig(0.5), TINY_POLICY,
                                  ehf.compute_trade_mask(train, 0.0), TINY_TRAIN)
     alphas = (0.0, 0.03, 0.08)
-    pts2 = ehf.sweep_alpha([ehf.SweepConfig(alphas=alphas, cost_rate=0.02)],
+    pts2 = ehf.sweep_alpha(ehf.SweepConfig(alphas=alphas, cost_rates=(0.02,)),
                            None, test, contract, TINY_POLICY, TINY_TRAIN,
                            policies=[policy])
-    pts5 = ehf.sweep_alpha([ehf.SweepConfig(alphas=alphas, cost_rate=0.05)],
+    pts5 = ehf.sweep_alpha(ehf.SweepConfig(alphas=alphas, cost_rates=(0.05,)),
                            None, test, contract, TINY_POLICY, TINY_TRAIN,
                            policies=[policy])
     for a, p2, p5 in zip(alphas, pts2, pts5):
@@ -270,8 +270,8 @@ def test_sweep_cost_rates_scale_costs_linearly(tiny_split, contract):
 
 def test_sweep_baseline_covers_grid(tiny_split, contract):
     _, test = tiny_split
-    sweep = ehf.SweepConfig(alphas=(0.0, 0.02, 0.06), cost_rate=0.05)
-    pts = ehf.sweep_baseline([sweep], test, contract, vol=np.sqrt(0.8), dt=1 / 365)
+    sweep = ehf.SweepConfig(alphas=(0.0, 0.02, 0.06), cost_rates=(0.05,))
+    pts = ehf.sweep_baseline(sweep, test, contract, vol=np.sqrt(0.8), dt=1 / 365)
     assert len(pts) == 3
     assert all(p.policy == "bsm" for p in pts)
     assert pts[0].avg_trades >= pts[-1].avg_trades
@@ -283,7 +283,7 @@ def test_retrain_mode_needs_training_paths(tiny_split, contract):
     _, test = tiny_split
     sweep = ehf.SweepConfig(alphas=(0.0, 0.05), mode="retrain")
     with pytest.raises(ConfigurationError):
-        ehf.sweep_alpha([sweep], None, test, contract, TINY_POLICY, TINY_TRAIN)
+        ehf.sweep_alpha(sweep, None, test, contract, TINY_POLICY, TINY_TRAIN)
 
 
 def test_rf_sweep_uses_signal(tiny_split, contract):
@@ -291,14 +291,14 @@ def test_rf_sweep_uses_signal(tiny_split, contract):
     signal = ehf.prepare_signal(train, test, beta=0.05,
                                 forest_cfg=ehf.ForestConfig(n_trees=5, seed=6),
                                 fit_rows=1000)
-    sweep = ehf.SweepConfig(alphas=(0.0, 0.04), rf=True, cost_rate=0.02, seed=5)
+    sweep = ehf.SweepConfig(alphas=(0.0, 0.04), rf=True, cost_rates=(0.02,), seed=5)
     pts = ehf.sweep_alpha(
-        [sweep], train, test, contract, TINY_POLICY, TINY_TRAIN,
+        sweep, train, test, contract, TINY_POLICY, TINY_TRAIN,
         gate=lambda p: predict_label_matrix(signal.forest, p))
     assert all(p.rf for p in pts)
     # the forest gate can only remove trading days
-    plain = ehf.sweep_alpha([ehf.SweepConfig(alphas=(0.0, 0.04), cost_rate=0.02,
-                                             seed=5)],
+    plain = ehf.sweep_alpha(ehf.SweepConfig(alphas=(0.0, 0.04), cost_rates=(0.02,),
+                                            seed=5),
                             train, test, contract, TINY_POLICY, TINY_TRAIN)
     for with_rf, without in zip(pts, plain):
         assert with_rf.avg_trades <= without.avg_trades + 1e-9
@@ -313,25 +313,39 @@ def test_sweep_config_validation():
         ehf.SweepConfig(alphas=(0.0, 1.5))
     with pytest.raises(ConfigurationError):
         ehf.SweepConfig(alphas=(0.0,), mode="lazy")
+    for empty in ({"cost_rates": ()}, {"risk_aversions": ()}):
+        with pytest.raises(ConfigurationError, match="must be non-empty"):
+            ehf.SweepConfig(alphas=(0.0,), **empty)
+    with pytest.raises(DomainError, match="cost rate must be >= 0"):
+        ehf.SweepConfig(alphas=(0.0,), cost_rates=(0.02, -0.01))
+    for lam in (0.0, -0.5):
+        with pytest.raises(DomainError, match="risk aversion must be > 0"):
+            ehf.SweepConfig(alphas=(0.0,), risk_aversions=(0.5, lam))
+
+
+def test_a_sweeps_settings_run_cost_rate_major():
+    sweep = ehf.SweepConfig(alphas=(0.0,), cost_rates=(0.05, 0.02),
+                            risk_aversions=(0.7, 0.2))
+    assert sweep.settings == [(0.05, 0.7), (0.05, 0.2), (0.02, 0.7), (0.02, 0.2)]
 
 
 def test_rf_sweep_needs_a_gate_and_reads_train_labels_only_to_train(
         tiny_split, contract):
     train, test = tiny_split
-    rf = ehf.SweepConfig(alphas=(0.0, 0.04), rf=True, cost_rate=0.02, seed=5)
+    rf = ehf.SweepConfig(alphas=(0.0, 0.04), rf=True, cost_rates=(0.02,), seed=5)
     with pytest.raises(ConfigurationError, match="gate"):
-        ehf.sweep_alpha([rf], train, test, contract, TINY_POLICY, TINY_TRAIN)
+        ehf.sweep_alpha(rf, train, test, contract, TINY_POLICY, TINY_TRAIN)
     seen = []
 
     def gate(paths):
         seen.append(paths.n_paths)
         return ehf.label_matrix(paths, 0.05)
 
-    ehf.sweep_alpha([rf], train, test, contract, TINY_POLICY, TINY_TRAIN, gate=gate)
+    ehf.sweep_alpha(rf, train, test, contract, TINY_POLICY, TINY_TRAIN, gate=gate)
     assert sorted(seen) == [32, 64]
     seen.clear()
     policy = DensePolicy.init(TINY_POLICY, seed=1)
-    ehf.sweep_alpha([rf], train, test, contract, TINY_POLICY, TINY_TRAIN, gate=gate,
+    ehf.sweep_alpha(rf, train, test, contract, TINY_POLICY, TINY_TRAIN, gate=gate,
                     policies=[policy])
     assert seen == [32]
 
@@ -352,8 +366,8 @@ RETRAIN_ALPHAS = (0.0, 0.02, 0.05, 0.1)
 
 def _retrain(split, alphas, jobs):
     train, test = split
-    sweep = ehf.SweepConfig(alphas=alphas, cost_rate=0.02, mode="retrain", seed=5)
-    return ehf.sweep_alpha([sweep], train, test, ehf.ContractSpec(100.0, 30),
+    sweep = ehf.SweepConfig(alphas=alphas, cost_rates=(0.02,), mode="retrain", seed=5)
+    return ehf.sweep_alpha(sweep, train, test, ehf.ContractSpec(100.0, 30),
                            TINY_POLICY, TINY_TRAIN, jobs=jobs)
 
 
@@ -502,8 +516,8 @@ def _per_alpha(test, policy, contract, labels=None):
 
 def _fast_sweep(test, policy, contract, policy_cfg, labels=None):
     sweep = ehf.SweepConfig(alphas=FAST_ALPHAS, rf=labels is not None,
-                            cost_rate=0.02)
-    points = ehf.sweep_alpha([sweep], None, test, contract, policy_cfg, TINY_TRAIN,
+                            cost_rates=(0.02,))
+    points = ehf.sweep_alpha(sweep, None, test, contract, policy_cfg, TINY_TRAIN,
                              gate=lambda paths: labels, policies=[policy])
     return [(p.mean_loss, p.std_loss, p.avg_trades) for p in points]
 
@@ -547,8 +561,8 @@ def test_dense_fast_sweep_gives_the_per_alpha_points(tiny_split, contract, rf,
 
 def test_baseline_sweep_gives_the_per_alpha_points(tiny_split, contract):
     _, test = tiny_split
-    sweep = ehf.SweepConfig(alphas=FAST_ALPHAS, cost_rate=0.02)
-    points = ehf.sweep_baseline([sweep], test, contract, vol=0.9, dt=1 / 365)
+    sweep = ehf.SweepConfig(alphas=FAST_ALPHAS, cost_rates=(0.02,))
+    points = ehf.sweep_baseline(sweep, test, contract, vol=0.9, dt=1 / 365)
     assert [(p.mean_loss, p.std_loss, p.avg_trades) for p in points] == \
         _per_alpha(test, ehf.BSMPolicy(contract, 0.9, 1 / 365), contract)
 
@@ -559,31 +573,25 @@ def test_baseline_sweep_gives_the_per_alpha_points(tiny_split, contract):
 # ---------------------------------------------------------------------------
 
 def _setting(cost_rate, lam, **kw):
-    return ehf.SweepConfig(alphas=FAST_ALPHAS, cost_rate=cost_rate,
-                           risk_aversion=lam, seed=3, **kw)
+    return ehf.SweepConfig(alphas=FAST_ALPHAS, cost_rates=(cost_rate,),
+                           risk_aversions=(lam,), seed=3, **kw)
+
+
+# four settings: two cost rates, each with two lambdas
+GRID = ehf.SweepConfig(alphas=FAST_ALPHAS, cost_rates=(0.02, 0.05),
+                       risk_aversions=(0.2, 0.7), seed=3)
 
 
 def test_one_baseline_call_gives_each_setting_its_one_setting_points(tiny_split,
                                                                      contract):
     _, test = tiny_split
-    settings = [_setting(rate, lam) for rate in (0.02, 0.05) for lam in (0.2, 0.7)]
     shared = frontier.by_setting(
-        ehf.sweep_baseline(settings, test, contract, vol=0.9, dt=1 / 365), settings)
-    assert shared == [ehf.sweep_baseline([s], test, contract, vol=0.9, dt=1 / 365)
-                      for s in settings]
+        ehf.sweep_baseline(GRID, test, contract, vol=0.9, dt=1 / 365), GRID)
+    assert shared == [ehf.sweep_baseline(_setting(*s), test, contract, vol=0.9, dt=1 / 365)
+                      for s in GRID.settings]
     for low, high in (shared[:2], shared[2:]):   # one cost rate's two lambdas
         assert [replace(p, risk_aversion=0.7) for p in low] == high
         assert {p.risk_aversion for p in low} == {0.2}
-
-
-def test_a_baseline_over_two_grids_is_refused(tiny_split, contract):
-    _, test = tiny_split
-    other = replace(_setting(0.05, 0.5), alphas=(0.0, 0.1))
-    with pytest.raises(ConfigurationError, match="one alpha grid"):
-        ehf.sweep_baseline([_setting(0.02, 0.5), other], test, contract,
-                           vol=0.9, dt=1 / 365)
-    with pytest.raises(ConfigurationError, match="at least one"):
-        ehf.sweep_baseline([], test, contract, vol=0.9, dt=1 / 365)
 
 
 @pytest.mark.parametrize("arch,gated", [("dense", False), ("dense", True),
@@ -599,47 +607,58 @@ def test_one_fast_sweep_gives_each_setting_its_one_setting_points(tiny_split, co
     cfg = ehf.PolicyConfig(arch=arch, hidden=6, gru_hidden=4)
     policies = [_jittered(ehf.make_policy(cfg, seed=k), seed=k) for k in range(3)]
     policies.append(policies[0])
-    settings = [_setting(rate, lam, rf=gated) for rate in (0.02, 0.05) for lam in (0.2, 0.7)]
+    grid = replace(GRID, rf=gated)
     labels = ehf.label_matrix(test, 0.01) if gated else None
 
-    def sweep(settings, policies):
-        return ehf.sweep_alpha(settings, None, test, contract, cfg, TINY_TRAIN,
+    def sweep(sweep, policies):
+        return ehf.sweep_alpha(sweep, None, test, contract, cfg, TINY_TRAIN,
                                gate=lambda paths: labels, policies=policies)
 
-    shared = frontier.by_setting(sweep(settings, policies), settings)
-    assert shared == [sweep([s], [p]) for s, p in zip(settings, policies)]
+    shared = frontier.by_setting(sweep(grid, policies), grid)
+    assert shared == [sweep(_setting(*s, rf=gated), [p])
+                      for s, p in zip(grid.settings, policies)]
     assert [{p.cost_rate for p in points} for points in shared] == [{0.02}] * 2 + [{0.05}] * 2
 
 
-def test_a_sweep_over_unlike_settings_is_refused(tiny_split, contract):
-    train, test = tiny_split
+def test_a_sweep_needs_one_policy_per_setting(tiny_split, contract):
+    _, test = tiny_split
     policy = DensePolicy.init(TINY_POLICY, seed=1)
-    for other in (replace(_setting(0.05, 0.5), alphas=(0.0, 0.1)),
-                  _setting(0.05, 0.5, rf=True), _setting(0.05, 0.5, mode="retrain")):
-        with pytest.raises(ConfigurationError, match="share one"):
-            ehf.sweep_alpha([_setting(0.02, 0.5), other], train, test, contract,
-                            TINY_POLICY, TINY_TRAIN, gate=lambda paths: None,
-                            policies=[policy, policy])
     with pytest.raises(ConfigurationError, match="1 policies for 2 settings"):
-        ehf.sweep_alpha([_setting(0.02, 0.5)] * 2, None, test, contract, TINY_POLICY,
-                        TINY_TRAIN, policies=[policy])
-    with pytest.raises(ConfigurationError, match="at least one"):
-        ehf.sweep_alpha([], None, test, contract, TINY_POLICY, TINY_TRAIN)
+        ehf.sweep_alpha(replace(_setting(0.02, 0.5), risk_aversions=(0.2, 0.7)), None,
+                        test, contract, TINY_POLICY, TINY_TRAIN, policies=[policy])
+
+
+@pytest.mark.parametrize("trains", [False, True], ids=["given-policies", "trains"])
+def test_an_rf_sweep_over_four_settings_calls_the_gate_once_per_split(
+        tiny_split, contract, trains):
+    """The four settings share one gate call on the test paths and, if the
+    sweep trains their policies, one on the training paths, made first."""
+    train, test = tiny_split
+    seen = []
+
+    def gate(paths):
+        seen.append(paths)
+        return ehf.label_matrix(paths, 0.01)
+
+    policies = None if trains else [DensePolicy.init(TINY_POLICY, seed=k) for k in range(4)]
+    points = ehf.sweep_alpha(replace(GRID, rf=True), train, test, contract, TINY_POLICY,
+                             TINY_TRAIN, gate=gate, policies=policies)
+    assert len(points) == 4 * len(FAST_ALPHAS)
+    assert list(map(id, seen)) == list(map(id, (train, test) if trains else (test,)))
 
 
 @pytest.mark.parametrize("gated", [False, True], ids=["plain", "oracle-gate"])
 def test_a_dense_fast_sweep_on_shared_labels_gives_the_per_alpha_points(
         tiny_split, contract, gated):
-    """Masks built from one move table, with gate labels the caller built
-    once, give bit for bit the points of masks built per alpha from the
+    """Masks built from one move table, with gate labels built once per
+    sweep, give bit for bit the points of masks built per alpha from the
     paths."""
     _, test = tiny_split
     cfg = ehf.PolicyConfig(arch="dense", hidden=6)
     policy = _jittered(ehf.make_policy(cfg, seed=4), seed=4)
     labels = ehf.label_matrix(test, 0.01) if gated else None
-    points = ehf.sweep_alpha([_setting(0.02, 0.5, rf=gated)], None, test, contract, cfg,
-                             TINY_TRAIN, gate=lambda paths: pytest.fail("gate called"),
-                             policies=[policy], test_labels=labels)
+    points = ehf.sweep_alpha(_setting(0.02, 0.5, rf=gated), None, test, contract, cfg,
+                             TINY_TRAIN, gate=lambda paths: labels, policies=[policy])
     assert [(p.mean_loss, p.std_loss, p.avg_trades) for p in points] == \
         _per_alpha(test, policy, contract, labels)
 
@@ -653,8 +672,8 @@ def test_a_retrain_sweep_on_one_move_table_gives_the_per_alpha_points(
     monkeypatch.setattr(frontier, "_usable_cores", lambda: 2)
     train, test = tiny_split
     alphas = RETRAIN_ALPHAS[:3]
-    sweep = ehf.SweepConfig(alphas=alphas, cost_rate=0.02, mode="retrain", seed=5)
-    points = ehf.sweep_alpha([sweep], train, test, contract, TINY_POLICY, TINY_TRAIN,
+    sweep = ehf.SweepConfig(alphas=alphas, cost_rates=(0.02,), mode="retrain", seed=5)
+    points = ehf.sweep_alpha(sweep, train, test, contract, TINY_POLICY, TINY_TRAIN,
                              jobs=jobs)
     expected = []
     for alpha in alphas:
@@ -729,15 +748,15 @@ def test_doubling_every_price_doubles_the_losses_and_keeps_the_trades(
         cfg, ehf.trade_mask(train, 0.0, train_labels), TINY_TRAIN,
         labels=train_labels)[0]
     policies = {100.0: policy, 200.0: type(policy)(cfg, policy.params, 200.0)}
-    sweep = ehf.SweepConfig(alphas=SCALE_ALPHAS, rf=gate is not None, cost_rate=0.02)
-    _assert_doubled({s0: ehf.sweep_alpha([sweep], None, test, ehf.ContractSpec(s0, 30),
+    sweep = ehf.SweepConfig(alphas=SCALE_ALPHAS, rf=gate is not None, cost_rates=(0.02,))
+    _assert_doubled({s0: ehf.sweep_alpha(sweep, None, test, ehf.ContractSpec(s0, 30),
                                          cfg, TINY_TRAIN, gate=gate, policies=[policies[s0]])
                      for s0, (_, test) in scaled_splits.items()})
 
 
 def test_doubling_every_price_doubles_the_baseline_losses(scaled_splits):
-    sweep = ehf.SweepConfig(alphas=SCALE_ALPHAS, cost_rate=0.02)
+    sweep = ehf.SweepConfig(alphas=SCALE_ALPHAS, cost_rates=(0.02,))
     vol = float(np.sqrt(ehf.HIGH_VOL.theta))
-    _assert_doubled({s0: ehf.sweep_baseline([sweep], test, ehf.ContractSpec(s0, 30),
+    _assert_doubled({s0: ehf.sweep_baseline(sweep, test, ehf.ContractSpec(s0, 30),
                                             vol=vol, dt=1 / 365)
                      for s0, (_, test) in scaled_splits.items()})

@@ -340,7 +340,7 @@ def test_cache_free_remaskers_give_fresh_deltas_at_every_alpha(heston_small, gat
             assert np.array_equal(deltas_at(mask, schedules),
                                   policy.deltas(paths.prices, mask)), (policy.arch, alpha)
         # one for the GRU's fallback days, one for the dense policies' days
-        assert sorted(schedules) == [(2, False), (30, False)]
+        assert sorted(schedules) == [2, 30]
 
 
 class _KeepingTape(Tape):
@@ -660,7 +660,7 @@ def test_no_row_day_over_a_nan_sig_buffer(gbm_small, frozen_days, exact):
                              (full_rollout.masked_rollout, full_rollout.masked_adjoint)):
         cache = {}
         deltas = rollout(policy.params, "", xs.copy(), np.full((30, 16), np.nan),
-                         mask, cache, carry_schedule(mask, 30, adjoint=True))
+                         mask, cache, carry_schedule(mask, 30))
         walks.append((deltas, *adjoint(g, mask, policy.params, "", cache)))
     (deltas, ga, grads), (ref_deltas, ref_ga, ref) = walks
     assert np.array_equal(deltas, ref_deltas)

@@ -67,14 +67,14 @@ def sweep_case():
     the policies of its three settings."""
     test = ehf.simulate_heston(ehf.HIGH_VOL, ehf.SimConfig(n_paths=N_TEST, seed=2))
     contract = ehf.ContractSpec(100.0, test.n_steps)
-    settings = [ehf.SweepConfig(alphas=DESK_ALPHAS, cost_rate=rate) for rate in COST_RATES]
+    grid = ehf.SweepConfig(alphas=DESK_ALPHAS, cost_rates=COST_RATES)
     policy_cfg, train_cfg = ehf.PolicyConfig(), ehf.TrainConfig()
-    policies = [make_policy(policy_cfg, seed=k) for k in range(len(settings))]
+    policies = [make_policy(policy_cfg, seed=k) for k in range(len(COST_RATES))]
     vol = float(np.sqrt(ehf.HIGH_VOL.theta))
 
     def sweep():
-        ehf.sweep_baseline(settings, test, contract, vol, 1 / 365)
-        ehf.sweep_alpha(settings, None, test, contract, policy_cfg, train_cfg,
+        ehf.sweep_baseline(grid, test, contract, vol, 1 / 365)
+        ehf.sweep_alpha(grid, None, test, contract, policy_cfg, train_cfg,
                         policies=policies)
 
     return sweep
