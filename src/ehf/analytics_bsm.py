@@ -27,7 +27,7 @@ class ContractSpec:
     maturity_steps: int = 30
 
     def __post_init__(self):
-        if self.strike <= 0:
+        if not 0 < self.strike < math.inf:
             raise DomainError(f"strike must be > 0, got {self.strike}")
         if self.maturity_steps < 1:
             raise DomainError(f"maturity_steps must be >= 1, got {self.maturity_steps}")

@@ -50,9 +50,11 @@ class FrontierPoint:
     seed: int
 
     def __post_init__(self):
-        if self.std_loss < 0:
+        if not -np.inf < self.mean_loss < np.inf:
+            raise DomainError(f"mean_loss must be finite, got {self.mean_loss}")
+        if not 0 <= self.std_loss < np.inf:
             raise DomainError(f"std_loss must be >= 0, got {self.std_loss}")
-        if self.avg_trades < 0:
+        if not 0 <= self.avg_trades < np.inf:
             raise DomainError(f"avg_trades must be >= 0, got {self.avg_trades}")
 
 
@@ -76,7 +78,7 @@ class SweepConfig:
         if len(self.alphas) == 0:
             raise ConfigurationError("alpha grid is empty")
         arr = np.asarray(self.alphas, dtype=np.float64)
-        if np.any(np.diff(arr) < 0) or arr[0] < 0 or arr[-1] > 1:
+        if not (np.all(np.diff(arr) >= 0) and 0 <= arr[0] and arr[-1] <= 1):   # NaN fails
             raise ConfigurationError("alpha grid must be ascending and within [0, 1]")
         if not (self.cost_rates and self.risk_aversions):
             raise ConfigurationError("cost_rates and risk_aversions must be non-empty")
@@ -517,6 +519,6 @@ def read_frontier_csv(filename) -> list[FrontierPoint]:
                 alpha=float(row[5]), mean_loss=float(row[6]),
                 std_loss=float(row[7]), avg_trades=float(row[8]),
                 n_test_paths=int(row[9]), mode=row[10], seed=int(row[11])))
-        except ValueError as exc:
+        except (ValueError, DomainError) as exc:
             raise IntegrityError(f"{filename}: bad value in row {row} ({exc})") from exc
     return points

@@ -95,8 +95,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigurationError("epochs and batch_size must be >= 1")
+        if any(type(n) is not int or n < 1 for n in (self.epochs, self.batch_size)):
+            raise ConfigurationError("epochs and batch_size must be integers >= 1")
         if not (0.0 <= self.val_fraction < 1.0):
             raise ConfigurationError(
                 f"val_fraction must be in [0, 1), got {self.val_fraction}")

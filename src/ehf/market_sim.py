@@ -26,7 +26,9 @@ class GBMParams:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not -np.inf < self.mu < np.inf:
+            raise ConfigurationError(f"mu must be finite, got {self.mu}")
+        if not 0 <= self.sigma < np.inf:
             raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
 
 
@@ -47,13 +49,15 @@ class HestonParams:
     rho: float
 
     def __post_init__(self):
-        if self.v0 < 0:
+        if not 0 <= self.v0 < np.inf:
             raise ConfigurationError(f"v0 must be >= 0, got {self.v0}")
-        if self.theta < 0:
+        if not 0 <= self.theta < np.inf:
             raise ConfigurationError(f"theta must be >= 0, got {self.theta}")
-        if self.kappa <= 0:
+        if not 0 < self.kappa < np.inf:
             raise ConfigurationError(f"kappa must be > 0, got {self.kappa}")
-        if self.sigma_v < 0:
+        if not -np.inf < self.mu < np.inf:
+            raise ConfigurationError(f"mu must be finite, got {self.mu}")
+        if not 0 <= self.sigma_v < np.inf:
             raise ConfigurationError(f"sigma_v must be >= 0, got {self.sigma_v}")
         if not -1.0 <= self.rho <= 1.0:
             raise ConfigurationError(f"rho must be in [-1, 1], got {self.rho}")
@@ -73,11 +77,11 @@ class SimConfig:
     dt: float = 1.0 / 365.0
 
     def __post_init__(self):
-        if self.s0 <= 0:
+        if not 0 < self.s0 < np.inf:
             raise ConfigurationError(f"s0 must be > 0, got {self.s0}")
         if self.n_steps < 1:
             raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.dt <= 0:
+        if not 0 < self.dt < np.inf:
             raise ConfigurationError(f"dt must be > 0, got {self.dt}")
         if self.n_paths < 1:
             raise ConfigurationError(f"n_paths must be >= 1, got {self.n_paths}")

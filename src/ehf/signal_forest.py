@@ -9,6 +9,7 @@ rebalances without lookahead.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
@@ -86,10 +87,11 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ConfigurationError(f"need at least one tree, got {self.n_trees}")
-        if self.min_leaf < 1 or self.max_depth < 0:
-            raise ConfigurationError("min_leaf must be >= 1 and max_depth >= 0")
+        if type(self.n_trees) is not int or self.n_trees < 1:
+            raise ConfigurationError(f"n_trees must be an integer >= 1, got {self.n_trees}")
+        if not (type(self.min_leaf) is type(self.max_depth) is int
+                and self.min_leaf >= 1 and self.max_depth >= 0):
+            raise ConfigurationError("min_leaf and max_depth must be integers, >= 1 and >= 0")
         if not (0.0 < self.bootstrap_fraction <= 1.0):
             raise ConfigurationError(
                 f"bootstrap fraction must be in (0, 1], got {self.bootstrap_fraction}")
@@ -284,77 +286,38 @@ def _compile_forest(trees: tuple, n_features: int) -> tuple:
     thr's index, and NaN goes right at every split. union[f] sorts all trees'
     thresholds on feature f; maps[f] takes its bins to offsets in the table.
 
-    All trees' nodes are taken at once. The leaves' boxes of cells come one
-    depth at a time: a split on f sends its box's bins below k (its
-    threshold's bin plus one) left and the rest right. Each table then takes
-    +1 and -1 at the corners of its class-1 leaves' boxes, alternating with
-    the number of high corners (those past the table's end drop out), and a
-    running sum along every axis; the boxes tile the grid, so the sums are
-    the classes, exactly even in int8, whose wraparound cancels.
+    Each table is filled by walking its tree from the root: a split narrows
+    its cells' bin bounds on its feature, and a leaf writes its class over
+    its cells.
     """
-    n_trees, sizes = len(trees), [len(t.feature) for t in trees]
-    base = np.cumsum(sizes) - sizes                 # each tree's first node
-    feature, threshold, left, right, leaf = (np.concatenate([getattr(t, a) for t in trees])
-                                             for a in ("feature", "threshold", "left",
-                                                       "right", "leaf_class"))
-    owner = np.repeat(np.arange(n_trees), sizes)
-    shapes = np.ones((n_trees, n_features), dtype=np.int64)
-    k = np.zeros(len(feature), dtype=np.int64)
-    union, below = [], []   # below[f][t, j]: tree t's thresholds on f under union[f][j]
-    for f in range(n_features):
-        splits = np.flatnonzero(feature == f)
-        u, at = np.unique(threshold[splits], return_inverse=True)
-        # each tree's distinct thresholds, by tree, then by value
-        key, rank = np.unique(owner[splits] * len(u) + at, return_inverse=True)
-        tree, at = np.divmod(key, max(len(u), 1))
-        k[splits] = rank - np.searchsorted(tree, owner[splits]) + 1
-        shapes[:, f] += np.bincount(tree, minlength=n_trees)
-        counts = np.zeros((n_trees, len(u) + 1), dtype=np.int64)
-        counts[tree, at + 1] = 1
-        union.append(u)
-        below.append(np.cumsum(counts, axis=1, out=counts))
-    cells = sum(math.prod(shape) for shape in shapes.tolist())
+    # sorted(set()), not np.unique, which imports numpy.ma (15 ms) on its first call
+    thresholds = [[sorted(set(t.threshold[t.feature == f].tolist()))
+                   for f in range(n_features)] for t in trees]
+    cells = sum(math.prod(len(thr) + 1 for thr in per_f) for per_f in thresholds)
     if cells > _MAX_TABLE_CELLS:
         raise ConfigurationError(f"the forest's lookup tables would hold {cells} cells, "
                                  f"above {_MAX_TABLE_CELLS}: lower max_depth or "
                                  "fit_rows, or raise min_leaf")
-    node, tree, lo, hi = base, np.arange(n_trees), np.zeros_like(shapes), shapes
-    ones = []       # per depth: the class-1 leaves' trees, low and high bins
-    while len(node):
-        f = feature[node]
-        leaves = (f < 0) & (leaf[node] == 1)
-        ones.append((tree[leaves], lo[leaves], hi[leaves]))
-        s = np.flatnonzero(f >= 0)
-        node, tree, lo, hi, f, row = node[s], tree[s], lo[s], hi[s], f[s], np.arange(len(s))
-        lo_right, hi_left = lo.copy(), hi.copy()
-        hi_left[row, f] = np.minimum(hi[row, f], k[node])
-        lo_right[row, f] = np.maximum(lo[row, f], k[node])
-        node = np.concatenate((left[node], right[node])) + np.tile(base[tree], 2)
-        tree, lo, hi = np.tile(tree, 2), np.concatenate((lo, lo_right)), \
-            np.concatenate((hi_left, hi))
-    tree, lo, hi = (np.concatenate(a) for a in zip(*ones))
-    full = np.all(lo < hi, axis=1)
-    tree, lo, hi = tree[full], lo[full], hi[full]
-    strides = np.ones_like(shapes)                  # in cells (int8: bytes), C order
-    for f in reversed(range(n_features - 1)):
-        strides[:, f] = strides[:, f + 1] * shapes[:, f + 1]
-    size = strides[:, 0] * shapes[:, 0]
-    start = np.cumsum(size) - size
-    flat = np.zeros(cells, dtype=np.int8)
-    for high in itertools.product((False, True), repeat=n_features):
-        corner = np.where(high, hi, lo)
-        inside = np.all(corner < shapes[tree], axis=1)
-        t = tree[inside]
-        np.add.at(flat, start[t] + np.sum(corner[inside] * strides[t], axis=1),
-                  (-1) ** sum(high))
-    for b, stride in zip(below, strides.T):
-        b *= stride[:, None]
+    union = [np.array(sorted(set().union(*per_tree)), dtype=np.float64)
+             for per_tree in zip(*thresholds)]
     compiled = []
-    for t, (shape, a) in enumerate(zip(shapes.tolist(), start.tolist())):
-        table = flat[a:a + math.prod(shape)].reshape(shape)
-        for axis in range(n_features):
-            np.cumsum(table, axis=axis, dtype=np.int8, out=table)
-        compiled.append(([b[t] for b in below], table.ravel()))
+    for tree, per_f in zip(trees, thresholds):
+        table = np.zeros([len(thr) + 1 for thr in per_f], dtype=np.int8)
+        feature, threshold, left, right, leaf = (a.tolist() for a in (
+            tree.feature, tree.threshold, tree.left, tree.right, tree.leaf_class))
+        stack = [(0, (0,) * n_features, table.shape)]   # node, its cells' bin bounds
+        while stack:
+            node, lo, hi = stack.pop()
+            f = feature[node]
+            if f < 0:
+                table[tuple(map(slice, lo, hi))] = leaf[node]
+                continue
+            k = bisect.bisect_left(per_f[f], threshold[node]) + 1  # bins < k go left
+            stack += [(left[node], lo, hi[:f] + (min(hi[f], k),) + hi[f + 1:]),
+                      (right[node], lo[:f] + (max(lo[f], k),) + lo[f + 1:], hi)]
+        maps = [np.append(np.searchsorted(thr, u), len(thr)) * stride
+                for thr, u, stride in zip(per_f, union, table.strides)]
+        compiled.append((maps, table.ravel()))
     return union, compiled
 
 

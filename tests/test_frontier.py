@@ -329,6 +329,66 @@ def test_a_sweeps_settings_run_cost_rate_major():
     assert sweep.settings == [(0.05, 0.7), (0.05, 0.2), (0.02, 0.7), (0.02, 0.2)]
 
 
+_NAN, _INF = float("nan"), float("inf")
+# (id, value -> object, the error it must raise, match, the values to try):
+# NaN fails every check, and +-inf each one that has no bound on that side
+_NON_FINITE = [
+    ("sweep-alpha-inside", lambda v: ehf.SweepConfig(alphas=(0.0, v, 0.1)),
+     ConfigurationError, "alpha grid", [_NAN]),
+    ("sweep-alpha-last", lambda v: ehf.SweepConfig(alphas=(0.0, 0.1, v)),
+     ConfigurationError, "alpha grid", [_NAN]),
+    *((f"sim-{k}", lambda v, k=k: ehf.SimConfig(n_paths=4, seed=0, **{k: v}),
+       ConfigurationError, f"{k} must be > 0", [_NAN, _INF]) for k in ("s0", "dt")),
+    ("strike", lambda v: ehf.ContractSpec(strike=v), DomainError, "strike must be > 0",
+     [_NAN, _INF]),
+    ("gbm-mu", lambda v: ehf.GBMParams(mu=v, sigma=0.2), ConfigurationError,
+     "mu must be finite", [_NAN, _INF, -_INF]),
+    ("gbm-sigma", lambda v: ehf.GBMParams(mu=0.0, sigma=v), ConfigurationError,
+     "sigma must be >= 0", [_NAN, _INF]),
+    *((f"heston-{k}", lambda v, k=k: replace(ehf.HIGH_VOL, **{k: v}), ConfigurationError,
+       f"{k} must be", [_NAN, _INF]) for k in ("v0", "theta", "kappa", "sigma_v")),
+    ("heston-mu", lambda v: replace(ehf.HIGH_VOL, mu=v), ConfigurationError,
+     "mu must be finite", [_NAN, _INF, -_INF]),
+    ("point-mean", lambda v: _point(v, 1.0), DomainError, "mean_loss must be finite",
+     [_NAN, _INF, -_INF]),
+    ("point-std", lambda v: _point(-1.0, v), DomainError, "std_loss must be >= 0",
+     [_NAN, _INF]),
+    ("point-trades", lambda v: _point(-1.0, 1.0, trades=v), DomainError,
+     "avg_trades must be >= 0", [_NAN, _INF]),
+]
+
+
+@pytest.mark.parametrize("build, error, match, value", [
+    pytest.param(build, error, match, v, id=f"{name}-{v}")
+    for name, build, error, match, values in _NON_FINITE for v in values])
+def test_config_types_refuse_non_finite_values(build, error, match, value):
+    """Library configs and frontier points refuse NaN and the infinities a
+    bound does not already exclude; the CLI's number parser refuses them
+    too, but the types are public."""
+    with pytest.raises(error, match=match):
+        build(value)
+
+
+def test_a_frontier_csv_with_a_nan_loss_is_malformed(tmp_path):
+    fn = tmp_path / "frontier.csv"
+    ehf.write_frontier_csv(fn, [_point(-1.0, 1.0)])
+    fn.write_text(fn.read_text().replace("-1.0", "nan"))
+    with pytest.raises(IntegrityError, match="mean_loss must be finite"):
+        ehf.read_frontier_csv(fn)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ehf.TrainConfig(epochs=2.0), lambda: ehf.TrainConfig(batch_size=8.0),
+    lambda: ehf.ForestConfig(n_trees=3.0), lambda: ehf.ForestConfig(max_depth=4.0),
+    lambda: ehf.ForestConfig(min_leaf=2.0)],
+    ids=["epochs", "batch_size", "n_trees", "max_depth", "min_leaf"])
+def test_float_counts_are_configuration_errors(build):
+    """A count given as a float would pass a bound check and end in a
+    TypeError deep in training or fitting."""
+    with pytest.raises(ConfigurationError, match="integer"):
+        build()
+
+
 def test_rf_sweep_needs_a_gate_and_reads_train_labels_only_to_train(
         tiny_split, contract):
     train, test = tiny_split

@@ -1,5 +1,10 @@
 """Extremum labeling, the random-forest classifier, and signal artifacts."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,7 +14,7 @@ import ehf
 from ehf import container, signal_forest
 from ehf.errors import ConfigurationError, DomainError, IntegrityError, ShapeError
 from ehf.signal_forest import DecisionTree, Forest, load_forest, predict_labels
-from node_walk import compile_forest, forest_predict, tree_predict
+from node_walk import forest_predict, tree_predict
 from reference import label_extrema, predict_label_matrix
 from tree_oracle import best_split, forest_trees
 
@@ -233,24 +238,31 @@ def _probe(forest, rng, n=300):
     return rng.choice(pool, size=(n, forest.n_features))
 
 
-def _assert_tables_equal_walk(forest):
-    """The forest's lookup tables and maps equal, byte for byte and dtype for
-    dtype, those that walking each tree node by node fills. The thresholds'
-    union is equal in value: where trees split at both 0.0 and -0.0 it holds
-    one of them, and the two sorts may keep either; no search tells them apart."""
-    (union, compiled), (ref_union, ref_compiled) = forest._tables, compile_forest(
-        forest.trees, forest.n_features)
-    for u, ref in zip(union, ref_union, strict=True):
-        assert u.dtype == ref.dtype and np.array_equal(u, ref)
-    for (maps, table), (ref_maps, ref_table) in zip(compiled, ref_compiled, strict=True):
-        for a, b in [(table, ref_table)] + list(zip(maps, ref_maps, strict=True)):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+def _assert_cells_hold_walk(forest):
+    """Each cell of a tree's table holds the class that walking the tree
+    gives at the cell's representative point: on each feature, the tree's
+    threshold that closes the cell's bin, or NaN for the last bin, since NaN
+    goes right at every split. The thresholds' union equals the sorted
+    distinct thresholds of all trees in value: where trees split at both 0.0
+    and -0.0 it holds one of them, and no search tells them apart."""
+    union, compiled = forest._tables
+    thresholds = [[t.threshold[t.feature == f] for f in range(forest.n_features)]
+                  for t in forest.trees]
+    for u, per_tree in zip(union, zip(*thresholds), strict=True):
+        assert u.dtype == np.float64 and np.array_equal(u, np.unique(np.concatenate(per_tree)))
+    for tree, per_f, (_, table) in zip(forest.trees, thresholds, compiled, strict=True):
+        points = np.meshgrid(*(np.append(np.unique(thr), np.nan) for thr in per_f),
+                             indexing="ij")
+        assert table.dtype == np.int8
+        np.testing.assert_array_equal(
+            table, tree_predict(tree, np.column_stack([p.ravel() for p in points])))
 
 
 def _assert_tables_match_walk(forest, X):
-    """The forest's tables are those of the node walk; each tree's table vote
-    (as a one-tree forest) and the forest's majority vote equal the walk's."""
-    _assert_tables_equal_walk(forest)
+    """The forest's table cells hold the node walk's classes; each tree's
+    table vote (as a one-tree forest) and the forest's majority vote equal
+    the walk's."""
+    _assert_cells_hold_walk(forest)
     for tree in forest.trees:
         single = Forest((tree,), ehf.ForestConfig(n_trees=1), forest.n_features)
         np.testing.assert_array_equal(predict_labels(single, X), tree_predict(tree, X))
@@ -286,12 +298,12 @@ def test_tables_vote_as_the_node_walk(tmp_path, n_features, n_rows, distinct,
 @given(n_trees=st.integers(1, 50), max_depth=st.integers(1, 12),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_tables_equal_the_node_walks(n_trees, max_depth, seed):
-    """Forests of 1 to 50 trees, 1 to 12 deep, on two noisy features: the
-    depth-by-depth tables equal the node-by-node walk's byte for byte."""
+    """Forests of 1 to 50 trees, 1 to 12 deep, on two noisy features: every
+    cell of every table holds the class the node walk gives there."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(600, 2))
     y = (X[:, 0] * X[:, 1] + 0.5 * rng.normal(size=600) > 0).astype(np.int8)
-    _assert_tables_equal_walk(ehf.fit_forest(X, y, ehf.ForestConfig(
+    _assert_cells_hold_walk(ehf.fit_forest(X, y, ehf.ForestConfig(
         n_trees=n_trees, max_depth=max_depth, min_leaf=2, seed=seed)))
 
 
@@ -328,6 +340,21 @@ def test_tables_of_arbitrary_trees_vote_as_the_node_walk(data, n_features, seed)
     trees = tuple(data.draw(st.lists(_random_tree(n_features), min_size=1, max_size=4)))
     forest = Forest(trees, ehf.ForestConfig(n_trees=len(trees)), n_features)
     _assert_tables_match_walk(forest, _probe(forest, np.random.default_rng(seed)))
+
+
+def test_fit_and_compile_leave_numpy_ma_unimported():
+    """A plain np.unique imports numpy.ma (about 15 ms and 1.5 MB) on its
+    first call; neither fitting a forest nor compiling its tables needs it."""
+    probe = ("import sys, numpy as np, ehf\n"
+             "X = np.random.default_rng(0).normal(size=(200, 2))\n"
+             "ehf.fit_forest(X, (X[:, 0] > 0).astype(np.int8), ehf.ForestConfig(n_trees=3))\n"
+             "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(pathlib.Path(ehf.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True)
+    assert run.stdout.split() == ["False"]
 
 
 def test_fit_refuses_non_finite_features():

@@ -13,11 +13,17 @@ OUTDIR/<pipeline>/<jobs>, once with `--jobs 1` and once with `--jobs 2`:
             that also reads the gate label as an input;
 * retrain - `mode = retrain` on an 8-point grid.
 
-The output is one sorted `sha256  pipeline/jobs/file` line per file. Two
-trees give the same output when their artifacts are byte-identical, so
-running this script on two checkouts (it imports `ehf` from the `src/` next
-to it) checks that a change kept every artifact, and comparing the two jobs
-values of one output checks that `--jobs` changes none.
+The output opens with `#` lines that name what the bytes depend on besides
+the source: the Python and numpy versions and numpy's BLAS build. Then comes
+one sorted `sha256  pipeline/jobs/file` line per file. Two trees give the
+same output when their artifacts are byte-identical, so running this script
+on two checkouts (it imports `ehf` from the `src/` next to it) checks that a
+change kept every artifact, and comparing the two jobs values of one output
+checks that `--jobs` changes none. `tests/test_artifact_digests.py` compares
+the output with `tests/golden/artifact_digests.txt`; a change that moves
+artifacts on purpose regenerates that file:
+
+    python tools/artifact_digests.py "$(mktemp -d)" > tests/golden/artifact_digests.txt
 """
 
 from __future__ import annotations
@@ -27,10 +33,13 @@ import contextlib
 import hashlib
 import io
 import pathlib
+import platform
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
 
 from ehf.cli import main  # noqa: E402
 
@@ -82,6 +91,15 @@ def run(out: pathlib.Path, pipeline: str, jobs: int) -> None:
             raise SystemExit(f"ehf {' '.join(argv)} exited {code}")
 
 
+def header_lines() -> list[str]:
+    """The `#` lines naming the Python, numpy and BLAS builds."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    build = " ".join(str(blas.get(key, "?"))
+                     for key in ("name", "version", "openblas configuration"))
+    return [f"# python {platform.python_version()}", f"# numpy {np.__version__}",
+            f"# blas {build}"]
+
+
 def digest_lines(out: pathlib.Path) -> list[str]:
     files = sorted(f for f in out.glob("*/*/*") if f.is_file())
     return [f"{hashlib.sha256(f.read_bytes()).hexdigest()}  "
@@ -99,7 +117,7 @@ def main_digests(argv: list[str]) -> int:
     for pipeline in PIPELINES:
         for jobs in (1, 2):
             run(out, pipeline, jobs)
-    print("\n".join(digest_lines(out)))
+    print("\n".join(header_lines() + digest_lines(out)))
     return 0
 
 
