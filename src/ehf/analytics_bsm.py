@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count, check_real
 from .market_sim import PathSet
 
 _erfc = np.vectorize(math.erfc, otypes=[np.float64])
@@ -27,10 +27,8 @@ class ContractSpec:
     maturity_steps: int = 30
 
     def __post_init__(self):
-        if not 0 < self.strike < math.inf:
-            raise DomainError(f"strike must be > 0, got {self.strike}")
-        if self.maturity_steps < 1:
-            raise DomainError(f"maturity_steps must be >= 1, got {self.maturity_steps}")
+        check_real(self.strike, "strike", DomainError, 0, ends="()")
+        check_count(self.maturity_steps, "maturity_steps", DomainError)
 
 
 def norm_cdf(x):
@@ -45,12 +43,10 @@ def _d1(spot, strike: float, rate: float, vol: float, tau: float):
     > 0: a delta is a step at expiry."""
     if np.any(np.asarray(spot) <= 0):
         raise DomainError("spot must be > 0")
-    if strike <= 0:
-        raise DomainError("strike must be > 0")
-    if tau <= 0:
-        raise DomainError(f"tau must be > 0 for delta, got {tau}")
-    if vol < 0:
-        raise DomainError(f"vol must be >= 0, got {vol}")
+    check_real(strike, "strike", DomainError, 0, ends="()")
+    check_real(rate, "rate", DomainError)
+    check_real(tau, "tau", DomainError, 0, ends="()")
+    check_real(vol, "vol", DomainError, 0)
     spot = np.asarray(spot, dtype=np.float64)
     d1 = None if vol == 0 else \
         (np.log(spot / strike) + (rate + 0.5 * vol ** 2) * tau) / (vol * np.sqrt(tau))

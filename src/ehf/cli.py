@@ -25,8 +25,8 @@ import numpy as np
 
 from . import market_sim
 from .analytics_bsm import ContractSpec
-from .errors import (ConfigurationError, DomainError, IntegrityError,
-                     NumericError, ResolutionError, ShapeError, StateError)
+from .errors import (ConfigurationError, DomainError, IntegrityError, NumericError,
+                     ResolutionError, ShapeError, StateError, check_count, check_real)
 from .frontier import (SweepConfig, _dealt_map, by_setting, compare_configs,
                        format_comparison_table, pareto_filter, prepare_signal,
                        read_frontier_csv, sweep_alpha, sweep_baseline,
@@ -86,12 +86,14 @@ class RunConfig:
             raise ConfigurationError(f"unknown scenario {self.scenario!r}")
         if self.scenario == "custom" and self.heston is None:
             raise ConfigurationError("scenario=custom needs Heston parameters")
+        _contract(self)      # strike and maturity
+        _sim_config(self)    # n_paths, seed, s0 and dt
+        check_count(self.n_train, "n_train", ConfigurationError)
+        check_count(self.n_test, "n_test", ConfigurationError)
         if self.n_train + self.n_test > self.n_paths:
             raise ConfigurationError(
                 f"train ({self.n_train}) + test ({self.n_test}) exceeds "
                 f"simulated paths ({self.n_paths})")
-        if not (0 < self.n_train and 0 < self.n_test):
-            raise ConfigurationError("n_train and n_test must be positive")
         if self.gate not in _GATE_SOURCES:
             raise ConfigurationError(f"unknown gate source {self.gate!r}")
         _sweep(self)         # mode, alpha grid, cost rates and lambdas
@@ -101,16 +103,17 @@ class RunConfig:
                 if f"{a:g}" == f"{b:g}":   # as _stem tags a setting's files
                     raise ConfigurationError(f"{key} {a!r} and {b!r} would write to "
                                              f"one file: both print as {a:g}")
+        check_real(self.alpha_lo, "alpha_lo", ConfigurationError)
+        check_real(self.alpha_hi, "alpha_hi", ConfigurationError)
         if not any(self.alpha_lo <= a <= self.alpha_hi for a in self.alphas):
             raise ConfigurationError(f"no alpha of the grid lies in the report "
                                      f"window [{self.alpha_lo}, {self.alpha_hi}]")
-        if not (self.beta >= 0 and self.forest_fit_rows >= 0
-                and (self.bsm_vol is None or self.bsm_vol >= 0)):
-            raise ConfigurationError("beta, fit_rows and bsm_vol must be >= 0")
+        check_real(self.beta, "beta", ConfigurationError, 0)
+        check_count(self.forest_fit_rows, "fit_rows", ConfigurationError, 0)
+        if self.bsm_vol is not None:
+            check_real(self.bsm_vol, "bsm_vol", ConfigurationError, 0)
         if not self.out_dir:
             raise ConfigurationError("the output dir must not be empty")
-        _contract(self)      # strike and maturity
-        _sim_config(self)    # n_paths, seed, s0 and dt
 
 
 def _parse_number(text: str) -> float:

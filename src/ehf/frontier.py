@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics_bsm import ContractSpec
-from .errors import ConfigurationError, DomainError, IntegrityError, StateError
+from .errors import (ConfigurationError, DomainError, IntegrityError, StateError,
+                     check_count, check_real, check_seed)
 from .hedging_engine import (BSMPolicy, CostModel, PolicyConfig, RiskConfig,
                              TrainConfig, combine_mask, costed_results, hedge_terms,
                              move_table, price_terms, table_mask, trade_mask,
@@ -50,12 +51,14 @@ class FrontierPoint:
     seed: int
 
     def __post_init__(self):
-        if not -np.inf < self.mean_loss < np.inf:
-            raise DomainError(f"mean_loss must be finite, got {self.mean_loss}")
-        if not 0 <= self.std_loss < np.inf:
-            raise DomainError(f"std_loss must be >= 0, got {self.std_loss}")
-        if not 0 <= self.avg_trades < np.inf:
-            raise DomainError(f"avg_trades must be >= 0, got {self.avg_trades}")
+        check_real(self.cost_rate, "cost_rate", DomainError, 0)
+        check_real(self.risk_aversion, "risk_aversion", DomainError, 0, ends="()")
+        check_real(self.alpha, "alpha", DomainError, 0, 1)
+        check_real(self.mean_loss, "mean_loss", DomainError)
+        check_real(self.std_loss, "std_loss", DomainError, 0)
+        check_real(self.avg_trades, "avg_trades", DomainError, 0)
+        check_count(self.n_test_paths, "n_test_paths", DomainError)
+        check_seed(self.seed, "seed", DomainError)
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,7 @@ class SweepConfig:
             CostModel(rate)
         for lam in self.risk_aversions:
             RiskConfig(lam)
+        check_seed(self.seed, "seed", ConfigurationError)
 
     @property
     def settings(self) -> list[tuple[float, float]]:
@@ -117,6 +121,7 @@ def prepare_signal(train_paths: PathSet, test_paths: PathSet, beta: float,
     subsample (the full desk-scale table is larger than the two-feature
     problem needs).
     """
+    check_count(fit_rows, "fit_rows", ConfigurationError, 0)
     (X, y), (X_test, y_test) = (
         (feature_table(paths), _day_rows(label_matrix(paths, beta)).ravel())
         for paths in (train_paths, test_paths))
@@ -217,8 +222,7 @@ def sweep_alpha(sweep: SweepConfig, train_paths: PathSet | None, test_paths: Pat
     test mask is built from one move table of the test paths.
     """
     settings, alphas, retrain = sweep.settings, sweep.alphas, sweep.mode == "retrain"
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    check_count(jobs, "jobs", ConfigurationError)
     policies = [None] * len(settings) if policies is None else list(policies)
     if len(policies) != len(settings):
         raise ConfigurationError(f"{len(policies)} policies for {len(settings)} settings")

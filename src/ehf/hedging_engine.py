@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytics_bsm import ContractSpec, bsm_delta_matrix
-from .errors import ConfigurationError, DomainError, IntegrityError, ShapeError
+from .errors import (ConfigurationError, DomainError, IntegrityError, ShapeError,
+                     check_count, check_real, check_seed)
 from .market_sim import PathSet
 from . import container
 from . import neural_core as nc
@@ -41,8 +42,7 @@ class CostModel:
     rate: float
 
     def __post_init__(self):
-        if not (self.rate >= 0.0 and math.isfinite(self.rate)):
-            raise DomainError(f"cost rate must be >= 0, got {self.rate}")
+        check_real(self.rate, "cost rate", DomainError, 0)
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ class RiskConfig:
     risk_aversion: float
 
     def __post_init__(self):
-        if not (self.risk_aversion > 0.0 and math.isfinite(self.risk_aversion)):
-            raise DomainError(f"risk aversion must be > 0, got {self.risk_aversion}")
+        check_real(self.risk_aversion, "risk aversion", DomainError, 0, ends="()")
 
 
 _ARCHS = ("bsm", "dense", "gru")
@@ -74,11 +73,8 @@ class PolicyConfig:
     def __post_init__(self):
         if self.arch not in _ARCHS:
             raise ConfigurationError(f"unknown policy architecture {self.arch!r}")
-        sizes = (self.hidden, self.gru_hidden, self.gru_layers, self.window)
-        if any(type(size) is not int or size < 1 for size in sizes):
-            raise ConfigurationError(
-                f"hidden, gru_hidden, gru_layers and window must be integers >= 1, "
-                f"got {sizes}")
+        for name in ("hidden", "gru_hidden", "gru_layers", "window"):
+            check_count(getattr(self, name), name, ConfigurationError)
 
     @property
     def n_features(self) -> int:
@@ -95,16 +91,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if any(type(n) is not int or n < 1 for n in (self.epochs, self.batch_size)):
-            raise ConfigurationError("epochs and batch_size must be integers >= 1")
-        if not (0.0 <= self.val_fraction < 1.0):
-            raise ConfigurationError(
-                f"val_fraction must be in [0, 1), got {self.val_fraction}")
-        if not (self.lr > 0.0):
-            raise ConfigurationError(f"learning rate must be > 0, got {self.lr}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigurationError(
-                f"training seed must be in [0, 2**64), got {self.seed}")
+        check_count(self.epochs, "epochs", ConfigurationError)
+        check_count(self.batch_size, "batch_size", ConfigurationError)
+        check_real(self.val_fraction, "val_fraction", ConfigurationError, 0, 1, "[)")
+        check_real(self.lr, "learning rate", ConfigurationError, 0, ends="()")
+        check_seed(self.seed, "training seed", ConfigurationError)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +117,7 @@ def move_table(prices: np.ndarray) -> np.ndarray:
 def table_mask(moves: np.ndarray, alpha: float) -> np.ndarray:
     """Boolean [n, width + 1] for a move table [n, width]: True on day 0 and
     whenever the move into day t exceeds alpha."""
-    if alpha < 0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
+    check_real(alpha, "alpha", DomainError, 0)
     mask = np.empty((len(moves), moves.shape[1] + 1), dtype=bool)
     mask[:, 0] = True
     np.greater(moves, alpha, out=mask[:, 1:])

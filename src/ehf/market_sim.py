@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .errors import ConfigurationError, IntegrityError
+from .errors import ConfigurationError, IntegrityError, check_count, check_real, check_seed
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,8 @@ class GBMParams:
     sigma: float
 
     def __post_init__(self):
-        if not -np.inf < self.mu < np.inf:
-            raise ConfigurationError(f"mu must be finite, got {self.mu}")
-        if not 0 <= self.sigma < np.inf:
-            raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
+        check_real(self.mu, "mu", ConfigurationError)
+        check_real(self.sigma, "sigma", ConfigurationError, 0)
 
 
 @dataclass(frozen=True)
@@ -49,18 +47,11 @@ class HestonParams:
     rho: float
 
     def __post_init__(self):
-        if not 0 <= self.v0 < np.inf:
-            raise ConfigurationError(f"v0 must be >= 0, got {self.v0}")
-        if not 0 <= self.theta < np.inf:
-            raise ConfigurationError(f"theta must be >= 0, got {self.theta}")
-        if not 0 < self.kappa < np.inf:
-            raise ConfigurationError(f"kappa must be > 0, got {self.kappa}")
-        if not -np.inf < self.mu < np.inf:
-            raise ConfigurationError(f"mu must be finite, got {self.mu}")
-        if not 0 <= self.sigma_v < np.inf:
-            raise ConfigurationError(f"sigma_v must be >= 0, got {self.sigma_v}")
-        if not -1.0 <= self.rho <= 1.0:
-            raise ConfigurationError(f"rho must be in [-1, 1], got {self.rho}")
+        for name in ("v0", "theta", "sigma_v"):
+            check_real(getattr(self, name), name, ConfigurationError, 0)
+        check_real(self.kappa, "kappa", ConfigurationError, 0, ends="()")
+        check_real(self.mu, "mu", ConfigurationError)
+        check_real(self.rho, "rho", ConfigurationError, -1, 1)
 
 
 #: Market scenarios used throughout the experiments.
@@ -77,19 +68,14 @@ class SimConfig:
     dt: float = 1.0 / 365.0
 
     def __post_init__(self):
-        if not 0 < self.s0 < np.inf:
-            raise ConfigurationError(f"s0 must be > 0, got {self.s0}")
-        if self.n_steps < 1:
-            raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps}")
-        if not 0 < self.dt < np.inf:
-            raise ConfigurationError(f"dt must be > 0, got {self.dt}")
-        if self.n_paths < 1:
-            raise ConfigurationError(f"n_paths must be >= 1, got {self.n_paths}")
+        check_real(self.s0, "s0", ConfigurationError, 0, ends="()")
+        check_count(self.n_steps, "n_steps", ConfigurationError)
+        check_real(self.dt, "dt", ConfigurationError, 0, ends="()")
+        check_count(self.n_paths, "n_paths", ConfigurationError)
         if self.n_paths * (self.n_steps + 1) >= 2 ** 59:  # 16 bytes a path-day < 2**63
             raise ConfigurationError(f"n_paths x (n_steps + 1) must be below 2**59, got "
                                      f"{self.n_paths} x {self.n_steps + 1}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigurationError(f"seed must be in [0, 2**64), got {self.seed}")
+        check_seed(self.seed, "seed", ConfigurationError)
 
 
 @dataclass

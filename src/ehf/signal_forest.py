@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import container
-from .errors import ConfigurationError, DomainError, IntegrityError, ShapeError
+from .errors import (ConfigurationError, DomainError, IntegrityError, ShapeError,
+                     check_count, check_real, check_seed)
 from .market_sim import PathSet
 
 _MAX_TABLE_CELLS = 2 ** 26   # the most cells a forest's lookup tables may hold
@@ -37,8 +38,7 @@ def _extrema_labels(s: np.ndarray, beta: float) -> np.ndarray:
         up-spike:   (S_t - S_{t-1})/S_{t-1} > beta  and  (S_t - S_{t+1})/S_{t+1} > beta
         down-spike: (S_{t-1} - S_t)/S_{t-1} > beta  and  (S_{t+1} - S_t)/S_t > beta
     """
-    if beta < 0:
-        raise DomainError(f"beta must be >= 0, got {beta}")
+    check_real(beta, "beta", DomainError, 0)
     prev, cur, nxt = s[..., :-2], s[..., 1:-1], s[..., 2:]
     up_spike = ((cur - prev) / prev > beta) & ((cur - nxt) / nxt > beta)
     down_spike = ((prev - cur) / prev > beta) & ((nxt - cur) / cur > beta)
@@ -87,17 +87,12 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if type(self.n_trees) is not int or self.n_trees < 1:
-            raise ConfigurationError(f"n_trees must be an integer >= 1, got {self.n_trees}")
-        if not (type(self.min_leaf) is type(self.max_depth) is int
-                and self.min_leaf >= 1 and self.max_depth >= 0):
-            raise ConfigurationError("min_leaf and max_depth must be integers, >= 1 and >= 0")
-        if not (0.0 < self.bootstrap_fraction <= 1.0):
-            raise ConfigurationError(
-                f"bootstrap fraction must be in (0, 1], got {self.bootstrap_fraction}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigurationError(
-                f"forest seed must be in [0, 2**64), got {self.seed}")
+        check_count(self.n_trees, "n_trees", ConfigurationError)
+        check_count(self.max_depth, "max_depth", ConfigurationError, 0)
+        check_count(self.min_leaf, "min_leaf", ConfigurationError)
+        check_real(self.bootstrap_fraction, "bootstrap fraction", ConfigurationError,
+                   0, 1, "(]")
+        check_seed(self.seed, "forest seed", ConfigurationError)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -13,6 +14,8 @@ import pytest
 
 import ehf
 from ehf import frontier, hedging_engine
+from ehf.analytics_bsm import bs_delta
+from ehf.cli import RunConfig
 from ehf.errors import (ConfigurationError, DomainError, IntegrityError,
                         NumericError, StateError)
 from ehf.frontier import FrontierPoint
@@ -330,6 +333,22 @@ def test_a_sweeps_settings_run_cost_rate_major():
 
 
 _NAN, _INF = float("nan"), float("inf")
+# Besides NaN and the infinities: a count or a seed given as a float or a
+# bool, or as an int out of its range, and a real given as text or None
+_COUNT, _REAL = [5.0, 1.5, True], ["0.1", None]
+_SEED = [1.0, 1.5, 2.5, True, -1, -3, 2 ** 64]
+
+
+def _split():
+    return ehf.split_pathset(ehf.simulate_heston(ehf.HIGH_VOL, ehf.SimConfig(
+        n_paths=8, seed=0, n_steps=5)), 4, 4)
+
+
+def _delta(**kw):
+    return bs_delta(**{"spot": 100.0, "strike": 100.0, "rate": 0.0, "vol": 0.2,
+                       "tau": 0.1, **kw})
+
+
 # (id, value -> object, the error it must raise, match, the values to try):
 # NaN fails every check, and +-inf each one that has no bound on that side
 _NON_FINITE = [
@@ -338,23 +357,87 @@ _NON_FINITE = [
     ("sweep-alpha-last", lambda v: ehf.SweepConfig(alphas=(0.0, 0.1, v)),
      ConfigurationError, "alpha grid", [_NAN]),
     *((f"sim-{k}", lambda v, k=k: ehf.SimConfig(n_paths=4, seed=0, **{k: v}),
-       ConfigurationError, f"{k} must be > 0", [_NAN, _INF]) for k in ("s0", "dt")),
+       ConfigurationError, f"{k} must be > 0", [_NAN, _INF, *_REAL]) for k in ("s0", "dt")),
     ("strike", lambda v: ehf.ContractSpec(strike=v), DomainError, "strike must be > 0",
-     [_NAN, _INF]),
+     [_NAN, _INF, *_REAL]),
     ("gbm-mu", lambda v: ehf.GBMParams(mu=v, sigma=0.2), ConfigurationError,
-     "mu must be finite", [_NAN, _INF, -_INF]),
+     "mu must be finite", [_NAN, _INF, -_INF, *_REAL]),
     ("gbm-sigma", lambda v: ehf.GBMParams(mu=0.0, sigma=v), ConfigurationError,
-     "sigma must be >= 0", [_NAN, _INF]),
+     "sigma must be >= 0", [_NAN, _INF, *_REAL]),
     *((f"heston-{k}", lambda v, k=k: replace(ehf.HIGH_VOL, **{k: v}), ConfigurationError,
-       f"{k} must be", [_NAN, _INF]) for k in ("v0", "theta", "kappa", "sigma_v")),
+       f"{k} must be", [_NAN, _INF, *_REAL]) for k in ("v0", "theta", "kappa", "sigma_v")),
     ("heston-mu", lambda v: replace(ehf.HIGH_VOL, mu=v), ConfigurationError,
-     "mu must be finite", [_NAN, _INF, -_INF]),
+     "mu must be finite", [_NAN, _INF, -_INF, *_REAL]),
     ("point-mean", lambda v: _point(v, 1.0), DomainError, "mean_loss must be finite",
-     [_NAN, _INF, -_INF]),
+     [_NAN, _INF, -_INF, *_REAL]),
     ("point-std", lambda v: _point(-1.0, v), DomainError, "std_loss must be >= 0",
-     [_NAN, _INF]),
+     [_NAN, _INF, *_REAL]),
     ("point-trades", lambda v: _point(-1.0, 1.0, trades=v), DomainError,
-     "avg_trades must be >= 0", [_NAN, _INF]),
+     "avg_trades must be >= 0", [_NAN, _INF, *_REAL]),
+    ("heston-rho", lambda v: replace(ehf.HIGH_VOL, rho=v), ConfigurationError,
+     "rho must be in", [_NAN, _INF, -1.5, *_REAL]),
+    ("cost-rate", lambda v: ehf.CostModel(v), DomainError, "cost rate must be >= 0",
+     [_NAN, _INF, -0.1, *_REAL]),
+    ("risk-aversion", lambda v: ehf.RiskConfig(v), DomainError,
+     "risk aversion must be > 0", [_NAN, _INF, 0.0, *_REAL]),
+    ("train-lr", lambda v: ehf.TrainConfig(lr=v), ConfigurationError,
+     "learning rate must be > 0", [_NAN, _INF, 0.0, *_REAL]),
+    ("train-val_fraction", lambda v: ehf.TrainConfig(val_fraction=v), ConfigurationError,
+     "val_fraction must be in", [_NAN, 1.0, -0.1, *_REAL]),
+    ("forest-bootstrap", lambda v: ehf.ForestConfig(bootstrap_fraction=v),
+     ConfigurationError, "bootstrap fraction must be in", [_NAN, 0.0, 1.5, *_REAL]),
+    *((f"point-{k}", lambda v, k=k: _point(-1.0, 1.0, **{k: v}), DomainError,
+       f"{k} must be", [_NAN, _INF, low, *_REAL])
+      for k, low in (("cost_rate", -0.1), ("risk_aversion", 0.0), ("alpha", -1.0))),
+    *((f"run-{k}", lambda v, k=k: RunConfig(**{k: v}), ConfigurationError, f"{k} must be",
+       [_NAN, _INF, *bad]) for k, bad in (   # bsm_vol = None: no override
+          ("bsm_vol", ["0.1", -0.1]), ("beta", [*_REAL, -0.1]), ("alpha_lo", _REAL),
+          ("alpha_hi", _REAL))),
+    *((f"bs_delta-{k}", lambda v, k=k: _delta(**{k: v}), DomainError, f"{k} must be",
+       [_NAN, _INF, *_REAL, *bad]) for k, bad in (
+          ("strike", [0.0]), ("rate", [-_INF]), ("vol", [-0.1]), ("tau", [0.0]))),
+    ("table_mask-alpha", lambda v: hedging_engine.table_mask(np.zeros((2, 3)), v),
+     DomainError, "alpha must be >= 0", [_NAN, _INF, -0.1, *_REAL]),
+    ("label_matrix-beta", lambda v: ehf.label_matrix(_split()[0], v), DomainError,
+     "beta must be >= 0", [_NAN, _INF, -0.1, *_REAL]),
+    *((f"sim-{k}", lambda v, k=k: ehf.SimConfig(**{"n_paths": 4, "seed": 0, k: v}),
+       ConfigurationError, f"{k} must be an integer >= 1", [*_COUNT, 0])
+      for k in ("n_paths", "n_steps")),
+    ("maturity_steps", lambda v: ehf.ContractSpec(maturity_steps=v), DomainError,
+     "maturity_steps must be an integer >= 1", [*_COUNT, 30.0, 0]),
+    *((f"policy-{k}", lambda v, k=k: ehf.PolicyConfig(**{k: v}), ConfigurationError,
+       f"{k} must be an integer >= 1", [*_COUNT, 0])
+      for k in ("hidden", "gru_hidden", "gru_layers", "window")),
+    *((f"train-{k}", lambda v, k=k: ehf.TrainConfig(**{k: v}), ConfigurationError,
+       f"{k} must be an integer >= 1", [*_COUNT, 0]) for k in ("epochs", "batch_size")),
+    *((f"forest-{k}", lambda v, k=k: ehf.ForestConfig(**{k: v}), ConfigurationError,
+       f"{k} must be an integer >= {low}", [*_COUNT, low - 1])
+      for k, low in (("n_trees", 1), ("max_depth", 0), ("min_leaf", 1))),
+    ("point-n_test_paths", lambda v: _point(-1.0, 1.0, n_test_paths=v), DomainError,
+     "n_test_paths must be an integer >= 1", [*_COUNT, 0]),
+    *((f"run-{k}", lambda v, k=k: RunConfig(**{k: v}), ConfigurationError,
+       f"{name} must be an integer >= {low}", [*_COUNT, low - 1])
+      for k, name, low in (("n_train", "n_train", 1), ("n_test", "n_test", 1),
+                           ("forest_fit_rows", "fit_rows", 0))),
+    ("prepare_signal-fit_rows", lambda v: ehf.prepare_signal(
+        *_split(), 0.05, ehf.ForestConfig(n_trees=2), fit_rows=v), ConfigurationError,
+     "fit_rows must be an integer >= 0", [*_COUNT, 2.5, -5]),
+    ("sweep_alpha-jobs", lambda v: ehf.sweep_alpha(
+        ehf.SweepConfig(alphas=(0.0,)), *_split(), ehf.ContractSpec(maturity_steps=5),
+        TINY_POLICY, TINY_TRAIN, jobs=v), ConfigurationError, "jobs must be an integer >= 1",
+     [*_COUNT, 2.0, 0]),
+    *((name, build, error, re.escape(f"{match} must be in [0, 2**64) and an integer"),
+       _SEED)
+      for name, build, error, match in (
+          ("sim-seed", lambda v: ehf.SimConfig(n_paths=4, seed=v), ConfigurationError, "seed"),
+          ("train-seed", lambda v: ehf.TrainConfig(seed=v), ConfigurationError,
+           "training seed"),
+          ("forest-seed", lambda v: ehf.ForestConfig(seed=v), ConfigurationError,
+           "forest seed"),
+          ("sweep-seed", lambda v: ehf.SweepConfig(alphas=(0.0,), seed=v),
+           ConfigurationError, "seed"),
+          ("point-seed", lambda v: _point(-1.0, 1.0, seed=v), DomainError, "seed"),
+          ("run-sim_seed", lambda v: RunConfig(sim_seed=v), ConfigurationError, "seed"))),
 ]
 
 
@@ -362,18 +445,32 @@ _NON_FINITE = [
     pytest.param(build, error, match, v, id=f"{name}-{v}")
     for name, build, error, match, values in _NON_FINITE for v in values])
 def test_config_types_refuse_non_finite_values(build, error, match, value):
-    """Library configs and frontier points refuse NaN and the infinities a
-    bound does not already exclude; the CLI's number parser refuses them
-    too, but the types are public."""
+    """Library configs, frontier points and the functions that take a
+    number from their caller refuse NaN and the infinities a bound does not
+    already exclude, a count or seed that is not an int in its range, and a
+    real that is not a number: each with its own error class, before any
+    work. The CLI's parsers refuse most of these too, but the types are
+    public."""
     with pytest.raises(error, match=match):
         build(value)
 
 
-def test_a_frontier_csv_with_a_nan_loss_is_malformed(tmp_path):
+@pytest.mark.parametrize("column, cell, match", [
+    ("mean_loss", "nan", "mean_loss must be finite"), ("alpha", "nan", "alpha must be in"),
+    ("cost_rate", "-0.1", "cost_rate must be >= 0"),
+    ("n_test_paths", "0", "n_test_paths must be an integer >= 1"),
+    ("seed", "-1", "seed must be in")],
+    ids=["mean_loss", "alpha", "cost_rate", "n_test_paths", "seed"])
+def test_a_frontier_csv_with_a_nan_loss_is_malformed(tmp_path, column, cell, match):
+    """A NaN loss, or a tag that no sweep writes, makes the row malformed
+    (report exits 3), not a point."""
     fn = tmp_path / "frontier.csv"
     ehf.write_frontier_csv(fn, [_point(-1.0, 1.0)])
-    fn.write_text(fn.read_text().replace("-1.0", "nan"))
-    with pytest.raises(IntegrityError, match="mean_loss must be finite"):
+    header, row = fn.read_text().splitlines()
+    row = row.split(",")
+    row[frontier.FRONTIER_COLUMNS.index(column)] = cell
+    fn.write_text(f"{header}\n{','.join(row)}\n")
+    with pytest.raises(IntegrityError, match=match):
         ehf.read_frontier_csv(fn)
 
 

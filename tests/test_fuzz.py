@@ -1,11 +1,15 @@
-"""Hypothesis fuzzing of the config grammar and of the five artifact loaders.
+"""Hypothesis fuzzing of the config grammar, the config types and the five
+artifact loaders.
 
 `load_config` must return a RunConfig or raise an EHFError for any INI text
-built from the grammar's own sections and keys. The path-set, forest,
-forecast-label, policy checkpoint and frontier-CSV loaders must raise nothing
-but IntegrityError on a mangled file.
+built from the grammar's own sections and keys. Each config type, given any
+number, bool, None or text in one numeric field, must be built or raise its
+own error class. The path-set, forest, forecast-label, policy checkpoint and
+frontier-CSV loaders must raise nothing but IntegrityError on a mangled file.
 Sizes stay small, so no draw can ask for a large allocation.
 """
+
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import strategies as st
 
 import ehf
 from ehf.cli import _CONFIG_GRAMMAR, RunConfig, load_config
-from ehf.errors import EHFError, IntegrityError
+from ehf.errors import ConfigurationError, DomainError, EHFError, IntegrityError
 from ehf.frontier import FrontierPoint
 from ehf.hedging_engine import DensePolicy
 from ehf.signal_forest import load_forest
@@ -60,6 +64,38 @@ def test_config_grammar_fuzz(tmp_path, text):
     try:
         assert isinstance(load_config(str(ini)), RunConfig)
     except EHFError:
+        pass
+
+
+# a valid value of each config type -> the error class(es) it raises; RunConfig
+# builds a ContractSpec, whose class is DomainError
+_CONFIGS = [(ehf.ContractSpec(), DomainError), (ehf.CostModel(0.05), DomainError),
+            (ehf.RiskConfig(0.5), DomainError), (ehf.PolicyConfig(), ConfigurationError),
+            (ehf.TrainConfig(), ConfigurationError),
+            (ehf.GBMParams(0.0, 0.2), ConfigurationError), (ehf.HIGH_VOL, ConfigurationError),
+            (ehf.SimConfig(n_paths=4, seed=0), ConfigurationError),
+            (ehf.ForestConfig(), ConfigurationError),
+            (ehf.SweepConfig(alphas=(0.0, 0.1)), ConfigurationError),
+            (FrontierPoint("high_vol", "dense", False, 0.02, 0.5, 0.04, -12.5, 1.0, 30.0,
+                           60, "fast", 3), DomainError),
+            (RunConfig(), (ConfigurationError, DomainError))]
+_NUMERIC_FIELDS = [(base, f.name, error) for base, error in _CONFIGS
+                   for f in fields(base) if f.type in ("int", "float", "float | None")]
+_any_number = st.one_of(
+    st.floats(), st.integers(-2 ** 70, 2 ** 70), st.sampled_from([-1, 0, 2 ** 64]),
+    st.booleans(), st.none(),
+    st.text(alphabet="0123456789.-+eEinfa ", max_size=6))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_NUMERIC_FIELDS), value=_any_number)
+def test_a_bad_number_raises_its_types_error(case, value):
+    """No number ends a build in a TypeError, ValueError or OverflowError:
+    each corrupt input maps to an exit code."""
+    base, name, error = case
+    try:
+        replace(base, **{name: value})
+    except error:
         pass
 
 
